@@ -56,7 +56,7 @@ fn main() {
         let model = UpecModel::new(&formal_config(SocVariant::Secure), SecretScenario::InCache);
         let report = run_methodology(&model, UpecOptions::window(2));
         bench(&filters, "table1_inductive_proof", "closure", 2, || {
-            prove_alert_closure(&model, &report.p_alert_registers, None);
+            prove_alert_closure(&model, &report.p_alert_registers);
         });
     }
 

@@ -2,24 +2,23 @@
 //! prints the aggregated report — the "sweep everything" entry point.
 //!
 //! ```text
-//! cargo run --release -p bench --bin engine [-- --threads N] [--stripes N] [id ...]
+//! cargo run --release -p bench --bin engine [-- --threads N] [id ...]
 //! ```
 //!
 //! Without arguments every registered scenario is scanned. Scenario ids
 //! (e.g. `orc pmp-lock`) restrict the sweep.
 
-use upec::scenarios::{self, ScenarioSpec};
+use std::time::Instant;
+use upec::scenarios::{self, ScenarioInstance, ScenarioSpec};
 use upec::{EngineOptions, UpecEngine};
 
 fn main() {
     let mut threads: Option<usize> = None;
-    let mut stripes: Option<usize> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
-            "--stripes" => stripes = args.next().and_then(|v| v.parse().ok()),
             other => ids.push(other.to_string()),
         }
     }
@@ -44,14 +43,10 @@ fn main() {
     if let Some(t) = threads {
         options = options.with_threads(t);
     }
-    if let Some(s) = stripes {
-        options = options.with_stripes(s);
-    }
     println!(
-        "UPEC engine: {} scenarios, {} threads, {} stripe(s) per scenario\n",
+        "UPEC engine: {} scenarios, {} threads\n",
         specs.len(),
-        options.threads,
-        options.stripes
+        options.threads
     );
     println!(
         "{:<18} {:<34} {:<30} {:>9}",
@@ -65,16 +60,32 @@ fn main() {
     }
     println!();
 
-    let report = UpecEngine::new(options).run(specs);
-    println!("{}", report.summary());
-    if report.all_match_expectations() {
+    let start = Instant::now();
+    let results =
+        UpecEngine::new(options).run_instances(specs.into_iter().map(ScenarioInstance::base));
+    for r in &results {
+        println!("{}", r.summary());
+    }
+    println!(
+        "{} scenarios in {:.2?}, {} total conflicts",
+        results.len(),
+        start.elapsed(),
+        results.iter().map(|r| r.conflicts).sum::<u64>()
+    );
+    let mismatches: Vec<_> = results
+        .iter()
+        .filter(|r| !r.matches_expectation())
+        .collect();
+    if mismatches.is_empty() {
         println!("\nAll scenarios match their registered expectations.");
     } else {
         println!("\nWARNING: some scenarios deviate from their registered expectations:");
-        for r in report.results.iter().filter(|r| !r.matches_expectation()) {
+        for r in mismatches {
             println!(
                 "  {:<18} expected {:?}, got {:?}",
-                r.spec.id, r.spec.expected, r.verdict
+                r.instance.id(),
+                r.instance.expected,
+                r.verdict
             );
         }
         std::process::exit(1);

@@ -7,6 +7,7 @@
 //! ```
 
 use bench::secs;
+use sat::Budget;
 use upec::scenarios;
 use upec::{prove_alert_closure, run_methodology, UpecOptions, Verdict};
 
@@ -22,10 +23,10 @@ fn main() {
         let d_mem = model.d_mem();
         // "Feasible k": the largest window we attempt within a conflict
         // budget; with the reduced design this is simply d_MEM.
-        let options = UpecOptions::window(d_mem).with_conflict_limit(Some(2_000_000));
+        let options = UpecOptions::window(d_mem).with_budget(Budget::conflicts(2_000_000));
         let report = run_methodology(&model, options);
         let closure = if report.verdict == Verdict::Secure && !report.p_alert_registers.is_empty() {
-            Some(prove_alert_closure(&model, &report.p_alert_registers, None))
+            Some(prove_alert_closure(&model, &report.p_alert_registers))
         } else {
             None
         };

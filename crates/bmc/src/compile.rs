@@ -136,8 +136,7 @@ impl CompileStats {
 ///
 /// The compiled form is immutable and self-contained (it holds no borrow of
 /// the netlist), so one compilation can be shared — via `Arc` — by every
-/// unrolling, session and portfolio stripe that proves properties of the
-/// same design.
+/// unrolling and session that proves properties of the same design.
 ///
 /// # Examples
 ///

@@ -1,28 +1,23 @@
-//! # `bmc` — bounded model checking and interval property checking (IPC)
+//! # `bmc` — bounded model checking from a symbolic initial state
 //!
 //! This crate is the formal-verification engine of the UPEC reproduction. It
 //! takes a word-level [`rtl::Netlist`], bit-blasts it into CNF with Tseitin
 //! encoding, unrolls its transition relation over a bounded time window, and
 //! decides properties with the [`sat`] CDCL solver.
 //!
-//! Three layers are exposed:
-//!
-//! * [`Unrolling`] — the low-level machinery: per-frame literals for every
-//!   signal, hard constraints, assumption-based queries and model/value
-//!   extraction. The UPEC miter proofs in the `upec` crate drive this layer
-//!   directly.
-//! * [`IntervalProperty`] + [`IpcEngine`] — the assume/prove interval
-//!   properties of the paper's Fig. 4, checked from a *symbolic initial
-//!   state* (the "any-state proof" of Interval Property Checking).
-//! * [`InductionProver`] — k-induction for single-bit invariants, used to
-//!   turn bounded P-alert analyses into unbounded security proofs
-//!   (paper Sec. VI).
+//! [`Unrolling`] is the one query layer: per-frame literals for every
+//! signal, hard constraints, assumption-based queries and model/value
+//! extraction. By default every register starts fully *symbolic* in frame 0
+//! (the "any-state proof" of interval property checking), which is how the
+//! UPEC miter proofs in the `upec` crate drive it. [`CompiledTransition`]
+//! prunes, hashes and folds the netlist once so every frame instantiates the
+//! same dense schedule lazily.
 //!
 //! # Example
 //!
 //! ```
-//! use rtl::{Netlist, BitVec};
-//! use bmc::{IntervalProperty, PropertyTerm, IpcEngine, UnrollOptions};
+//! use rtl::Netlist;
+//! use bmc::{UnrollOptions, Unrolling};
 //!
 //! // Prove that a two-entry shift register delivers its input after two
 //! // cycles, for every possible starting state.
@@ -35,26 +30,24 @@
 //! let nine = n.lit(9, 4);
 //! let in_is_9 = n.eq(data_in, nine);
 //! let out_is_9 = n.eq(s2.value(), nine);
+//! n.output("in_is_9", in_is_9);
 //! n.output("out_is_9", out_is_9);
 //!
-//! let property = IntervalProperty::new("input reaches output", 2)
-//!     .assume(PropertyTerm::at("input is 9", 0, in_is_9))
-//!     .prove(PropertyTerm::at("output is 9", 2, out_is_9));
-//! assert!(IpcEngine::new(UnrollOptions::default()).check(&n, &property).is_proven());
+//! let mut unrolling = Unrolling::new(&n, UnrollOptions::symbolic_initial_state());
+//! unrolling.extend_to(2);
+//! // Assume the input is 9 at cycle 0 and ask for an output other than 9
+//! // at cycle 2: no assignment exists, so the property holds.
+//! unrolling.assume_signal_true(0, in_is_9).unwrap();
+//! let out = unrolling.bit_lit(2, out_is_9).unwrap();
+//! assert!(unrolling.solve(&[!out]).is_unsat());
 //! ```
 
 #![warn(missing_docs)]
 
 mod compile;
 mod gates;
-mod induction;
-mod ipc;
-mod property;
 mod unroll;
 
 pub use compile::{CompileStats, CompiledOp, CompiledTransition};
 pub use gates::GateBuilder;
-pub use induction::{InductionOutcome, InductionProver};
-pub use ipc::{CexFrame, Counterexample, IpcEngine, IpcOutcome, IpcStats};
-pub use property::{IntervalProperty, PropertyTerm, When};
 pub use unroll::{EncodeStats, SharedClause, UnrollError, UnrollOptions, Unrolling};

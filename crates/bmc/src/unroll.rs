@@ -27,13 +27,9 @@ pub struct UnrollOptions {
     /// the "any-state proof" setting used by interval property checking
     /// (IPC) and by all UPEC proofs.
     pub use_initial_values: bool,
-    /// Optional conflict budget handed to the SAT solver; `None` means solve
-    /// to completion.
-    pub conflict_limit: Option<u64>,
     /// Deterministic resource budget for each [`Unrolling::solve`] call
-    /// (conflicts / propagations / decisions; see [`sat::Budget`]). Unlike
-    /// [`UnrollOptions::conflict_limit`] — which caps each *solver episode*
-    /// — the budget covers the whole call including the trial solve and the
+    /// (conflicts / propagations / decisions; see [`sat::Budget`]). The
+    /// budget covers the whole call including the trial solve and the
     /// post-simplification full solve: the remainder is threaded through
     /// the pipeline, and an exhausted call answers
     /// [`SatResult::Unknown`] with
@@ -78,7 +74,6 @@ impl Default for UnrollOptions {
     fn default() -> Self {
         Self {
             use_initial_values: false,
-            conflict_limit: None,
             budget: sat::Budget::unlimited(),
             eager_encoding: false,
             no_simplify: false,
@@ -101,12 +96,6 @@ impl UnrollOptions {
             use_initial_values: true,
             ..Self::default()
         }
-    }
-
-    /// Sets the solver conflict budget.
-    pub fn with_conflict_limit(mut self, limit: Option<u64>) -> Self {
-        self.conflict_limit = limit;
-        self
     }
 
     /// Sets the deterministic per-call resource budget (see
@@ -415,9 +404,6 @@ impl<'n> Unrolling<'n> {
             // sessions never share — imports are refused under proof
             // logging — so the tag is skipped there.)
             gates.solver_mut().mark_root_facts_shared(0);
-        }
-        if let Some(limit) = options.conflict_limit {
-            gates.solver_mut().set_conflict_limit(Some(limit));
         }
         let backend = match transition {
             Some(transition) => Backend::Compiled {
@@ -1162,14 +1148,6 @@ impl<'n> Unrolling<'n> {
         self.gates.add_clause([!activation]);
     }
 
-    /// Installs (or removes) a shared interrupt flag on the underlying
-    /// solver; raising the flag from another thread makes an in-flight
-    /// [`Unrolling::solve`] return [`SatResult::Unknown`]. See
-    /// [`sat::Solver::set_interrupt`].
-    pub fn set_interrupt(&mut self, flag: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>) {
-        self.gates.solver_mut().set_interrupt(flag);
-    }
-
     /// Replaces the deterministic per-call resource budget (see
     /// [`UnrollOptions::budget`]); takes effect from the next
     /// [`Unrolling::solve`] call.
@@ -1211,14 +1189,13 @@ impl<'n> Unrolling<'n> {
     /// CNF simplification pipeline is triggered *adaptively*: after a
     /// substantial database growth (at least 512 new problem clauses and an
     /// eighth of the database — in practice, a bound extension) the query is
-    /// first attempted under the
-    /// [`UnrollOptions::simplify_trial_conflicts`] conflict cap. Queries
-    /// that finish inside the cap never pay for the pipeline; queries that
+    /// first attempted under the call's budget capped at
+    /// [`UnrollOptions::simplify_trial_conflicts`] conflicts. Queries that
+    /// finish inside the cap never pay for the pipeline; queries that
     /// exhaust it are simplified (with the probing budget scaled to the
-    /// growth) and then solved to completion — keeping every clause the
-    /// trial learned.
+    /// growth) and then solved under what is left of the budget — keeping
+    /// every clause the trial learned.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
-        let user_limit = self.options.conflict_limit;
         let budget = self.options.budget;
         self.gates.solver_mut().set_budget(budget);
         if self.options.no_simplify || !self.simplification_due() {
@@ -1227,33 +1204,25 @@ impl<'n> Unrolling<'n> {
 
         // Trial solve: cheap queries finish here and skip the pipeline.
         let trial = self.options.simplify_trial_conflicts;
-        let trial_limit = user_limit.map_or(trial, |l| l.min(trial));
         let solver = self.gates.solver_mut();
         let stats_before = solver.stats();
-        solver.set_conflict_limit(Some(trial_limit));
+        let trial_budget = budget.min(sat::Budget::conflicts(trial));
+        solver.set_budget(trial_budget);
         let result = {
             let mut span = obs::span("bmc.trial_solve");
-            span.attr_u64("trial_limit", trial_limit);
+            span.attr_u64("trial_limit", trial_budget.conflicts.unwrap_or(trial));
             solver.solve_with_assumptions(assumptions)
         };
-        solver.set_conflict_limit(user_limit);
-        let spent = solver
-            .stats()
-            .conflicts
-            .saturating_sub(stats_before.conflicts);
-        let user_exhausted = user_limit.is_some_and(|l| spent >= l);
-        // A budget-exhausted or cancelled trial already is the honest answer
-        // for this call: skip the pipeline and let the caller inspect
-        // `last_stop` (the session stays resumable).
-        let stopped_early = matches!(
-            solver.last_stop(),
-            Some(sat::StopCause::BudgetExhausted | sat::StopCause::Cancelled)
-        );
-        if !matches!(result, SatResult::Unknown)
-            || user_exhausted
-            || stopped_early
-            || solver.interrupt_raised()
-        {
+        let spent = solver.stats().delta_since(&stats_before);
+        // Only a stop at the trial cap with budget left over goes on to
+        // simplify. Any other stop — the caller's budget, a cancellation,
+        // an injected fault — already is the honest answer for this call:
+        // the caller inspects `last_stop` and the session stays resumable.
+        let trial_capped = solver.last_stop() == Some(sat::StopCause::BudgetExhausted)
+            && spent.conflicts >= trial
+            && !budget.minus(&spent).is_exhausted();
+        if !trial_capped {
+            solver.set_budget(budget);
             return result;
         }
 
@@ -1267,16 +1236,12 @@ impl<'n> Unrolling<'n> {
             self.gates.solver_mut().vivify(Self::VIVIFY_PROPAGATIONS);
         }
         let solver = self.gates.solver_mut();
-        if let Some(limit) = user_limit {
-            solver.set_conflict_limit(Some(limit.saturating_sub(spent).max(1)));
-        }
         // Charge the trial episode plus the simplification/vivification work
         // against the per-call budget, so the whole call — not each episode —
         // respects it. An already-exhausted remainder stops the full solve at
         // its first checkpoint with `StopCause::BudgetExhausted`.
         solver.set_budget(budget.minus(&solver.stats().delta_since(&stats_before)));
         let result = solver.solve_with_assumptions(assumptions);
-        solver.set_conflict_limit(user_limit);
         solver.set_budget(budget);
         result
     }
@@ -1689,22 +1654,66 @@ mod tests {
         ));
     }
 
+    /// `p = a*b` and `q = b*a` built from shift-and-add multipliers: proving
+    /// `p == q` takes real search, and the two multipliers encode to well
+    /// over the 512 clauses that make a simplification pass due.
+    fn multiplier_miter(width: u32) -> (Netlist, SignalId, SignalId) {
+        let mut n = Netlist::new("mul_commutes");
+        let a = n.input("a", width);
+        let b = n.input("b", width);
+        let mul = |n: &mut Netlist, x: SignalId, y: SignalId| {
+            let zero = n.lit(0, width);
+            let mut acc = zero;
+            for i in 0..width {
+                let amount = n.lit(u64::from(i), width);
+                let shifted = n.shl(x, amount);
+                let bit = n.bit(y, i);
+                let term = n.mux(bit, shifted, zero);
+                acc = n.add(acc, term);
+            }
+            acc
+        };
+        let p = mul(&mut n, a, b);
+        let q = mul(&mut n, b, a);
+        n.output("p", p);
+        n.output("q", q);
+        (n, p, q)
+    }
+
+    /// A caller budget below the trial cap stops the trial itself: the call
+    /// answers `Unknown` with `BudgetExhausted`, never pays for the
+    /// simplification pipeline, and the query resumes to its verdict.
     #[test]
-    fn unknown_is_reported_under_tiny_conflict_budget() {
-        // A multiplier-free but non-trivial equivalence: (a + b) == (b + a)
-        // is easy, so instead make the solver prove a ^ b ^ a ^ b == 0 over
-        // many frames with an extremely small budget to trigger Unknown on
-        // at least some runs; to stay deterministic we just check that the
-        // API accepts a limit and still returns a definitive answer when the
-        // limit is generous.
-        let (n, c) = counter_netlist();
+    fn caller_budget_below_the_trial_cap_skips_simplification() {
+        let (n, p, q) = multiplier_miter(6);
         let mut u = Unrolling::new(
             &n,
-            UnrollOptions::from_reset_state().with_conflict_limit(Some(1_000_000)),
+            UnrollOptions::default().with_budget(sat::Budget::conflicts(5)),
         );
-        u.extend_to(2);
-        u.assume_signal_equals_const(2, c.value(), 2).unwrap();
-        assert!(u.solve(&[]).is_sat());
+        let equal = u.equality_lit(0, p, q).unwrap();
+        assert!(
+            u.simplification_due(),
+            "the miter must be big enough to trigger a trial"
+        );
+        assert_eq!(u.solve(&[!equal]), SatResult::Unknown);
+        assert_eq!(u.last_stop(), Some(sat::StopCause::BudgetExhausted));
+        assert_eq!(u.simplify_stats(), sat::SimplifyStats::default());
+        u.set_budget(sat::Budget::unlimited());
+        assert!(u.solve(&[!equal]).is_unsat());
+        assert_eq!(u.last_stop(), None);
+    }
+
+    /// A stop at the trial cap with budget left over runs the pipeline and
+    /// goes on to decide the query: it is never reported as `Unknown`.
+    #[test]
+    fn trial_cap_stop_simplifies_and_decides() {
+        let (n, p, q) = multiplier_miter(6);
+        let mut u = Unrolling::new(&n, UnrollOptions::default().with_simplify_trial(0));
+        let equal = u.equality_lit(0, p, q).unwrap();
+        assert!(u.solve(&[!equal]).is_unsat());
+        assert_eq!(u.last_stop(), None);
+        assert_eq!(u.simplify_stats().rounds, 1);
+        assert_eq!(u.solver_stats().budget_exhaustions, 1, "the trial-cap stop");
     }
 
     /// A design with provably dead logic: compiled encoding must produce a

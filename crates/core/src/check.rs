@@ -12,15 +12,12 @@ pub struct UpecOptions {
     /// Window length `k` (number of clock cycles after the symbolic starting
     /// time point).
     pub window: usize,
-    /// Optional SAT conflict budget; exceeded budgets yield
-    /// [`UpecOutcome::Unknown`] (the paper's "not feasible" windows).
-    pub conflict_limit: Option<u64>,
     /// Deterministic per-query resource budget (conflicts / propagations /
-    /// decisions; see [`sat::Budget`]). Unlike `conflict_limit` — which caps
-    /// each solver episode — the budget covers each whole `check_bound`
-    /// call; exhausted queries answer [`UpecOutcome::Unknown`] with the stop
-    /// cause recorded in [`UpecStats::stop`], and the session stays
-    /// resumable. Unlimited by default.
+    /// decisions; see [`sat::Budget`]). The budget covers each whole
+    /// `check_bound` call; exhausted queries answer [`UpecOutcome::Unknown`]
+    /// (the paper's "not feasible" windows) with the stop cause recorded in
+    /// [`UpecStats::stop`], and the session stays resumable. Unlimited by
+    /// default.
     pub budget: sat::Budget,
     /// Use the registers' reset values instead of a symbolic initial state
     /// (only used by the ablation study; real UPEC runs keep this `false`).
@@ -52,7 +49,6 @@ impl UpecOptions {
     pub fn window(k: usize) -> Self {
         Self {
             window: k,
-            conflict_limit: None,
             budget: sat::Budget::unlimited(),
             from_reset_state: false,
             eager_encoding: false,
@@ -61,12 +57,6 @@ impl UpecOptions {
             certify: false,
             search: sat::SearchConfig::default(),
         }
-    }
-
-    /// Sets the SAT conflict budget.
-    pub fn with_conflict_limit(mut self, limit: Option<u64>) -> Self {
-        self.conflict_limit = limit;
-        self
     }
 
     /// Sets the deterministic per-query resource budget (see
@@ -175,9 +165,9 @@ pub struct UpecStats {
     pub window: usize,
     /// Why the query's final solver episode stopped early: `None` for
     /// decided queries, [`sat::StopCause::BudgetExhausted`] /
-    /// [`sat::StopCause::Cancelled`] / [`sat::StopCause::ConflictLimit`]
-    /// behind an [`UpecOutcome::Unknown`]. This is how budget exhaustion
-    /// propagates honestly from the solver to scan verdicts and reports.
+    /// [`sat::StopCause::Cancelled`] behind an [`UpecOutcome::Unknown`].
+    /// This is how budget exhaustion propagates honestly from the solver to
+    /// scan verdicts and reports.
     pub stop: Option<sat::StopCause>,
 }
 
@@ -188,7 +178,8 @@ pub enum UpecOutcome {
     Proven(UpecStats),
     /// The property is violated.
     Violated(Alert, UpecStats),
-    /// The solver gave up (conflict budget exhausted).
+    /// The solver stopped without a verdict (budget exhausted or
+    /// cancelled; see [`UpecStats::stop`]).
     Unknown(UpecStats),
 }
 
@@ -372,7 +363,7 @@ mod tests {
     #[test]
     fn unknown_is_reported_when_the_budget_is_tiny() {
         let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
-        let options = UpecOptions::window(2).with_conflict_limit(Some(1));
+        let options = UpecOptions::window(2).with_budget(sat::Budget::conflicts(1));
         let outcome = UpecChecker::new().check_full(&model, options);
         assert!(
             matches!(outcome, UpecOutcome::Unknown(_)) || outcome.alert().is_some(),

@@ -71,7 +71,6 @@ impl fmt::Display for EngineError {
                 match stop {
                     Some(sat::StopCause::BudgetExhausted) => "budget exhausted",
                     Some(sat::StopCause::Cancelled) => "cancelled",
-                    Some(sat::StopCause::ConflictLimit) => "conflict limit",
                     None => "unknown cause",
                 }
             ),

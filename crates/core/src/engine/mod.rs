@@ -11,17 +11,16 @@
 //!   bound only bit-blasts the new frame, learned clauses and branching
 //!   heuristics survive across queries, and per-query obligations are
 //!   activation-literal guarded so they can be retired without a rebuild.
-//! * [`UpecEngine`] — a worker pool that scans many scenarios (and,
-//!   optionally, stripes of one scenario's bounds) concurrently, cancelling
-//!   work that a racing stripe has already decided through the solver-level
-//!   interrupt hook.
+//! * [`UpecEngine`] — a worker pool that scans many scenario instances
+//!   concurrently, one incremental session per instance, under optional
+//!   per-bound and per-scenario [`sat::Budget`]s.
 //! * [`SharedClausePool`] — the cross-session learned-clause exchange of the
 //!   instance sweep: sessions with the same transition fingerprint publish
 //!   and import each other's transition-tainted lemmas in canonical
 //!   position form.
-//! * [`EngineReport`] / [`ScenarioResult`] — aggregation of the per-bound
-//!   outcomes back into the paper's vocabulary (P-alerts, L-alerts, proven
-//!   windows), with per-scenario expectation checking against the
+//! * [`InstanceResult`] — aggregation of the per-bound outcomes back into
+//!   the paper's vocabulary (P-alerts, L-alerts, proven windows), with
+//!   per-instance expectation checking against the
 //!   [scenario registry](crate::scenarios).
 
 mod error;
@@ -31,8 +30,8 @@ mod share;
 
 pub use error::EngineError;
 pub use scheduler::{
-    BoundStatus, BoundSummary, CertifiedBound, CertifiedResult, EngineOptions, EngineReport,
-    InstanceResult, ScanVerdict, ScenarioResult, UpecEngine,
+    BoundStatus, BoundSummary, CertifiedBound, CertifiedResult, EngineOptions, InstanceResult,
+    ScanVerdict, UpecEngine,
 };
 pub use session::IncrementalSession;
 pub use share::SharedClausePool;

@@ -2,12 +2,11 @@
 
 use crate::certify::{CertificateCheck, CertificateError, VerdictCertificate};
 use crate::engine::{EngineError, IncrementalSession, SharedClausePool};
-use crate::scenarios::{Expectation, ScenarioInstance, ScenarioSpec};
+use crate::scenarios::{Expectation, ScenarioInstance};
 use crate::{Alert, AlertKind, UpecModel, UpecOptions, UpecOutcome};
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// Configuration of a [`UpecEngine`] run.
 #[derive(Debug, Clone, Copy)]
@@ -18,24 +17,17 @@ pub struct EngineOptions {
     /// Optional cap on every scenario's scan range (`None`: each scenario's
     /// own `max_window`).
     pub max_window: Option<usize>,
-    /// Optional per-query SAT conflict budget.
-    pub conflict_limit: Option<u64>,
     /// Deterministic resource budget of each bound's query (see
     /// [`sat::Budget`]); an exhausted bound is recorded as
     /// [`BoundStatus::Unknown`] and never invents a verdict. Unlimited by
     /// default.
     pub bound_budget: sat::Budget,
-    /// Deterministic resource budget of one whole scenario stripe: the spend
+    /// Deterministic resource budget of one whole scenario scan: the spend
     /// of every bound accumulates against it, each bound runs under the
     /// remainder (intersected with `bound_budget`), and bounds reached after
     /// exhaustion are recorded as [`BoundStatus::Unknown`] without solving.
     /// Unlimited by default.
     pub scenario_budget: sat::Budget,
-    /// Number of bound stripes per scenario. With `n > 1` stripes, a
-    /// scenario's windows are dealt round-robin onto `n` independent
-    /// incremental sessions that race in parallel; the first L-alert cancels
-    /// the scenario's remaining work through the solvers' interrupt hook.
-    pub stripes: usize,
     /// Exchange transition-tainted learned clauses between the sweep's
     /// sessions through a [`SharedClausePool`] (only
     /// [`UpecEngine::run_instances`] shares; certified scans never do).
@@ -45,15 +37,13 @@ pub struct EngineOptions {
 }
 
 impl EngineOptions {
-    /// Defaults: all available cores (max 8), one stripe, no limits.
+    /// Defaults: all available cores (max 8), no limits, clause sharing on.
     pub fn new() -> Self {
         Self {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
             max_window: None,
-            conflict_limit: None,
             bound_budget: sat::Budget::unlimited(),
             scenario_budget: sat::Budget::unlimited(),
-            stripes: 1,
             share_clauses: true,
         }
     }
@@ -64,7 +54,7 @@ impl EngineOptions {
         self
     }
 
-    /// Sets the per-scenario-stripe resource budget (builder style).
+    /// Sets the per-scenario resource budget (builder style).
     pub fn with_scenario_budget(mut self, budget: sat::Budget) -> Self {
         self.scenario_budget = budget;
         self
@@ -79,19 +69,6 @@ impl EngineOptions {
     /// Caps every scenario's scan range (builder style).
     pub fn with_max_window(mut self, max_window: usize) -> Self {
         self.max_window = Some(max_window);
-        self
-    }
-
-    /// Sets the per-query conflict budget (builder style).
-    pub fn with_conflict_limit(mut self, limit: Option<u64>) -> Self {
-        self.conflict_limit = limit;
-        self
-    }
-
-    /// Enables bound-parallel racing with `n` stripes per scenario (builder
-    /// style).
-    pub fn with_stripes(mut self, stripes: usize) -> Self {
-        self.stripes = stripes.max(1);
         self
     }
 
@@ -118,9 +95,10 @@ pub enum BoundStatus {
     PAlert,
     /// An L-alert: a covert channel is proven at this bound.
     LAlert,
-    /// The solver hit its conflict budget.
+    /// The query stopped on an exhausted [`sat::Budget`], or was skipped
+    /// because the scenario budget ran out first.
     Unknown,
-    /// Skipped because a sibling stripe already proved the scenario insecure.
+    /// The query stopped on a cancellation ([`sat::StopCause::Cancelled`]).
     Cancelled,
 }
 
@@ -154,164 +132,31 @@ pub enum ScanVerdict {
     Inconclusive,
 }
 
-/// Result of scanning one scenario.
-#[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    /// The scenario that was scanned.
-    pub spec: ScenarioSpec,
-    /// Aggregate verdict over the scanned range.
-    pub verdict: ScanVerdict,
-    /// The alert with the smallest window, if any was found. When a sibling
-    /// stripe cancels in-flight work the smallest *completed* alert window is
-    /// reported.
-    pub first_alert: Option<Alert>,
-    /// Per-bound outcomes, sorted by window length.
-    pub bounds: Vec<BoundSummary>,
-    /// Total SAT conflicts across all stripes of this scenario.
-    pub conflicts: u64,
-    /// Total unit propagations across all stripes of this scenario.
-    pub propagations: u64,
-    /// Solver episodes stopped by an exhausted [`sat::Budget`] across all
-    /// stripes (zero unless the engine ran with a bound or scenario budget).
-    pub budget_exhaustions: u64,
-    /// Solver episodes stopped by cancellation (a raised interrupt or
-    /// [`sat::CancelToken`]) across all stripes.
-    pub cancellations: u64,
-}
-
-impl ScenarioResult {
-    /// Whether the verdict matches the registry's expectation.
-    pub fn matches_expectation(&self) -> bool {
-        matches!(
-            (self.spec.expected, self.verdict),
-            (Expectation::Proven, ScanVerdict::Secure)
-                | (Expectation::PAlertsOnly, ScanVerdict::PAlertsOnly)
-                | (Expectation::LAlert, ScanVerdict::Insecure)
-        )
-    }
-
-    /// Encoded CNF size at the deepest completed bound: `(variables,
-    /// clauses)`. Sessions encode incrementally, so the deepest bound holds
-    /// the session's final (largest) encoding.
-    pub fn peak_cnf(&self) -> (usize, usize) {
-        self.bounds
-            .iter()
-            .map(|b| (b.variables, b.clauses))
-            .max()
-            .unwrap_or((0, 0))
-    }
-
-    /// Total query wall time across all completed bounds.
-    pub fn query_time(&self) -> Duration {
-        self.bounds.iter().map(|b| b.runtime).sum()
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        let alert = match &self.first_alert {
-            Some(a) => format!(", first alert ({:?}) at k={}", a.kind, a.window),
-            None => String::new(),
-        };
-        let (vars, clauses) = self.peak_cnf();
-        format!(
-            "{:<18} {:?}{alert} [{} bounds, {} conflicts, {vars} vars / {clauses} clauses, {:.2?} solve]",
-            self.spec.id,
-            self.verdict,
-            self.bounds.len(),
-            self.conflicts,
-            self.query_time()
-        )
-    }
-}
-
-/// Result of one engine run.
-#[derive(Debug, Clone)]
-pub struct EngineReport {
-    /// Per-scenario results, in submission order.
-    pub results: Vec<ScenarioResult>,
-    /// Wall-clock time of the whole run.
-    pub wall_time: Duration,
-}
-
-impl EngineReport {
-    /// Total SAT conflicts across every scenario.
-    pub fn total_conflicts(&self) -> u64 {
-        self.results.iter().map(|r| r.conflicts).sum()
-    }
-
-    /// Whether every scenario matched its registered expectation.
-    pub fn all_match_expectations(&self) -> bool {
-        self.results.iter().all(|r| r.matches_expectation())
-    }
-
-    /// Multi-line human-readable summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for r in &self.results {
-            out.push_str(&r.summary());
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "{} scenarios in {:.2?}, {} total conflicts",
-            self.results.len(),
-            self.wall_time,
-            self.total_conflicts()
-        ));
-        out
-    }
-}
-
-/// One unit of schedulable work: a scenario stripe.
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    spec_index: usize,
-    stripe: usize,
-}
-
-/// Result of one stripe (a subset of one scenario's bounds on one session).
-struct StripeOutcome {
-    bounds: Vec<BoundSummary>,
-    first_alert: Option<Alert>,
-    conflicts: u64,
-    propagations: u64,
-    budget_exhaustions: u64,
-    cancellations: u64,
-}
-
 /// The parallel, incremental UPEC checking engine.
 ///
-/// The engine takes a batch of [`ScenarioSpec`]s (usually straight from
-/// [`crate::scenarios::registry`]) and scans each scenario's window range on
-/// a pool of worker threads. Every unit of work is an
-/// [`IncrementalSession`]: one persistent SAT solver that walks its share of
-/// the bounds, reusing learned clauses and activities between bounds instead
-/// of re-solving from scratch.
-///
-/// Two axes of parallelism compose:
-///
-/// * **scenario-parallel** — independent scenarios are dealt to the worker
-///   pool and run concurrently;
-/// * **bound-parallel** (portfolio racing, [`EngineOptions::with_stripes`]) —
-///   a single scenario's windows are split round-robin across several racing
-///   sessions, and the first L-alert cancels the scenario's remaining work
-///   through the solver-level interrupt hook
-///   ([`sat::Solver::set_interrupt`]).
+/// The engine takes a batch of [`ScenarioInstance`]s (usually straight from
+/// [`crate::scenarios::instances`], or a registry spec wrapped with
+/// [`ScenarioInstance::base`]) and scans each instance's window range on a
+/// pool of worker threads, one instance per worker at a time. Every scan is
+/// an [`IncrementalSession`]: one persistent SAT solver that walks the
+/// bounds, reusing learned clauses and activities between bounds instead of
+/// re-solving from scratch.
 ///
 /// # Examples
 ///
 /// The quick proof below runs in a couple of seconds; sweeping the full
-/// registry (`engine.run(scenarios::registry())`) is the
-/// `cargo run -p bench --bin engine` entry point.
+/// registry is the `cargo run -p bench --bin engine` entry point.
 ///
 /// ```
-/// use upec::{scenarios, EngineOptions, ScanVerdict, UpecEngine};
+/// use upec::scenarios::{self, ScenarioInstance};
+/// use upec::{EngineOptions, ScanVerdict, UpecEngine};
 ///
 /// let engine = UpecEngine::new(EngineOptions::new().with_threads(2).with_max_window(1));
 /// let spec = scenarios::by_id("secure-uncached").unwrap();
-/// let report = engine.run([spec]);
-/// assert_eq!(report.results.len(), 1);
-/// assert_eq!(report.results[0].verdict, ScanVerdict::Secure);
-/// assert!(report.results[0].matches_expectation());
+/// let results = engine.run_instances([ScenarioInstance::base(spec)]);
+/// assert_eq!(results.len(), 1);
+/// assert_eq!(results[0].verdict, ScanVerdict::Secure);
+/// assert!(results[0].matches_expectation());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct UpecEngine {
@@ -324,107 +169,23 @@ impl UpecEngine {
         Self { options }
     }
 
-    /// Scans every scenario and aggregates the results.
-    pub fn run<I>(&self, specs: I) -> EngineReport
-    where
-        I: IntoIterator<Item = ScenarioSpec>,
-    {
-        let start = Instant::now();
-        let specs: Vec<ScenarioSpec> = specs.into_iter().collect();
-        let stripes = self.options.stripes;
-        let cancels: Vec<Arc<AtomicBool>> = specs
-            .iter()
-            .map(|_| Arc::new(AtomicBool::new(false)))
-            .collect();
-        let jobs: Mutex<VecDeque<Job>> = Mutex::new(
-            specs
-                .iter()
-                .enumerate()
-                .flat_map(|(spec_index, _)| {
-                    (0..stripes).map(move |stripe| Job { spec_index, stripe })
-                })
-                .collect(),
-        );
-        let stripe_results: Mutex<Vec<Vec<StripeOutcome>>> =
-            Mutex::new(specs.iter().map(|_| Vec::new()).collect());
-
-        let workers = self.options.threads.min(specs.len() * stripes).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let job = jobs.lock().unwrap().pop_front();
-                    let Some(job) = job else { break };
-                    let outcome = self.run_stripe(
-                        &specs[job.spec_index],
-                        job.stripe,
-                        stripes,
-                        &cancels[job.spec_index],
-                    );
-                    stripe_results.lock().unwrap()[job.spec_index].push(outcome);
-                });
-            }
-        });
-
-        let results = specs
-            .into_iter()
-            .zip(stripe_results.into_inner().unwrap())
-            .map(|(spec, stripes)| aggregate(spec, stripes))
-            .collect();
-        EngineReport {
-            results,
-            wall_time: start.elapsed(),
-        }
-    }
-
-    /// Runs one stripe of one scenario on a fresh incremental session.
-    fn run_stripe(
-        &self,
-        spec: &ScenarioSpec,
-        stripe: usize,
-        stride: usize,
-        cancel: &Arc<AtomicBool>,
-    ) -> StripeOutcome {
-        let model = spec.build_model();
-        let commitment = spec.commitment_set(&model);
-        self.scan_bounds(
-            spec.id,
-            &model,
-            &commitment,
-            spec.start_window,
-            spec.max_window,
-            stripe,
-            stride,
-            cancel,
-            None,
-        )
-    }
-
-    /// The shared per-bound scan loop: walks one stripe of a window range on
-    /// a fresh incremental session. Both the spec path ([`UpecEngine::run`])
-    /// and the instance path ([`UpecEngine::run_instances`]) end up here.
+    /// The per-bound scan loop: walks one instance's window range on a fresh
+    /// incremental session.
     ///
     /// With a `pool`, the loop exchanges transition-tainted learned clauses
     /// with sibling sessions of the same fingerprint: before each bound it
     /// imports pool clauses whose frame ceiling the session has already
     /// encoded, after each bound it publishes its own fresh exportables.
-    #[allow(clippy::too_many_arguments)]
     fn scan_bounds(
         &self,
-        id: &str,
+        instance: ScenarioInstance,
         model: &UpecModel,
         commitment: &BTreeSet<String>,
-        start_window: usize,
-        max_window: usize,
-        stripe: usize,
-        stride: usize,
-        cancel: &Arc<AtomicBool>,
         pool: Option<&SharedClausePool>,
-    ) -> StripeOutcome {
+    ) -> InstanceResult {
         let mut scenario_span = obs::span("upec.scenario");
-        scenario_span.attr_str("id", id);
-        scenario_span.attr_u64("stripe", stripe as u64);
-        let mut session = IncrementalSession::new(model, self.options.conflict_limit);
-        session.set_interrupt(Some(cancel.clone()));
+        scenario_span.attr_str("id", &instance.id());
+        let mut session = IncrementalSession::new(model);
         let fingerprint = session.share_fingerprint();
         let mut share_cursor = 0usize;
         // Fetched clauses over frames deeper than the session's current
@@ -433,31 +194,20 @@ impl UpecEngine {
         // [`IncrementalSession::import_shared`]).
         let mut share_pending: Vec<bmc::SharedClause> = Vec::new();
         let mut export_buf: Vec<bmc::SharedClause> = Vec::new();
-        // Honor the cap strictly: a cap below the scenario's start window
+        // Honor the cap strictly: a cap below the instance's start window
         // yields an empty scan (reported as Inconclusive) rather than
-        // silently running the scenario's cheapest — possibly still
+        // silently running the instance's cheapest — possibly still
         // multi-minute — bound.
         let max = self
             .options
             .max_window
-            .map_or(max_window, |m| m.min(max_window));
+            .map_or(instance.max_window, |m| m.min(instance.max_window));
         let scan_start = session.solver_stats();
         let mut bounds = Vec::new();
         let mut first_alert: Option<Alert> = None;
-        for k in (start_window..=max).filter(|k| (k - start_window) % stride == stripe) {
-            if cancel.load(Ordering::Relaxed) {
-                bounds.push(BoundSummary {
-                    bound: k,
-                    status: BoundStatus::Cancelled,
-                    conflicts: 0,
-                    runtime: Duration::ZERO,
-                    variables: 0,
-                    clauses: 0,
-                });
-                continue;
-            }
+        for k in instance.start_window..=max {
             // Budget policy: each bound runs under its own budget intersected
-            // with whatever the scenario budget has left; once the stripe's
+            // with whatever the scenario budget has left; once the scan's
             // allotment is spent, remaining bounds are recorded as Unknown
             // without even encoding them. The scan never invents a verdict.
             let scenario_left = self
@@ -493,33 +243,14 @@ impl UpecEngine {
             }
             let (status, stats) = match session.check_bound(k, commitment) {
                 UpecOutcome::Proven(s) => (BoundStatus::Proven, s),
-                UpecOutcome::Unknown(s) => {
-                    // The solver reports *why* it stopped; only genuine
-                    // cancellations (a sibling stripe's L-alert, a raised
-                    // token) count as Cancelled — exhausted budgets and
-                    // conflict limits stay Unknown.
-                    let cancelled = cancel.load(Ordering::Relaxed)
-                        || matches!(s.stop, Some(sat::StopCause::Cancelled));
-                    let status = if cancelled {
-                        BoundStatus::Cancelled
-                    } else {
-                        BoundStatus::Unknown
-                    };
-                    (status, s)
-                }
+                UpecOutcome::Unknown(s) => (unknown_status(s.stop), s),
                 UpecOutcome::Violated(alert, s) => {
                     let status = match alert.kind {
                         AlertKind::PAlert => BoundStatus::PAlert,
                         AlertKind::LAlert => BoundStatus::LAlert,
                     };
-                    let is_l = alert.kind == AlertKind::LAlert;
                     if first_alert.is_none() {
                         first_alert = Some(alert);
-                    }
-                    if is_l {
-                        // A covert channel is proven: stop this scenario's
-                        // remaining work everywhere.
-                        cancel.store(true, Ordering::Relaxed);
                     }
                     (status, s)
                 }
@@ -543,14 +274,27 @@ impl UpecEngine {
             }
         }
         let stats = session.solver_stats();
-        StripeOutcome {
-            bounds,
+        InstanceResult {
+            instance,
+            verdict: verdict_from_bounds(&bounds),
             first_alert,
+            bounds,
             conflicts: stats.conflicts,
             propagations: stats.propagations,
             budget_exhaustions: stats.budget_exhaustions,
             cancellations: stats.cancellations,
         }
+    }
+}
+
+/// The status of a bound whose query stopped without a verdict: only a
+/// genuine cancellation counts as Cancelled — exhausted budgets stay
+/// Unknown.
+fn unknown_status(stop: Option<sat::StopCause>) -> BoundStatus {
+    if stop == Some(sat::StopCause::Cancelled) {
+        BoundStatus::Cancelled
+    } else {
+        BoundStatus::Unknown
     }
 }
 
@@ -572,43 +316,6 @@ fn verdict_from_bounds(bounds: &[BoundSummary]) -> ScanVerdict {
     }
 }
 
-/// Merges a scenario's stripe outcomes into a single result.
-fn aggregate(spec: ScenarioSpec, stripes: Vec<StripeOutcome>) -> ScenarioResult {
-    let mut bounds: Vec<BoundSummary> = Vec::new();
-    let mut first_alert: Option<Alert> = None;
-    let mut conflicts = 0;
-    let mut propagations = 0;
-    let mut budget_exhaustions = 0;
-    let mut cancellations = 0;
-    for stripe in stripes {
-        bounds.extend(stripe.bounds);
-        conflicts += stripe.conflicts;
-        propagations += stripe.propagations;
-        budget_exhaustions += stripe.budget_exhaustions;
-        cancellations += stripe.cancellations;
-        if let Some(alert) = stripe.first_alert {
-            let better = first_alert
-                .as_ref()
-                .is_none_or(|current| alert.window < current.window);
-            if better {
-                first_alert = Some(alert);
-            }
-        }
-    }
-    bounds.sort_by_key(|b| b.bound);
-    let verdict = verdict_from_bounds(&bounds);
-    ScenarioResult {
-        spec,
-        verdict,
-        first_alert,
-        bounds,
-        conflicts,
-        propagations,
-        budget_exhaustions,
-        cancellations,
-    }
-}
-
 /// Result of scanning one [`ScenarioInstance`].
 #[derive(Debug, Clone)]
 pub struct InstanceResult {
@@ -625,7 +332,8 @@ pub struct InstanceResult {
     /// Total unit propagations of the scan.
     pub propagations: u64,
     /// Solver episodes stopped by an exhausted [`sat::Budget`] during the
-    /// scan (zero unless the engine ran with a bound or scenario budget).
+    /// scan, including the conflict-capped trial solves that decide whether
+    /// a query is worth simplifying (see [`bmc::Unrolling::solve`]).
     pub budget_exhaustions: u64,
     /// Solver episodes stopped by cancellation during the scan.
     pub cancellations: u64,
@@ -726,11 +434,9 @@ impl UpecEngine {
     /// Scans every [`ScenarioInstance`] on the worker pool (one incremental
     /// session per instance) and returns the results in submission order.
     ///
-    /// This is the family-sweep entry point: where [`UpecEngine::run`] walks
-    /// the registry's specs at the default formal geometry,
-    /// `run_instances` takes the parameterized instance registry
-    /// ([`crate::scenarios::instances`]) whose members carry their own
-    /// geometry, window range and expectation.
+    /// This is the engine's one scan entry point: instances carry their own
+    /// geometry, window range and expectation, and a registry spec scans at
+    /// the default formal geometry as [`ScenarioInstance::base`].
     ///
     /// Unless [`EngineOptions::with_clause_sharing`] disabled it, the
     /// sweep's sessions exchange transition-tainted learned clauses through
@@ -756,29 +462,8 @@ impl UpecEngine {
                     let instance = instances[index];
                     let model = instance.build_model();
                     let commitment = instance.commitment_set(&model);
-                    let cancel = Arc::new(AtomicBool::new(false));
-                    let outcome = self.scan_bounds(
-                        &instance.id(),
-                        &model,
-                        &commitment,
-                        instance.start_window,
-                        instance.max_window,
-                        0,
-                        1,
-                        &cancel,
-                        pool.as_ref(),
-                    );
-                    let verdict = verdict_from_bounds(&outcome.bounds);
-                    results.lock().unwrap()[index] = Some(InstanceResult {
-                        instance,
-                        verdict,
-                        first_alert: outcome.first_alert,
-                        bounds: outcome.bounds,
-                        conflicts: outcome.conflicts,
-                        propagations: outcome.propagations,
-                        budget_exhaustions: outcome.budget_exhaustions,
-                        cancellations: outcome.cancellations,
-                    });
+                    let result = self.scan_bounds(instance, &model, &commitment, pool.as_ref());
+                    results.lock().unwrap()[index] = Some(result);
                 });
             }
         });
@@ -801,13 +486,12 @@ impl UpecEngine {
     /// per-verdict audit trail, not a throughput path, and a single
     /// incremental session keeps the proof log contiguous.
     ///
-    /// The engine's window cap and conflict budget are honored exactly like
+    /// The engine's window cap and bound budget are honored exactly like
     /// [`UpecEngine::run_instances`].
     pub fn check_certified(&self, instance: &ScenarioInstance) -> CertifiedResult {
         let model = instance.build_model();
         let commitment = instance.commitment_set(&model);
         let options = UpecOptions::window(0)
-            .with_conflict_limit(self.options.conflict_limit)
             .with_budget(self.options.bound_budget)
             .with_certificates();
         let mut session = IncrementalSession::with_options(&model, options);
@@ -837,12 +521,7 @@ impl UpecEngine {
                 // certificate; record it honestly and keep scanning — the
                 // session stays valid.
                 Err(EngineError::UncertifiableVerdict { stats, stop, .. }) => {
-                    let status = if matches!(stop, Some(sat::StopCause::Cancelled)) {
-                        BoundStatus::Cancelled
-                    } else {
-                        BoundStatus::Unknown
-                    };
-                    (status, stats, None)
+                    (unknown_status(stop), stats, None)
                 }
                 Err(e) => panic!("certified scan of {}: {e}", instance.id()),
             };
@@ -875,23 +554,23 @@ mod tests {
     use super::*;
     use crate::scenarios;
 
+    fn base(id: &str) -> ScenarioInstance {
+        ScenarioInstance::base(scenarios::by_id(id).unwrap())
+    }
+
     #[test]
     fn engine_matches_expectations_on_a_fast_subset() {
         // A cheap subset keeps the default suite fast on small machines; the
         // `#[ignore]`d sweep below covers the whole registry and `cargo run
         // -p bench --bin engine` runs it as a standalone gate.
-        let specs = [
-            scenarios::by_id("secure-uncached").unwrap(),
-            scenarios::by_id("orc").unwrap(),
-        ];
+        let instances = [base("secure-uncached"), base("orc")];
         let engine = UpecEngine::new(EngineOptions::new().with_threads(2).with_max_window(2));
-        let report = engine.run(specs);
-        for result in &report.results {
+        for result in engine.run_instances(instances) {
             assert!(
                 result.matches_expectation(),
                 "{}: expected {:?}, got {:?}\n{}",
-                result.spec.id,
-                result.spec.expected,
+                result.instance.id(),
+                result.instance.expected,
                 result.verdict,
                 result.summary()
             );
@@ -904,32 +583,87 @@ mod tests {
     #[ignore = "multi-minute SAT sweep of every registered scenario; run with --ignored"]
     fn engine_reproduces_every_registry_expectation() {
         let engine = UpecEngine::new(EngineOptions::new());
-        let report = engine.run(scenarios::registry());
-        assert!(report.all_match_expectations(), "{}", report.summary());
-    }
-
-    #[test]
-    fn bound_striping_agrees_with_single_stripe() {
-        let spec = scenarios::by_id("orc").unwrap();
-        let options = EngineOptions::new().with_threads(1).with_max_window(2);
-        let single = UpecEngine::new(options).run([spec]);
-        let striped = UpecEngine::new(
-            EngineOptions::new()
-                .with_threads(2)
-                .with_stripes(2)
-                .with_max_window(2),
-        )
-        .run([spec]);
-        assert_eq!(single.results[0].verdict, ScanVerdict::Insecure);
-        assert_eq!(striped.results[0].verdict, ScanVerdict::Insecure);
+        let results = engine.run_instances(
+            scenarios::registry()
+                .into_iter()
+                .map(ScenarioInstance::base),
+        );
+        let failures: Vec<String> = results
+            .iter()
+            .filter(|r| !r.matches_expectation())
+            .map(InstanceResult::summary)
+            .collect();
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
     #[test]
     fn max_window_caps_the_scan() {
-        let spec = scenarios::by_id("secure-uncached").unwrap();
-        let report =
-            UpecEngine::new(EngineOptions::new().with_threads(1).with_max_window(1)).run([spec]);
-        assert_eq!(report.results[0].bounds.len(), 1);
-        assert_eq!(report.results[0].verdict, ScanVerdict::Secure);
+        let results = UpecEngine::new(EngineOptions::new().with_threads(1).with_max_window(1))
+            .run_instances([base("secure-uncached")]);
+        assert_eq!(results[0].bounds.len(), 1);
+        assert_eq!(results[0].verdict, ScanVerdict::Secure);
+    }
+
+    /// A bound budget too small for any query leaves its bounds Unknown and
+    /// the scan Inconclusive; a bound that does finish agrees with the
+    /// unbudgeted scan.
+    #[test]
+    fn tiny_bound_budget_yields_unknown_bounds_not_wrong_verdicts() {
+        // Capped at k=2: proven at k=1, L-alert at k=2.
+        let mut instance = scenarios::instance_by_id("fuzz-orc-timing").unwrap();
+        instance.max_window = 2;
+        let clean = UpecEngine::new(EngineOptions::new().with_threads(1))
+            .run_instances([instance])
+            .remove(0);
+        assert_eq!(clean.verdict, ScanVerdict::Insecure);
+        let budgeted = UpecEngine::new(
+            EngineOptions::new()
+                .with_threads(1)
+                .with_bound_budget(sat::Budget::conflicts(1)),
+        )
+        .run_instances([instance])
+        .remove(0);
+        assert_eq!(budgeted.verdict, ScanVerdict::Inconclusive);
+        assert!(budgeted.first_alert.is_none(), "{}", budgeted.summary());
+        assert!(budgeted.budget_exhaustions > 0);
+        for (b, c) in budgeted.bounds.iter().zip(&clean.bounds) {
+            assert_eq!(b.bound, c.bound);
+            assert!(
+                b.status == BoundStatus::Unknown || b.status == c.status,
+                "k={}: budgeted {:?} vs clean {:?}",
+                b.bound,
+                b.status,
+                c.status
+            );
+        }
+    }
+
+    /// Once the scenario budget is spent, the remaining bounds are recorded
+    /// as Unknown without being encoded or solved.
+    #[test]
+    fn exhausted_scenario_budget_skips_the_remaining_bounds() {
+        let instance = scenarios::instance_by_id("fuzz-orc-timing").unwrap();
+        let result = UpecEngine::new(
+            EngineOptions::new()
+                .with_threads(1)
+                .with_scenario_budget(sat::Budget::conflicts(1)),
+        )
+        .run_instances([instance])
+        .remove(0);
+        assert_eq!(result.verdict, ScanVerdict::Inconclusive);
+        // The first bound that hits a conflict spends the whole budget.
+        let spender = result
+            .bounds
+            .iter()
+            .position(|b| b.conflicts > 0)
+            .expect("a bound spends the budget");
+        assert_eq!(result.bounds[spender].status, BoundStatus::Unknown);
+        let skipped = &result.bounds[spender + 1..];
+        assert!(!skipped.is_empty(), "{}", result.summary());
+        for b in skipped {
+            assert_eq!(b.status, BoundStatus::Unknown);
+            assert_eq!((b.conflicts, b.variables, b.clauses), (0, 0, 0));
+            assert_eq!(b.runtime, Duration::ZERO);
+        }
     }
 }

@@ -10,7 +10,6 @@ use bmc::{UnrollError, UnrollOptions, Unrolling};
 use rtl::BitVec;
 use sat::SatResult;
 use std::collections::BTreeSet;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,7 +45,7 @@ use std::time::Instant;
 ///     .with_miss_latency(1)
 ///     .with_store_latency(1);
 /// let model = UpecModel::new(&config, SecretScenario::NotInCache);
-/// let mut session = IncrementalSession::new(&model, None);
+/// let mut session = IncrementalSession::new(&model);
 /// let commitment = full_commitment(&model);
 /// // Walk the bound upwards; the solver persists across iterations.
 /// for k in 1..=2 {
@@ -61,12 +60,9 @@ pub struct IncrementalSession<'m> {
 }
 
 impl<'m> IncrementalSession<'m> {
-    /// Opens a session on a miter with an optional per-query conflict budget.
-    pub fn new(model: &'m UpecModel, conflict_limit: Option<u64>) -> Self {
-        Self::with_options(
-            model,
-            UpecOptions::window(0).with_conflict_limit(conflict_limit),
-        )
+    /// Opens a session on a miter with the default [`UpecOptions`].
+    pub fn new(model: &'m UpecModel) -> Self {
+        Self::with_options(model, UpecOptions::window(0))
     }
 
     /// Opens a session honoring every knob of [`UpecOptions`] (the `window`
@@ -94,7 +90,6 @@ impl<'m> IncrementalSession<'m> {
     ) -> Result<Self, EngineError> {
         let unroll_options = UnrollOptions {
             use_initial_values: options.from_reset_state,
-            conflict_limit: options.conflict_limit,
             budget: options.budget,
             eager_encoding: options.eager_encoding,
             no_simplify: options.no_simplify,
@@ -139,14 +134,6 @@ impl<'m> IncrementalSession<'m> {
         self.model
     }
 
-    /// Installs (or removes) a shared cancellation flag: raising it from
-    /// another thread aborts the in-flight query with
-    /// [`UpecOutcome::Unknown`]. Used by the portfolio scheduler to stop
-    /// losing workers.
-    pub fn set_interrupt(&mut self, flag: Option<Arc<AtomicBool>>) {
-        self.unrolling.set_interrupt(flag);
-    }
-
     /// Replaces the deterministic per-query resource budget (conflicts /
     /// propagations / decisions; see [`sat::Budget`]). The budget covers each
     /// subsequent [`IncrementalSession::check_bound`] call as a whole; an
@@ -165,9 +152,9 @@ impl<'m> IncrementalSession<'m> {
     }
 
     /// Installs (or removes) a cooperative [`sat::CancelToken`]: raising it
-    /// aborts the in-flight query with [`UpecOutcome::Unknown`] at the next
-    /// solver restart boundary. Used by the portfolio scheduler to stop
-    /// losing members without poisoning their sessions.
+    /// from another thread aborts the in-flight query with
+    /// [`UpecOutcome::Unknown`] at the next solver restart boundary, without
+    /// poisoning the session.
     pub fn set_cancel_token(&mut self, token: Option<sat::CancelToken>) {
         self.unrolling.set_cancel_token(token);
     }
@@ -592,7 +579,7 @@ mod tests {
             .map(|p| p.name.clone())
             .collect();
         let checker = UpecChecker::new();
-        let mut session = IncrementalSession::new(&model, None);
+        let mut session = IncrementalSession::new(&model);
         for k in 1..=2 {
             let fresh = checker.check(&model, UpecOptions::window(k), &commitment);
             let incremental = session.check_bound(k, &commitment);

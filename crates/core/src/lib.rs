@@ -24,19 +24,15 @@
 //!    the inductive proof of Sec. VI: differences confined to the P-alerting
 //!    registers can never reach architectural state.
 //!
-//! Beyond the paper, two subsystems make the flow scale:
+//! Beyond the paper, these subsystems make the flow scale:
 //!
 //! * the [`engine`] module — [`IncrementalSession`] (one persistent SAT
 //!   solver per miter, reused across bound deepening and commitment
-//!   shrinking) and [`UpecEngine`] (a scenario- and bound-parallel worker
-//!   pool with solver-level cancellation);
+//!   shrinking, bounded by a resumable [`sat::Budget`]) and [`UpecEngine`]
+//!   (a scenario-parallel worker pool);
 //! * the [`scenarios`] module — the named registry of every attack scenario
 //!   the reproduction checks, with paper references and expected verdicts,
 //!   shared by the engine, the bench binaries and the examples;
-//! * the [`portfolio`] module — a deterministic single-core portfolio
-//!   scheduler that time-slices several solver configurations on one query
-//!   under resumable [`sat::Budget`]s, first finisher wins (see
-//!   `docs/robustness.md`);
 //! * **checkable verdicts** — every query can be packaged as a
 //!   [`VerdictCertificate`]: proven bounds carry a trimmed DRAT refutation
 //!   replayed by the independent checker in [`sat::drat`], violated bounds
@@ -68,7 +64,6 @@ mod methodology;
 mod model;
 
 pub mod engine;
-pub mod portfolio;
 pub mod scenarios;
 
 pub use certify::{
@@ -79,12 +74,10 @@ pub use check::{
 };
 pub use engine::{
     BoundStatus, BoundSummary, CertifiedBound, CertifiedResult, EngineError, EngineOptions,
-    EngineReport, IncrementalSession, InstanceResult, ScanVerdict, ScenarioResult,
-    SharedClausePool, UpecEngine,
+    IncrementalSession, InstanceResult, ScanVerdict, SharedClausePool, UpecEngine,
 };
 pub use methodology::{
     close_alert_set, prove_alert_closure, run_methodology, ClosureOutcome, MethodologyReport,
     Verdict,
 };
 pub use model::{NamedConstraint, RegisterPair, SecretScenario, StateClass, UpecModel};
-pub use portfolio::{solve_portfolio, PortfolioOptions, PortfolioReport, SliceRecord};

@@ -142,11 +142,6 @@ pub enum ClosureOutcome {
         /// Wall-clock time of the proof.
         runtime: Duration,
     },
-    /// The solver budget was exhausted.
-    Unknown {
-        /// Wall-clock time of the proof.
-        runtime: Duration,
-    },
 }
 
 impl ClosureOutcome {
@@ -174,14 +169,8 @@ impl ClosureOutcome {
 pub fn prove_alert_closure(
     model: &UpecModel,
     alert_registers: &BTreeSet<String>,
-    conflict_limit: Option<u64>,
 ) -> ClosureOutcome {
     let start = Instant::now();
-    let options = UnrollOptions {
-        use_initial_values: false,
-        conflict_limit,
-        ..UnrollOptions::default()
-    };
     // Pairs outside the alert set start structurally equal; alerted pairs
     // keep independent frame-0 variables because the invariant only requires
     // them to be equal-or-blocked.
@@ -194,7 +183,7 @@ pub fn prove_alert_closure(
     let mut unrolling = Unrolling::with_compiled(
         model.netlist(),
         std::sync::Arc::clone(model.compiled_transition()),
-        options,
+        UnrollOptions::symbolic_initial_state(),
         &aliases,
     );
     unrolling.extend_to(1);
@@ -256,9 +245,7 @@ pub fn prove_alert_closure(
         SatResult::Unsat => ClosureOutcome::Closed {
             runtime: start.elapsed(),
         },
-        SatResult::Unknown => ClosureOutcome::Unknown {
-            runtime: start.elapsed(),
-        },
+        SatResult::Unknown => unreachable!("an unbudgeted, uncancellable solve always decides"),
         SatResult::Sat(sat_model) => {
             let escaping = obligation
                 .iter()
@@ -292,11 +279,10 @@ pub fn prove_alert_closure(
 pub fn close_alert_set(
     model: &UpecModel,
     alert_registers: &BTreeSet<String>,
-    conflict_limit: Option<u64>,
     max_iterations: usize,
 ) -> (BTreeSet<String>, ClosureOutcome) {
     let mut set = alert_registers.clone();
-    let mut outcome = prove_alert_closure(model, &set, conflict_limit);
+    let mut outcome = prove_alert_closure(model, &set);
     for _ in 1..max_iterations.max(1) {
         let ClosureOutcome::NotClosed {
             escaping_registers, ..
@@ -329,7 +315,7 @@ pub fn close_alert_set(
         if !grew {
             break;
         }
-        outcome = prove_alert_closure(model, &set, conflict_limit);
+        outcome = prove_alert_closure(model, &set);
     }
     (set, outcome)
 }
@@ -393,7 +379,7 @@ mod tests {
         assert_eq!(report.verdict, Verdict::Secure);
         // The bounded P-alerts seed the set; the fixpoint iteration may pull
         // in neighbouring blockable pipeline registers before it closes.
-        let (closed_set, closure) = close_alert_set(&model, &report.p_alert_registers, None, 8);
+        let (closed_set, closure) = close_alert_set(&model, &report.p_alert_registers, 8);
         assert!(closure.is_closed(), "closure: {closure:?}");
         assert!(closed_set.is_superset(&report.p_alert_registers));
     }

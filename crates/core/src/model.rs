@@ -302,8 +302,8 @@ impl UpecModel {
 
         // Compile the transition relation once per miter: cone-of-influence
         // roots are every signal a UPEC query can constrain, commit to or
-        // extract. All sessions, checkers and portfolio stripes share this
-        // schedule through the `Arc`.
+        // extract. All sessions and checkers share this schedule through the
+        // `Arc`.
         let mut roots: Vec<SignalId> = Vec::new();
         roots.extend(initial_constraints.iter().map(|c| c.signal));
         roots.extend(window_constraints.iter().map(|c| c.signal));

@@ -103,8 +103,8 @@ fn exported_session_clauses_import_into_a_fingerprint_equal_sibling() {
     let commitment_a = cached.commitment_set(&model_a);
     let commitment_b = arch_only.commitment_set(&model_b);
 
-    let mut session_a = upec::IncrementalSession::new(&model_a, None);
-    let mut session_b = upec::IncrementalSession::new(&model_b, None);
+    let mut session_a = upec::IncrementalSession::new(&model_a);
+    let mut session_b = upec::IncrementalSession::new(&model_b);
     let fp_a = session_a.share_fingerprint().expect("lazy sessions share");
     let fp_b = session_b.share_fingerprint().expect("lazy sessions share");
     assert_eq!(
@@ -113,7 +113,7 @@ fn exported_session_clauses_import_into_a_fingerprint_equal_sibling() {
     );
 
     // Baseline: what the importer decides with no foreign clauses.
-    let mut isolated = upec::IncrementalSession::new(&model_b, None);
+    let mut isolated = upec::IncrementalSession::new(&model_b);
     let baseline: Vec<String> = (1..=2)
         .map(|k| {
             format!(

@@ -108,7 +108,7 @@ fn cache_footprint_p_alert_first_appears_at_k5() {
     let spec = scenarios::by_id("cache-footprint").expect("registered");
     let model = spec.build_model();
     let commitment = spec.commitment_set(&model);
-    let mut session = IncrementalSession::new(&model, None);
+    let mut session = IncrementalSession::new(&model);
     for k in 1..=4 {
         let outcome = session.check_bound(k, &commitment);
         assert!(

@@ -1,9 +1,11 @@
 #![cfg(feature = "faults")]
 //! Differential fault-injection suite (compiled only with `--features
-//! faults`; run by `scripts/verify.sh --full`).
+//! faults`; `scripts/verify.sh` runs the fast differential, `--full` adds
+//! the ignored sweep).
 //!
 //! A deterministic fault — a forced budget exhaustion, a spurious
-//! cancellation at a restart boundary, a mid-slice abort — is armed at a
+//! cancellation at a restart boundary, an abort between restart
+//! boundaries — is armed at a
 //! SplitMix64-chosen point inside an engine query. The contract under test:
 //! the faulted query either still reaches the fault-free verdict or answers
 //! [`UpecOutcome::Unknown`] with an honest stop cause — never a wrong

@@ -1,9 +1,8 @@
 //! A tiny deterministic pseudo-random number generator.
 //!
 //! The workspace builds without any external dependencies, so the randomized
-//! property tests, the co-simulation fuzzers and the portfolio scheduler's
-//! diversification seeds all draw from this generator instead of the `rand`
-//! crate. It is a [SplitMix64](https://prng.di.unimi.it/splitmix64.c)
+//! property tests, the co-simulation fuzzers and the fault-injection plans
+//! all draw from this generator instead of the `rand` crate. It is a [SplitMix64](https://prng.di.unimi.it/splitmix64.c)
 //! implementation: tiny, fast, statistically solid for test-case generation
 //! and — most importantly here — *reproducible*: a seed fully determines the
 //! sequence on every platform.

@@ -23,7 +23,7 @@ pub enum FaultKind {
     /// point of a real [`CancelToken`](crate::CancelToken). Stops with
     /// [`StopCause::Cancelled`](crate::StopCause).
     SpuriousCancellation,
-    /// A cancellation landing in the middle of a portfolio slice: fires at
+    /// A cancellation landing in the middle of a search episode: fires at
     /// a conflict checkpoint *between* restart boundaries, exercising the
     /// stop path at its least convenient moment. Stops with
     /// [`StopCause::Cancelled`](crate::StopCause).

@@ -17,9 +17,7 @@
 //!   as inprocessing ([`Solver::vivify`]) and cross-solver learned-clause
 //!   sharing ([`Solver::drain_exportable`] / [`Solver::import_shared`]),
 //! * periodic deletion of inactive learned clauses,
-//! * solving under assumptions and an optional conflict budget (used by the
-//!   benchmark harness to reproduce the paper's notion of a *feasible* proof
-//!   window),
+//! * solving under assumptions,
 //! * **budgeted, cancellable episodes**: a deterministic per-episode
 //!   resource [`Budget`] (conflicts / propagations / decisions — never
 //!   wall-clock) whose exhaustion yields a resumable
@@ -29,8 +27,7 @@
 //! * **incremental sessions**: clauses and variables may be added between
 //!   `solve` calls while learned clauses, activities and phases persist;
 //!   retractable obligations via activation literals; per-call effort
-//!   accounting ([`SolverStats::delta_since`]) and a cross-thread interrupt
-//!   hook ([`Solver::set_interrupt`]) for portfolio-style cancellation,
+//!   accounting ([`SolverStats::delta_since`]),
 //! * an **incremental-safe simplification pipeline** ([`Solver::simplify`]):
 //!   failed-literal probing, subsumption, self-subsuming resolution and
 //!   bounded variable elimination between solve calls, kept sound for

@@ -63,12 +63,11 @@ pub struct SolverStats {
     pub deleted_clauses: u64,
     /// Number of compacting clause-arena garbage collections performed.
     pub arena_collections: u64,
-    /// Number of solving episodes stopped by an exhausted [`Budget`] cap.
-    /// The legacy whole-episode conflict limit
-    /// ([`Solver::set_conflict_limit`]) is not counted here.
+    /// Number of solving episodes stopped by an exhausted [`Budget`] cap,
+    /// including the conflict-capped trial episodes the `bmc` unroller runs
+    /// before deciding whether to simplify.
     pub budget_exhaustions: u64,
-    /// Number of solving episodes stopped by an external cancellation — a
-    /// raised [`CancelToken`] or interrupt flag ([`Solver::set_interrupt`]).
+    /// Number of solving episodes stopped by a raised [`CancelToken`].
     pub cancellations: u64,
 }
 
@@ -143,8 +142,7 @@ impl SolverStats {
 /// unchanged, so resuming with the same tiny allotment repeats the same
 /// episode forever. Drivers that resume in a loop must either cap
 /// conflicts (every budgeted episode then makes learning progress) or grow
-/// their slices geometrically, as the portfolio scheduler in the `upec`
-/// crate does.
+/// their slices geometrically.
 ///
 /// # Examples
 ///
@@ -245,12 +243,9 @@ impl Budget {
 /// Why the most recent solving episode returned [`SatResult::Unknown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopCause {
-    /// The legacy whole-episode conflict limit
-    /// ([`Solver::set_conflict_limit`]) was reached.
-    ConflictLimit,
     /// A [`Budget`] cap ([`Solver::set_budget`]) was reached.
     BudgetExhausted,
-    /// An external cancellation: a raised [`CancelToken`] or interrupt flag.
+    /// An external cancellation: a raised [`CancelToken`].
     Cancelled,
 }
 
@@ -325,13 +320,6 @@ pub struct SearchConfig {
     /// flag is consulted by the unrolling layer between bound extensions,
     /// not by `solve` itself.
     pub vivify: bool,
-    /// Base conflict budget of the Luby restart cadence: round `i` of an
-    /// episode runs for `restart_base * luby(i)` conflicts before the
-    /// search restarts (values below 1 are clamped to 1). Smaller bases
-    /// restart more aggressively; the portfolio scheduler in the `upec`
-    /// crate races such a variant ([`SearchConfig::aggressive_restart`])
-    /// against the default cadence.
-    pub restart_base: u64,
 }
 
 impl Default for SearchConfig {
@@ -343,7 +331,6 @@ impl Default for SearchConfig {
             chrono_backtrack: true,
             chrono_threshold: 100,
             vivify: true,
-            restart_base: 128,
         }
     }
 }
@@ -360,19 +347,6 @@ impl SearchConfig {
             chrono_backtrack: false,
             chrono_threshold: 100,
             vivify: false,
-            restart_base: 128,
-        }
-    }
-
-    /// An aggressively-restarting variant of the default configuration: the
-    /// Luby base is quartered, so the search explores many short
-    /// orientations instead of committing to one long prefix. Used as a
-    /// portfolio member — it tends to win on queries where the default
-    /// cadence rides out an unproductive orientation.
-    pub fn aggressive_restart() -> Self {
-        Self {
-            restart_base: 32,
-            ..Self::default()
         }
     }
 }
@@ -610,8 +584,6 @@ pub struct Solver {
     wasted_lits: usize,
     pub(crate) ok: bool,
     pub(crate) stats: SolverStats,
-    conflict_limit: Option<u64>,
-    interrupt: Option<Arc<AtomicBool>>,
     /// Deterministic per-episode resource budget (see [`Solver::set_budget`]).
     budget: Budget,
     /// External cancellation token polled at restart boundaries (see
@@ -700,6 +672,11 @@ impl Solver {
     /// the wasted-hole ratio never exceeds 25% outside of `reduce_db` itself.
     const GC_WASTE_DENOMINATOR: usize = 4;
 
+    /// Base conflict budget of the Luby restart cadence: round `i` of an
+    /// episode runs for `RESTART_BASE * luby(i)` conflicts before the
+    /// search restarts.
+    const RESTART_BASE: u64 = 128;
+
     /// Creates an empty solver.
     pub fn new() -> Self {
         Self {
@@ -726,8 +703,6 @@ impl Solver {
             wasted_lits: 0,
             ok: true,
             stats: SolverStats::default(),
-            conflict_limit: None,
-            interrupt: None,
             budget: Budget::default(),
             cancel: None,
             episode: SolverStats::default(),
@@ -868,40 +843,6 @@ impl Solver {
         }
     }
 
-    /// Limits the number of conflicts before the solver answers
-    /// [`SatResult::Unknown`]. `None` removes the limit.
-    ///
-    /// The UPEC experiments use this to reproduce the paper's "feasible k"
-    /// notion: the window length at which the proof still completes within
-    /// the allotted effort.
-    pub fn set_conflict_limit(&mut self, limit: Option<u64>) {
-        self.conflict_limit = limit;
-    }
-
-    /// Installs a shared interrupt flag checked at the same place as the
-    /// conflict limit (once per conflict). When another thread raises the
-    /// flag, the current `solve` call winds down and returns
-    /// [`SatResult::Unknown`]; the solver state stays valid and later calls
-    /// (after the flag is cleared) work normally.
-    ///
-    /// This is the cancellation hook the portfolio scheduler in the `upec`
-    /// crate uses to stop losing solver configurations as soon as a winner
-    /// produces a definitive answer.
-    pub fn set_interrupt(&mut self, flag: Option<Arc<AtomicBool>>) {
-        self.interrupt = flag;
-    }
-
-    /// Whether an installed interrupt flag is currently raised.
-    ///
-    /// Callers that wrap `solve` in their own retry policies (e.g. the
-    /// adaptive simplification trigger in the `bmc` unroller) use this to
-    /// tell a cancellation apart from an exhausted conflict budget.
-    pub fn interrupt_raised(&self) -> bool {
-        self.interrupt
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
-    }
-
     /// Sets the deterministic per-episode resource [`Budget`]. The budget
     /// applies to every subsequent `solve` episode until replaced; an
     /// exhausted episode answers [`SatResult::Unknown`] with
@@ -918,10 +859,8 @@ impl Solver {
 
     /// Installs (or removes, with `None`) an external [`CancelToken`].
     ///
-    /// Unlike the per-conflict interrupt flag ([`Solver::set_interrupt`]),
-    /// the token is polled only at restart boundaries and at episode entry
-    /// — the zero-cost-when-unset hook the portfolio scheduler uses to stop
-    /// losing configurations.
+    /// The token is polled only at restart boundaries and at episode entry,
+    /// so an installed-but-unset token costs nothing per conflict.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
     }
@@ -2270,7 +2209,7 @@ impl Solver {
         if !self.ok {
             return SatResult::Unsat;
         }
-        if self.interrupt_raised() || self.cancel_requested() {
+        if self.cancel_requested() {
             self.stats.cancellations += 1;
             self.last_stop = Some(StopCause::Cancelled);
             return SatResult::Unknown;
@@ -2282,12 +2221,9 @@ impl Solver {
         }
 
         let mut restart_count = 0u64;
-        let restart_base = self.config.restart_base.max(1);
-        let conflict_start = self.stats.conflicts;
-
         loop {
-            let budget = restart_base * Self::luby(restart_count);
-            match self.search(budget, assumptions, conflict_start) {
+            let budget = Self::RESTART_BASE * Self::luby(restart_count);
+            match self.search(budget, assumptions) {
                 SearchOutcome::Sat => {
                     let mut values: Vec<bool> = self
                         .assigns
@@ -2332,12 +2268,7 @@ impl Solver {
         }
     }
 
-    fn search(
-        &mut self,
-        conflict_budget: u64,
-        assumptions: &[Lit],
-        conflict_start: u64,
-    ) -> SearchOutcome {
+    fn search(&mut self, conflict_budget: u64, assumptions: &[Lit]) -> SearchOutcome {
         let mut conflicts_this_round = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
@@ -2430,17 +2361,6 @@ impl Solver {
                     if trail_size as f64 > 1.4 * self.trail_ema {
                         self.lbd_ema_fast = self.lbd_ema_slow;
                     }
-                }
-                if let Some(limit) = self.conflict_limit {
-                    if self.stats.conflicts - conflict_start >= limit {
-                        self.last_stop = Some(StopCause::ConflictLimit);
-                        return SearchOutcome::LimitReached;
-                    }
-                }
-                if self.interrupt_raised() {
-                    self.stats.cancellations += 1;
-                    self.last_stop = Some(StopCause::Cancelled);
-                    return SearchOutcome::LimitReached;
                 }
                 if self.budget_conflict_cap_hit() {
                     self.stats.budget_exhaustions += 1;
@@ -2725,32 +2645,6 @@ mod tests {
     }
 
     #[test]
-    fn conflict_limit_yields_unknown_on_hard_instance() {
-        // Pigeonhole 7 into 6 is hard enough that a tiny conflict budget is
-        // exhausted before the proof completes.
-        let n = 7;
-        let m = 6;
-        let mut s = Solver::new();
-        let p: Vec<Vec<Lit>> = (0..n)
-            .map(|_| (0..m).map(|_| s.new_var().positive()).collect())
-            .collect();
-        for pigeon in &p {
-            s.add_clause(pigeon.iter().copied());
-        }
-        for hole in 0..m {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    s.add_clause([!p[a][hole], !p[b][hole]]);
-                }
-            }
-        }
-        s.set_conflict_limit(Some(10));
-        assert_eq!(s.solve(), SatResult::Unknown);
-        s.set_conflict_limit(None);
-        assert!(s.solve().is_unsat());
-    }
-
-    #[test]
     fn duplicate_and_tautological_clauses_are_tolerated() {
         let mut s = Solver::new();
         let v = lits(&mut s, 2);
@@ -2939,22 +2833,6 @@ mod tests {
             s.debug_validate()
                 .unwrap_or_else(|e| panic!("seed {seed}: poisoned state: {e}"));
         }
-    }
-
-    #[test]
-    fn raised_interrupt_yields_unknown_and_is_recoverable() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-
-        let mut s = pigeonhole(7, 6);
-        let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(Some(flag.clone()));
-        assert!(s.interrupt_raised());
-        assert_eq!(s.solve(), SatResult::Unknown);
-        // Clearing the flag makes the same solver usable again.
-        flag.store(false, Ordering::Relaxed);
-        assert!(!s.interrupt_raised());
-        assert!(s.solve().is_unsat());
     }
 
     #[test]

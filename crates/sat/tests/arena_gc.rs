@@ -9,7 +9,7 @@
 //! variables and simplifier rebuilds in between.
 
 use rtl::SplitMix64;
-use sat::{Lit, SatResult, Solver, Var};
+use sat::{Budget, Lit, SatResult, Solver, Var};
 
 // The pigeonhole builder indexes two parallel axes; an iterator form would
 // obscure the symmetry the clauses encode.
@@ -52,14 +52,14 @@ fn waste_ratio_stays_bounded_on_hard_instances() {
         .expect("watch/reason invariants after GC");
 }
 
-/// Interrupting a solve mid-search (conflict budget) leaves a collected
+/// Pausing a solve mid-search (conflict budget) leaves a collected
 /// arena in a state later solves can build on: watchers and reasons stay
 /// valid across the pause and the final verdict is unchanged.
 #[test]
 fn collection_survives_a_paused_search() {
     let mut s = pigeonhole(7, 6);
     s.set_learnt_budget(16);
-    s.set_conflict_limit(Some(300));
+    s.set_budget(Budget::conflicts(300));
     let mut paused = 0;
     loop {
         match s.solve() {
@@ -115,7 +115,7 @@ fn unassigned_vars_never_carry_clause_reasons() {
 
     let mut s = pigeonhole(7, 6);
     s.set_learnt_budget(16);
-    s.set_conflict_limit(Some(200));
+    s.set_budget(Budget::conflicts(200));
     while s.solve() == SatResult::Unknown {
         s.debug_validate()
             .expect("no stale reasons at a paused search");

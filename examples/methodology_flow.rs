@@ -73,7 +73,7 @@ fn main() {
 
     println!("\ncollected P-alert registers: {collected:?}");
     println!("running the inductive closure proof (Sec. VI) ...");
-    let closure = prove_alert_closure(&model, &collected, None);
+    let closure = prove_alert_closure(&model, &collected);
     println!("closure proof: {closure:?}");
     assert!(closure.is_closed());
     println!("\nThe propagated secret can never reach architectural state:");

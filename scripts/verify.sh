@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Repository verification: formatting, lints, and the tier-1 build/test gate.
+# Repository verification: formatting, lints, the tier-1 build/test gate,
+# the release-mode workspace test suites, the fast fault-injection
+# differential and the bench smoke gates.
 #
 # Usage: scripts/verify.sh [--full]
 #
 # Keep this script in sync with the README's "Tests and verification"
-# section. The tier-1 gate is the same command CI (and the PR driver) runs:
+# section. The tier-1 gate is the same command CI runs:
 #   cargo build --release && cargo test -q
 #
 # --full additionally runs the release-mode `--ignored` acceptance sweeps
@@ -35,6 +37,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> workspace tests: cargo test -q --workspace --release"
+cargo test -q --workspace --release
+
+echo "==> fault-injection differential (--features faults, release)"
+# Deterministic faults (forced budget exhaustion, spurious cancellation,
+# an abort between restart boundaries) are armed at SplitMix64-chosen
+# points inside engine queries; every faulted query must either reach the
+# fault-free verdict or answer Unknown with an honest stop cause, and the
+# session must resume to the exact fault-free verdict (docs/robustness.md).
+cargo test --release -q -p upec --features faults --test fault_injection
 
 echo "==> bench smoke: solver_stats --smoke (search + simplification verdict agreement, k=1 subset)"
 # Fast gate: the default (adaptive simplification, all search features on),
@@ -70,14 +83,6 @@ echo "==> bench smoke: cert_stats --smoke (certified verdicts re-checked, k=1 su
 # every certificate must check. Exits non-zero otherwise; writes no JSON.
 cargo run --release -q -p bench --bin cert_stats -- --smoke
 
-echo "==> bench smoke: portfolio_stats --smoke (deterministic portfolio race, k=1 subset)"
-# Fast gate for the budgeted portfolio scheduler (docs/robustness.md): on
-# the smoke subset the portfolio race must reach the same verdict as the
-# single-configuration path, and two races of the same query must be
-# byte-identical (slice schedule, budgets, winner, member stats — no
-# wall-clock anywhere). Exits non-zero on any mismatch; writes no JSON.
-cargo run --release -q -p bench --bin portfolio_stats -- --smoke
-
 if [ "$full" -eq 1 ]; then
   echo "==> full: simplification differential over the whole registry (--ignored, release)"
   cargo test --release -q -p upec --test simplify_differential -- --ignored
@@ -92,12 +97,6 @@ if [ "$full" -eq 1 ]; then
   cargo test --release -q -p upec --test certificates -- --ignored
 
   echo "==> full: fault-injection differential sweep (--features faults, --ignored, release)"
-  # Deterministic faults (forced budget exhaustion, spurious cancellation,
-  # mid-slice abort) are armed at SplitMix64-chosen points inside engine
-  # queries; every faulted query must either reach the fault-free verdict or
-  # answer Unknown with an honest stop cause, and the session must resume to
-  # the exact fault-free verdict (docs/robustness.md).
-  cargo test --release -q -p upec --features faults --test fault_injection
   cargo test --release -q -p upec --features faults --test fault_injection -- --ignored
 fi
 

@@ -8,8 +8,8 @@
 //! * [`rtl`] — word-level RTL intermediate representation,
 //! * [`sat`] — CDCL SAT solver,
 //! * [`sim`] — cycle-accurate simulator,
-//! * [`bmc`] — bit-blasting, bounded model checking and interval property
-//!   checking (IPC),
+//! * [`bmc`] — bit-blasting and bounded model checking from a symbolic
+//!   initial state,
 //! * [`soc`] — the MiniRV SoC generator (RocketChip stand-in) with its
 //!   vulnerability knobs,
 //! * [`upec`] — Unique Program Execution Checking: the paper's contribution.

@@ -165,7 +165,7 @@ fn upec_methodology_classifies_all_design_variants() {
     let report = run_methodology(&model, UpecOptions::window(2));
     assert_eq!(report.verdict, Verdict::Secure, "{}", report.summary());
     assert!(report.p_alert_count() >= 1);
-    assert!(prove_alert_closure(&model, &report.p_alert_registers, None).is_closed());
+    assert!(prove_alert_closure(&model, &report.p_alert_registers).is_closed());
 
     // Orc variant: insecure.
     let model = UpecModel::new(&formal_config(SocVariant::Orc), SecretScenario::InCache);
