@@ -1,12 +1,9 @@
-//! Minimal JSON formatting and validation shared by the bench binaries.
+//! Minimal JSON formatting and validation for the benchmark's report lines.
 //!
-//! The trajectory files (`BENCH_unroll.json`, `BENCH_solver.json`,
-//! `BENCH_trace.json`) are hand-formatted — stable field order, fixed
-//! decimal places — so diffs between bench runs stay readable. This module
-//! centralizes the object builder and string escaping that
-//! `solver_stats.rs`, `compile_stats.rs` and `trace_report.rs` previously
-//! each hand-rolled, plus a validating parser the smoke gates use to check
-//! that emitted JSON/JSONL actually parses.
+//! `upecbench` prints its report and result lines through the object
+//! builder below — stable field order, so runs diff readably — and checks
+//! them with the validating parser before printing; the trace test uses
+//! the same parser on every JSONL line the `obs` file sink writes.
 
 use std::fmt::Write as _;
 
@@ -85,8 +82,7 @@ impl JsonObject {
 /// surrounding whitespace). Returns a description of the first syntax error.
 ///
 /// This is a validator, not a parser: it builds no value tree, which keeps
-/// it dependency-free and fast enough to run over every line of a trace in
-/// the CI smoke gate.
+/// it dependency-free and fast enough to run over every line of a trace.
 pub fn validate(input: &str) -> Result<(), String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;

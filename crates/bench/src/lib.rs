@@ -1,83 +1,20 @@
-//! # `bench` — the benchmark harness
+//! # `bench` — the paper-artifact binaries
 //!
-//! Binaries and benches that regenerate the paper's tables and figures
-//! (Table I, Table II, Fig. 1, Fig. 2, the PMP finding of Sec. VII-C) plus
-//! the ablation studies and the parallel-engine speedup benchmark.
+//! Binaries that regenerate the paper's tables and figures (Table I,
+//! Table II, Fig. 1, Fig. 2, the PMP finding of Sec. VII-C), the ablation
+//! studies, the registry sweep (`engine`) and the alert debugger
+//! (`debug_alert`).
 //!
 //! All workloads are driven from the shared scenario registry in
 //! [`upec::scenarios`] — this crate only adds timing, formatting and
-//! command-line entry points. The helpers below are thin delegating wrappers
-//! kept for the binaries' convenience.
+//! command-line entry points. The repository's one benchmark, `upecbench`
+//! (a package of its own), imports [`json`] from here.
 
 #![warn(missing_docs)]
 
 pub mod json;
 
-use soc::{Program, SocConfig, SocVariant};
-use upec::scenarios;
-
-/// A reduced SoC configuration that keeps the SAT problems small enough for
-/// the from-scratch solver while preserving every microarchitectural
-/// mechanism the paper's evaluation depends on.
-///
-/// Equals [`upec::scenarios::ScenarioSpec::formal_config`] for any registered
-/// scenario of the same variant.
-pub fn formal_config(variant: SocVariant) -> SocConfig {
-    SocConfig::new(variant)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1)
-}
-
-/// The full-size configuration used for the simulation-based figures.
-pub fn sim_config(variant: SocVariant) -> SocConfig {
-    SocConfig::new(variant)
-}
-
-/// One iteration of the Orc attack (paper Fig. 2) for a given guess of the
-/// secret's cache index. Delegates to the scenario registry.
-pub fn orc_attack_program(config: &SocConfig, guess: u32) -> Program {
-    scenarios::orc_attack_program(config, guess)
-}
-
-/// The Meltdown-style transient sequence used for the Fig. 1 footprint
-/// experiment. Delegates to the scenario registry.
-pub fn transient_program(config: &SocConfig) -> Program {
-    scenarios::transient_program(config)
-}
-
 /// Formats a duration in seconds with two decimals (for table rows).
 pub fn secs(d: std::time::Duration) -> String {
     format!("{:.2}s", d.as_secs_f64())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn configs_differ_in_size() {
-        let f = formal_config(SocVariant::Secure);
-        let s = sim_config(SocVariant::Secure);
-        assert!(f.cache_lines < s.cache_lines);
-        assert_eq!(f.variant(), s.variant());
-    }
-
-    #[test]
-    fn helpers_agree_with_the_registry() {
-        let spec = scenarios::by_id("orc").expect("registered");
-        assert_eq!(formal_config(spec.variant), spec.formal_config());
-        assert_eq!(sim_config(spec.variant), spec.sim_config());
-    }
-
-    #[test]
-    fn attack_programs_have_the_papers_shape() {
-        let config = sim_config(SocVariant::Orc);
-        let p = orc_attack_program(&config, 3);
-        assert_eq!(p.len(), 8);
-        assert!(p.listing().contains("lw x5, 0(x4)"));
-        let t = transient_program(&config);
-        assert!(t.listing().contains("lw x4, 0(x1)"));
-    }
 }

@@ -10,8 +10,8 @@
 //!   frame of a bounded proof therefore never pays for next-state logic, and
 //!   logic outside the property cone is never encoded at all.
 //! * **Eager** ([`UnrollOptions::eager`]): the original seed behavior — every
-//!   netlist signal is encoded in every frame. Kept as the baseline for the
-//!   `compile_stats` benchmark and for differential testing.
+//!   netlist signal is encoded in every frame. Kept as the reference for
+//!   differential testing and the `debug_alert` frame dump.
 
 use crate::{CompileStats, CompiledOp, CompiledTransition, GateBuilder};
 use rtl::{BinaryOp, BitVec, Netlist, Node, SignalId, UnaryOp};
@@ -43,8 +43,7 @@ pub struct UnrollOptions {
     /// When `true`, skip the incremental-safe CNF simplification pipeline
     /// that otherwise runs before a solve whenever the clause database has
     /// grown substantially (e.g. after a bound extension). Kept as an escape
-    /// hatch for differential testing and the `solver_stats` benchmark; real
-    /// proofs keep this `false`.
+    /// hatch for differential testing; real proofs keep this `false`.
     pub no_simplify: bool,
     /// Conflict budget of the *trial solve* that gates the simplification
     /// pipeline: after a substantial database growth the query is first

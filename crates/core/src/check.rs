@@ -23,11 +23,11 @@ pub struct UpecOptions {
     /// (only used by the ablation study; real UPEC runs keep this `false`).
     pub from_reset_state: bool,
     /// Bypass the transition-relation compiler and encode the miter eagerly
-    /// (the pre-compiler baseline; used by the `compile_stats` benchmark).
+    /// (the pre-compiler baseline; used by differential tests).
     pub eager_encoding: bool,
     /// Skip the solver's incremental-safe CNF simplification pipeline (the
-    /// pre-simplifier baseline; used by the `solver_stats` benchmark and
-    /// differential tests). Real proofs keep this `false`.
+    /// pre-simplifier baseline; used by differential tests). Real proofs
+    /// keep this `false`.
     pub no_simplify: bool,
     /// Conflict budget of the trial solve that gates CNF simplification:
     /// only queries that exhaust this cap pay for the pipeline (see

@@ -703,4 +703,14 @@ mod tests {
             .demo_program(&config)
             .is_none());
     }
+
+    #[test]
+    fn attack_programs_have_the_papers_shape() {
+        let config = SocConfig::new(SocVariant::Orc);
+        let p = orc_attack_program(&config, 3);
+        assert_eq!(p.len(), 8);
+        assert!(p.listing().contains("lw x5, 0(x4)"));
+        let t = transient_program(&config);
+        assert!(t.listing().contains("lw x4, 0(x1)"));
+    }
 }

@@ -73,9 +73,9 @@ fn every_scenario_miter_compiles() {
 
 /// The compiled and the eager encodings must agree on the Orc L-alert
 /// verdict at the acceptance point k=2 while the compiled CNF is smaller.
-/// Release-mode runtime: roughly a minute.
+/// Release-mode runtime: a few seconds; `scripts/verify.sh --full` runs it.
 #[test]
-#[ignore = "two cold Orc k=2 SAT queries (~1 min release, much longer debug); run with --ignored"]
+#[ignore = "two cold Orc k=2 SAT queries (seconds in release, much longer in debug); run with --ignored"]
 fn orc_verdict_is_identical_under_both_encodings() {
     let spec = scenarios::by_id("orc").expect("registered");
     let model = spec.build_model();

@@ -64,31 +64,34 @@ fn instance_geometries_apply_their_knobs() {
     }
 }
 
-/// A bounded re-mine that still reaches the registry's footprint witness
-/// (`case_index` 36 of the default seed) but stays fast enough for the
-/// default debug suite: 40 programs, one vulnerable variant.
+/// A bounded re-mine that still reaches the registry's footprint witnesses
+/// (`case_index` 36 of the default seed on both vulnerable variants) but
+/// stays fast enough for the default debug suite: 40 programs over the
+/// default variants, the secure design among them as the soundness control.
 #[test]
 fn mined_footprint_witness_reproduces_from_the_pinned_seed() {
-    let opts = FuzzOptions {
-        programs: 40,
-        variants: vec![SocVariant::MeltdownStyle],
-        ..FuzzOptions::default()
-    };
+    let opts = FuzzOptions::default().with_programs(40);
+    assert!(opts.variants.contains(&SocVariant::Secure));
     let report = fuzz::mine(&opts);
     assert_eq!(report.secure_divergences, 0);
     assert_eq!(report.cosim_mismatches, 0);
-    let witness = report
-        .witness(SocVariant::MeltdownStyle, Channel::CacheFootprint)
-        .expect("the default seed yields a footprint witness within 40 programs");
-    assert_eq!(witness.case_index, 36, "witness provenance moved");
-    let config = SocConfig::new(SocVariant::MeltdownStyle);
-    let minimized = fuzz::minimize(&config, &witness.program, witness.channel, &opts);
-    assert_eq!(
-        minimized.program,
-        fuzz_footprint_witness(),
-        "re-mined witness no longer matches the registry's pinned program:\n{}",
-        minimized.program.listing()
-    );
+    for variant in [SocVariant::MeltdownStyle, SocVariant::Orc] {
+        let witness = report
+            .witness(variant, Channel::CacheFootprint)
+            .expect("the default seed yields a footprint witness within 40 programs");
+        assert_eq!(
+            witness.case_index, 36,
+            "{variant:?}: witness provenance moved"
+        );
+        let config = SocConfig::new(variant);
+        let minimized = fuzz::minimize(&config, &witness.program, witness.channel, &opts);
+        assert_eq!(
+            minimized.program,
+            fuzz_footprint_witness(),
+            "{variant:?}: re-mined witness no longer matches the registry's pinned program:\n{}",
+            minimized.program.listing()
+        );
+    }
 }
 
 #[test]

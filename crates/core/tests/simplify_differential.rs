@@ -41,9 +41,9 @@ fn simplified_verdicts_agree_on_fast_scenarios() {
     assert_agreement(&["cache-footprint", "secure-arch-only", "orc"], 2);
 }
 
-/// The PR acceptance check: verdict equality for *every* registry scenario
-/// at k=2 (the common comparison bound also used by the `solver_stats`
-/// bench). Several minutes of SAT solving in release mode.
+/// The acceptance check: verdict equality for *every* registry scenario at
+/// k=2, one common comparison bound. Several minutes of SAT solving in
+/// release mode.
 #[test]
 #[ignore = "full-registry differential sweep; minutes of SAT solving — run with --ignored in release mode"]
 fn simplified_verdicts_agree_on_every_registry_scenario() {

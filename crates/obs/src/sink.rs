@@ -175,7 +175,7 @@ pub enum Event {
 }
 
 /// In-memory sink: collects every event into a vector, in arrival order.
-/// Intended for tests and for post-run aggregation (`trace_report`).
+/// Intended for tests and for post-run aggregation (`upecbench --trace 1`).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<Event>>,

@@ -10,7 +10,7 @@
 //!
 //! The `bmc` crate's transition-relation compiler uses this analysis to prune
 //! the unrolled UPEC miter before Tseitin encoding; the [`CoiStats`] it
-//! reports are surfaced by the benchmark harness.
+//! reports are attributes of the `rtl.coi` telemetry span.
 
 use crate::{Netlist, Node, SignalId};
 

@@ -5,68 +5,104 @@
 //! query resumes to the clean verdict.
 
 use sat::{Budget, CancelToken, SearchConfig, StopCause};
-use soc::{SocConfig, SocVariant};
+use soc::SocVariant;
+use std::collections::BTreeSet;
+use upec::scenarios::{self, Geometry};
 use upec::{
     full_commitment, CertificateCheck, IncrementalSession, SecretScenario, UpecModel, UpecOptions,
     UpecOutcome,
 };
 
-fn tiny(variant: SocVariant) -> SocConfig {
-    SocConfig::new(variant)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1)
+/// One k=1 query: a miter, the state it must keep equal, and its verdict.
+struct Case {
+    name: &'static str,
+    model: UpecModel,
+    commitment: BTreeSet<String>,
+    expected: &'static str,
+}
+
+fn tiny(variant: SocVariant, secret: SecretScenario, expected: &'static str) -> Case {
+    let model = UpecModel::new(&Geometry::formal_default().apply(variant), secret);
+    Case {
+        name: variant.name(),
+        commitment: full_commitment(&model),
+        model,
+        expected,
+    }
 }
 
 /// One alerting and one proven miter cover both verdict paths.
-fn cases() -> [(UpecModel, &'static str); 2] {
+fn tiny_cases() -> [Case; 2] {
     [
-        (
-            UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache),
-            "p-alert",
-        ),
-        (
-            UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::NotInCache),
-            "proven",
-        ),
+        tiny(SocVariant::Orc, SecretScenario::InCache, "p-alert"),
+        tiny(SocVariant::Secure, SecretScenario::NotInCache, "proven"),
     ]
 }
 
-fn verdict(model: &UpecModel, options: UpecOptions) -> &'static str {
-    IncrementalSession::with_options(model, options)
-        .check_bound(1, &full_commitment(model))
-        .verdict_name()
+/// Registry scenarios with their own commitments: a P-alerting miter (the
+/// SAT path, with counterexample extraction) and two proofs over different
+/// commitments (the UNSAT path).
+fn registry_cases() -> [Case; 3] {
+    [
+        ("meltdown", "p-alert"),
+        ("orc", "proven"),
+        ("secure-arch-only", "proven"),
+    ]
+    .map(|(id, expected)| {
+        let spec = scenarios::by_id(id).expect("registered scenario");
+        let model = spec.build_model();
+        Case {
+            name: spec.id,
+            commitment: spec.commitment_set(&model),
+            model,
+            expected,
+        }
+    })
+}
+
+fn all_cases() -> impl Iterator<Item = Case> {
+    tiny_cases().into_iter().chain(registry_cases())
 }
 
 #[test]
 fn default_no_simplify_and_baseline_search_agree() {
-    for (model, expected) in cases() {
+    for case in all_cases() {
         let options = UpecOptions::window(0);
-        assert_eq!(verdict(&model, options), expected);
-        assert_eq!(verdict(&model, options.no_simplify()), expected);
-        assert_eq!(
-            verdict(&model, options.with_search(SearchConfig::baseline())),
-            expected
-        );
+        for (path, options) in [
+            ("default", options),
+            ("no_simplify", options.no_simplify()),
+            (
+                "baseline search",
+                options.with_search(SearchConfig::baseline()),
+            ),
+        ] {
+            let verdict = IncrementalSession::with_options(&case.model, options)
+                .check_bound(1, &case.commitment)
+                .verdict_name();
+            assert_eq!(verdict, case.expected, "{} via {path}", case.name);
+        }
     }
 }
 
 #[test]
 fn every_verdict_carries_a_certificate_that_checks() {
-    for (model, expected) in cases() {
-        let mut session =
-            IncrementalSession::with_options(&model, UpecOptions::window(0).with_certificates());
+    for case in all_cases() {
+        let mut session = IncrementalSession::with_options(
+            &case.model,
+            UpecOptions::window(0).with_certificates(),
+        );
         let (outcome, certificate) = session
-            .check_bound_certified(1, &full_commitment(&model))
+            .check_bound_certified(1, &case.commitment)
             .expect("a decided query is certifiable");
-        assert_eq!(outcome.verdict_name(), expected);
+        assert_eq!(outcome.verdict_name(), case.expected, "{}", case.name);
         let certificate = certificate.expect("a decided query carries a certificate");
-        let check = certificate.check(&model).expect("the certificate checks");
-        match (expected, check) {
+        let check = certificate
+            .check(&case.model)
+            .expect("the certificate checks");
+        match (case.expected, check) {
             ("proven", CertificateCheck::Proof(_))
             | ("p-alert", CertificateCheck::Witness { .. }) => {}
-            (_, other) => panic!("{expected}: wrong certificate kind: {other:?}"),
+            (_, other) => panic!("{}: wrong certificate kind: {other:?}", case.name),
         }
     }
 }
@@ -75,25 +111,28 @@ fn every_verdict_carries_a_certificate_that_checks() {
 /// (`CancelToken`) both stop a query without poisoning its session.
 #[test]
 fn a_stopped_query_resumes_to_the_clean_verdict() {
-    for (model, expected) in cases() {
-        let commitment = full_commitment(&model);
+    for case in tiny_cases() {
         let mut session = IncrementalSession::with_options(
-            &model,
+            &case.model,
             UpecOptions::window(0).with_budget(Budget::conflicts(1)),
         );
-        let stopped = session.check_bound(1, &commitment);
+        let stopped = session.check_bound(1, &case.commitment);
         assert!(
             matches!(stopped, UpecOutcome::Unknown(_)),
-            "{expected}: {stopped:?}"
+            "{}: {stopped:?}",
+            case.name
         );
         assert_eq!(stopped.stats().stop, Some(StopCause::BudgetExhausted));
         session.set_budget(Budget::unlimited());
         let token = CancelToken::new();
         session.set_cancel_token(Some(token.clone()));
         token.cancel();
-        let cancelled = session.check_bound(1, &commitment);
+        let cancelled = session.check_bound(1, &case.commitment);
         assert_eq!(cancelled.stats().stop, Some(StopCause::Cancelled));
         token.reset();
-        assert_eq!(session.check_bound(1, &commitment).verdict_name(), expected);
+        assert_eq!(
+            session.check_bound(1, &case.commitment).verdict_name(),
+            case.expected
+        );
     }
 }
