@@ -1,20 +1,20 @@
 //! Transition-relation unrolling with word-level bit-blasting.
 //!
-//! Since PR 3 the unrolling has two encoding strategies:
+//! The netlist is first run through the [`CompiledTransition`] compiler —
+//! cone-of-influence pruning, structural hashing, constant folding — and
+//! each frame instantiates the resulting dense schedule *lazily*: a slot is
+//! only Tseitin-encoded in a frame when a constraint, obligation or
+//! extraction actually reaches it. The final frame of a bounded proof
+//! therefore never pays for next-state logic, and logic outside the property
+//! cone is never encoded at all.
 //!
-//! * **Compiled** (the default): the netlist is first run through the
-//!   [`CompiledTransition`] compiler — cone-of-influence pruning, structural
-//!   hashing, constant folding — and each frame instantiates the resulting
-//!   dense schedule *lazily*: a slot is only Tseitin-encoded in a frame when
-//!   a constraint, obligation or extraction actually reaches it. The final
-//!   frame of a bounded proof therefore never pays for next-state logic, and
-//!   logic outside the property cone is never encoded at all.
-//! * **Eager** ([`UnrollOptions::eager`]): the original seed behavior — every
-//!   netlist signal is encoded in every frame. Kept as the reference for
-//!   differential testing and the `debug_alert` frame dump.
+//! The reference for this encoding is the word-level simulator (`sim`),
+//! which shares no code with the bit-blaster, the compiler or the CNF
+//! simplifier: the workspace's cross-layer tests pin every distinct registry
+//! miter to it, both as encoded and after simplification.
 
-use crate::{CompileStats, CompiledOp, CompiledTransition, GateBuilder};
-use rtl::{BinaryOp, BitVec, Netlist, Node, SignalId, UnaryOp};
+use crate::{CompiledOp, CompiledTransition, GateBuilder};
+use rtl::{BinaryOp, BitVec, Netlist, SignalId, UnaryOp};
 use sat::{Lit, Model, SatResult};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,10 +36,6 @@ pub struct UnrollOptions {
     /// [`sat::StopCause::BudgetExhausted`] while keeping the session
     /// resumable. Unlimited by default.
     pub budget: sat::Budget,
-    /// When `true`, bypass the transition-relation compiler and encode every
-    /// netlist signal in every frame (the pre-compiler baseline). Used by
-    /// benchmarks and differential tests; real proofs keep this `false`.
-    pub eager_encoding: bool,
     /// When `true`, skip the incremental-safe CNF simplification pipeline
     /// that otherwise runs before a solve whenever the clause database has
     /// grown substantially (e.g. after a bound extension). Kept as an escape
@@ -74,7 +70,6 @@ impl Default for UnrollOptions {
         Self {
             use_initial_values: false,
             budget: sat::Budget::unlimited(),
-            eager_encoding: false,
             no_simplify: false,
             simplify_trial_conflicts: 4000,
             proof_log: false,
@@ -101,12 +96,6 @@ impl UnrollOptions {
     /// [`UnrollOptions::budget`]).
     pub fn with_budget(mut self, budget: sat::Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Disables the transition-relation compiler (baseline encoding).
-    pub fn eager(mut self) -> Self {
-        self.eager_encoding = true;
         self
     }
 
@@ -160,9 +149,7 @@ pub struct SharedClause {
 /// Aggregate description of what an unrolling has encoded so far.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodeStats {
-    /// `"compiled"` or `"eager"`.
-    pub strategy: &'static str,
-    /// Slots in the compiled schedule (netlist signals for eager mode).
+    /// Slots in the compiled schedule.
     pub scheduled_slots: usize,
     /// Slot instances actually Tseitin-encoded, summed over all frames.
     pub encoded_slots: usize,
@@ -170,8 +157,6 @@ pub struct EncodeStats {
     pub variables: usize,
     /// CNF problem clauses added.
     pub clauses: usize,
-    /// Compiler counters (`None` in eager mode).
-    pub compile: Option<CompileStats>,
 }
 
 /// A netlist unrolled over `k+1` time frames and bit-blasted into CNF.
@@ -207,7 +192,11 @@ pub struct Unrolling<'n> {
     netlist: &'n Netlist,
     gates: GateBuilder,
     options: UnrollOptions,
-    backend: Backend,
+    /// The compiled schedule every frame instantiates.
+    transition: Arc<CompiledTransition>,
+    /// Slot literals per frame, `frames[t][slot]`; `None` until a query
+    /// reaches the slot in that frame.
+    frames: Vec<Vec<Option<Vec<Lit>>>>,
     /// Registers whose frame-0 value shares the literals of another register
     /// (used by miter-style proofs to state "these start equal" structurally
     /// instead of through equality clauses). Keyed by signal index.
@@ -218,17 +207,6 @@ pub struct Unrolling<'n> {
     /// to decide when the database has grown enough to be worth another
     /// pass.
     clauses_at_last_simplify: usize,
-}
-
-#[derive(Debug)]
-enum Backend {
-    /// Every signal encoded in every frame: `frames[t][signal]` = literals.
-    Eager { frames: Vec<Vec<Vec<Lit>>> },
-    /// Compiled schedule, lazily instantiated: `frames[t][slot]`.
-    Compiled {
-        transition: Arc<CompiledTransition>,
-        frames: Vec<Vec<Option<Vec<Lit>>>>,
-    },
 }
 
 /// Error returned when a constraint refers to a signal of the wrong shape.
@@ -321,10 +299,9 @@ impl<'n> Unrolling<'n> {
     /// not yet diverged. The UPEC checks use it for the `micro_soc_state1 =
     /// micro_soc_state2` assumption of the paper's Fig. 4.
     ///
-    /// In the default (compiled) mode this constructor compiles the full
-    /// netlist on the spot. Flows that open many unrollings of the same
-    /// design should compile once and share the schedule through
-    /// [`Unrolling::with_compiled`].
+    /// This constructor compiles the full netlist on the spot. Flows that
+    /// open many unrollings of the same design should compile once and share
+    /// the schedule through [`Unrolling::with_compiled`].
     ///
     /// # Panics
     ///
@@ -335,12 +312,8 @@ impl<'n> Unrolling<'n> {
         options: UnrollOptions,
         aliases: &[(SignalId, SignalId)],
     ) -> Self {
-        let transition = if options.eager_encoding {
-            None
-        } else {
-            Some(Arc::new(CompiledTransition::compile(netlist)))
-        };
-        Self::build(netlist, transition, options, aliases)
+        let transition = Arc::new(CompiledTransition::compile(netlist));
+        Self::with_compiled(netlist, transition, options, aliases)
     }
 
     /// Creates an unrolling over a pre-compiled transition relation
@@ -348,25 +321,10 @@ impl<'n> Unrolling<'n> {
     ///
     /// # Panics
     ///
-    /// Panics if the netlist is invalid, an alias pair is malformed, or
-    /// `options.eager_encoding` is set (a compiled schedule cannot drive the
-    /// eager baseline).
+    /// Panics if the netlist is invalid or an alias pair is malformed.
     pub fn with_compiled(
         netlist: &'n Netlist,
         transition: Arc<CompiledTransition>,
-        options: UnrollOptions,
-        aliases: &[(SignalId, SignalId)],
-    ) -> Self {
-        assert!(
-            !options.eager_encoding,
-            "eager encoding ignores the compiled schedule"
-        );
-        Self::build(netlist, Some(transition), options, aliases)
-    }
-
-    fn build(
-        netlist: &'n Netlist,
-        transition: Option<Arc<CompiledTransition>>,
         options: UnrollOptions,
         aliases: &[(SignalId, SignalId)],
     ) -> Self {
@@ -397,25 +355,19 @@ impl<'n> Unrolling<'n> {
             // the certificate is exactly the frame CNF (plus the builder's
             // constant-true unit).
             gates.solver_mut().start_proof_log();
-        } else if transition.is_some() {
+        } else {
             // The builder's constant-true unit is part of every session's
             // theory, so derivations through it stay shareable. (Certified
             // sessions never share — imports are refused under proof
             // logging — so the tag is skipped there.)
             gates.solver_mut().mark_root_facts_shared(0);
         }
-        let backend = match transition {
-            Some(transition) => Backend::Compiled {
-                transition,
-                frames: Vec::new(),
-            },
-            None => Backend::Eager { frames: Vec::new() },
-        };
         let mut unrolling = Self {
             netlist,
             gates,
             options,
-            backend,
+            transition,
+            frames: Vec::new(),
             frame0_aliases,
             encoded_slots: 0,
             clauses_at_last_simplify: 0,
@@ -431,10 +383,7 @@ impl<'n> Unrolling<'n> {
 
     /// Number of frames built so far (at least 1).
     pub fn frame_count(&self) -> usize {
-        match &self.backend {
-            Backend::Eager { frames } => frames.len(),
-            Backend::Compiled { frames, .. } => frames.len(),
-        }
+        self.frames.len()
     }
 
     /// Number of CNF variables allocated so far.
@@ -447,29 +396,13 @@ impl<'n> Unrolling<'n> {
         self.gates.solver().num_clauses()
     }
 
-    /// What has been encoded so far, and by which strategy.
+    /// What has been encoded so far.
     pub fn encode_stats(&self) -> EncodeStats {
-        let (strategy, scheduled_slots, compile) = match &self.backend {
-            Backend::Eager { .. } => ("eager", self.netlist.len(), None),
-            Backend::Compiled { transition, .. } => {
-                ("compiled", transition.len(), Some(transition.stats()))
-            }
-        };
         EncodeStats {
-            strategy,
-            scheduled_slots,
+            scheduled_slots: self.transition.len(),
             encoded_slots: self.encoded_slots,
             variables: self.num_vars(),
             clauses: self.num_clauses(),
-            compile,
-        }
-    }
-
-    /// The compiled transition relation driving this unrolling, if any.
-    pub fn compiled(&self) -> Option<&Arc<CompiledTransition>> {
-        match &self.backend {
-            Backend::Compiled { transition, .. } => Some(transition),
-            Backend::Eager { .. } => None,
         }
     }
 
@@ -484,8 +417,8 @@ impl<'n> Unrolling<'n> {
     /// incremental UPEC engine in the `upec` crate relies on exactly this
     /// contract.
     ///
-    /// In compiled mode a new frame is merely *declared* here; its slots are
-    /// bit-blasted on demand when queries reach them.
+    /// A new frame is merely *declared* here; its slots are bit-blasted on
+    /// demand when queries reach them.
     ///
     /// ```
     /// use rtl::{Netlist, BitVec};
@@ -511,108 +444,14 @@ impl<'n> Unrolling<'n> {
     /// }
     /// ```
     pub fn extend_to(&mut self, k: usize) {
-        match &mut self.backend {
-            Backend::Eager { .. } => {
-                while self.frame_count() <= k {
-                    self.build_eager_frame();
-                }
-            }
-            Backend::Compiled { transition, frames } => {
-                let slots = transition.len();
-                while frames.len() <= k {
-                    frames.push(vec![None; slots]);
-                }
-            }
+        let slots = self.transition.len();
+        while self.frames.len() <= k {
+            self.frames.push(vec![None; slots]);
         }
     }
 
     // ------------------------------------------------------------------
-    // Eager encoding (the pre-compiler baseline)
-    // ------------------------------------------------------------------
-
-    fn build_eager_frame(&mut self) {
-        let t = self.frame_count();
-        let mut span = obs::span("bmc.encode_frame");
-        span.attr_u64("frame", t as u64);
-        let mut frame: Vec<Vec<Lit>> = Vec::with_capacity(self.netlist.len());
-        for id in self.netlist.signals() {
-            let lits = self.encode_netlist_node(t, id, &frame);
-            for &l in &lits {
-                self.gates.freeze(l);
-            }
-            frame.push(lits);
-        }
-        self.encoded_slots += frame.len();
-        span.attr_u64("slots", frame.len() as u64);
-        match &mut self.backend {
-            Backend::Eager { frames } => frames.push(frame),
-            Backend::Compiled { .. } => unreachable!("eager frame on compiled backend"),
-        }
-    }
-
-    fn encode_netlist_node(&mut self, t: usize, id: SignalId, frame: &[Vec<Lit>]) -> Vec<Lit> {
-        match self.netlist.node(id) {
-            Node::Input { width, .. } => self.fresh_word(*width),
-            Node::Const(v) => self.const_word(*v),
-            Node::Register {
-                register, width, ..
-            } => {
-                let info = &self.netlist.registers()[register.index()];
-                if t == 0 {
-                    if let Some(&source) = self.frame0_aliases.get(&id.index()) {
-                        return frame[source.index()].clone();
-                    }
-                    match (self.options.use_initial_values, info.init) {
-                        (true, Some(init)) => self.const_word(init),
-                        _ => self.fresh_word(*width),
-                    }
-                } else {
-                    // The register's value in frame t is its next-state
-                    // expression evaluated in frame t-1.
-                    let next = info
-                        .next
-                        .expect("validated netlists give every register a next-state");
-                    match &self.backend {
-                        Backend::Eager { frames } => frames[t - 1][next.index()].clone(),
-                        Backend::Compiled { .. } => unreachable!(),
-                    }
-                }
-            }
-            Node::Unary { op, a, .. } => {
-                let a = frame[a.index()].clone();
-                self.encode_unary(*op, &a)
-            }
-            Node::Binary { op, a, b, .. } => {
-                let a = frame[a.index()].clone();
-                let b = frame[b.index()].clone();
-                self.encode_binary(*op, &a, &b)
-            }
-            Node::Mux {
-                cond, then_, else_, ..
-            } => {
-                let c = frame[cond.index()][0];
-                let t_lits = frame[then_.index()].clone();
-                let e_lits = frame[else_.index()].clone();
-                t_lits
-                    .iter()
-                    .zip(&e_lits)
-                    .map(|(&tl, &el)| self.gates.mux(c, tl, el))
-                    .collect()
-            }
-            Node::Slice { a, hi, lo } => {
-                let a = &frame[a.index()];
-                a[*lo as usize..=*hi as usize].to_vec()
-            }
-            Node::Concat { hi, lo, .. } => {
-                let mut lits = frame[lo.index()].clone();
-                lits.extend_from_slice(&frame[hi.index()]);
-                lits
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Compiled, lazy encoding
+    // Lazy slot encoding
     // ------------------------------------------------------------------
 
     /// Makes sure `slot` has literals in `frame`, bit-blasting it and its
@@ -649,10 +488,7 @@ impl<'n> Unrolling<'n> {
                 for &l in &lits {
                     self.gates.freeze(l);
                 }
-                match &mut self.backend {
-                    Backend::Compiled { frames, .. } => frames[f][s as usize] = Some(lits),
-                    Backend::Eager { .. } => unreachable!(),
-                }
+                self.frames[f][s as usize] = Some(lits);
                 self.encoded_slots += 1;
                 stack.pop();
             }
@@ -660,18 +496,12 @@ impl<'n> Unrolling<'n> {
     }
 
     fn slot_lits(&self, frame: usize, slot: u32) -> Option<&[Lit]> {
-        match &self.backend {
-            Backend::Compiled { frames, .. } => frames[frame][slot as usize].as_deref(),
-            Backend::Eager { .. } => unreachable!("slot access on eager backend"),
-        }
+        self.frames[frame][slot as usize].as_deref()
     }
 
     /// The `(frame, slot)` pairs that must be encoded before this one.
     fn slot_deps(&self, frame: usize, slot: u32) -> Vec<(usize, u32)> {
-        let transition = match &self.backend {
-            Backend::Compiled { transition, .. } => transition,
-            Backend::Eager { .. } => unreachable!(),
-        };
+        let transition = &self.transition;
         match &transition.ops()[slot as usize] {
             CompiledOp::Input { .. } | CompiledOp::Const(_) => Vec::new(),
             CompiledOp::Register { register, .. } => {
@@ -704,10 +534,7 @@ impl<'n> Unrolling<'n> {
 
     /// Bit-blasts one slot whose dependencies are already encoded.
     fn encode_slot(&mut self, frame: usize, slot: u32) -> Vec<Lit> {
-        let transition = match &self.backend {
-            Backend::Compiled { transition, .. } => Arc::clone(transition),
-            Backend::Eager { .. } => unreachable!(),
-        };
+        let transition = Arc::clone(&self.transition);
         let word = |me: &Self, f: usize, s: u32| -> Vec<Lit> {
             me.slot_lits(f, s)
                 .expect("dependency encoded before use")
@@ -942,7 +769,7 @@ impl<'n> Unrolling<'n> {
     }
 
     /// Literals of a signal in a frame (LSB first), bit-blasting the signal's
-    /// transitive support on first access in compiled mode.
+    /// transitive support on first access.
     ///
     /// # Errors
     ///
@@ -951,33 +778,25 @@ impl<'n> Unrolling<'n> {
     /// compilation.
     pub fn lits(&mut self, frame: usize, signal: SignalId) -> Result<Vec<Lit>, UnrollError> {
         self.check_frame(frame)?;
-        match &self.backend {
-            Backend::Eager { frames } => Ok(frames[frame][signal.index()].clone()),
-            Backend::Compiled { transition, .. } => {
-                let slot = transition
-                    .slot_of(signal)
-                    .ok_or(UnrollError::NotInSchedule { signal })?;
-                self.ensure_slot(frame, slot);
-                Ok(self.slot_lits(frame, slot).expect("just encoded").to_vec())
-            }
-        }
+        let slot = self
+            .transition
+            .slot_of(signal)
+            .ok_or(UnrollError::NotInSchedule { signal })?;
+        self.ensure_slot(frame, slot);
+        Ok(self.slot_lits(frame, slot).expect("just encoded").to_vec())
     }
 
     /// Literals of a signal in a frame, **without** encoding anything:
     /// read-only companion of [`Unrolling::lits`] for use after a solve.
     fn peek_lits(&self, frame: usize, signal: SignalId) -> Result<Vec<Lit>, UnrollError> {
         self.check_frame(frame)?;
-        match &self.backend {
-            Backend::Eager { frames } => Ok(frames[frame][signal.index()].clone()),
-            Backend::Compiled { transition, frames } => {
-                let slot = transition
-                    .slot_of(signal)
-                    .ok_or(UnrollError::NotInSchedule { signal })?;
-                frames[frame][slot as usize]
-                    .clone()
-                    .ok_or(UnrollError::NotEncoded { signal, frame })
-            }
-        }
+        let slot = self
+            .transition
+            .slot_of(signal)
+            .ok_or(UnrollError::NotInSchedule { signal })?;
+        self.frames[frame][slot as usize]
+            .clone()
+            .ok_or(UnrollError::NotEncoded { signal, frame })
     }
 
     /// Literal of a single-bit signal in a frame.
@@ -1321,13 +1140,8 @@ impl<'n> Unrolling<'n> {
     /// schedule plus everything that changes what a `(frame, slot, bit)`
     /// term denotes (initial-value mode, frame-0 aliases). Two unrollings
     /// with equal fingerprints encode the same transition terms, so clauses
-    /// exported by one are sound in the other. `None` in eager mode, which
-    /// does not participate in sharing.
-    pub fn share_fingerprint(&self) -> Option<u64> {
-        let transition = match &self.backend {
-            Backend::Compiled { transition, .. } => transition,
-            Backend::Eager { .. } => return None,
-        };
+    /// exported by one are sound in the other.
+    pub fn share_fingerprint(&self) -> u64 {
         // FNV-1a over a structural rendering of the schedule and options.
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fold = |bytes: &[u8]| {
@@ -1336,7 +1150,7 @@ impl<'n> Unrolling<'n> {
                 hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        fold(format!("{:?}", transition.ops()).as_bytes());
+        fold(format!("{:?}", self.transition.ops()).as_bytes());
         fold(&[self.options.use_initial_values as u8]);
         let mut aliases: Vec<(usize, usize)> = self
             .frame0_aliases
@@ -1345,7 +1159,7 @@ impl<'n> Unrolling<'n> {
             .collect();
         aliases.sort_unstable();
         fold(format!("{aliases:?}").as_bytes());
-        Some(hash)
+        hash
     }
 
     /// Builds the canonical-term maps of the encoded frames: variable →
@@ -1355,13 +1169,9 @@ impl<'n> Unrolling<'n> {
     /// and deterministic, but the *choice* of representative never needs to
     /// match across sessions — a position always denotes the same term.
     fn canon_maps(&self) -> (HashMap<u32, (u64, bool)>, HashMap<u64, Lit>) {
-        let frames = match &self.backend {
-            Backend::Compiled { frames, .. } => frames,
-            Backend::Eager { .. } => return (HashMap::new(), HashMap::new()),
-        };
         let mut var_to_pos: HashMap<u32, (u64, bool)> = HashMap::new();
         let mut pos_to_lit: HashMap<u64, Lit> = HashMap::new();
-        for (f, slots) in frames.iter().enumerate() {
+        for (f, slots) in self.frames.iter().enumerate() {
             for (s, lits) in slots.iter().enumerate() {
                 let Some(lits) = lits else { continue };
                 for (bit, &l) in lits.iter().enumerate() {
@@ -1380,11 +1190,8 @@ impl<'n> Unrolling<'n> {
     /// canonical term ids (see [`SharedClause`]). Clauses mentioning a
     /// variable with no canonical position — an internal Tseitin variable
     /// that survived elimination — cannot be expressed in another session
-    /// and are skipped. No-op in eager mode.
+    /// and are skipped.
     pub fn export_shared(&mut self, sink: &mut Vec<SharedClause>) {
-        if matches!(self.backend, Backend::Eager { .. }) {
-            return;
-        }
         let (var_to_pos, _) = self.canon_maps();
         self.gates.solver_mut().drain_exportable(
             Self::SHARE_MAX_LEN,
@@ -1417,9 +1224,6 @@ impl<'n> Unrolling<'n> {
     ///
     /// Panics if called mid-search (imports happen between solves).
     pub fn import_shared(&mut self, clauses: &[SharedClause]) -> usize {
-        if matches!(self.backend, Backend::Eager { .. }) {
-            return 0;
-        }
         let (_, pos_to_lit) = self.canon_maps();
         let mut imported = 0;
         let mut local = Vec::with_capacity(Self::SHARE_MAX_LEN);
@@ -1449,7 +1253,7 @@ impl<'n> Unrolling<'n> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the frame is not built, or — in compiled mode —
+    /// Returns an error if the frame is not built, or
     /// [`UnrollError::NotEncoded`]/[`UnrollError::NotInSchedule`] when the
     /// signal never got literals (it was irrelevant to every query, so the
     /// model genuinely carries no value for it).
@@ -1475,7 +1279,7 @@ mod tests {
 
     /// Builds a small combinational netlist exercising every operator, then
     /// cross-checks the bit-blasted encoding against the word-level
-    /// simulator semantics for random inputs — in both encoding modes.
+    /// simulator semantics for random inputs.
     #[test]
     fn bitblasting_matches_word_level_semantics() {
         let width = 6u32;
@@ -1510,7 +1314,7 @@ mod tests {
         ops.push(("mux", mux));
 
         let mut rng = SplitMix64::new(7);
-        for trial in 0..12 {
+        for _ in 0..12 {
             let av = rng.gen_u64_below(1u64 << width);
             let bv = rng.gen_u64_below(1u64 << width);
             let sh = rng.gen_u64_below(8);
@@ -1554,19 +1358,12 @@ mod tests {
                 })
                 .collect();
 
-            // Alternate between the compiled and the eager strategy so both
-            // encoders stay pinned to the same word-level semantics.
-            let options = if trial % 2 == 0 {
-                UnrollOptions::default()
-            } else {
-                UnrollOptions::default().eager()
-            };
-            let mut u = Unrolling::new(&n, options);
+            let mut u = Unrolling::new(&n, UnrollOptions::default());
             u.assume_signal_equals_const(0, a, av).unwrap();
             u.assume_signal_equals_const(0, b, bv).unwrap();
             u.assume_signal_equals_const(0, shift_amount, sh).unwrap();
             // Materialize every observed operator before solving (the lazy
-            // compiled mode only encodes what queries touch).
+            // encoding only encodes what queries touch).
             for (_, signal) in &ops {
                 u.lits(0, *signal).unwrap();
             }
@@ -1715,11 +1512,12 @@ mod tests {
         assert_eq!(u.solver_stats().budget_exhaustions, 1, "the trial-cap stop");
     }
 
-    /// A design with provably dead logic: compiled encoding must produce a
-    /// strictly smaller CNF than the eager baseline while agreeing on the
-    /// verdict — the fast "CNF-size snapshot" acceptance check.
+    /// A design with provably dead logic and a duplicated subterm: the
+    /// compiler encodes the duplicate once, and the lazy encoding never
+    /// reaches the dead register's cone — the fast "CNF-size snapshot"
+    /// acceptance check.
     #[test]
-    fn compiled_cnf_is_a_strict_subset_of_eager() {
+    fn dead_logic_is_never_encoded() {
         let mut n = Netlist::new("partly_dead");
         let a = n.input("a", 8);
         let b = n.input("b", 8);
@@ -1733,55 +1531,57 @@ mod tests {
         };
         n.set_next(live, live_next);
         n.set_next(dead, dead_next);
-        // Duplicated subterm: encoded once by the compiler.
         let cmp1 = n.ult(live.value(), b);
         let cmp2 = n.ult(live.value(), b);
         n.output("cmp1", cmp1);
         n.output("cmp2", cmp2);
 
-        let run = |options: UnrollOptions| -> (usize, usize, bool) {
-            let mut u = Unrolling::new(&n, options);
-            u.extend_to(2);
-            u.assume_signal_true(2, cmp1).unwrap();
-            u.assume_signal_true(2, cmp2).unwrap();
-            let sat = u.solve(&[]).is_sat();
-            (u.num_vars(), u.num_clauses(), sat)
-        };
-        let (eager_vars, eager_clauses, eager_sat) = run(UnrollOptions::default().eager());
-        let (lazy_vars, lazy_clauses, lazy_sat) = run(UnrollOptions::default());
-        assert_eq!(eager_sat, lazy_sat, "strategies must agree on the verdict");
-        assert!(
-            lazy_vars < eager_vars && lazy_clauses < eager_clauses,
-            "compiled encoding must be strictly smaller: {lazy_vars}/{lazy_clauses} \
-             vs eager {eager_vars}/{eager_clauses}"
-        );
-        // The dead register's cone is never encoded by the compiled path.
         let mut u = Unrolling::new(&n, UnrollOptions::default());
-        u.extend_to(1);
-        u.assume_signal_true(1, cmp1).unwrap();
+        u.extend_to(2);
+        u.assume_signal_true(2, cmp1).unwrap();
+        u.assume_signal_true(2, cmp2).unwrap();
+        assert_eq!(u.lits(2, cmp1).unwrap(), u.lits(2, cmp2).unwrap());
+        let result = u.solve(&[]);
+        let model = result.model().expect("live < b is reachable");
+        for frame in 0..=2 {
+            for signal in [dead.value(), dead_next] {
+                assert_eq!(
+                    u.value_in_model(model, frame, signal),
+                    Err(UnrollError::NotEncoded { signal, frame })
+                );
+            }
+        }
+        // cmp, live and b in frame 2; live_next, live and a in frames 1
+        // and 0 — nine of the 3 x 9 scheduled slot instances.
         let stats = u.encode_stats();
-        assert_eq!(stats.strategy, "compiled");
-        assert!(stats.encoded_slots < 2 * stats.scheduled_slots);
+        assert_eq!((stats.scheduled_slots, stats.encoded_slots), (9, 9));
     }
 
-    /// The final frame of a compiled unrolling never encodes next-state
-    /// logic (no deeper frame consumes it) — the "per frame" half of the
+    /// The final frame of an unrolling never encodes next-state logic (no
+    /// deeper frame consumes it) — the "per frame" half of the
     /// cone-of-influence pruning.
     #[test]
     fn final_frame_skips_next_state_logic() {
         let (n, c) = counter_netlist();
-        let mut eager = Unrolling::new(&n, UnrollOptions::default().eager());
-        eager.extend_to(1);
-        eager.assume_signal_equals_const(1, c.value(), 3).unwrap();
-        let mut lazy = Unrolling::new(&n, UnrollOptions::default());
-        lazy.extend_to(1);
-        lazy.assume_signal_equals_const(1, c.value(), 3).unwrap();
-        // Eager pays for the adder in both frames; lazy only in frame 0.
-        assert!(lazy.num_vars() < eager.num_vars());
-        assert!(lazy.encode_stats().encoded_slots < 2 * lazy.encode_stats().scheduled_slots);
+        let next = n.registers()[0].next.expect("counter has a next-state");
+        let mut u = Unrolling::new(&n, UnrollOptions::default());
+        u.extend_to(1);
+        u.assume_signal_equals_const(1, c.value(), 3).unwrap();
+        let result = u.solve(&[]);
+        let model = result.model().expect("the counter reaches 3");
+        assert_eq!(u.value_in_model(model, 0, next).unwrap().as_u64(), 3);
+        assert_eq!(
+            u.value_in_model(model, 1, next),
+            Err(UnrollError::NotEncoded {
+                signal: next,
+                frame: 1
+            })
+        );
+        // c in frame 1; the adder, c and the constant in frame 0.
+        assert_eq!(u.encode_stats().encoded_slots, 4);
     }
 
-    /// Frame-0 register aliases work identically through the compiled path.
+    /// Frame-0 register aliases make two registers start on shared literals.
     #[test]
     fn compiled_frame0_aliases_share_literals() {
         let mut n = Netlist::new("aliased");
@@ -1795,13 +1595,15 @@ mod tests {
         let differ = n.ne(r1.value(), r2.value());
         n.output("differ", differ);
 
-        for options in [UnrollOptions::default(), UnrollOptions::default().eager()] {
-            let mut u = Unrolling::with_frame0_aliases(&n, options, &[(r2.value(), r1.value())]);
-            u.extend_to(1);
-            // Registers start structurally equal and step identically, so
-            // they can never differ at frame 1.
-            u.assume_signal_true(1, differ).unwrap();
-            assert!(u.solve(&[]).is_unsat());
-        }
+        let mut u = Unrolling::with_frame0_aliases(
+            &n,
+            UnrollOptions::default(),
+            &[(r2.value(), r1.value())],
+        );
+        u.extend_to(1);
+        // Registers start structurally equal and step identically, so they
+        // can never differ at frame 1.
+        u.assume_signal_true(1, differ).unwrap();
+        assert!(u.solve(&[]).is_unsat());
     }
 }

@@ -56,17 +56,10 @@ fn unrolling_matches_simulator() {
         }
 
         // Reset-state unrolling with the same stimulus forced through
-        // constraints on the input words. Alternate between the compiled
-        // (structurally hashed, lazily pruned) strategy and the eager
-        // baseline so both encoders stay pinned to the simulator semantics.
-        let options = if rng.gen_bool() {
-            UnrollOptions::from_reset_state()
-        } else {
-            UnrollOptions::from_reset_state().eager()
-        };
-        let mut unrolling = Unrolling::new(&netlist, options);
+        // constraints on the input words.
+        let mut unrolling = Unrolling::new(&netlist, UnrollOptions::from_reset_state());
         unrolling.extend_to(stimulus.len());
-        // Materialize the observed signals in every frame: the lazy strategy
+        // Materialize the observed signals in every frame: the lazy encoding
         // only encodes what queries reach.
         for frame in 0..=stimulus.len() {
             for &signal in &observed {

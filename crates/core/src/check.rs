@@ -22,9 +22,6 @@ pub struct UpecOptions {
     /// Use the registers' reset values instead of a symbolic initial state
     /// (only used by the ablation study; real UPEC runs keep this `false`).
     pub from_reset_state: bool,
-    /// Bypass the transition-relation compiler and encode the miter eagerly
-    /// (the pre-compiler baseline; used by differential tests).
-    pub eager_encoding: bool,
     /// Skip the solver's incremental-safe CNF simplification pipeline (the
     /// pre-simplifier baseline; used by differential tests). Real proofs
     /// keep this `false`.
@@ -51,7 +48,6 @@ impl UpecOptions {
             window: k,
             budget: sat::Budget::unlimited(),
             from_reset_state: false,
-            eager_encoding: false,
             no_simplify: false,
             simplify_trial_conflicts: bmc::UnrollOptions::default().simplify_trial_conflicts,
             certify: false,
@@ -69,12 +65,6 @@ impl UpecOptions {
     /// Switches to reset-state bounded model checking (ablation only).
     pub fn from_reset(mut self) -> Self {
         self.from_reset_state = true;
-        self
-    }
-
-    /// Switches to the eager (compiler-bypassing) encoding baseline.
-    pub fn eager(mut self) -> Self {
-        self.eager_encoding = true;
         self
     }
 
@@ -271,24 +261,6 @@ impl UpecChecker {
             .collect();
         self.check(model, options, &commitment)
     }
-}
-
-/// Frame-0 alias pairs expressing the `micro_soc_state1 = micro_soc_state2`
-/// assumption structurally (not used for reset-state ablation runs, where the
-/// initial values already coincide).
-pub(crate) fn frame0_aliases(
-    model: &UpecModel,
-    from_reset_state: bool,
-) -> Vec<(rtl::SignalId, rtl::SignalId)> {
-    if from_reset_state {
-        return Vec::new();
-    }
-    model
-        .pairs()
-        .iter()
-        .filter(|p| p.class != StateClass::Memory)
-        .map(|p| (p.signal2, p.signal1))
-        .collect()
 }
 
 /// The full commitment: every architectural and microarchitectural register.

@@ -3,7 +3,7 @@
 use crate::certify::{CertificateCheck, CertificateError, VerdictCertificate};
 use crate::engine::{EngineError, IncrementalSession, SharedClausePool};
 use crate::scenarios::{Expectation, ScenarioInstance};
-use crate::{Alert, AlertKind, UpecModel, UpecOptions, UpecOutcome};
+use crate::{Alert, AlertKind, UpecModel, UpecOptions, UpecOutcome, UpecStats};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -119,6 +119,19 @@ pub struct BoundSummary {
     pub clauses: usize,
 }
 
+impl BoundSummary {
+    fn new(bound: usize, status: BoundStatus, stats: &UpecStats) -> Self {
+        Self {
+            bound,
+            status,
+            conflicts: stats.conflicts,
+            runtime: stats.runtime,
+            variables: stats.variables,
+            clauses: stats.clauses,
+        }
+    }
+}
+
 /// Aggregate verdict of one scenario scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanVerdict {
@@ -169,6 +182,16 @@ impl UpecEngine {
         Self { options }
     }
 
+    /// The last window of `instance`'s scan under the engine's cap. The cap
+    /// is honored strictly: a cap below the instance's start window yields
+    /// an empty scan (reported as Inconclusive) rather than silently running
+    /// the instance's cheapest — possibly still multi-minute — bound.
+    fn last_window(&self, instance: &ScenarioInstance) -> usize {
+        self.options
+            .max_window
+            .map_or(instance.max_window, |m| m.min(instance.max_window))
+    }
+
     /// The per-bound scan loop: walks one instance's window range on a fresh
     /// incremental session.
     ///
@@ -194,18 +217,10 @@ impl UpecEngine {
         // [`IncrementalSession::import_shared`]).
         let mut share_pending: Vec<bmc::SharedClause> = Vec::new();
         let mut export_buf: Vec<bmc::SharedClause> = Vec::new();
-        // Honor the cap strictly: a cap below the instance's start window
-        // yields an empty scan (reported as Inconclusive) rather than
-        // silently running the instance's cheapest — possibly still
-        // multi-minute — bound.
-        let max = self
-            .options
-            .max_window
-            .map_or(instance.max_window, |m| m.min(instance.max_window));
         let scan_start = session.solver_stats();
         let mut bounds = Vec::new();
         let mut first_alert: Option<Alert> = None;
-        for k in instance.start_window..=max {
+        for k in instance.start_window..=self.last_window(&instance) {
             // Budget policy: each bound runs under its own budget intersected
             // with whatever the scenario budget has left; once the scan's
             // allotment is spent, remaining bounds are recorded as Unknown
@@ -216,19 +231,16 @@ impl UpecEngine {
                 .minus(&session.solver_stats().delta_since(&scan_start));
             if scenario_left.is_exhausted() {
                 obs::counter("upec.scan.budget_skipped_bounds", 1);
-                bounds.push(BoundSummary {
-                    bound: k,
-                    status: BoundStatus::Unknown,
-                    conflicts: 0,
-                    runtime: Duration::ZERO,
-                    variables: 0,
-                    clauses: 0,
-                });
+                bounds.push(BoundSummary::new(
+                    k,
+                    BoundStatus::Unknown,
+                    &UpecStats::default(),
+                ));
                 continue;
             }
             session.set_budget(self.options.bound_budget.min(scenario_left));
-            if let (Some(pool), Some(fp)) = (pool, fingerprint) {
-                let (batch, next) = pool.fetch(fp, share_cursor);
+            if let Some(pool) = pool {
+                let (batch, next) = pool.fetch(fingerprint, share_cursor);
                 share_cursor = next;
                 share_pending.extend(batch);
                 // Only clauses whose deepest frame the session has encoded
@@ -241,35 +253,19 @@ impl UpecEngine {
                     session.import_shared(&eligible);
                 }
             }
-            let (status, stats) = match session.check_bound(k, commitment) {
-                UpecOutcome::Proven(s) => (BoundStatus::Proven, s),
-                UpecOutcome::Unknown(s) => (unknown_status(s.stop), s),
-                UpecOutcome::Violated(alert, s) => {
-                    let status = match alert.kind {
-                        AlertKind::PAlert => BoundStatus::PAlert,
-                        AlertKind::LAlert => BoundStatus::LAlert,
-                    };
-                    if first_alert.is_none() {
-                        first_alert = Some(alert);
-                    }
-                    (status, s)
-                }
-            };
-            if let (Some(pool), Some(fp)) = (pool, fingerprint) {
+            let outcome = session.check_bound(k, commitment);
+            let summary = BoundSummary::new(k, bound_status(&outcome), &outcome.stats());
+            if let UpecOutcome::Violated(alert, _) = outcome {
+                first_alert.get_or_insert(alert);
+            }
+            if let Some(pool) = pool {
                 session.export_shared(&mut export_buf);
                 if !export_buf.is_empty() {
-                    pool.publish(fp, std::mem::take(&mut export_buf));
+                    pool.publish(fingerprint, std::mem::take(&mut export_buf));
                 }
             }
-            bounds.push(BoundSummary {
-                bound: k,
-                status,
-                conflicts: stats.conflicts,
-                runtime: stats.runtime,
-                variables: stats.variables,
-                clauses: stats.clauses,
-            });
-            if status == BoundStatus::LAlert {
+            bounds.push(summary);
+            if summary.status == BoundStatus::LAlert {
                 break;
             }
         }
@@ -284,6 +280,18 @@ impl UpecEngine {
             budget_exhaustions: stats.budget_exhaustions,
             cancellations: stats.cancellations,
         }
+    }
+}
+
+/// The status a bound's outcome records.
+fn bound_status(outcome: &UpecOutcome) -> BoundStatus {
+    match outcome {
+        UpecOutcome::Proven(_) => BoundStatus::Proven,
+        UpecOutcome::Violated(alert, _) => match alert.kind {
+            AlertKind::PAlert => BoundStatus::PAlert,
+            AlertKind::LAlert => BoundStatus::LAlert,
+        },
+        UpecOutcome::Unknown(stats) => unknown_status(stats.stop),
     }
 }
 
@@ -316,6 +324,16 @@ fn verdict_from_bounds(bounds: &[BoundSummary]) -> ScanVerdict {
     }
 }
 
+/// Whether a scan verdict matches a pinned expectation.
+fn verdict_matches(expected: Expectation, verdict: ScanVerdict) -> bool {
+    matches!(
+        (expected, verdict),
+        (Expectation::Proven, ScanVerdict::Secure)
+            | (Expectation::PAlertsOnly, ScanVerdict::PAlertsOnly)
+            | (Expectation::LAlert, ScanVerdict::Insecure)
+    )
+}
+
 /// Result of scanning one [`ScenarioInstance`].
 #[derive(Debug, Clone)]
 pub struct InstanceResult {
@@ -342,12 +360,7 @@ pub struct InstanceResult {
 impl InstanceResult {
     /// Whether the verdict matches the instance's pinned expectation.
     pub fn matches_expectation(&self) -> bool {
-        matches!(
-            (self.instance.expected, self.verdict),
-            (Expectation::Proven, ScanVerdict::Secure)
-                | (Expectation::PAlertsOnly, ScanVerdict::PAlertsOnly)
-                | (Expectation::LAlert, ScanVerdict::Insecure)
-        )
+        verdict_matches(self.instance.expected, self.verdict)
     }
 
     /// Total query wall time across all completed bounds.
@@ -398,12 +411,7 @@ pub struct CertifiedResult {
 impl CertifiedResult {
     /// Whether the verdict matches the instance's pinned expectation.
     pub fn matches_expectation(&self) -> bool {
-        matches!(
-            (self.instance.expected, self.verdict),
-            (Expectation::Proven, ScanVerdict::Secure)
-                | (Expectation::PAlertsOnly, ScanVerdict::PAlertsOnly)
-                | (Expectation::LAlert, ScanVerdict::Insecure)
-        )
+        verdict_matches(self.instance.expected, self.verdict)
     }
 
     /// Number of bounds that carry a certificate.
@@ -495,48 +503,26 @@ impl UpecEngine {
             .with_budget(self.options.bound_budget)
             .with_certificates();
         let mut session = IncrementalSession::with_options(&model, options);
-        let max = self
-            .options
-            .max_window
-            .map_or(instance.max_window, |m| m.min(instance.max_window));
         let mut bounds = Vec::new();
-        for k in instance.start_window..=max {
-            let (status, stats, certificate) = match session.check_bound_certified(k, &commitment) {
-                Ok((outcome, certificate)) => {
-                    let (status, stats) = match &outcome {
-                        UpecOutcome::Proven(s) => (BoundStatus::Proven, *s),
-                        UpecOutcome::Violated(alert, s) => (
-                            match alert.kind {
-                                AlertKind::PAlert => BoundStatus::PAlert,
-                                AlertKind::LAlert => BoundStatus::LAlert,
-                            },
-                            *s,
-                        ),
-                        // Unknown outcomes surface as UncertifiableVerdict.
-                        UpecOutcome::Unknown(s) => (BoundStatus::Unknown, *s),
-                    };
-                    (status, stats, certificate)
-                }
+        for k in instance.start_window..=self.last_window(instance) {
+            let (summary, certificate) = match session.check_bound_certified(k, &commitment) {
+                Ok((outcome, certificate)) => (
+                    BoundSummary::new(k, bound_status(&outcome), &outcome.stats()),
+                    certificate,
+                ),
                 // An undecided bound has no verdict and therefore no
                 // certificate; record it honestly and keep scanning — the
                 // session stays valid.
                 Err(EngineError::UncertifiableVerdict { stats, stop, .. }) => {
-                    (unknown_status(stop), stats, None)
+                    (BoundSummary::new(k, unknown_status(stop), &stats), None)
                 }
                 Err(e) => panic!("certified scan of {}: {e}", instance.id()),
             };
             bounds.push(CertifiedBound {
-                summary: BoundSummary {
-                    bound: k,
-                    status,
-                    conflicts: stats.conflicts,
-                    runtime: stats.runtime,
-                    variables: stats.variables,
-                    clauses: stats.clauses,
-                },
+                summary,
                 certificate,
             });
-            if status == BoundStatus::LAlert {
+            if summary.status == BoundStatus::LAlert {
                 break;
             }
         }
@@ -561,8 +547,8 @@ mod tests {
     #[test]
     fn engine_matches_expectations_on_a_fast_subset() {
         // A cheap subset keeps the default suite fast on small machines; the
-        // `#[ignore]`d sweep below covers the whole registry and `cargo run
-        // -p bench --bin engine` runs it as a standalone gate.
+        // `#[ignore]`d instance sweep in `tests/scenario_instances.rs` covers
+        // the whole registry.
         let instances = [base("secure-uncached"), base("orc")];
         let engine = UpecEngine::new(EngineOptions::new().with_threads(2).with_max_window(2));
         for result in engine.run_instances(instances) {
@@ -575,25 +561,6 @@ mod tests {
                 result.summary()
             );
         }
-    }
-
-    /// The full-registry sweep takes tens of SAT-heavy minutes on a small
-    /// machine, so it is opt-in: `cargo test -p upec --release -- --ignored`.
-    #[test]
-    #[ignore = "multi-minute SAT sweep of every registered scenario; run with --ignored"]
-    fn engine_reproduces_every_registry_expectation() {
-        let engine = UpecEngine::new(EngineOptions::new());
-        let results = engine.run_instances(
-            scenarios::registry()
-                .into_iter()
-                .map(ScenarioInstance::base),
-        );
-        let failures: Vec<String> = results
-            .iter()
-            .filter(|r| !r.matches_expectation())
-            .map(InstanceResult::summary)
-            .collect();
-        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! A persistent, incremental UPEC solving session.
 
 use crate::certify::{UnsatCertificate, VerdictCertificate, WitnessCertificate};
-use crate::check::frame0_aliases;
 use crate::engine::EngineError;
 use crate::{
     Alert, AlertKind, RegisterPair, StateClass, UpecModel, UpecOptions, UpecOutcome, UpecStats,
@@ -91,25 +90,26 @@ impl<'m> IncrementalSession<'m> {
         let unroll_options = UnrollOptions {
             use_initial_values: options.from_reset_state,
             budget: options.budget,
-            eager_encoding: options.eager_encoding,
             no_simplify: options.no_simplify,
             simplify_trial_conflicts: options.simplify_trial_conflicts,
             proof_log: options.certify,
             search: options.search,
         };
-        let aliases = frame0_aliases(model, options.from_reset_state);
-        let mut unrolling = if options.eager_encoding {
-            Unrolling::with_frame0_aliases(model.netlist(), unroll_options, &aliases)
+        // Reset-state ablation runs need no aliases: the initial values
+        // already coincide.
+        let aliases = if options.from_reset_state {
+            Vec::new()
         } else {
-            // Compile once per miter, clone per frame: every session shares
-            // the model's pruned-and-hashed schedule.
-            Unrolling::with_compiled(
-                model.netlist(),
-                Arc::clone(model.compiled_transition()),
-                unroll_options,
-                &aliases,
-            )
+            model.frame0_aliases()
         };
+        // Compile once per miter, clone per frame: every session shares the
+        // model's pruned-and-hashed schedule.
+        let mut unrolling = Unrolling::with_compiled(
+            model.netlist(),
+            Arc::clone(model.compiled_transition()),
+            unroll_options,
+            &aliases,
+        );
         for constraint in model
             .initial_constraints()
             .iter()
@@ -179,8 +179,8 @@ impl<'m> IncrementalSession<'m> {
         self.unrolling.solver_stats()
     }
 
-    /// Encoding statistics of the session's unrolling: strategy, schedule
-    /// size, encoded slot instances and CNF size (see [`bmc::EncodeStats`]).
+    /// Encoding statistics of the session's unrolling: schedule size,
+    /// encoded slot instances and CNF size (see [`bmc::EncodeStats`]).
     pub fn encode_stats(&self) -> bmc::EncodeStats {
         self.unrolling.encode_stats()
     }
@@ -204,9 +204,8 @@ impl<'m> IncrementalSession<'m> {
     /// Stable fingerprint of the session's transition relation and frame-0
     /// assumption structure — the key under which this session may exchange
     /// learned clauses with sibling sessions (see
-    /// [`bmc::Unrolling::share_fingerprint`]). `None` when the session's
-    /// encoding cannot share (eager mode).
-    pub fn share_fingerprint(&self) -> Option<u64> {
+    /// [`bmc::Unrolling::share_fingerprint`]).
+    pub fn share_fingerprint(&self) -> u64 {
         self.unrolling.share_fingerprint()
     }
 

@@ -379,6 +379,18 @@ impl UpecModel {
         self.pairs.iter().find(|p| p.name == name)
     }
 
+    /// Frame-0 alias pairs `(instance-2 register, instance-1 register)` for
+    /// every non-memory pair: the `micro_soc_state1 = micro_soc_state2`
+    /// assumption of the paper's Fig. 4, stated structurally (see
+    /// [`bmc::Unrolling::with_frame0_aliases`]).
+    pub fn frame0_aliases(&self) -> Vec<(SignalId, SignalId)> {
+        self.pairs
+            .iter()
+            .filter(|p| p.class != StateClass::Memory)
+            .map(|p| (p.signal2, p.signal1))
+            .collect()
+    }
+
     /// Constraints assumed at the starting time point `t`.
     pub fn initial_constraints(&self) -> &[NamedConstraint] {
         &self.initial_constraints

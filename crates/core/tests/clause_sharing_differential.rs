@@ -105,8 +105,8 @@ fn exported_session_clauses_import_into_a_fingerprint_equal_sibling() {
 
     let mut session_a = upec::IncrementalSession::new(&model_a);
     let mut session_b = upec::IncrementalSession::new(&model_b);
-    let fp_a = session_a.share_fingerprint().expect("lazy sessions share");
-    let fp_b = session_b.share_fingerprint().expect("lazy sessions share");
+    let fp_a = session_a.share_fingerprint();
+    let fp_b = session_b.share_fingerprint();
     assert_eq!(
         fp_a, fp_b,
         "same variant+secret+geometry must produce equal fingerprints"

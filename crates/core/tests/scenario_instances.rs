@@ -112,19 +112,13 @@ fn fuzz_timing_instance_l_alerts_at_a_capped_window() {
 }
 
 /// The acceptance sweep: every pinned `(geometry, window, verdict)` in the
-/// instance registry re-verifies. Several release-mode minutes of SAT.
+/// instance registry re-verifies, `pmp-lock` at windows 7-9 included. Under
+/// a minute of SAT in release mode.
 #[test]
-#[ignore = "full instance-registry sweep; minutes of SAT solving — run with --ignored in release mode"]
+#[ignore = "full instance-registry sweep; under a minute of SAT solving in release — run with --ignored in release mode"]
 fn full_instance_sweep_matches_every_pinned_expectation() {
     let engine = UpecEngine::new(EngineOptions::new());
-    let results = engine.run_instances(
-        scenarios::instances()
-            .into_iter()
-            // The PMP scan needs windows 7-9 and takes tens of minutes on
-            // one core; its base pin is covered by the (equally ignored)
-            // end-to-end PMP proof.
-            .filter(|i| i.spec.id != "pmp-lock"),
-    );
+    let results = engine.run_instances(scenarios::instances());
     let mut failures = String::new();
     for result in &results {
         if !result.matches_expectation() {

@@ -8,13 +8,16 @@
 # Keep this script in sync with the README's "Tests and verification"
 # section. The tier-1 gate is the same command CI runs:
 #   cargo build --release && cargo test -q
+# Its umbrella tests include the encoding oracle: the compiled unrolling of
+# every distinct registry miter checked against the word-level simulator,
+# fresh and after CNF simplification (tests/cross_layer.rs).
 #
 # --full additionally runs the release-mode `--ignored` acceptance sweeps
-# (compiled-vs-eager encoding on the registry's orc query, full-registry
-# simplification differential, full instance-registry scan, default-seed
-# fuzz-witness reproduction, full clause-sharing differential, full
-# certified-verdict sweep, fault-injection differential sweep) — several
-# minutes of SAT solving.
+# (the umbrella end-to-end methodology run, full-registry simplification
+# differential, full instance-registry scan, default-seed fuzz-witness
+# reproduction, full clause-sharing differential, full certified-verdict
+# sweep, fault-injection differential sweep) — several minutes of SAT
+# solving.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,8 +60,8 @@ echo "==> benchmark contract tests (upecbench, release)"
 cargo test --release -q --offline --manifest-path upecbench/Cargo.toml
 
 if [ "$full" -eq 1 ]; then
-  echo "==> full: compiled vs eager encoding on the registry's orc query (--ignored, release)"
-  cargo test --release -q -p upec --test compiler_regressions -- --ignored orc_verdict_is_identical_under_both_encodings
+  echo "==> full: end-to-end methodology over all design variants (--ignored, release)"
+  cargo test --release -q --test end_to_end -- --ignored
 
   echo "==> full: simplification differential over the whole registry (--ignored, release)"
   cargo test --release -q -p upec --test simplify_differential -- --ignored

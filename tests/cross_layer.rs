@@ -1,12 +1,17 @@
 //! Cross-layer checks of the UPEC query path — `IncrementalSession` over
 //! `bmc::Unrolling` over `sat::Solver` — at k=1, cheap enough for the
-//! default test run: the solve paths agree on every verdict, every verdict
-//! carries a certificate that checks, and a budget-stopped or cancelled
-//! query resumes to the clean verdict.
+//! default test run: the compiled encoding of every distinct registry miter
+//! agrees with the word-level simulator, the solve paths agree on every
+//! verdict, every verdict carries a certificate that checks, and a
+//! budget-stopped or cancelled query resumes to the clean verdict.
 
-use sat::{Budget, CancelToken, SearchConfig, StopCause};
-use soc::SocVariant;
-use std::collections::BTreeSet;
+use bmc::{UnrollOptions, Unrolling};
+use rtl::{BitVec, SignalId, SplitMix64};
+use sat::{Budget, CancelToken, Lit, SearchConfig, StopCause};
+use sim::Simulator;
+use soc::{SocConfig, SocVariant};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use upec::scenarios::{self, Geometry};
 use upec::{
     full_commitment, CertificateCheck, IncrementalSession, SecretScenario, UpecModel, UpecOptions,
@@ -134,5 +139,127 @@ fn a_stopped_query_resumes_to_the_clean_verdict() {
             session.check_bound(1, &case.commitment).verdict_name(),
             case.expected
         );
+    }
+}
+
+/// Pins a random k=1 run of `model` as assumptions — a start state with
+/// aliased register pairs equal, and the inputs of both frames — solves, and
+/// compares every scheduled signal in both frames with the simulator.
+fn check_random_run(
+    name: &str,
+    model: &UpecModel,
+    unrolling: &mut Unrolling<'_>,
+    scheduled: &[SignalId],
+    rng: &mut SplitMix64,
+) {
+    let netlist = model.netlist();
+    let sources: HashMap<SignalId, SignalId> = model.frame0_aliases().into_iter().collect();
+    let mut pins: Vec<Lit> = Vec::new();
+    let mut pin = |frame: usize, signal: SignalId, value: BitVec| {
+        // Signals outside the compiled cone have no literals to pin.
+        if let Ok(lits) = unrolling.lits(frame, signal) {
+            let bits = lits.iter().enumerate();
+            pins.extend(bits.map(|(i, &l)| if value.get_bit(i as u32) { l } else { !l }));
+        }
+    };
+    let mut sim = Simulator::new(netlist.clone());
+    let mut start: HashMap<SignalId, BitVec> = HashMap::new();
+    for (id, info) in netlist.register_ids().zip(netlist.registers()) {
+        // Alias sources precede their registers, so theirs is drawn first.
+        let value = match sources.get(&info.signal) {
+            Some(source) => start[source],
+            None => BitVec::new(rng.next_u64(), info.width),
+        };
+        start.insert(info.signal, value);
+        sim.set_register(id, value.as_u64());
+        pin(0, info.signal, value);
+    }
+    let expected = [0, 1].map(|frame| {
+        if frame > 0 {
+            sim.step();
+        }
+        for &input in netlist.inputs() {
+            let value = BitVec::new(rng.next_u64(), netlist.width(input));
+            sim.poke(input, value.as_u64());
+            pin(frame, input, value);
+        }
+        scheduled.iter().map(|&s| sim.peek(s)).collect::<Vec<_>>()
+    });
+
+    let result = unrolling.solve(&pins);
+    let solution = result
+        .model()
+        .unwrap_or_else(|| panic!("{name}: a pinned run is consistent"));
+    for (frame, expected) in expected.iter().enumerate() {
+        for (&signal, value) in scheduled.iter().zip(expected) {
+            assert_eq!(
+                unrolling.value_in_model(solution, frame, signal).unwrap(),
+                *value,
+                "{name}: `{}` in frame {frame}",
+                netlist.signal_name(signal)
+            );
+        }
+    }
+}
+
+/// The encoding oracle. A certificate shows that a CNF is unsat or that a
+/// witness replays; only an independent reference shows that the CNF is the
+/// miter. For every distinct registry miter (SoC configuration plus secret:
+/// the instances collapse to 13), the compiled, frame-0-aliased unrolling a
+/// session solves must agree with the word-level simulator — which shares
+/// no code with the bit-blaster, the compiler or the simplifier — on every
+/// scheduled signal of both frames of a random run: first as encoded, then
+/// after a trial-0 solve has run the CNF simplifier over it. The scenario
+/// constraints stay out: a random start state need not satisfy them.
+#[test]
+fn compiled_unrolling_matches_the_simulator_on_every_registry_miter() {
+    let mut miters: Vec<(String, SocConfig, SecretScenario)> = Vec::new();
+    for instance in scenarios::instances() {
+        let (config, secret) = (instance.config(), instance.spec.secret);
+        if !miters.iter().any(|(_, c, s)| *c == config && *s == secret) {
+            miters.push((instance.id(), config, secret));
+        }
+    }
+    assert_eq!(miters.len(), 13, "distinct registry miters");
+    let mut rng = SplitMix64::new(0x0e4c);
+    for (name, config, secret) in &miters {
+        let model = UpecModel::new(config, *secret);
+        let transition = model.compiled_transition();
+        let scheduled: Vec<SignalId> = model
+            .netlist()
+            .signals()
+            .filter(|&s| transition.slot_of(s).is_some())
+            .collect();
+        let mut unrolling = Unrolling::with_compiled(
+            model.netlist(),
+            Arc::clone(transition),
+            UnrollOptions::default().with_simplify_trial(0),
+            &model.frame0_aliases(),
+        );
+        unrolling.extend_to(1);
+        for frame in 0..=1 {
+            for &signal in &scheduled {
+                unrolling.lits(frame, signal).unwrap();
+            }
+        }
+
+        check_random_run(name, &model, &mut unrolling, &scheduled, &mut rng);
+        assert_eq!(unrolling.simplify_stats().rounds, 0, "{name}: fresh CNF");
+
+        // A query guarding `x` and `!x` conflicts at once, so the trial-0
+        // cap hands it to the simplifier, which rewrites the whole miter CNF.
+        let contradiction = unrolling.fresh_lit();
+        let x = unrolling.fresh_lit();
+        unrolling.add_clause_activated(contradiction, [x]);
+        unrolling.add_clause_activated(contradiction, [!x]);
+        assert!(unrolling.solve(&[contradiction]).is_unsat(), "{name}");
+        unrolling.retire_activation(contradiction);
+        assert!(
+            unrolling.simplify_stats().eliminated_vars > 0,
+            "{name}: {:?}",
+            unrolling.simplify_stats()
+        );
+
+        check_random_run(name, &model, &mut unrolling, &scheduled, &mut rng);
     }
 }
