@@ -50,4 +50,4 @@ mod unroll;
 
 pub use compile::{CompileStats, CompiledOp, CompiledTransition};
 pub use gates::GateBuilder;
-pub use unroll::{EncodeStats, SharedClause, UnrollError, UnrollOptions, Unrolling};
+pub use unroll::{EncodeStats, UnrollError, UnrollOptions, Unrolling};

@@ -127,25 +127,6 @@ impl UnrollOptions {
     }
 }
 
-/// A learned clause exported for cross-query sharing, expressed over
-/// *canonical term ids* instead of session-local CNF variables.
-///
-/// Each literal packs a `(frame, slot, bit)` position of the shared
-/// compiled schedule (`frame << 40 | slot << 16 | bit`, shifted left once)
-/// with a polarity bit relative to that position's representative literal.
-/// Because two unrollings with equal [`Unrolling::share_fingerprint`]
-/// encode the same term at the same position, the clause can be re-read in
-/// any such session ([`Unrolling::import_shared`]). `ceiling` is the
-/// highest frame the clause's derivation touched — the frame-tag filter of
-/// the sharing pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedClause {
-    /// Canonical literals (packed position + relative polarity).
-    pub lits: Vec<u64>,
-    /// Highest frame tag in the clause's derivation.
-    pub ceiling: u32,
-}
-
 /// Aggregate description of what an unrolling has encoded so far.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodeStats {
@@ -355,12 +336,6 @@ impl<'n> Unrolling<'n> {
             // the certificate is exactly the frame CNF (plus the builder's
             // constant-true unit).
             gates.solver_mut().start_proof_log();
-        } else {
-            // The builder's constant-true unit is part of every session's
-            // theory, so derivations through it stay shareable. (Certified
-            // sessions never share — imports are refused under proof
-            // logging — so the tag is skipped there.)
-            gates.solver_mut().mark_root_facts_shared(0);
         }
         let mut unrolling = Self {
             netlist,
@@ -473,14 +448,7 @@ impl<'n> Unrolling<'n> {
                 }
             }
             if all_ready {
-                // The slot's Tseitin clauses are purely definitional over
-                // the shared compiled transition, so they open a shareable
-                // section at this frame's ceiling. Scenario constraints and
-                // obligations are added outside any section and stay
-                // untagged.
-                self.gates.solver_mut().set_share_ceiling(Some(f as u32));
                 let lits = self.encode_slot(f, s);
-                self.gates.solver_mut().set_share_ceiling(None);
                 // Slot literals outlive this encoding step: deeper frames
                 // read them through register feedback, later queries reach
                 // them as dependencies, and model extraction reads them
@@ -1130,124 +1098,6 @@ impl<'n> Unrolling<'n> {
     /// Propagation budget of the vivification pass run after each
     /// simplification (see [`UnrollOptions::search`]).
     const VIVIFY_PROPAGATIONS: u64 = 100_000;
-
-    /// Maximum literal count of an exported learned clause.
-    const SHARE_MAX_LEN: usize = 12;
-    /// Maximum LBD of an exported learned clause (the quality gate).
-    const SHARE_MAX_LBD: u32 = 5;
-
-    /// Fingerprint of the *shareable theory* of this unrolling: the compiled
-    /// schedule plus everything that changes what a `(frame, slot, bit)`
-    /// term denotes (initial-value mode, frame-0 aliases). Two unrollings
-    /// with equal fingerprints encode the same transition terms, so clauses
-    /// exported by one are sound in the other.
-    pub fn share_fingerprint(&self) -> u64 {
-        // FNV-1a over a structural rendering of the schedule and options.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        fold(format!("{:?}", self.transition.ops()).as_bytes());
-        fold(&[self.options.use_initial_values as u8]);
-        let mut aliases: Vec<(usize, usize)> = self
-            .frame0_aliases
-            .iter()
-            .map(|(&register, source)| (register, source.index()))
-            .collect();
-        aliases.sort_unstable();
-        fold(format!("{aliases:?}").as_bytes());
-        hash
-    }
-
-    /// Builds the canonical-term maps of the encoded frames: variable →
-    /// first `(frame, slot, bit)` position (with the representative
-    /// polarity), and position → local literal. Positions pack into a `u64`
-    /// as `frame << 40 | slot << 16 | bit`; iteration order is frame-major
-    /// and deterministic, but the *choice* of representative never needs to
-    /// match across sessions — a position always denotes the same term.
-    fn canon_maps(&self) -> (HashMap<u32, (u64, bool)>, HashMap<u64, Lit>) {
-        let mut var_to_pos: HashMap<u32, (u64, bool)> = HashMap::new();
-        let mut pos_to_lit: HashMap<u64, Lit> = HashMap::new();
-        for (f, slots) in self.frames.iter().enumerate() {
-            for (s, lits) in slots.iter().enumerate() {
-                let Some(lits) = lits else { continue };
-                for (bit, &l) in lits.iter().enumerate() {
-                    let pos = (f as u64) << 40 | (s as u64) << 16 | bit as u64;
-                    pos_to_lit.insert(pos, l);
-                    var_to_pos
-                        .entry(l.var().index() as u32)
-                        .or_insert((pos, l.is_positive()));
-                }
-            }
-        }
-        (var_to_pos, pos_to_lit)
-    }
-
-    /// Drains every exportable learned clause into `sink`, rewritten over
-    /// canonical term ids (see [`SharedClause`]). Clauses mentioning a
-    /// variable with no canonical position — an internal Tseitin variable
-    /// that survived elimination — cannot be expressed in another session
-    /// and are skipped.
-    pub fn export_shared(&mut self, sink: &mut Vec<SharedClause>) {
-        let (var_to_pos, _) = self.canon_maps();
-        self.gates.solver_mut().drain_exportable(
-            Self::SHARE_MAX_LEN,
-            Self::SHARE_MAX_LBD,
-            |lits, ceiling| {
-                let mut canon = Vec::with_capacity(lits.len());
-                for &l in lits {
-                    let Some(&(pos, rep_positive)) = var_to_pos.get(&(l.var().index() as u32))
-                    else {
-                        return;
-                    };
-                    canon.push(pos << 1 | (l.is_positive() == rep_positive) as u64);
-                }
-                sink.push(SharedClause {
-                    lits: canon,
-                    ceiling,
-                });
-            },
-        );
-    }
-
-    /// Imports clauses exported by another unrolling with the same
-    /// [`Unrolling::share_fingerprint`]. A clause is attached only when
-    /// every canonical position is already encoded here (the frame-tag
-    /// filter falls out of this: positions of unbuilt frames are unknown)
-    /// and the solver's freeze-contract check passes; everything else is
-    /// skipped. Returns the number of clauses attached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called mid-search (imports happen between solves).
-    pub fn import_shared(&mut self, clauses: &[SharedClause]) -> usize {
-        let (_, pos_to_lit) = self.canon_maps();
-        let mut imported = 0;
-        let mut local = Vec::with_capacity(Self::SHARE_MAX_LEN);
-        for clause in clauses {
-            local.clear();
-            let mut expressible = true;
-            for &canon in &clause.lits {
-                let Some(&rep) = pos_to_lit.get(&(canon >> 1)) else {
-                    expressible = false;
-                    break;
-                };
-                local.push(if canon & 1 == 1 { rep } else { !rep });
-            }
-            if expressible
-                && self
-                    .gates
-                    .solver_mut()
-                    .import_shared(&local, clause.ceiling)
-            {
-                imported += 1;
-            }
-        }
-        imported
-    }
 
     /// Reads the value of a signal in a frame from a model.
     ///

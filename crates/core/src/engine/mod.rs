@@ -11,13 +11,11 @@
 //!   bound only bit-blasts the new frame, learned clauses and branching
 //!   heuristics survive across queries, and per-query obligations are
 //!   activation-literal guarded so they can be retired without a rebuild.
-//! * [`UpecEngine`] — a worker pool that scans many scenario instances
-//!   concurrently, one incremental session per instance, under optional
-//!   per-bound and per-scenario [`sat::Budget`]s.
-//! * [`SharedClausePool`] — the cross-session learned-clause exchange of the
-//!   instance sweep: sessions with the same transition fingerprint publish
-//!   and import each other's transition-tainted lemmas in canonical
-//!   position form.
+//! * [`UpecEngine`] — a worker pool that scans many scenario instances,
+//!   one incremental session per miter: instances that share SoC config
+//!   and secret placement walk their windows together on one session,
+//!   each with its own commitment, under optional per-bound and
+//!   per-scenario [`sat::Budget`]s.
 //! * [`InstanceResult`] — aggregation of the per-bound outcomes back into
 //!   the paper's vocabulary (P-alerts, L-alerts, proven windows), with
 //!   per-instance expectation checking against the
@@ -26,7 +24,6 @@
 mod error;
 mod scheduler;
 mod session;
-mod share;
 
 pub use error::EngineError;
 pub use scheduler::{
@@ -34,4 +31,3 @@ pub use scheduler::{
     ScanVerdict, UpecEngine,
 };
 pub use session::IncrementalSession;
-pub use share::SharedClausePool;

@@ -1,9 +1,10 @@
 //! The parallel scenario/bound scheduler built on incremental sessions.
 
 use crate::certify::{CertificateCheck, CertificateError, VerdictCertificate};
-use crate::engine::{EngineError, IncrementalSession, SharedClausePool};
+use crate::engine::{EngineError, IncrementalSession};
 use crate::scenarios::{Expectation, ScenarioInstance};
-use crate::{Alert, AlertKind, UpecModel, UpecOptions, UpecOutcome, UpecStats};
+use crate::{Alert, AlertKind, SecretScenario, UpecModel, UpecOptions, UpecOutcome, UpecStats};
+use soc::SocConfig;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -28,23 +29,16 @@ pub struct EngineOptions {
     /// exhaustion are recorded as [`BoundStatus::Unknown`] without solving.
     /// Unlimited by default.
     pub scenario_budget: sat::Budget,
-    /// Exchange transition-tainted learned clauses between the sweep's
-    /// sessions through a [`SharedClausePool`] (only
-    /// [`UpecEngine::run_instances`] shares; certified scans never do).
-    /// Defaults to on; the differential tests pin that disabling it does not
-    /// change any verdict.
-    pub share_clauses: bool,
 }
 
 impl EngineOptions {
-    /// Defaults: all available cores (max 8), no limits, clause sharing on.
+    /// Defaults: all available cores (max 8), no limits.
     pub fn new() -> Self {
         Self {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
             max_window: None,
             bound_budget: sat::Budget::unlimited(),
             scenario_budget: sat::Budget::unlimited(),
-            share_clauses: true,
         }
     }
 
@@ -69,13 +63,6 @@ impl EngineOptions {
     /// Caps every scenario's scan range (builder style).
     pub fn with_max_window(mut self, max_window: usize) -> Self {
         self.max_window = Some(max_window);
-        self
-    }
-
-    /// Enables or disables cross-session learned-clause sharing in
-    /// [`UpecEngine::run_instances`] (builder style).
-    pub fn with_clause_sharing(mut self, share: bool) -> Self {
-        self.share_clauses = share;
         self
     }
 }
@@ -150,10 +137,12 @@ pub enum ScanVerdict {
 /// The engine takes a batch of [`ScenarioInstance`]s (usually straight from
 /// [`crate::scenarios::instances`], or a registry spec wrapped with
 /// [`ScenarioInstance::base`]) and scans each instance's window range on a
-/// pool of worker threads, one instance per worker at a time. Every scan is
-/// an [`IncrementalSession`]: one persistent SAT solver that walks the
-/// bounds, reusing learned clauses and activities between bounds instead of
-/// re-solving from scratch.
+/// pool of worker threads, one miter per worker at a time. A miter is the
+/// two-SoC model fixed by SoC config and secret placement; instances of the
+/// same miter differ only by commitment and windows, so they are scanned on
+/// one [`IncrementalSession`]: one persistent SAT solver that walks the
+/// bounds, reusing learned clauses and activities between bounds and
+/// between instances instead of re-solving from scratch.
 ///
 /// # Examples
 ///
@@ -192,95 +181,107 @@ impl UpecEngine {
             .map_or(instance.max_window, |m| m.min(instance.max_window))
     }
 
-    /// The per-bound scan loop: walks one instance's window range on a fresh
-    /// incremental session.
+    /// Walks the instances of one miter on a single incremental session.
     ///
-    /// With a `pool`, the loop exchanges transition-tainted learned clauses
-    /// with sibling sessions of the same fingerprint: before each bound it
-    /// imports pool clauses whose frame ceiling the session has already
-    /// encoded, after each bound it publishes its own fresh exportables.
-    fn scan_bounds(
-        &self,
-        instance: ScenarioInstance,
-        model: &UpecModel,
-        commitment: &BTreeSet<String>,
-        pool: Option<&SharedClausePool>,
-    ) -> InstanceResult {
-        let mut scenario_span = obs::span("upec.scenario");
-        scenario_span.attr_str("id", &instance.id());
-        let mut session = IncrementalSession::new(model);
-        let fingerprint = session.share_fingerprint();
-        let mut share_cursor = 0usize;
-        // Fetched clauses over frames deeper than the session's current
-        // bound wait here; the importer itself skips anything the session
-        // still cannot express (frame-tag filtering, see
-        // [`IncrementalSession::import_shared`]).
-        let mut share_pending: Vec<bmc::SharedClause> = Vec::new();
-        let mut export_buf: Vec<bmc::SharedClause> = Vec::new();
-        let scan_start = session.solver_stats();
-        let mut bounds = Vec::new();
-        let mut first_alert: Option<Alert> = None;
-        for k in instance.start_window..=self.last_window(&instance) {
-            // Budget policy: each bound runs under its own budget intersected
-            // with whatever the scenario budget has left; once the scan's
-            // allotment is spent, remaining bounds are recorded as Unknown
-            // without even encoding them. The scan never invents a verdict.
-            let scenario_left = self
-                .options
-                .scenario_budget
-                .minus(&session.solver_stats().delta_since(&scan_start));
-            if scenario_left.is_exhausted() {
-                obs::counter("upec.scan.budget_skipped_bounds", 1);
-                bounds.push(BoundSummary::new(
+    /// `members` share SoC config and secret placement and differ only by
+    /// commitment and window range. The walk raises `k` from the lowest
+    /// start window to the highest last window, and at each `k` checks, in
+    /// submission order, every member whose range contains `k` and that has
+    /// no L-alert yet. `k` never decreases, as
+    /// [`IncrementalSession::check_bound`] requires. Each member's counters
+    /// and scenario budget are charged with its own queries' solver deltas.
+    fn scan_miter(&self, members: &[ScenarioInstance]) -> Vec<InstanceResult> {
+        let mut miter_span = obs::span("upec.miter");
+        let ids: Vec<String> = members.iter().map(ScenarioInstance::id).collect();
+        miter_span.attr_str("members", &ids.join(","));
+        let model = members[0].build_model();
+        let mut session = IncrementalSession::new(&model);
+        let mut scans: Vec<MemberScan> = members
+            .iter()
+            .map(|&instance| MemberScan {
+                commitment: instance.commitment_set(&model),
+                last_window: self.last_window(&instance),
+                budget_left: self.options.scenario_budget,
+                result: InstanceResult {
+                    instance,
+                    verdict: ScanVerdict::Inconclusive,
+                    first_alert: None,
+                    bounds: Vec::new(),
+                    conflicts: 0,
+                    propagations: 0,
+                    budget_exhaustions: 0,
+                    cancellations: 0,
+                },
+            })
+            .collect();
+        let first = members.iter().map(|i| i.start_window).min().unwrap_or(1);
+        let last = scans.iter().map(|scan| scan.last_window).max().unwrap_or(0);
+        for k in first..=last {
+            for scan in &mut scans {
+                let result = &mut scan.result;
+                let alerted = result
+                    .bounds
+                    .last()
+                    .is_some_and(|b| b.status == BoundStatus::LAlert);
+                if alerted || !(result.instance.start_window..=scan.last_window).contains(&k) {
+                    continue;
+                }
+                // Budget policy: each bound runs under its own budget
+                // intersected with whatever the scenario budget has left;
+                // once the scan's allotment is spent, remaining bounds are
+                // recorded as Unknown without solving. The scan never
+                // invents a verdict.
+                if scan.budget_left.is_exhausted() {
+                    obs::counter("upec.scan.budget_skipped_bounds", 1);
+                    result.bounds.push(BoundSummary::new(
+                        k,
+                        BoundStatus::Unknown,
+                        &UpecStats::default(),
+                    ));
+                    continue;
+                }
+                session.set_budget(self.options.bound_budget.min(scan.budget_left));
+                let before = session.solver_stats();
+                let outcome = session.check_bound(k, &scan.commitment);
+                let spent = session.solver_stats().delta_since(&before);
+                scan.budget_left = scan.budget_left.minus(&spent);
+                result.conflicts += spent.conflicts;
+                result.propagations += spent.propagations;
+                result.budget_exhaustions += spent.budget_exhaustions;
+                result.cancellations += spent.cancellations;
+                result.bounds.push(BoundSummary::new(
                     k,
-                    BoundStatus::Unknown,
-                    &UpecStats::default(),
+                    bound_status(&outcome),
+                    &outcome.stats(),
                 ));
-                continue;
-            }
-            session.set_budget(self.options.bound_budget.min(scenario_left));
-            if let Some(pool) = pool {
-                let (batch, next) = pool.fetch(fingerprint, share_cursor);
-                share_cursor = next;
-                share_pending.extend(batch);
-                // Only clauses whose deepest frame the session has encoded
-                // (bounds up to k-1 so far) can be expressed right now.
-                let (eligible, rest): (Vec<_>, Vec<_>) = share_pending
-                    .drain(..)
-                    .partition(|c| (c.ceiling as usize) < k);
-                share_pending = rest;
-                if !eligible.is_empty() {
-                    session.import_shared(&eligible);
+                if let UpecOutcome::Violated(alert, _) = outcome {
+                    result.first_alert.get_or_insert(alert);
                 }
             }
-            let outcome = session.check_bound(k, commitment);
-            let summary = BoundSummary::new(k, bound_status(&outcome), &outcome.stats());
-            if let UpecOutcome::Violated(alert, _) = outcome {
-                first_alert.get_or_insert(alert);
-            }
-            if let Some(pool) = pool {
-                session.export_shared(&mut export_buf);
-                if !export_buf.is_empty() {
-                    pool.publish(fingerprint, std::mem::take(&mut export_buf));
-                }
-            }
-            bounds.push(summary);
-            if summary.status == BoundStatus::LAlert {
-                break;
-            }
         }
-        let stats = session.solver_stats();
-        InstanceResult {
-            instance,
-            verdict: verdict_from_bounds(&bounds),
-            first_alert,
-            bounds,
-            conflicts: stats.conflicts,
-            propagations: stats.propagations,
-            budget_exhaustions: stats.budget_exhaustions,
-            cancellations: stats.cancellations,
-        }
+        scans
+            .into_iter()
+            .map(|scan| InstanceResult {
+                verdict: verdict_from_bounds(&scan.result.bounds),
+                ..scan.result
+            })
+            .collect()
     }
+}
+
+/// Why the worker pool's locks cannot be poisoned: no code panics while
+/// holding one.
+const UNPOISONED: &str = "the engine holds its locks only to move jobs and results";
+
+/// One instance's scan inside a miter walk.
+struct MemberScan {
+    /// The result so far; its verdict is set when the walk ends.
+    result: InstanceResult,
+    commitment: BTreeSet<String>,
+    /// The instance's last window under the engine's cap.
+    last_window: usize,
+    /// What is left of the instance's scenario budget.
+    budget_left: sat::Budget,
 }
 
 /// The status a bound's outcome records.
@@ -439,47 +440,57 @@ impl CertifiedResult {
 }
 
 impl UpecEngine {
-    /// Scans every [`ScenarioInstance`] on the worker pool (one incremental
-    /// session per instance) and returns the results in submission order.
+    /// Scans every [`ScenarioInstance`] on the worker pool and returns the
+    /// results in submission order.
     ///
     /// This is the engine's one scan entry point: instances carry their own
     /// geometry, window range and expectation, and a registry spec scans at
     /// the default formal geometry as [`ScenarioInstance::base`].
     ///
-    /// Unless [`EngineOptions::with_clause_sharing`] disabled it, the
-    /// sweep's sessions exchange transition-tainted learned clauses through
-    /// a [`SharedClausePool`]: instances whose miters share a transition
-    /// fingerprint (same geometry and frame-0 aliasing) reuse each other's
-    /// purely-definitional lemmas instead of re-deriving them. Sharing is
-    /// verdict-neutral by construction — the differential tests pin it.
+    /// Instances are grouped by miter, the two inputs of [`UpecModel::new`]:
+    /// SoC config and secret placement. Each group builds one model and one
+    /// [`IncrementalSession`] and walks its members' windows together, so a
+    /// query reuses what earlier queries of the same miter learned, whatever
+    /// instance posed them. Groups are the worker pool's jobs; they share
+    /// nothing, so the results do not depend on the number of workers.
     pub fn run_instances<I>(&self, instances: I) -> Vec<InstanceResult>
     where
         I: IntoIterator<Item = ScenarioInstance>,
     {
         let instances: Vec<ScenarioInstance> = instances.into_iter().collect();
-        let jobs: Mutex<VecDeque<usize>> = Mutex::new((0..instances.len()).collect());
-        let results: Mutex<Vec<Option<InstanceResult>>> =
-            Mutex::new(instances.iter().map(|_| None).collect());
-        let pool = self.options.share_clauses.then(SharedClausePool::new);
-        let workers = self.options.threads.min(instances.len()).max(1);
+        // One job per miter: its instances' submission indices, in order.
+        let mut miters: Vec<(SocConfig, SecretScenario, Vec<usize>)> = Vec::new();
+        for (index, instance) in instances.iter().enumerate() {
+            let (config, secret) = (instance.config(), instance.spec.secret);
+            match miters.iter_mut().find(|m| m.0 == config && m.1 == secret) {
+                Some(miter) => miter.2.push(index),
+                None => miters.push((config, secret, vec![index])),
+            }
+        }
+        let workers = self.options.threads.min(miters.len()).max(1);
+        let jobs: Mutex<VecDeque<Vec<usize>>> =
+            Mutex::new(miters.into_iter().map(|m| m.2).collect());
+        let results: Mutex<Vec<Option<InstanceResult>>> = Mutex::new(vec![None; instances.len()]);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let index = jobs.lock().unwrap().pop_front();
-                    let Some(index) = index else { break };
-                    let instance = instances[index];
-                    let model = instance.build_model();
-                    let commitment = instance.commitment_set(&model);
-                    let result = self.scan_bounds(instance, &model, &commitment, pool.as_ref());
-                    results.lock().unwrap()[index] = Some(result);
+                    let job = jobs.lock().expect(UNPOISONED).pop_front();
+                    let Some(indices) = job else { break };
+                    let members: Vec<ScenarioInstance> =
+                        indices.iter().map(|&i| instances[i]).collect();
+                    let scanned = self.scan_miter(&members);
+                    let mut results = results.lock().expect(UNPOISONED);
+                    for (index, result) in indices.into_iter().zip(scanned) {
+                        results[index] = Some(result);
+                    }
                 });
             }
         });
         results
             .into_inner()
-            .unwrap()
+            .expect(UNPOISONED)
             .into_iter()
-            .map(|r| r.expect("every instance job completes"))
+            .map(|r| r.expect("every miter job completes"))
             .collect()
     }
 

@@ -201,36 +201,20 @@ impl<'m> IncrementalSession<'m> {
         self.unrolling.proof_log()
     }
 
-    /// Stable fingerprint of the session's transition relation and frame-0
-    /// assumption structure — the key under which this session may exchange
-    /// learned clauses with sibling sessions (see
-    /// [`bmc::Unrolling::share_fingerprint`]).
-    pub fn share_fingerprint(&self) -> u64 {
-        self.unrolling.share_fingerprint()
-    }
-
-    /// Drains this session's exportable learned clauses — those whose
-    /// derivations used only transition-definitional clauses — into `sink`
-    /// in canonical position form (see [`bmc::Unrolling::export_shared`]).
-    pub fn export_shared(&mut self, sink: &mut Vec<bmc::SharedClause>) {
-        self.unrolling.export_shared(sink);
-    }
-
-    /// Imports canonical shared clauses published by sibling sessions with
-    /// the same [`IncrementalSession::share_fingerprint`]. Clauses over
-    /// frames or slots this session has not encoded are skipped, as is the
-    /// whole import when the session records a DRAT proof log (certified
-    /// verdicts never depend on foreign lemmas). Returns the number of
-    /// clauses actually imported.
-    pub fn import_shared(&mut self, clauses: &[bmc::SharedClause]) -> usize {
-        self.unrolling.import_shared(clauses)
-    }
-
     /// Checks the UPEC property at bound `k` with the obligation restricted
     /// to `commitment`, reusing all solver state from earlier queries.
     ///
     /// Semantics are identical to [`crate::UpecChecker::check`] — in fact the
     /// checker is now a thin wrapper that opens a session for a single query.
+    ///
+    /// Precondition: `k` never decreases over a session's queries. The
+    /// model's window constraints are asserted as permanent units on frames
+    /// `1..=k` the first time a query reaches `k`, so they are exactly the
+    /// constraints a query at the session's deepest bound needs; a later
+    /// query at a smaller bound would still be constrained on the deeper
+    /// frames. Repeating a bound (another commitment, a larger budget) is
+    /// fine, and [`crate::UpecEngine::run_instances`] walks each miter's
+    /// instances with `k` non-decreasing.
     ///
     /// # Panics
     ///

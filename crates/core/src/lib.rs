@@ -29,7 +29,8 @@
 //! * the [`engine`] module — [`IncrementalSession`] (one persistent SAT
 //!   solver per miter, reused across bound deepening and commitment
 //!   shrinking, bounded by a resumable [`sat::Budget`]) and [`UpecEngine`]
-//!   (a scenario-parallel worker pool);
+//!   (a miter-parallel worker pool: one session per miter walks every
+//!   instance of that miter);
 //! * the [`scenarios`] module — the named registry of every attack scenario
 //!   the reproduction checks, with paper references and expected verdicts,
 //!   shared by the engine, the bench binaries and the examples;
@@ -74,7 +75,7 @@ pub use check::{
 };
 pub use engine::{
     BoundStatus, BoundSummary, CertifiedBound, CertifiedResult, EngineError, EngineOptions,
-    IncrementalSession, InstanceResult, ScanVerdict, SharedClausePool, UpecEngine,
+    IncrementalSession, InstanceResult, ScanVerdict, UpecEngine,
 };
 pub use methodology::{
     close_alert_set, prove_alert_closure, run_methodology, ClosureOutcome, MethodologyReport,

@@ -13,9 +13,8 @@
 //! * VSIDS variable activities and phase saving,
 //! * a modern search loop ([`SearchConfig`]): glucose-style EMA restarts
 //!   layered on the Luby cadence with an LBD-quality gate, target rephasing,
-//!   chronological backtracking for shallow conflicts, clause vivification
-//!   as inprocessing ([`Solver::vivify`]) and cross-solver learned-clause
-//!   sharing ([`Solver::drain_exportable`] / [`Solver::import_shared`]),
+//!   chronological backtracking for shallow conflicts and clause
+//!   vivification as inprocessing ([`Solver::vivify`]),
 //! * periodic deletion of inactive learned clauses,
 //! * solving under assumptions,
 //! * **budgeted, cancellable episodes**: a deterministic per-episode

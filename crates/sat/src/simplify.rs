@@ -187,14 +187,6 @@ struct SimpClause {
     activity: f64,
     lbd: u32,
     deleted: bool,
-    /// Clause-sharing ceiling (see [`crate::solver::SHARE_NONE`]); every
-    /// transformation that derives a clause from several parents takes the
-    /// maximum of the parents' ceilings.
-    share: u32,
-    /// Whether the clause already left the solver through
-    /// [`Solver::drain_exportable`] (survives the rebuild so a clause is
-    /// never exported twice).
-    exported: bool,
 }
 
 /// Outcome of a subsumption check between a potential subsumer `c` and a
@@ -412,10 +404,7 @@ impl Solver {
                     self.simp_stats.failed_literals += 1;
                     // Probe units are derived through a failed decision, not
                     // root propagation, so the checker needs them as lemmas.
-                    // Their derivation may touch any clause in the database,
-                    // so they are never shareable.
                     self.log_lemma(&[!probe]);
-                    self.set_level0_share(!probe, crate::solver::SHARE_NONE);
                     self.enqueue(!probe, Reason::Decision);
                     if self.propagate().is_some() {
                         consistent = false;
@@ -450,8 +439,6 @@ impl Solver {
                 activity: h.activity,
                 lbd: h.lbd,
                 deleted: false,
-                share: h.share,
-                exported: h.exported,
             })
             .collect();
         for code in 0..self.bin_watches.len() {
@@ -465,8 +452,6 @@ impl Solver {
                         activity: 0.0,
                         lbd: 0,
                         deleted: false,
-                        share: self.bin_share_of(a, b),
-                        exported: true, // learned binaries export at learn time
                     });
                 }
             }
@@ -496,9 +481,6 @@ impl Solver {
                             break;
                         }
                         LBool::False => {
-                            // Stripping a root-false literal resolves with
-                            // the root fact; its ceiling joins the clause's.
-                            c.share = c.share.max(self.level0_share[c.lits[i].var().index()]);
                             c.lits.swap_remove(i);
                             self.simp_stats.strengthened_lits += 1;
                         }
@@ -520,7 +502,6 @@ impl Solver {
                         // Learned units are implied facts too, so both kinds
                         // may be promoted to the trail.
                         if self.value_lit(c.lits[0]) == LBool::Undef {
-                            self.set_level0_share(c.lits[0], c.share);
                             self.enqueue(c.lits[0], Reason::Decision);
                         }
                         c.deleted = true;
@@ -601,10 +582,6 @@ impl Solver {
                             self.simp_stats.subsumed_clauses += 1;
                         }
                         SubsumeResult::Strengthen(flipped) => {
-                            // Self-subsuming resolution of d with c: d's new
-                            // form depends on both parents' ceilings.
-                            let subsumer_share = clauses[ci as usize].share;
-                            clauses[di].share = clauses[di].share.max(subsumer_share);
                             let pos = clauses[di]
                                 .lits
                                 .iter()
@@ -628,12 +605,10 @@ impl Solver {
                             self.simp_stats.strengthened_lits += 1;
                             if clauses[di].lits.len() == 1 {
                                 let unit = clauses[di].lits[0];
-                                let unit_share = clauses[di].share;
                                 clauses[di].deleted = true;
                                 match self.value_lit(unit) {
                                     LBool::False => return false,
                                     LBool::Undef => {
-                                        self.set_level0_share(unit, unit_share);
                                         self.enqueue(unit, Reason::Decision);
                                         if self.propagate().is_some() {
                                             return false;
@@ -698,7 +673,7 @@ impl Solver {
             // Gather the non-tautological resolvents, giving up as soon as
             // the elimination would grow the clause set beyond the budget.
             let budget = pos.len() + neg.len() + config.elim_grow;
-            let mut resolvents: Vec<(Vec<Lit>, u32)> = Vec::new();
+            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
             let mut too_costly = false;
             'resolution: for &pi in &pos {
                 for &ni in &neg {
@@ -709,8 +684,7 @@ impl Solver {
                             too_costly = true;
                             break 'resolution;
                         }
-                        let share = clauses[pi as usize].share.max(clauses[ni as usize].share);
-                        resolvents.push((r, share));
+                        resolvents.push(r);
                         if resolvents.len() > budget {
                             too_costly = true;
                             break 'resolution;
@@ -726,7 +700,7 @@ impl Solver {
                 // Every resolvent is RUP through its two (still live) parent
                 // clauses, so resolvent additions must precede the parent
                 // deletions in the log.
-                for (r, _) in &resolvents {
+                for r in &resolvents {
                     self.log_lemma(r);
                 }
                 for &i in pos.iter().chain(&neg) {
@@ -749,13 +723,12 @@ impl Solver {
             });
             self.eliminated[v.index()] = true;
             self.simp_stats.eliminated_vars += 1;
-            for (r, share) in resolvents {
+            for r in resolvents {
                 match r.len() {
                     0 => return false,
                     1 => match self.value_lit(r[0]) {
                         LBool::False => return false,
                         LBool::Undef => {
-                            self.set_level0_share(r[0], share);
                             self.enqueue(r[0], Reason::Decision);
                             if self.propagate().is_some() {
                                 return false;
@@ -774,8 +747,6 @@ impl Solver {
                             activity: 0.0,
                             lbd: 0,
                             deleted: false,
-                            share,
-                            exported: false,
                         });
                         self.simp_stats.resolvent_clauses += 1;
                     }
@@ -798,7 +769,6 @@ impl Solver {
         for w in &mut self.bin_watches {
             w.clear();
         }
-        self.clear_bin_share();
         self.num_bin_clauses = 0;
         self.num_learnts = 0;
         // All trail entries are top-level facts now; their reasons pointed
@@ -838,18 +808,15 @@ impl Solver {
             if c.lits.len() == 2 {
                 // Binary clauses (learned ones included) live in the
                 // implication graph from here on.
-                self.attach_binary_shared(c.lits[0], c.lits[1], c.share);
+                self.attach_binary(c.lits[0], c.lits[1]);
                 continue;
             }
             let activity = c.activity;
             let lbd = c.lbd;
             let learnt = c.learnt;
-            let share = c.share;
-            let exported = c.exported;
-            let cref = self.attach_clause_shared(c.lits, learnt, share);
+            let cref = self.attach_clause(c.lits, learnt);
             self.headers[cref as usize].activity = activity;
             self.headers[cref as usize].lbd = lbd;
-            self.headers[cref as usize].exported = exported;
         }
         self.stats.learnt_clauses = self.num_learnts as u64;
         // Every remaining clause was cleaned against the final trail, so

@@ -22,7 +22,6 @@
 use crate::drat::{ProofLog, ProofStep};
 use crate::simplify::{ExtensionEntry, SimplifyStats};
 use crate::{CnfFormula, LBool, Lit, Model, SatResult, Var};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -52,9 +51,6 @@ pub struct SolverStats {
     pub chrono_backtracks: u64,
     /// Number of clauses strengthened (shortened) by vivification.
     pub vivified_clauses: u64,
-    /// Number of learned clauses imported from a cross-query shared clause
-    /// pool via [`Solver::import_shared`].
-    pub shared_clause_imports: u64,
     /// Number of learned clauses currently in the database (long clauses
     /// only; learned binary clauses move to the implication graph and are
     /// retained permanently).
@@ -104,9 +100,6 @@ impl SolverStats {
             vivified_clauses: self
                 .vivified_clauses
                 .saturating_sub(earlier.vivified_clauses),
-            shared_clause_imports: self
-                .shared_clause_imports
-                .saturating_sub(earlier.shared_clause_imports),
             learnt_clauses: self.learnt_clauses,
             deleted_clauses: self.deleted_clauses.saturating_sub(earlier.deleted_clauses),
             arena_collections: self
@@ -351,10 +344,6 @@ impl SearchConfig {
     }
 }
 
-/// Share ceiling marking a clause whose derivation left the shareable
-/// (transition-definitional) fragment; such clauses are never exported.
-pub(crate) const SHARE_NONE: u32 = u32::MAX;
-
 /// Clause metadata for clauses of three or more literals. The literals
 /// themselves live in one flat arena (`Solver::clause_lits`) indexed by
 /// `start..start + len`: propagation is memory-latency-bound, and keeping all
@@ -373,14 +362,6 @@ pub(crate) struct ClauseHeader {
     /// clause at learning time. Problem clauses carry 0; learned clauses with
     /// `lbd <= 2` ("glue" clauses) are never deleted by database reduction.
     pub(crate) lbd: u32,
-    /// Cross-query sharing ceiling: the highest frame tag over every axiom
-    /// used in this clause's derivation, or [`SHARE_NONE`] when the
-    /// derivation used any clause outside the shareable fragment (scenario
-    /// constraints, obligations, probing, vivification).
-    pub(crate) share: u32,
-    /// Whether the clause has already been handed to the shared pool (so one
-    /// clause is exported at most once per solver).
-    pub(crate) exported: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -641,22 +622,6 @@ pub struct Solver {
     /// Rotating scan position of the vivifier, so successive inprocessing
     /// calls spread their budget across the whole clause database.
     vivify_head: usize,
-    /// Share ceiling assigned to clauses added through [`Solver::add_clause`]
-    /// while a shareable encoding section is open (see
-    /// [`Solver::set_share_ceiling`]); `SHARE_NONE` outside such sections.
-    share_mode: u32,
-    /// Share ceilings of binary clauses, keyed by the two literal codes in
-    /// ascending order. Only shareable binaries are stored; absence means
-    /// `SHARE_NONE`.
-    bin_share: HashMap<(u32, u32), u32>,
-    /// Share ceilings of root-level (level-0) assignments: the derivation
-    /// ceiling of the fact, folded into every conflict analysis that resolves
-    /// the literal away. `SHARE_NONE` for unshareable facts.
-    pub(crate) level0_share: Vec<u32>,
-    /// Shareable learned binary clauses awaiting export.
-    bin_exports: Vec<(Lit, Lit, u32)>,
-    /// Shareable root-level facts awaiting export.
-    unit_exports: Vec<(Lit, u32)>,
 }
 
 impl Default for Solver {
@@ -728,11 +693,6 @@ impl Solver {
             best_phase: Vec::new(),
             best_trail: 0,
             vivify_head: 0,
-            share_mode: SHARE_NONE,
-            bin_share: HashMap::new(),
-            level0_share: Vec::new(),
-            bin_exports: Vec::new(),
-            unit_exports: Vec::new(),
         }
     }
 
@@ -1035,7 +995,6 @@ impl Solver {
         self.activity.push(0.0);
         self.phase.push(false);
         self.best_phase.push(false);
-        self.level0_share.push(SHARE_NONE);
         self.seen.push(false);
         self.frozen.push(false);
         self.eliminated.push(false);
@@ -1129,17 +1088,13 @@ impl Solver {
             return; // tautology
         }
         let mut simplified: Vec<Lit> = Vec::with_capacity(clause.len());
-        // Dropping a root-falsified literal is a resolution with the level-0
-        // fact, so the stored clause's share ceiling folds that fact's
-        // derivation ceiling in.
-        let mut share = self.share_mode;
         for &l in &clause {
             if simplified.contains(&l) {
                 continue; // duplicate
             }
             match self.value_lit(l) {
                 LBool::True => return, // already satisfied
-                LBool::False => share = share.max(self.level0_share[l.var().index()]),
+                LBool::False => {}
                 LBool::Undef => simplified.push(l),
             }
         }
@@ -1148,17 +1103,16 @@ impl Solver {
                 self.ok = false;
             }
             1 => {
-                self.set_level0_share(simplified[0], share);
                 self.enqueue(simplified[0], Reason::Decision);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
             }
             2 => {
-                self.attach_binary_shared(simplified[0], simplified[1], share);
+                self.attach_binary(simplified[0], simplified[1]);
             }
             _ => {
-                self.attach_clause_shared(simplified, false, share);
+                self.attach_clause(simplified, false);
             }
         }
     }
@@ -1178,47 +1132,6 @@ impl Solver {
         self.bin_watches[(!a).code()].push(b);
         self.bin_watches[(!b).code()].push(a);
         self.num_bin_clauses += 1;
-    }
-
-    /// [`Solver::attach_binary`] carrying a share ceiling. Duplicate binaries
-    /// keep the smallest ceiling seen (if a shareable copy exists the clause
-    /// is derivable at that ceiling regardless of later copies).
-    pub(crate) fn attach_binary_shared(&mut self, a: Lit, b: Lit, share: u32) {
-        self.attach_binary(a, b);
-        if share != SHARE_NONE {
-            let key = Self::bin_key(a, b);
-            let entry = self.bin_share.entry(key).or_insert(share);
-            *entry = (*entry).min(share);
-        }
-    }
-
-    /// Canonical map key of a binary clause: both literal codes, ascending.
-    fn bin_key(a: Lit, b: Lit) -> (u32, u32) {
-        let (x, y) = (a.code() as u32, b.code() as u32);
-        (x.min(y), x.max(y))
-    }
-
-    /// Share ceiling of a binary clause (`SHARE_NONE` when untracked).
-    pub(crate) fn bin_share_of(&self, a: Lit, b: Lit) -> u32 {
-        self.bin_share
-            .get(&Self::bin_key(a, b))
-            .copied()
-            .unwrap_or(SHARE_NONE)
-    }
-
-    /// Records the derivation ceiling of a root-level fact, and queues it for
-    /// export when shareable.
-    pub(crate) fn set_level0_share(&mut self, lit: Lit, share: u32) {
-        self.level0_share[lit.var().index()] = share;
-        if share != SHARE_NONE {
-            self.unit_exports.push((lit, share));
-        }
-    }
-
-    /// Clears every binary share ceiling (used by the simplifier rebuild,
-    /// which re-adds surviving binaries with recomputed ceilings).
-    pub(crate) fn clear_bin_share(&mut self) {
-        self.bin_share.clear();
     }
 
     pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
@@ -1248,38 +1161,8 @@ impl Solver {
             deleted: false,
             activity: 0.0,
             lbd: 0,
-            share: SHARE_NONE,
-            exported: false,
         });
         idx
-    }
-
-    /// [`Solver::attach_clause`] carrying a share ceiling.
-    pub(crate) fn attach_clause_shared(&mut self, lits: Vec<Lit>, learnt: bool, share: u32) -> u32 {
-        let idx = self.attach_clause(lits, learnt);
-        self.headers[idx as usize].share = share;
-        idx
-    }
-
-    /// Opens (`Some(frame)`) or closes (`None`) a shareable encoding section:
-    /// clauses added while a section is open are tagged with the given frame
-    /// ceiling and become candidates for cross-query sharing. Only the
-    /// transition-relation encoding of the unrolling layer opens sections —
-    /// scenario constraints and obligations stay untagged, which is what
-    /// keeps exported clauses sound in other queries over the same compiled
-    /// transition.
-    pub fn set_share_ceiling(&mut self, frame: Option<u32>) {
-        self.share_mode = frame.unwrap_or(SHARE_NONE);
-    }
-
-    /// Retroactively marks every current root-level fact as shareable at the
-    /// given ceiling. The unrolling layer calls this once for the constant
-    /// `true` literal that precedes the first shareable section.
-    pub fn mark_root_facts_shared(&mut self, frame: u32) {
-        for i in 0..self.trail.len() {
-            let lit = self.trail[i];
-            self.set_level0_share(lit, frame);
-        }
     }
 
     pub(crate) fn enqueue(&mut self, lit: Lit, reason: Reason) {
@@ -1309,18 +1192,7 @@ impl Solver {
                 for &q in &implications {
                     match self.value_lit(q) {
                         LBool::True => {}
-                        LBool::Undef => {
-                            if self.trail_lim.is_empty() {
-                                // A root-level propagation derives a new
-                                // level-0 fact; its share ceiling folds the
-                                // binary clause's and the antecedent fact's.
-                                let share = self
-                                    .bin_share_of(!p, q)
-                                    .max(self.level0_share[p.var().index()]);
-                                self.set_level0_share(q, share);
-                            }
-                            self.enqueue(q, Reason::Binary(!p));
-                        }
+                        LBool::Undef => self.enqueue(q, Reason::Binary(!p)),
                         LBool::False => {
                             conflict = Some(Conflict::Binary(q, !p));
                             break;
@@ -1397,14 +1269,6 @@ impl Solver {
                     // Copy back the remaining watchers untouched.
                     break;
                 } else {
-                    if self.trail_lim.is_empty() {
-                        let mut share = self.headers[ci].share;
-                        for k in 1..len {
-                            share =
-                                share.max(self.level0_share[self.clause_lits[s + k].var().index()]);
-                        }
-                        self.set_level0_share(first, share);
-                    }
                     self.enqueue(first, Reason::Long(w.clause));
                     i += 1;
                 }
@@ -1441,7 +1305,7 @@ impl Solver {
         }
     }
 
-    fn analyze(&mut self, confl: Conflict) -> (Vec<Lit>, u32, u32) {
+    fn analyze(&mut self, confl: Conflict) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for the asserting literal
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
@@ -1449,12 +1313,6 @@ impl Solver {
         let mut index = self.trail.len();
         let current_level = self.decision_level();
         let mut lits = std::mem::take(&mut self.analyze_scratch);
-        // Share ceiling of the derivation: the learnt clause is a resolvent
-        // of exactly the clauses visited below (conflict clause + reasons),
-        // plus — through the level-0 skips — the derivations of any root
-        // facts resolved away. The running maximum over all of them is the
-        // ceiling of the learnt clause.
-        let mut share = 0u32;
 
         loop {
             lits.clear();
@@ -1463,11 +1321,9 @@ impl Solver {
                     if self.headers[ci as usize].learnt {
                         self.bump_clause(ci);
                     }
-                    share = share.max(self.headers[ci as usize].share);
                     lits.extend_from_slice(self.lits_of(ci));
                 }
                 Conflict::Binary(a, b) => {
-                    share = share.max(self.bin_share_of(a, b));
                     lits.push(a);
                     lits.push(b);
                 }
@@ -1483,9 +1339,6 @@ impl Solver {
                     } else {
                         learnt.push(q);
                     }
-                } else if self.var_data[v.index()].level == 0 {
-                    // Resolving a root fact away uses that fact's derivation.
-                    share = share.max(self.level0_share[v.index()]);
                 }
             }
             // Find the next literal on the trail to resolve on.
@@ -1534,7 +1387,7 @@ impl Solver {
             learnt.swap(1, max_i);
             self.var_data[learnt[1].var().index()].level
         };
-        (learnt, backtrack_level, share)
+        (learnt, backtrack_level)
     }
 
     pub(crate) fn backtrack_to(&mut self, level: u32) {
@@ -1933,14 +1786,13 @@ impl Solver {
                     LBool::True => {}
                     LBool::False => self.ok = false,
                     LBool::Undef => {
-                        self.level0_share[kept[0].var().index()] = SHARE_NONE;
                         self.enqueue(kept[0], Reason::Decision);
                         if self.propagate().is_some() {
                             self.ok = false;
                         }
                     }
                 },
-                2 => self.attach_binary_shared(kept[0], kept[1], SHARE_NONE),
+                2 => self.attach_binary(kept[0], kept[1]),
                 _ => {
                     let lbd = if h.learnt {
                         h.lbd.clamp(1, kept.len() as u32)
@@ -1948,7 +1800,7 @@ impl Solver {
                         0
                     };
                     let learnt = h.learnt;
-                    let cref = self.attach_clause_shared(kept, learnt, SHARE_NONE);
+                    let cref = self.attach_clause(kept, learnt);
                     self.headers[cref as usize].lbd = lbd;
                 }
             }
@@ -1978,108 +1830,6 @@ impl Solver {
                 list.swap_remove(pos);
             }
         }
-    }
-
-    /// Hands every not-yet-exported shareable learned clause — long clauses
-    /// within the length/LBD quality bounds, learned binaries and root facts
-    /// — to `f` together with its share ceiling, marking it exported so each
-    /// clause leaves the solver at most once.
-    ///
-    /// A clause is shareable when its entire derivation stayed inside the
-    /// shareable fragment opened with [`Solver::set_share_ceiling`]; the
-    /// ceiling is the highest frame tag used anywhere in the derivation.
-    pub fn drain_exportable(
-        &mut self,
-        max_len: usize,
-        max_lbd: u32,
-        mut f: impl FnMut(&[Lit], u32),
-    ) {
-        for (lit, share) in std::mem::take(&mut self.unit_exports) {
-            f(&[lit], share);
-        }
-        for (a, b, share) in std::mem::take(&mut self.bin_exports) {
-            f(&[a, b], share);
-        }
-        for i in 0..self.headers.len() {
-            let h = self.headers[i];
-            if h.deleted
-                || !h.learnt
-                || h.exported
-                || h.share == SHARE_NONE
-                || h.len as usize > max_len
-                || h.lbd > max_lbd
-            {
-                continue;
-            }
-            self.headers[i].exported = true;
-            let lits = &self.clause_lits[h.start as usize..(h.start + h.len) as usize];
-            f(lits, h.share);
-        }
-    }
-
-    /// Imports a clause learned by another solver over the same shareable
-    /// fragment, attaching it as a learned clause.
-    ///
-    /// Freeze-contract check: the import is rejected (returning `false`) when
-    /// any literal refers to an unallocated or eliminated variable — the
-    /// exporting solver's fragment may mention variables this solver's
-    /// bounded variable elimination has removed, and resurrecting them would
-    /// break the model-extension contract. Also rejected while proof logging
-    /// is active: an imported lemma is a consequence of a *different*
-    /// formula's derivation and cannot be justified inside the local DRAT
-    /// log (certified runs therefore never import; see `docs/certificates.md`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called above decision level 0.
-    pub fn import_shared(&mut self, lits: &[Lit], share: u32) -> bool {
-        assert_eq!(
-            self.decision_level(),
-            0,
-            "imports happen between solves at decision level 0"
-        );
-        if !self.ok || self.proof.is_some() {
-            return false;
-        }
-        let mut share = share;
-        let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            if l.var().index() >= self.num_vars() || self.eliminated[l.var().index()] {
-                return false;
-            }
-            if kept.contains(&l) {
-                continue;
-            }
-            match self.value_lit(l) {
-                LBool::True => return false, // already satisfied at root
-                LBool::False => share = share.max(self.level0_share[l.var().index()]),
-                LBool::Undef => kept.push(l),
-            }
-        }
-        if kept.iter().any(|&l| kept.contains(&!l)) {
-            return false; // tautology
-        }
-        self.stats.shared_clause_imports += 1;
-        match kept.len() {
-            0 => self.ok = false, // every literal root-false: refutation found
-            1 => {
-                // Direct store (not `set_level0_share`): echoing the fact
-                // straight back to the pool would be pure churn.
-                self.level0_share[kept[0].var().index()] = share;
-                self.enqueue(kept[0], Reason::Decision);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-            }
-            2 => self.attach_binary_shared(kept[0], kept[1], share),
-            _ => {
-                let lbd = (kept.len() as u32 - 1).min(6);
-                let cref = self.attach_clause_shared(kept, true, share);
-                self.headers[cref as usize].lbd = lbd;
-                self.headers[cref as usize].exported = true; // no re-export echo
-            }
-        }
-        true
     }
 
     /// Luby restart sequence (1, 1, 2, 1, 1, 2, 4, ...).
@@ -2164,7 +1914,6 @@ impl Solver {
         span.attr_u64("rephasings", delta.rephasings);
         span.attr_u64("chrono_backtracks", delta.chrono_backtracks);
         span.attr_u64("vivified_clauses", delta.vivified_clauses);
-        span.attr_u64("shared_clause_imports", delta.shared_clause_imports);
         obs::counter("conflicts", delta.conflicts);
         obs::counter("propagations", delta.propagations);
         obs::counter("restarts", delta.restarts);
@@ -2290,7 +2039,7 @@ impl Solver {
                 let trail_size = self.trail.len();
                 // Conflicts below the assumption levels mean the assumptions
                 // themselves are contradictory with the formula.
-                let (learnt, backtrack_level, share) = self.analyze(confl);
+                let (learnt, backtrack_level) = self.analyze(confl);
                 let current_level = self.decision_level();
                 // Chronological backtracking: a far backjump throws away the
                 // whole assignment prefix above the assertion level even when
@@ -2317,22 +2066,14 @@ impl Solver {
                     _ => self.compute_lbd(&learnt),
                 };
                 match learnt.len() {
-                    1 => {
-                        if self.decision_level() == 0 {
-                            self.set_level0_share(learnt[0], share);
-                        }
-                        self.enqueue(learnt[0], Reason::Decision)
-                    }
+                    1 => self.enqueue(learnt[0], Reason::Decision),
                     2 => {
-                        self.attach_binary_shared(learnt[0], learnt[1], share);
-                        if share != SHARE_NONE {
-                            self.bin_exports.push((learnt[0], learnt[1], share));
-                        }
+                        self.attach_binary(learnt[0], learnt[1]);
                         self.enqueue(learnt[0], Reason::Binary(learnt[1]));
                     }
                     _ => {
                         let first = learnt[0];
-                        let cref = self.attach_clause_shared(learnt, true, share);
+                        let cref = self.attach_clause(learnt, true);
                         self.headers[cref as usize].lbd = lbd;
                         self.enqueue(first, Reason::Long(cref));
                     }

@@ -9,9 +9,7 @@
 //!    default against the all-off baseline;
 //! 2. every model returned under any configuration satisfies the formula;
 //! 3. unsat verdicts found with every feature on still produce DRAT logs
-//!    that check and trim (vivification's lemma/delete pairs included);
-//! 4. learned clauses exported by one solver import into a twin solving the
-//!    same formula without changing its verdict.
+//!    that check and trim (vivification's lemma/delete pairs included).
 
 use rtl::SplitMix64;
 use sat::drat::{check, trim};
@@ -200,53 +198,4 @@ fn modern_search_logs_check_and_trim() {
         check(&trimmed, &[]).unwrap_or_else(|e| panic!("case {case} recheck: {e}"));
     }
     assert!(unsat_seen >= 8, "generator produced too few unsat cases");
-}
-
-/// Property 4: clauses exported through the share-ceiling taint import into
-/// a twin solver without changing its verdict (and the twin actually
-/// accepts some of them).
-#[test]
-fn exported_clauses_import_soundly() {
-    let mut rng = SplitMix64::new(0x5ea2_0003);
-    let mut imported_total = 0usize;
-    for case in 0..40 {
-        let (num_vars, clauses) = random_formula(&mut rng);
-        let build_shared = |config: SearchConfig| {
-            let mut solver = Solver::new();
-            solver.set_search_config(config);
-            solver.reserve_vars(num_vars);
-            // The whole formula is "definitional" here, so every derivation
-            // stays inside the shareable fragment at ceiling 0.
-            solver.set_share_ceiling(Some(0));
-            for c in &clauses {
-                solver.add_clause(c.iter().copied());
-            }
-            solver.set_share_ceiling(None);
-            solver
-        };
-
-        let mut exporter = build_shared(SearchConfig::default());
-        let exporter_verdict = matches!(exporter.solve(), SatResult::Unsat);
-        let mut exported: Vec<(Vec<Lit>, u32)> = Vec::new();
-        exporter.drain_exportable(12, 6, |lits, share| {
-            exported.push((lits.to_vec(), share));
-        });
-
-        let mut importer = build_shared(SearchConfig::default());
-        for (lits, share) in &exported {
-            if importer.import_shared(lits, *share) {
-                imported_total += 1;
-            }
-        }
-        let importer_verdict = matches!(importer.solve(), SatResult::Unsat);
-        assert_eq!(
-            exporter_verdict, importer_verdict,
-            "case {case}: imported clauses flipped the verdict"
-        );
-        assert_model_satisfies(&importer.solve(), &clauses, "importer");
-    }
-    assert!(
-        imported_total > 0,
-        "no clause was ever exported and imported; the sharing path is dead"
-    );
 }

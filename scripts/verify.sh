@@ -15,7 +15,8 @@
 # --full additionally runs the release-mode `--ignored` acceptance sweeps
 # (the umbrella end-to-end methodology run, full-registry simplification
 # differential, full instance-registry scan, default-seed fuzz-witness
-# reproduction, full clause-sharing differential, full certified-verdict
+# reproduction, full per-miter walk differential (each instance scanned
+# with its miter's other instances versus alone), full certified-verdict
 # sweep, fault-injection differential sweep) — several minutes of SAT
 # solving.
 set -euo pipefail
@@ -69,8 +70,8 @@ if [ "$full" -eq 1 ]; then
   echo "==> full: instance-registry sweep + fuzz-witness reproduction (--ignored, release)"
   cargo test --release -q -p upec --test scenario_instances -- --ignored
 
-  echo "==> full: clause-sharing differential over the whole instance registry (--ignored, release)"
-  cargo test --release -q -p upec --test clause_sharing_differential -- --ignored
+  echo "==> full: per-miter walk differential over the whole instance registry (--ignored, release)"
+  cargo test --release -q -p upec --test miter_walk_differential -- --ignored
 
   echo "==> full: certified registry sweep (--ignored, release)"
   cargo test --release -q -p upec --test certificates -- --ignored
