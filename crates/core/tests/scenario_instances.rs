@@ -2,9 +2,13 @@
 //! witnesses behind its `fuzz-*` entries.
 //!
 //! Fast checks (structure, lookup, geometry application, one bounded
-//! re-mine and one capped formal scan) run in the default suite; the
-//! full-registry instance sweep and the full default-seed re-mine are
-//! `#[ignore]`d — `scripts/verify.sh --full` runs them in release mode.
+//! re-mine, the full default-seed re-mine and one capped formal scan) run
+//! in the default suite. The default-seed re-mine simulates 1,800 SoC runs
+//! (200 programs, three variants, two secrets, co-simulation and oracle)
+//! and pins the whole report, so it also checks that the simulator stays
+//! observationally equivalent across rewrites. The full-registry instance
+//! sweep is `#[ignore]`d; `scripts/verify.sh --full` runs it in release
+//! mode.
 
 use soc::fuzz::{self, Channel, FuzzOptions};
 use soc::{SocConfig, SocVariant};
@@ -129,15 +133,31 @@ fn full_instance_sweep_matches_every_pinned_expectation() {
 }
 
 /// The full pipeline claim behind the registry's `fuzz-*` rows: re-mining
-/// with the default options and re-minimizing reproduces the pinned
-/// witness programs byte-for-byte.
+/// with the default options finds the same report and witnesses, and
+/// re-minimizing reproduces the pinned witness programs byte-for-byte.
 #[test]
-#[ignore = "full 200-program mine across three variants; run with --ignored in release mode"]
 fn registry_fuzz_witnesses_reproduce_from_the_default_seed() {
     let opts = FuzzOptions::default();
     let report = fuzz::mine(&opts);
+    assert_eq!(report.programs_run, 200);
+    assert_eq!(report.divergent_runs, 8);
     assert_eq!(report.secure_divergences, 0);
     assert_eq!(report.cosim_mismatches, 0);
+    let found: Vec<(SocVariant, Channel, usize)> = report
+        .witnesses
+        .iter()
+        .map(|w| (w.variant, w.channel, w.case_index))
+        .collect();
+    assert_eq!(
+        found,
+        [
+            (SocVariant::MeltdownStyle, Channel::CacheFootprint, 36),
+            (SocVariant::Orc, Channel::CacheFootprint, 36),
+            (SocVariant::MeltdownStyle, Channel::Timing, 137),
+            (SocVariant::Orc, Channel::Timing, 137),
+        ],
+        "witnesses in discovery order"
+    );
     let cases = [
         (
             SocVariant::MeltdownStyle,

@@ -15,9 +15,16 @@
 //!    violation through the word-level semantics with no solver in the loop
 //!    (see `docs/certificates.md` at the repository root).
 //!
-//! The simulator is a straightforward two-value, word-level evaluator: the
-//! netlist's creation order is topological, so one in-order sweep per clock
-//! edge suffices.
+//! The simulator is a two-value, word-level evaluator. [`Simulator::new`]
+//! compiles the netlist once into a flat list of ops over a `u64` value
+//! array with one slot per signal, in the netlist's creation order (which is
+//! topological). Poking an input, setting a register, resetting and
+//! clocking only write leaf slots and mark the logic stale; the logic
+//! settles in one pass over the ops when a combinational signal is peeked
+//! or a clock edge needs the next state. A peek of a register, input or
+//! constant reads its slot without settling. Driving a design the usual way
+//! (poke the inputs, peek what they drive, step) therefore costs one pass
+//! per cycle.
 //!
 //! # Example
 //!
@@ -41,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-mod eval;
 mod replay;
 mod simulator;
 mod trace;

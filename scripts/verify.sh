@@ -14,11 +14,10 @@
 #
 # --full additionally runs the release-mode `--ignored` acceptance sweeps
 # (the umbrella end-to-end methodology run, full-registry simplification
-# differential, full instance-registry scan, default-seed fuzz-witness
-# reproduction, full per-miter walk differential (each instance scanned
-# with its miter's other instances versus alone), full certified-verdict
-# sweep, fault-injection differential sweep) — several minutes of SAT
-# solving.
+# differential, full instance-registry scan, full per-miter walk
+# differential (each instance scanned with its miter's other instances
+# versus alone), full certified-verdict sweep, fault-injection differential
+# sweep) — several minutes of SAT solving.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,7 +66,7 @@ if [ "$full" -eq 1 ]; then
   echo "==> full: simplification differential over the whole registry (--ignored, release)"
   cargo test --release -q -p upec --test simplify_differential -- --ignored
 
-  echo "==> full: instance-registry sweep + fuzz-witness reproduction (--ignored, release)"
+  echo "==> full: full instance-registry sweep (--ignored, release)"
   cargo test --release -q -p upec --test scenario_instances -- --ignored
 
   echo "==> full: per-miter walk differential over the whole instance registry (--ignored, release)"
