@@ -14,12 +14,11 @@
 //! ```
 
 use bench::secs;
+use bmc::UnrollOptions;
 use soc::{SocConfig, SocVariant};
-use upec::{scenarios, SecretScenario, UpecChecker, UpecModel, UpecOptions};
+use upec::{architectural_commitment, scenarios, IncrementalSession, SecretScenario, UpecModel};
 
 fn main() {
-    let checker = UpecChecker::new();
-
     println!("Ablation 1 — symbolic initial state (IPC) vs reset-state BMC, Orc variant");
     println!(
         "{:>8} {:>18} {:>18}",
@@ -28,9 +27,14 @@ fn main() {
     let model = scenarios::by_id("orc")
         .expect("registered scenario")
         .build_model();
+    let commitment = architectural_commitment(&model);
+    // Only the verdicts are printed, so each column walks one session.
+    let mut ipc_session = IncrementalSession::new(&model);
+    let mut bmc_session =
+        IncrementalSession::with_options(&model, UnrollOptions::from_reset_state());
     for k in 1..=6 {
-        let ipc = checker.check_architectural(&model, UpecOptions::window(k));
-        let bmc = checker.check_architectural(&model, UpecOptions::window(k).from_reset());
+        let ipc = ipc_session.check_bound(k, &commitment);
+        let bmc = bmc_session.check_bound(k, &commitment);
         let describe = |o: &upec::UpecOutcome| {
             if o.alert().is_some() {
                 "L-alert".to_string()
@@ -53,8 +57,10 @@ fn main() {
     let model = scenarios::by_id("secure-cached")
         .expect("registered scenario")
         .build_model();
+    let commitment = architectural_commitment(&model);
     for k in 1..=5 {
-        let outcome = checker.check_architectural(&model, UpecOptions::window(k));
+        // A fresh session per window, so each row is that window's own cost.
+        let outcome = IncrementalSession::new(&model).check_bound(k, &commitment);
         let s = outcome.stats();
         println!(
             "{k:>8} {:>12} {:>12} {:>12} {:>12}",
@@ -78,7 +84,8 @@ fn main() {
             .with_miss_latency(1)
             .with_store_latency(1);
         let model = UpecModel::new(&config, SecretScenario::InCache);
-        let outcome = checker.check_architectural(&model, UpecOptions::window(2));
+        let outcome =
+            IncrementalSession::new(&model).check_bound(2, &architectural_commitment(&model));
         let s = outcome.stats();
         println!(
             "{:>22} {:>12} {:>12} {:>12}",

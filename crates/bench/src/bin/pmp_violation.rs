@@ -8,24 +8,25 @@
 //! ```
 
 use bench::secs;
-use upec::{scenarios, UpecChecker, UpecOptions};
+use upec::{architectural_commitment, scenarios, IncrementalSession};
 
 fn main() {
     println!("Sec. VII-C — PMP TOR-lock violation\n");
-    let checker = UpecChecker::new();
     let pmp = scenarios::by_id("pmp-lock").expect("registered scenario");
     for spec in [
         pmp,
         scenarios::by_id("secure-arch-only").expect("registered scenario"),
     ] {
         let model = spec.build_model();
+        let commitment = architectural_commitment(&model);
+        let mut session = IncrementalSession::new(&model);
         let mut verdict = "no L-alert up to the window bound".to_string();
         let mut runtime = std::time::Duration::ZERO;
         // The shortest leaking scenario (move the locked base, mret, load the
         // secret) spans about seven cycles; the registry's window range for
         // the pmp-lock scenario starts the search there.
         for k in pmp.start_window..=pmp.max_window {
-            let outcome = checker.check_architectural(&model, UpecOptions::window(k));
+            let outcome = session.check_bound(k, &commitment);
             runtime += outcome.stats().runtime;
             if let Some(alert) = outcome.alert() {
                 verdict = format!(

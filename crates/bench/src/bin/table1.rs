@@ -7,9 +7,10 @@
 //! ```
 
 use bench::secs;
+use bmc::UnrollOptions;
 use sat::Budget;
 use upec::scenarios;
-use upec::{prove_alert_closure, run_methodology, UpecOptions, Verdict};
+use upec::{prove_alert_closure, run_methodology, Verdict};
 
 fn main() {
     println!("Table I — UPEC methodology experiments (original design)");
@@ -23,8 +24,8 @@ fn main() {
         let d_mem = model.d_mem();
         // "Feasible k": the largest window we attempt within a conflict
         // budget; with the reduced design this is simply d_MEM.
-        let options = UpecOptions::window(d_mem).with_budget(Budget::conflicts(2_000_000));
-        let report = run_methodology(&model, options);
+        let options = UnrollOptions::default().with_budget(Budget::conflicts(2_000_000));
+        let report = run_methodology(&model, d_mem, options);
         let closure = if report.verdict == Verdict::Secure && !report.p_alert_registers.is_empty() {
             Some(prove_alert_closure(&model, &report.p_alert_registers))
         } else {

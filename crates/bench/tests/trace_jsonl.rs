@@ -5,13 +5,13 @@
 
 use bench::json::validate;
 use std::sync::Arc;
-use upec::{scenarios, IncrementalSession, UpecOptions, UpecOutcome};
+use upec::{scenarios, IncrementalSession, UpecOutcome};
 
 fn query() -> UpecOutcome {
     let spec = scenarios::by_id("meltdown").expect("registered scenario");
     let model = spec.build_model();
     let commitment = spec.commitment_set(&model);
-    IncrementalSession::with_options(&model, UpecOptions::window(1)).check_bound(1, &commitment)
+    IncrementalSession::new(&model).check_bound(1, &commitment)
 }
 
 #[test]

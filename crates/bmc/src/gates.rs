@@ -1,6 +1,6 @@
 //! Tseitin encoding of Boolean gates into a SAT solver.
 
-use sat::{Lit, SimplifyConfig, Solver};
+use sat::{Lit, Solver};
 use std::collections::HashMap;
 
 /// Key used for structural hashing of gates.
@@ -59,14 +59,15 @@ impl GateBuilder {
     }
 
     /// Runs the solver's incremental-safe simplification pipeline
-    /// ([`sat::Solver::simplify_with`]) and then purges every structural-hash
+    /// ([`sat::Solver::simplify`], probing for at most
+    /// `max_probe_propagations` propagations) and then purges every structural-hash
     /// entry that refers to an eliminated variable, so a later identical gate
     /// request re-encodes with a fresh output instead of resurrecting a
     /// variable whose defining clauses are gone.
     ///
     /// Returns `false` if simplification proved the formula unsatisfiable.
-    pub fn simplify(&mut self, config: &SimplifyConfig) -> bool {
-        let ok = self.solver.simplify_with(config);
+    pub fn simplify(&mut self, max_probe_propagations: u64) -> bool {
+        let ok = self.solver.simplify(max_probe_propagations);
         let solver = &self.solver;
         self.structural.retain(|key, out| {
             !solver.is_eliminated(out.var()) && !key.any_lit(|l| solver.is_eliminated(l.var()))

@@ -11,7 +11,10 @@
 //! (the "any-state proof" of interval property checking), which is how the
 //! UPEC miter proofs in the `upec` crate drive it. [`CompiledTransition`]
 //! prunes, hashes and folds the netlist once so every frame instantiates the
-//! same dense schedule lazily.
+//! same dense schedule lazily. [`UnrollOptions`] holds all of a query's
+//! settings: symbolic or reset initial state, a per-call [`sat::Budget`],
+//! the trial cap that gates CNF simplification, and proof logging; the
+//! solver underneath has no feature switches.
 //!
 //! # Example
 //!

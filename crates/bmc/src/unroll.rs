@@ -36,19 +36,16 @@ pub struct UnrollOptions {
     /// [`sat::StopCause::BudgetExhausted`] while keeping the session
     /// resumable. Unlimited by default.
     pub budget: sat::Budget,
-    /// When `true`, skip the incremental-safe CNF simplification pipeline
-    /// that otherwise runs before a solve whenever the clause database has
-    /// grown substantially (e.g. after a bound extension). Kept as an escape
-    /// hatch for differential testing; real proofs keep this `false`.
-    pub no_simplify: bool,
-    /// Conflict budget of the *trial solve* that gates the simplification
-    /// pipeline: after a substantial database growth the query is first
-    /// attempted under this cap, and only queries that exhaust it pay for
-    /// simplification (the trial's learned clauses are kept, so its effort
-    /// is never wasted). Queries that finish inside the cap — small added
-    /// frames, bounds the solver cruises through — skip the pipeline
-    /// entirely. Lowering the value makes simplification more eager; `0`
-    /// simplifies before any query that hits a single conflict.
+    /// Conflict budget of the *trial solve* that gates the CNF
+    /// simplification pipeline: after a substantial database growth (e.g. a
+    /// bound extension) the query is first attempted under this cap, and
+    /// only queries that exhaust it pay for simplification and vivification
+    /// (the trial's learned clauses are kept, so its effort is never
+    /// wasted). Queries that finish inside the cap — small added frames,
+    /// bounds the solver cruises through — skip the pipeline entirely.
+    /// Lowering the value makes simplification more eager; `0` simplifies
+    /// before any query that hits a single conflict, and `u64::MAX` is a
+    /// cap no solve reaches, so the pipeline never runs.
     pub simplify_trial_conflicts: u64,
     /// When `true`, the underlying solver records a DRAT-style proof log
     /// from the first clause on (see [`sat::Solver::start_proof_log`]), so
@@ -56,13 +53,6 @@ pub struct UnrollOptions {
     /// certificates. Off by default: logging costs memory proportional to
     /// the search.
     pub proof_log: bool,
-    /// Search-loop feature toggles handed to the underlying solver (EMA
-    /// restarts, phase saving, rephasing, chronological backtracking), plus
-    /// the `vivify` flag that gates the clause-vivification inprocessing the
-    /// unrolling runs after each simplification pass. Defaults to all
-    /// features on; [`sat::SearchConfig::baseline`] restores the PR 5
-    /// behavior for differential testing.
-    pub search: sat::SearchConfig,
 }
 
 impl Default for UnrollOptions {
@@ -70,10 +60,8 @@ impl Default for UnrollOptions {
         Self {
             use_initial_values: false,
             budget: sat::Budget::unlimited(),
-            no_simplify: false,
             simplify_trial_conflicts: 4000,
             proof_log: false,
-            search: sat::SearchConfig::default(),
         }
     }
 }
@@ -99,12 +87,6 @@ impl UnrollOptions {
         self
     }
 
-    /// Disables the CNF simplification pipeline (baseline solving).
-    pub fn no_simplify(mut self) -> Self {
-        self.no_simplify = true;
-        self
-    }
-
     /// Sets the conflict budget of the trial solve that gates the
     /// simplification pipeline (see
     /// [`UnrollOptions::simplify_trial_conflicts`]).
@@ -117,12 +99,6 @@ impl UnrollOptions {
     /// [`UnrollOptions::proof_log`]).
     pub fn with_proof_log(mut self) -> Self {
         self.proof_log = true;
-        self
-    }
-
-    /// Sets the search-loop feature toggles (see [`UnrollOptions::search`]).
-    pub fn with_search(mut self, search: sat::SearchConfig) -> Self {
-        self.search = search;
         self
     }
 }
@@ -330,7 +306,6 @@ impl<'n> Unrolling<'n> {
             frame0_aliases.insert(register.index(), source);
         }
         let mut gates = GateBuilder::new();
-        gates.solver_mut().set_search_config(options.search);
         if options.proof_log {
             // Logging starts before any frame is encoded, so the axiom set of
             // the certificate is exactly the frame CNF (plus the builder's
@@ -971,20 +946,19 @@ impl<'n> Unrolling<'n> {
 
     /// Runs the SAT solver under the given assumption literals.
     ///
-    /// Unless [`UnrollOptions::no_simplify`] is set, the incremental-safe
-    /// CNF simplification pipeline is triggered *adaptively*: after a
-    /// substantial database growth (at least 512 new problem clauses and an
-    /// eighth of the database — in practice, a bound extension) the query is
-    /// first attempted under the call's budget capped at
-    /// [`UnrollOptions::simplify_trial_conflicts`] conflicts. Queries that
-    /// finish inside the cap never pay for the pipeline; queries that
-    /// exhaust it are simplified (with the probing budget scaled to the
-    /// growth) and then solved under what is left of the budget — keeping
-    /// every clause the trial learned.
+    /// The incremental-safe CNF simplification pipeline is triggered
+    /// *adaptively*: after a substantial database growth (at least 512 new
+    /// problem clauses and an eighth of the database — in practice, a bound
+    /// extension) the query is first attempted under the call's budget
+    /// capped at [`UnrollOptions::simplify_trial_conflicts`] conflicts.
+    /// Queries that finish inside the cap never pay for the pipeline;
+    /// queries that exhaust it are simplified (with the probing budget
+    /// scaled to the growth), vivified and then solved under what is left of
+    /// the budget — keeping every clause the trial learned.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
         let budget = self.options.budget;
         self.gates.solver_mut().set_budget(budget);
-        if self.options.no_simplify || !self.simplification_due() {
+        if !self.simplification_due() {
             return self.gates.solver_mut().solve_with_assumptions(assumptions);
         }
 
@@ -1014,13 +988,11 @@ impl<'n> Unrolling<'n> {
 
         // The query is hard; simplification effort will pay for itself.
         self.run_simplify();
-        if self.options.search.vivify {
-            // Vivification as inprocessing: probe-strengthen the database
-            // the pipeline just rebuilt, before committing to the full
-            // solve. Strengthenings are logged as lemma/delete pairs, so a
-            // proof-logging session stays certifiable.
-            self.gates.solver_mut().vivify(Self::VIVIFY_PROPAGATIONS);
-        }
+        // Vivification as inprocessing: probe-strengthen the database the
+        // pipeline just rebuilt, before committing to the full solve.
+        // Strengthenings are logged as lemma/delete pairs, so a
+        // proof-logging session stays certifiable.
+        self.gates.solver_mut().vivify(Self::VIVIFY_PROPAGATIONS);
         let solver = self.gates.solver_mut();
         // Charge the trial episode plus the simplification/vivification work
         // against the per-call budget, so the whole call — not each episode —
@@ -1047,11 +1019,7 @@ impl<'n> Unrolling<'n> {
     fn run_simplify(&mut self) {
         let clauses = self.gates.solver().num_clauses();
         let grown = clauses.saturating_sub(self.clauses_at_last_simplify) as u64;
-        let config = sat::SimplifyConfig {
-            failed_literal_propagations: (grown * 25).clamp(20_000, 100_000),
-            ..sat::SimplifyConfig::default()
-        };
-        self.gates.simplify(&config);
+        self.gates.simplify((grown * 25).clamp(20_000, 100_000));
         self.clauses_at_last_simplify = self.gates.solver().num_clauses();
     }
 
@@ -1080,8 +1048,8 @@ impl<'n> Unrolling<'n> {
         self.gates.solver().stats()
     }
 
-    /// Counters of the CNF simplification pipeline (all zero when
-    /// [`UnrollOptions::no_simplify`] disabled it).
+    /// Counters of the CNF simplification pipeline (all zero until a query
+    /// exhausted its [`UnrollOptions::simplify_trial_conflicts`] trial).
     pub fn simplify_stats(&self) -> sat::SimplifyStats {
         self.gates.solver().simplify_stats()
     }
@@ -1096,7 +1064,7 @@ impl<'n> Unrolling<'n> {
     }
 
     /// Propagation budget of the vivification pass run after each
-    /// simplification (see [`UnrollOptions::search`]).
+    /// simplification.
     const VIVIFY_PROPAGATIONS: u64 = 100_000;
 
     /// Reads the value of a signal in a frame from a model.

@@ -1,99 +1,11 @@
-//! Checking the UPEC property on a bounded model and classifying
-//! counterexamples into P-alerts and L-alerts (paper Defs. 6 and 7).
+//! The vocabulary of a UPEC query — commitments, alerts (paper Defs. 6 and
+//! 7), outcomes and their statistics. Queries are posed through an
+//! [`IncrementalSession`](crate::engine::IncrementalSession).
 
 use crate::{StateClass, UpecModel};
 use rtl::BitVec;
 use std::collections::BTreeSet;
 use std::time::Duration;
-
-/// Options for a single UPEC property check.
-#[derive(Debug, Clone, Copy)]
-pub struct UpecOptions {
-    /// Window length `k` (number of clock cycles after the symbolic starting
-    /// time point).
-    pub window: usize,
-    /// Deterministic per-query resource budget (conflicts / propagations /
-    /// decisions; see [`sat::Budget`]). The budget covers each whole
-    /// `check_bound` call; exhausted queries answer [`UpecOutcome::Unknown`]
-    /// (the paper's "not feasible" windows) with the stop cause recorded in
-    /// [`UpecStats::stop`], and the session stays resumable. Unlimited by
-    /// default.
-    pub budget: sat::Budget,
-    /// Use the registers' reset values instead of a symbolic initial state
-    /// (only used by the ablation study; real UPEC runs keep this `false`).
-    pub from_reset_state: bool,
-    /// Skip the solver's incremental-safe CNF simplification pipeline (the
-    /// pre-simplifier baseline; used by differential tests). Real proofs
-    /// keep this `false`.
-    pub no_simplify: bool,
-    /// Conflict budget of the trial solve that gates CNF simplification:
-    /// only queries that exhaust this cap pay for the pipeline (see
-    /// [`bmc::UnrollOptions::simplify_trial_conflicts`]).
-    pub simplify_trial_conflicts: u64,
-    /// Record a DRAT proof log while solving so verdicts can be packaged as
-    /// independently checkable certificates
-    /// ([`IncrementalSession::check_bound_certified`](crate::engine::IncrementalSession::check_bound_certified)).
-    pub certify: bool,
-    /// Search-loop feature configuration of the SAT solver (EMA restarts,
-    /// rephasing, chronological backtracking, vivification). Defaults to
-    /// all-on; [`sat::SearchConfig::baseline`] restores the plain
-    /// Luby/phase-saving loop for differential testing.
-    pub search: sat::SearchConfig,
-}
-
-impl UpecOptions {
-    /// Creates options for a window of `k` cycles.
-    pub fn window(k: usize) -> Self {
-        Self {
-            window: k,
-            budget: sat::Budget::unlimited(),
-            from_reset_state: false,
-            no_simplify: false,
-            simplify_trial_conflicts: bmc::UnrollOptions::default().simplify_trial_conflicts,
-            certify: false,
-            search: sat::SearchConfig::default(),
-        }
-    }
-
-    /// Sets the deterministic per-query resource budget (see
-    /// [`UpecOptions::budget`]).
-    pub fn with_budget(mut self, budget: sat::Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Switches to reset-state bounded model checking (ablation only).
-    pub fn from_reset(mut self) -> Self {
-        self.from_reset_state = true;
-        self
-    }
-
-    /// Disables CNF simplification (the pre-simplifier solving baseline).
-    pub fn no_simplify(mut self) -> Self {
-        self.no_simplify = true;
-        self
-    }
-
-    /// Sets the conflict budget of the trial solve that gates CNF
-    /// simplification (`0` simplifies before any query hitting a conflict).
-    pub fn with_simplify_trial(mut self, conflicts: u64) -> Self {
-        self.simplify_trial_conflicts = conflicts;
-        self
-    }
-
-    /// Enables DRAT proof logging so verdicts can be certified (see
-    /// [`crate::VerdictCertificate`]).
-    pub fn with_certificates(mut self) -> Self {
-        self.certify = true;
-        self
-    }
-
-    /// Sets the solver's search-loop feature configuration (builder style).
-    pub fn with_search(mut self, search: sat::SearchConfig) -> Self {
-        self.search = search;
-        self
-    }
-}
 
 /// Severity of a UPEC counterexample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,60 +121,6 @@ impl UpecOutcome {
     }
 }
 
-/// Checks the UPEC interval property (paper Fig. 4) on a [`UpecModel`].
-#[derive(Debug, Clone, Default)]
-pub struct UpecChecker;
-
-impl UpecChecker {
-    /// Creates a checker.
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Checks the property with the obligation restricted to `commitment`
-    /// (register-pair names). Pairs outside the commitment may freely differ
-    /// at `t+k` — this is how the methodology tolerates already-diagnosed
-    /// P-alerts. Memory-class pairs are never part of the obligation.
-    ///
-    /// This is a one-shot convenience wrapper: it opens an
-    /// [`IncrementalSession`](crate::engine::IncrementalSession) for a single
-    /// query. Flows that re-solve the property — deepening the bound,
-    /// shrinking the commitment, or sweeping scenarios — should hold on to a
-    /// session (or use the [`UpecEngine`](crate::UpecEngine)) to reuse solver
-    /// state across queries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a commitment name does not exist in the model.
-    pub fn check(
-        &self,
-        model: &UpecModel,
-        options: UpecOptions,
-        commitment: &BTreeSet<String>,
-    ) -> UpecOutcome {
-        let mut session = crate::engine::IncrementalSession::with_options(model, options);
-        session.check_bound(options.window, commitment)
-    }
-
-    /// Convenience: checks with the commitment set to *all* architectural and
-    /// microarchitectural registers (the first iteration of the
-    /// methodology).
-    pub fn check_full(&self, model: &UpecModel, options: UpecOptions) -> UpecOutcome {
-        let commitment = full_commitment(model);
-        self.check(model, options, &commitment)
-    }
-
-    /// Convenience: checks with the commitment restricted to architectural
-    /// registers only, so any counterexample is an L-alert.
-    pub fn check_architectural(&self, model: &UpecModel, options: UpecOptions) -> UpecOutcome {
-        let commitment: BTreeSet<String> = model
-            .pairs_of_class(StateClass::Architectural)
-            .map(|p| p.name.clone())
-            .collect();
-        self.check(model, options, &commitment)
-    }
-}
-
 /// The full commitment: every architectural and microarchitectural register.
 pub fn full_commitment(model: &UpecModel) -> BTreeSet<String> {
     model
@@ -273,9 +131,19 @@ pub fn full_commitment(model: &UpecModel) -> BTreeSet<String> {
         .collect()
 }
 
+/// The architectural commitment: every architectural register, so any
+/// counterexample is an L-alert.
+pub fn architectural_commitment(model: &UpecModel) -> BTreeSet<String> {
+    model
+        .pairs_of_class(StateClass::Architectural)
+        .map(|p| p.name.clone())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::IncrementalSession;
     use crate::SecretScenario;
     use soc::{SocConfig, SocVariant};
 
@@ -290,14 +158,14 @@ mod tests {
     #[test]
     fn secret_not_in_cache_produces_no_alert_at_window_one() {
         let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::NotInCache);
-        let outcome = UpecChecker::new().check_full(&model, UpecOptions::window(1));
+        let outcome = IncrementalSession::new(&model).check_bound(1, &full_commitment(&model));
         assert!(outcome.is_proven(), "outcome: {outcome:?}");
     }
 
     #[test]
     fn secret_in_cache_produces_a_p_alert_on_the_secure_design() {
         let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
-        let outcome = UpecChecker::new().check_full(&model, UpecOptions::window(2));
+        let outcome = IncrementalSession::new(&model).check_bound(2, &full_commitment(&model));
         let alert = outcome.alert().expect("expected a propagation alert");
         assert_eq!(alert.kind, AlertKind::PAlert, "alert: {alert:?}");
         assert!(!alert.microarchitectural_differences.is_empty());
@@ -306,8 +174,10 @@ mod tests {
     #[test]
     fn secure_design_has_no_l_alert_at_small_windows() {
         let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
+        let commitment = architectural_commitment(&model);
+        let mut session = IncrementalSession::new(&model);
         for k in 1..=2 {
-            let outcome = UpecChecker::new().check_architectural(&model, UpecOptions::window(k));
+            let outcome = session.check_bound(k, &commitment);
             assert!(
                 outcome.is_proven(),
                 "unexpected L-alert at window {k}: {:?}",
@@ -319,15 +189,11 @@ mod tests {
     #[test]
     fn orc_variant_produces_an_l_alert() {
         let model = UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache);
-        let mut found = None;
-        for k in 1..=5 {
-            let outcome = UpecChecker::new().check_architectural(&model, UpecOptions::window(k));
-            if let Some(alert) = outcome.alert() {
-                found = Some((k, alert.clone()));
-                break;
-            }
-        }
-        let (k, alert) = found.expect("the Orc variant must leak within five cycles");
+        let commitment = architectural_commitment(&model);
+        let mut session = IncrementalSession::new(&model);
+        let (k, alert) = (1..=5)
+            .find_map(|k| Some((k, session.check_bound(k, &commitment).alert()?.clone())))
+            .expect("the Orc variant must leak within five cycles");
         assert_eq!(alert.kind, AlertKind::LAlert);
         assert!(k >= 2, "timing difference needs at least the stall cycle");
     }
@@ -335,8 +201,9 @@ mod tests {
     #[test]
     fn unknown_is_reported_when_the_budget_is_tiny() {
         let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
-        let options = UpecOptions::window(2).with_budget(sat::Budget::conflicts(1));
-        let outcome = UpecChecker::new().check_full(&model, options);
+        let options = bmc::UnrollOptions::default().with_budget(sat::Budget::conflicts(1));
+        let outcome = IncrementalSession::with_options(&model, options)
+            .check_bound(2, &full_commitment(&model));
         assert!(
             matches!(outcome, UpecOutcome::Unknown(_)) || outcome.alert().is_some(),
             "a one-conflict budget cannot complete a proof: {outcome:?}"

@@ -34,7 +34,7 @@ pub enum EngineError {
     /// that would "prove" any design secure.
     EmptyCommitment,
     /// A certified query was issued on a session opened without
-    /// [`UpecOptions::with_certificates`](crate::UpecOptions::with_certificates)
+    /// [`UnrollOptions::with_proof_log`](bmc::UnrollOptions::with_proof_log)
     /// (proven bounds need the proof log recording from the first clause on).
     CertificationUnavailable,
     /// The query stopped without a verdict — budget exhausted or cancelled —
@@ -63,7 +63,7 @@ impl fmt::Display for EngineError {
             EngineError::EmptyCommitment => write!(f, "commitment must not be empty"),
             EngineError::CertificationUnavailable => write!(
                 f,
-                "certified queries need a session opened with UpecOptions::with_certificates()"
+                "certified queries need a session opened with UnrollOptions::with_proof_log()"
             ),
             EngineError::UncertifiableVerdict { window, stop, .. } => write!(
                 f,

@@ -3,7 +3,7 @@
 use crate::certify::{CertificateCheck, CertificateError, VerdictCertificate};
 use crate::engine::{EngineError, IncrementalSession};
 use crate::scenarios::{Expectation, ScenarioInstance};
-use crate::{Alert, AlertKind, SecretScenario, UpecModel, UpecOptions, UpecOutcome, UpecStats};
+use crate::{Alert, AlertKind, SecretScenario, UpecModel, UpecOutcome, UpecStats};
 use soc::SocConfig;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Mutex;
@@ -510,9 +510,9 @@ impl UpecEngine {
     pub fn check_certified(&self, instance: &ScenarioInstance) -> CertifiedResult {
         let model = instance.build_model();
         let commitment = instance.commitment_set(&model);
-        let options = UpecOptions::window(0)
+        let options = bmc::UnrollOptions::default()
             .with_budget(self.options.bound_budget)
-            .with_certificates();
+            .with_proof_log();
         let mut session = IncrementalSession::with_options(&model, options);
         let mut bounds = Vec::new();
         for k in instance.start_window..=self.last_window(instance) {

@@ -2,9 +2,7 @@
 
 use crate::certify::{UnsatCertificate, VerdictCertificate, WitnessCertificate};
 use crate::engine::EngineError;
-use crate::{
-    Alert, AlertKind, RegisterPair, StateClass, UpecModel, UpecOptions, UpecOutcome, UpecStats,
-};
+use crate::{Alert, AlertKind, RegisterPair, StateClass, UpecModel, UpecOutcome, UpecStats};
 use bmc::{UnrollError, UnrollOptions, Unrolling};
 use rtl::BitVec;
 use sat::SatResult;
@@ -59,25 +57,27 @@ pub struct IncrementalSession<'m> {
 }
 
 impl<'m> IncrementalSession<'m> {
-    /// Opens a session on a miter with the default [`UpecOptions`].
+    /// Opens a session on a miter with the default [`UnrollOptions`].
     pub fn new(model: &'m UpecModel) -> Self {
-        Self::with_options(model, UpecOptions::window(0))
+        Self::with_options(model, UnrollOptions::default())
     }
 
-    /// Opens a session honoring every knob of [`UpecOptions`] (the `window`
-    /// field is ignored — bounds are chosen per query).
+    /// Opens a session with explicit [`UnrollOptions`]: a per-query
+    /// [`sat::Budget`], the simplification trial cap, DRAT proof logging
+    /// (needed by [`IncrementalSession::check_bound_certified`]), or
+    /// reset-state initial values (ablation only; real UPEC runs start from a
+    /// symbolic state).
     ///
     /// # Panics
     ///
     /// Panics if a model constraint cannot be encoded; see
     /// [`IncrementalSession::try_with_options`] for the non-panicking form.
-    pub fn with_options(model: &'m UpecModel, options: UpecOptions) -> Self {
+    pub fn with_options(model: &'m UpecModel, options: UnrollOptions) -> Self {
         Self::try_with_options(model, options).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Opens a session honoring every knob of [`UpecOptions`], reporting
-    /// malformed model constraints as a typed [`EngineError`] instead of
-    /// panicking.
+    /// Like [`IncrementalSession::with_options`], but reports malformed
+    /// model constraints as a typed [`EngineError`] instead of panicking.
     ///
     /// # Errors
     ///
@@ -85,19 +85,11 @@ impl<'m> IncrementalSession<'m> {
     /// constraint of the model cannot be encoded on the unrolled miter.
     pub fn try_with_options(
         model: &'m UpecModel,
-        options: UpecOptions,
+        options: UnrollOptions,
     ) -> Result<Self, EngineError> {
-        let unroll_options = UnrollOptions {
-            use_initial_values: options.from_reset_state,
-            budget: options.budget,
-            no_simplify: options.no_simplify,
-            simplify_trial_conflicts: options.simplify_trial_conflicts,
-            proof_log: options.certify,
-            search: options.search,
-        };
         // Reset-state ablation runs need no aliases: the initial values
         // already coincide.
-        let aliases = if options.from_reset_state {
+        let aliases = if options.use_initial_values {
             Vec::new()
         } else {
             model.frame0_aliases()
@@ -107,7 +99,7 @@ impl<'m> IncrementalSession<'m> {
         let mut unrolling = Unrolling::with_compiled(
             model.netlist(),
             Arc::clone(model.compiled_transition()),
-            unroll_options,
+            options,
             &aliases,
         );
         for constraint in model
@@ -186,14 +178,15 @@ impl<'m> IncrementalSession<'m> {
     }
 
     /// Counters of the CNF simplification pipeline (variables eliminated,
-    /// clauses subsumed, …; all zero when [`UpecOptions::no_simplify`]
-    /// disabled it). See [`sat::SimplifyStats`].
+    /// clauses subsumed, …; all zero until a query exhausted its
+    /// [`UnrollOptions::simplify_trial_conflicts`] trial). See
+    /// [`sat::SimplifyStats`].
     pub fn simplify_stats(&self) -> sat::SimplifyStats {
         self.unrolling.simplify_stats()
     }
 
     /// The session's accumulated DRAT proof log, when the session was opened
-    /// with [`UpecOptions::with_certificates`]. The log spans the whole
+    /// with [`UnrollOptions::with_proof_log`]. The log spans the whole
     /// session (all frames, all queries); per-query certificates are the
     /// trimmed views returned by
     /// [`IncrementalSession::check_bound_certified`].
@@ -201,11 +194,13 @@ impl<'m> IncrementalSession<'m> {
         self.unrolling.proof_log()
     }
 
-    /// Checks the UPEC property at bound `k` with the obligation restricted
-    /// to `commitment`, reusing all solver state from earlier queries.
-    ///
-    /// Semantics are identical to [`crate::UpecChecker::check`] — in fact the
-    /// checker is now a thin wrapper that opens a session for a single query.
+    /// Checks the UPEC interval property (paper Fig. 4) at bound `k` with
+    /// the obligation restricted to `commitment`, reusing all solver state
+    /// from earlier queries. Pairs outside the commitment may freely differ
+    /// at `t+k` — this is how the methodology tolerates already-diagnosed
+    /// P-alerts. Memory-class pairs are never part of the obligation. A
+    /// counterexample is an L-alert when an architectural register differs,
+    /// a P-alert otherwise.
     ///
     /// Precondition: `k` never decreases over a session's queries. The
     /// model's window constraints are asserted as permanent units on frames
@@ -255,7 +250,7 @@ impl<'m> IncrementalSession<'m> {
     /// # Errors
     ///
     /// * [`EngineError::CertificationUnavailable`] if the session was not
-    ///   opened with [`UpecOptions::with_certificates`] (proven bounds need
+    ///   opened with [`UnrollOptions::with_proof_log`] (proven bounds need
     ///   the proof log recording from the first clause on);
     /// * [`EngineError::UncertifiableVerdict`] when the query stops without
     ///   a verdict (budget exhausted or cancelled) — an undecided query must
@@ -490,7 +485,7 @@ impl<'m> IncrementalSession<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{full_commitment, SecretScenario, UpecChecker};
+    use crate::{architectural_commitment, full_commitment, SecretScenario};
     use soc::{SocConfig, SocVariant};
 
     fn tiny(variant: SocVariant) -> SocConfig {
@@ -506,7 +501,8 @@ mod tests {
     /// propagations than `k` independent solve-from-scratch checks of the
     /// same bounds.
     ///
-    /// Both sides run with `no_simplify` so the comparison isolates the
+    /// Both sides solve plainly (a trial cap no query reaches, so the CNF
+    /// simplifier never runs), so the comparison isolates the
     /// incremental-reuse property this test pins: the CNF simplifier
     /// perturbs conflict counts in both directions (probing propagations,
     /// resolvent clauses), which would turn the comparison into a test of
@@ -520,7 +516,7 @@ mod tests {
         // alone would teach the solver nothing and the comparison would tie.)
         let model = UpecModel::new(&tiny(SocVariant::MeltdownStyle), SecretScenario::InCache);
         let commitment = full_commitment(&model);
-        let options = UpecOptions::window(0).no_simplify();
+        let options = UnrollOptions::default().with_simplify_trial(u64::MAX);
         let max_k = 3;
 
         // k independent from-scratch solves.
@@ -553,53 +549,28 @@ mod tests {
         );
     }
 
-    /// Session outcomes agree with the one-shot checker at every bound.
-    #[test]
-    fn session_matches_checker_verdicts() {
-        let model = UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache);
-        let commitment: BTreeSet<String> = model
-            .pairs_of_class(StateClass::Architectural)
-            .map(|p| p.name.clone())
-            .collect();
-        let checker = UpecChecker::new();
-        let mut session = IncrementalSession::new(&model);
-        for k in 1..=2 {
-            let fresh = checker.check(&model, UpecOptions::window(k), &commitment);
-            let incremental = session.check_bound(k, &commitment);
-            assert_eq!(
-                fresh.is_proven(),
-                incremental.is_proven(),
-                "verdict mismatch at k={k}: fresh={fresh:?} incremental={incremental:?}"
-            );
-            if let (Some(a), Some(b)) = (fresh.alert(), incremental.alert()) {
-                assert_eq!(a.kind, b.kind, "alert kind mismatch at k={k}");
-            }
-        }
-    }
-
     /// Regression for the simplifier's frozen-variable contract: with CNF
     /// simplification on (the default), a session extended bound-by-bound
-    /// must answer exactly like fresh per-bound sessions running the
-    /// `no_simplify` baseline. A frame-boundary or trace-extraction
+    /// must answer exactly like fresh per-bound sessions that solve plainly
+    /// (a trial cap no query reaches). A frame-boundary or trace-extraction
     /// variable wrongly eliminated between bounds would panic or flip a
     /// verdict here.
     #[test]
     fn simplified_walk_matches_fresh_solves() {
         let model = UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache);
-        let commitment: BTreeSet<String> = model
-            .pairs_of_class(StateClass::Architectural)
-            .map(|p| p.name.clone())
-            .collect();
+        let commitment = architectural_commitment(&model);
         // Orc with the architectural obligation is proven at k=1 and
         // L-alerts at k=2, covering both outcome paths. A zero trial budget
         // makes the adaptive trigger run the pipeline before any query that
         // hits a conflict, so this test always exercises the simplifier.
-        let mut walked =
-            IncrementalSession::with_options(&model, UpecOptions::window(0).with_simplify_trial(0));
+        let mut walked = IncrementalSession::with_options(
+            &model,
+            UnrollOptions::default().with_simplify_trial(0),
+        );
         for k in 1..=2 {
             let walked_outcome = walked.check_bound(k, &commitment);
-            let mut fresh =
-                IncrementalSession::with_options(&model, UpecOptions::window(k).no_simplify());
+            let plain = UnrollOptions::default().with_simplify_trial(u64::MAX);
+            let mut fresh = IncrementalSession::with_options(&model, plain);
             let fresh_outcome = fresh.check_bound(k, &commitment);
             assert_eq!(
                 walked_outcome.is_proven(),

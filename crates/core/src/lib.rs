@@ -13,9 +13,11 @@
 //!    (secret) location — together with the side constraints of Sec. V
 //!    (no ongoing protected access, cache-protocol monitor, secure system
 //!    software, equality of non-protected memory).
-//! 2. [`UpecChecker`] checks the UPEC interval property of Fig. 4 on a
-//!    bounded model with a *symbolic initial state* (interval property
-//!    checking), classifying counterexamples into [`AlertKind::PAlert`] and
+//! 2. [`IncrementalSession::check_bound`] checks the UPEC interval property
+//!    of Fig. 4 at a window `k` under a commitment ([`full_commitment`],
+//!    [`architectural_commitment`] or any register subset), on a bounded
+//!    model with a *symbolic initial state* (interval property checking),
+//!    classifying counterexamples into [`AlertKind::PAlert`] and
 //!    [`AlertKind::LAlert`] (Defs. 6/7).
 //! 3. [`run_methodology`] drives the iterative analysis of Fig. 5: P-alerting
 //!    registers are removed from the proof obligation until the design is
@@ -26,9 +28,10 @@
 //!
 //! Beyond the paper, these subsystems make the flow scale:
 //!
-//! * the [`engine`] module — [`IncrementalSession`] (one persistent SAT
-//!   solver per miter, reused across bound deepening and commitment
-//!   shrinking, bounded by a resumable [`sat::Budget`]) and [`UpecEngine`]
+//! * the [`engine`] module — [`IncrementalSession`] (the one way to pose a
+//!   query: one persistent SAT solver per miter, reused across bound
+//!   deepening and commitment shrinking, bounded by a resumable
+//!   [`sat::Budget`] and configured by [`bmc::UnrollOptions`]) and [`UpecEngine`]
 //!   (a miter-parallel worker pool: one session per miter walks every
 //!   instance of that miter);
 //! * the [`scenarios`] module — the named registry of every attack scenario
@@ -44,7 +47,7 @@
 //!
 //! ```
 //! use soc::{SocConfig, SocVariant};
-//! use upec::{SecretScenario, UpecChecker, UpecModel, UpecOptions};
+//! use upec::{full_commitment, IncrementalSession, SecretScenario, UpecModel};
 //!
 //! // A small configuration keeps the proof fast for the doc test.
 //! let config = SocConfig::new(SocVariant::Secure)
@@ -53,7 +56,7 @@
 //!     .with_miss_latency(1)
 //!     .with_store_latency(1);
 //! let model = UpecModel::new(&config, SecretScenario::NotInCache);
-//! let outcome = UpecChecker::new().check_full(&model, UpecOptions::window(1));
+//! let outcome = IncrementalSession::new(&model).check_bound(1, &full_commitment(&model));
 //! assert!(outcome.is_proven());
 //! ```
 
@@ -71,7 +74,7 @@ pub use certify::{
     CertificateCheck, CertificateError, UnsatCertificate, VerdictCertificate, WitnessCertificate,
 };
 pub use check::{
-    full_commitment, Alert, AlertKind, UpecChecker, UpecOptions, UpecOutcome, UpecStats,
+    architectural_commitment, full_commitment, Alert, AlertKind, UpecOutcome, UpecStats,
 };
 pub use engine::{
     BoundStatus, BoundSummary, CertifiedBound, CertifiedResult, EngineError, EngineOptions,

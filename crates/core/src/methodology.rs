@@ -1,9 +1,9 @@
 //! The iterative UPEC methodology (paper Fig. 5) and the inductive P-alert
 //! closure proof (paper Sec. VI).
 
+use crate::engine::IncrementalSession;
 use crate::{
-    full_commitment, Alert, AlertKind, SecretScenario, StateClass, UpecModel, UpecOptions,
-    UpecOutcome,
+    full_commitment, Alert, AlertKind, SecretScenario, StateClass, UpecModel, UpecOutcome,
 };
 use bmc::{UnrollOptions, Unrolling};
 use sat::SatResult;
@@ -66,7 +66,7 @@ impl MethodologyReport {
     }
 }
 
-/// Runs the iterative UPEC methodology of paper Fig. 5.
+/// Runs the iterative UPEC methodology of paper Fig. 5 at window `window`.
 ///
 /// Starting from the full commitment (every architectural and
 /// microarchitectural register), each counterexample is classified:
@@ -79,12 +79,15 @@ impl MethodologyReport {
 /// from the commitment.
 ///
 /// Every iteration re-solves the property with a smaller obligation, so the
-/// whole loop runs inside one
-/// [`IncrementalSession`](crate::engine::IncrementalSession): the unrolled
-/// miter and all learned solver state persist across iterations instead of
-/// being rebuilt per check.
-pub fn run_methodology(model: &UpecModel, options: UpecOptions) -> MethodologyReport {
-    let mut session = crate::engine::IncrementalSession::with_options(model, options);
+/// whole loop runs inside one [`IncrementalSession`], opened with `options`:
+/// the unrolled miter and all learned solver state persist across
+/// iterations instead of being rebuilt per check.
+pub fn run_methodology(
+    model: &UpecModel,
+    window: usize,
+    options: UnrollOptions,
+) -> MethodologyReport {
+    let mut session = IncrementalSession::with_options(model, options);
     let start = Instant::now();
     let mut commitment = full_commitment(model);
     let mut alerts = Vec::new();
@@ -92,7 +95,7 @@ pub fn run_methodology(model: &UpecModel, options: UpecOptions) -> MethodologyRe
     let mut iterations = 0;
     let verdict = loop {
         iterations += 1;
-        match session.check_bound(options.window, &commitment) {
+        match session.check_bound(window, &commitment) {
             UpecOutcome::Proven(_) => break Verdict::Secure,
             UpecOutcome::Unknown(_) => break Verdict::Inconclusive,
             UpecOutcome::Violated(alert, _) => {
@@ -114,7 +117,7 @@ pub fn run_methodology(model: &UpecModel, options: UpecOptions) -> MethodologyRe
     };
     MethodologyReport {
         scenario: model.scenario(),
-        window: options.window,
+        window,
         verdict,
         alerts,
         p_alert_registers,
@@ -336,7 +339,7 @@ mod tests {
     #[test]
     fn methodology_proves_the_uncached_case_secure_without_alerts() {
         let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::NotInCache);
-        let report = run_methodology(&model, UpecOptions::window(2));
+        let report = run_methodology(&model, 2, UnrollOptions::default());
         assert_eq!(report.verdict, Verdict::Secure, "{}", report.summary());
         assert_eq!(report.p_alert_count(), 0);
         assert_eq!(report.iterations, 1);
@@ -345,7 +348,7 @@ mod tests {
     #[test]
     fn methodology_collects_p_alerts_for_the_secure_cached_case() {
         let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
-        let report = run_methodology(&model, UpecOptions::window(2));
+        let report = run_methodology(&model, 2, UnrollOptions::default());
         assert_eq!(report.verdict, Verdict::Secure, "{}", report.summary());
         assert!(report.p_alert_count() >= 1);
         assert!(!report.p_alert_registers.is_empty());
@@ -366,7 +369,7 @@ mod tests {
         // The Orc L-alert is already reachable at window 2; deeper windows
         // only make the queries more expensive without changing the verdict.
         let model = UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache);
-        let report = run_methodology(&model, UpecOptions::window(2));
+        let report = run_methodology(&model, 2, UnrollOptions::default());
         assert_eq!(report.verdict, Verdict::Insecure, "{}", report.summary());
         let last = report.alerts.last().expect("an L-alert terminates the run");
         assert_eq!(last.kind, AlertKind::LAlert);
@@ -375,7 +378,7 @@ mod tests {
     #[test]
     fn closure_proof_succeeds_for_the_secure_design() {
         let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
-        let report = run_methodology(&model, UpecOptions::window(2));
+        let report = run_methodology(&model, 2, UnrollOptions::default());
         assert_eq!(report.verdict, Verdict::Secure);
         // The bounded P-alerts seed the set; the fixpoint iteration may pull
         // in neighbouring blockable pipeline registers before it closes.

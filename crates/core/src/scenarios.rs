@@ -19,7 +19,7 @@
 //! assert!(model.pairs().len() > 10);
 //! ```
 
-use crate::{SecretScenario, StateClass, UpecModel};
+use crate::{SecretScenario, UpecModel};
 use soc::{Instruction, Program, SocConfig, SocVariant};
 use std::collections::BTreeSet;
 
@@ -175,10 +175,7 @@ impl ScenarioSpec {
     pub fn commitment_set(&self, model: &UpecModel) -> BTreeSet<String> {
         match self.commitment {
             CommitmentKind::Full => crate::full_commitment(model),
-            CommitmentKind::Architectural => model
-                .pairs_of_class(StateClass::Architectural)
-                .map(|p| p.name.clone())
-                .collect(),
+            CommitmentKind::Architectural => crate::architectural_commitment(model),
             CommitmentKind::CacheState => model
                 .pairs()
                 .iter()

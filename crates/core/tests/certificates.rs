@@ -9,11 +9,12 @@
 
 use std::collections::BTreeSet;
 
+use bmc::UnrollOptions;
 use soc::{SocConfig, SocVariant};
 use upec::scenarios::{self, Expectation};
 use upec::{
     BoundStatus, CertificateCheck, CertificateError, CertifiedResult, EngineError, EngineOptions,
-    IncrementalSession, SecretScenario, UpecEngine, UpecModel, UpecOptions, VerdictCertificate,
+    IncrementalSession, SecretScenario, UpecEngine, UpecModel, VerdictCertificate,
 };
 
 /// Certifies one instance end to end and checks every certificate against a
@@ -151,9 +152,9 @@ fn bve_eliminated_variables_decode_into_replayable_witnesses() {
         .with_store_latency(1);
     let model = UpecModel::new(&config, SecretScenario::InCache);
     let commitment: BTreeSet<String> = upec::full_commitment(&model);
-    let options = UpecOptions::window(0)
+    let options = UnrollOptions::default()
         .with_simplify_trial(0)
-        .with_certificates();
+        .with_proof_log();
     let mut session = IncrementalSession::with_options(&model, options);
 
     let mut witnessed = 0;
@@ -205,8 +206,8 @@ fn budget_exhausted_queries_are_rejected_for_certification() {
     let commitment = upec::full_commitment(&model);
     // A zero-conflict, zero-decision budget cannot decide this proof (it
     // needs real search), so the query must stop as Unknown.
-    let options = UpecOptions::window(0)
-        .with_certificates()
+    let options = UnrollOptions::default()
+        .with_proof_log()
         .with_budget(sat::Budget::conflicts(0).with_decisions(0));
     let mut session = IncrementalSession::with_options(&model, options);
     let err = session
@@ -251,7 +252,7 @@ fn sessions_without_proof_logging_reject_certified_queries() {
         .with_store_latency(1);
     let model = UpecModel::new(&config, SecretScenario::NotInCache);
     let commitment = upec::full_commitment(&model);
-    let mut session = IncrementalSession::with_options(&model, UpecOptions::window(0));
+    let mut session = IncrementalSession::new(&model);
     let err = session
         .check_bound_certified(1, &commitment)
         .expect_err("no proof log, no certificates");

@@ -2,8 +2,9 @@
 //! the engine query path surface as [`EngineError`] values from the `try_`
 //! APIs instead of panics, and a failed query never poisons the session.
 
+use bmc::UnrollOptions;
 use soc::{SocConfig, SocVariant};
-use upec::{EngineError, IncrementalSession, SecretScenario, UpecModel, UpecOptions};
+use upec::{EngineError, IncrementalSession, SecretScenario, UpecModel};
 
 fn tiny_model() -> UpecModel {
     let config = SocConfig::new(SocVariant::Secure)
@@ -17,7 +18,7 @@ fn tiny_model() -> UpecModel {
 #[test]
 fn unknown_commitment_registers_are_a_typed_error() {
     let model = tiny_model();
-    let mut session = IncrementalSession::with_options(&model, UpecOptions::window(0));
+    let mut session = IncrementalSession::new(&model);
     let commitment = ["no_such_register".to_string()].into_iter().collect();
     let err = session
         .try_check_bound(1, &commitment)
@@ -31,7 +32,7 @@ fn unknown_commitment_registers_are_a_typed_error() {
 #[test]
 fn empty_commitments_are_a_typed_error() {
     let model = tiny_model();
-    let mut session = IncrementalSession::with_options(&model, UpecOptions::window(0));
+    let mut session = IncrementalSession::new(&model);
     let err = session
         .try_check_bound(1, &Default::default())
         .expect_err("a vacuous obligation must be rejected");
@@ -41,7 +42,7 @@ fn empty_commitments_are_a_typed_error() {
 #[test]
 fn a_rejected_query_does_not_poison_the_session() {
     let model = tiny_model();
-    let mut session = IncrementalSession::with_options(&model, UpecOptions::window(0));
+    let mut session = IncrementalSession::new(&model);
     let bogus = ["no_such_register".to_string()].into_iter().collect();
     assert!(session.try_check_bound(1, &bogus).is_err());
     // The same session then answers a well-formed query normally.
@@ -56,7 +57,7 @@ fn try_with_options_accepts_every_registry_model() {
     // The non-panicking constructor is equivalent to the panicking one on
     // well-formed models (the registry has no malformed constraints).
     let model = tiny_model();
-    assert!(IncrementalSession::try_with_options(&model, UpecOptions::window(0)).is_ok());
+    assert!(IncrementalSession::try_with_options(&model, UnrollOptions::default()).is_ok());
 }
 
 #[test]
@@ -76,6 +77,6 @@ fn engine_errors_render_stable_messages() {
     );
     assert_eq!(
         EngineError::CertificationUnavailable.to_string(),
-        "certified queries need a session opened with UpecOptions::with_certificates()"
+        "certified queries need a session opened with UnrollOptions::with_proof_log()"
     );
 }

@@ -15,7 +15,7 @@
 use sat::faults::FaultPlan;
 use sat::StopCause;
 use soc::{SocConfig, SocVariant};
-use upec::{IncrementalSession, SecretScenario, UpecModel, UpecOptions, UpecOutcome};
+use upec::{IncrementalSession, SecretScenario, UpecModel, UpecOutcome};
 
 fn tiny(variant: SocVariant) -> SocConfig {
     SocConfig::new(variant)
@@ -29,12 +29,11 @@ fn tiny(variant: SocVariant) -> SocConfig {
 /// plans; returns how many injected faults actually fired.
 fn differential(model: &UpecModel, k: usize, seeds: std::ops::Range<u64>) -> u64 {
     let commitment = upec::full_commitment(model);
-    let clean =
-        IncrementalSession::with_options(model, UpecOptions::window(0)).check_bound(k, &commitment);
+    let clean = IncrementalSession::new(model).check_bound(k, &commitment);
     let mut fired = 0u64;
     for seed in seeds {
         let plan = FaultPlan::from_seed(seed, 30);
-        let mut session = IncrementalSession::with_options(model, UpecOptions::window(0));
+        let mut session = IncrementalSession::new(model);
         session.inject_fault(Some(plan));
         let faulted = session.check_bound(k, &commitment);
         match &faulted {

@@ -1,22 +1,22 @@
 //! Differential testing of the CNF simplification pipeline at the UPEC
-//! level: for registry scenarios, the default (simplifying) solver
-//! configuration must reach exactly the verdict of the `no_simplify`
-//! baseline.
+//! level: for registry scenarios, the default (simplifying) session must
+//! reach exactly the verdict of a plain solve, whose trial cap (`u64::MAX`)
+//! no query reaches, so the simplifier never runs.
 //!
 //! The fast subset below runs in the default suite; the full-registry sweep
 //! (the PR acceptance check, several release-mode minutes) is `#[ignore]`d —
 //! run it with `cargo test --release -p upec -- --ignored`.
 
+use bmc::UnrollOptions;
 use upec::engine::IncrementalSession;
 use upec::scenarios::{self, ScenarioSpec};
-use upec::UpecOptions;
 
-fn check(spec: &ScenarioSpec, k: usize, no_simplify: bool) -> &'static str {
+fn check(spec: &ScenarioSpec, k: usize, plain: bool) -> &'static str {
     let model = spec.build_model();
     let commitment = spec.commitment_set(&model);
-    let mut options = UpecOptions::window(k);
-    if no_simplify {
-        options = options.no_simplify();
+    let mut options = UnrollOptions::default();
+    if plain {
+        options = options.with_simplify_trial(u64::MAX);
     }
     let mut session = IncrementalSession::with_options(&model, options);
     session.check_bound(k, &commitment).verdict_name()

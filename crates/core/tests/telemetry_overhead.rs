@@ -13,7 +13,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use upec::engine::IncrementalSession;
 use upec::scenarios;
-use upec::UpecOptions;
 
 struct CountingAllocator;
 
@@ -51,7 +50,7 @@ fn disabled_telemetry_allocates_nothing() {
     let spec = scenarios::by_id("cache-footprint").expect("registered");
     let model = spec.build_model();
     let commitment = spec.commitment_set(&model);
-    let mut session = IncrementalSession::with_options(&model, UpecOptions::window(1));
+    let mut session = IncrementalSession::new(&model);
     let outcome = session.check_bound(1, &commitment);
     assert!(!outcome.verdict_name().is_empty());
 
@@ -83,7 +82,7 @@ fn disabled_telemetry_allocates_nothing() {
     // runs, i.e. the disabled path contributes a constant zero rather than
     // accumulating per-call buffers.
     let run = || {
-        let mut session = IncrementalSession::with_options(&model, UpecOptions::window(1));
+        let mut session = IncrementalSession::new(&model);
         let before = allocations();
         let outcome = session.check_bound(1, &commitment);
         (allocations() - before, outcome.verdict_name())

@@ -12,7 +12,6 @@
 use std::sync::Arc;
 use upec::engine::IncrementalSession;
 use upec::scenarios;
-use upec::UpecOptions;
 
 fn u64_attr(span: &obs::SpanRecord, key: &str) -> Option<u64> {
     span.attrs.iter().find_map(|(k, v)| match v {
@@ -38,7 +37,7 @@ fn traced_query_produces_the_documented_span_tree() {
     obs::install(sink.clone());
     let model = spec.build_model();
     let commitment = spec.commitment_set(&model);
-    let options = UpecOptions::window(1).with_certificates();
+    let options = bmc::UnrollOptions::default().with_proof_log();
     let mut session = IncrementalSession::with_options(&model, options);
     let (outcome, certificate) = session
         .check_bound_certified(1, &commitment)

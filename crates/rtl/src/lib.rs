@@ -30,7 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use rtl::{Netlist, NetlistStats, BitVec};
+//! use rtl::{Netlist, BitVec};
 //!
 //! // A 2-bit saturating counter.
 //! let mut n = Netlist::new("saturating_counter");
@@ -46,7 +46,8 @@
 //! n.output("count", count.value());
 //!
 //! n.validate()?;
-//! assert_eq!(NetlistStats::of(&n).registers, 1);
+//! assert_eq!(n.register_count(), 1);
+//! assert_eq!(n.inputs().len(), 1);
 //! # Ok::<(), rtl::RtlError>(())
 //! ```
 
@@ -57,15 +58,11 @@ mod error;
 mod netlist;
 mod node;
 mod rng;
-mod stats;
 mod value;
-
-pub mod dot;
 
 pub use coi::{Coi, CoiStats};
 pub use error::RtlError;
 pub use netlist::{Netlist, OutputPort, RegisterHandle, RegisterInfo};
 pub use node::{BinaryOp, Node, RegisterId, SignalId, UnaryOp};
 pub use rng::SplitMix64;
-pub use stats::NetlistStats;
 pub use value::{BitVec, MAX_WIDTH};

@@ -1,158 +1,6 @@
-//! CNF formulas and DIMACS import/export.
+//! The solver's answers: satisfying assignments and query results.
 
 use crate::{Lit, Var};
-use std::fmt::Write as _;
-
-/// A formula in conjunctive normal form, independent of any solver instance.
-///
-/// `CnfFormula` is the hand-off format between the bit-blaster in the `bmc`
-/// crate and the [`Solver`](crate::Solver); it can also be serialized to the
-/// standard DIMACS format for cross-checking against external solvers.
-///
-/// # Examples
-///
-/// ```
-/// use sat::{CnfFormula, Lit};
-///
-/// let mut cnf = CnfFormula::new();
-/// let a = cnf.new_var().positive();
-/// let b = cnf.new_var().positive();
-/// cnf.add_clause([a, b]);
-/// cnf.add_clause([!a]);
-/// assert_eq!(cnf.num_vars(), 2);
-/// assert_eq!(cnf.num_clauses(), 2);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CnfFormula {
-    num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
-}
-
-impl CnfFormula {
-    /// Creates an empty formula with no variables.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocates a fresh variable.
-    pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.num_vars);
-        self.num_vars += 1;
-        v
-    }
-
-    /// Ensures at least `n` variables exist.
-    pub fn reserve_vars(&mut self, n: usize) {
-        self.num_vars = self.num_vars.max(n);
-    }
-
-    /// Number of allocated variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of clauses.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Adds a clause (a disjunction of literals).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a literal refers to a variable that has not been allocated.
-    pub fn add_clause<I>(&mut self, lits: I)
-    where
-        I: IntoIterator<Item = Lit>,
-    {
-        let clause: Vec<Lit> = lits.into_iter().collect();
-        for l in &clause {
-            assert!(
-                l.var().index() < self.num_vars,
-                "literal {l} refers to an unallocated variable"
-            );
-        }
-        self.clauses.push(clause);
-    }
-
-    /// Iterates over the clauses.
-    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> {
-        self.clauses.iter().map(Vec::as_slice)
-    }
-
-    /// Serializes the formula in DIMACS CNF format.
-    pub fn to_dimacs(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "p cnf {} {}", self.num_vars, self.clauses.len());
-        for clause in &self.clauses {
-            for lit in clause {
-                let _ = write!(out, "{} ", lit.to_dimacs());
-            }
-            let _ = writeln!(out, "0");
-        }
-        out
-    }
-
-    /// Parses a formula from DIMACS CNF text.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sat::CnfFormula;
-    ///
-    /// let cnf = CnfFormula::from_dimacs("p cnf 2 2\n1 -2 0\n2 0\n").unwrap();
-    /// assert_eq!(cnf.num_vars(), 2);
-    /// assert_eq!(cnf.num_clauses(), 2);
-    /// assert_eq!(CnfFormula::from_dimacs(&cnf.to_dimacs()).unwrap(), cnf);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax problem encountered.
-    pub fn from_dimacs(text: &str) -> Result<Self, String> {
-        let mut cnf = CnfFormula::new();
-        let mut declared_vars: Option<usize> = None;
-        let mut current: Vec<Lit> = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('c') {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("p cnf") {
-                let mut parts = rest.split_whitespace();
-                let vars: usize = parts
-                    .next()
-                    .ok_or_else(|| format!("line {}: missing variable count", lineno + 1))?
-                    .parse()
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                declared_vars = Some(vars);
-                cnf.reserve_vars(vars);
-                continue;
-            }
-            for tok in line.split_whitespace() {
-                let v: i64 = tok
-                    .parse()
-                    .map_err(|e| format!("line {}: bad literal `{tok}`: {e}", lineno + 1))?;
-                if v == 0 {
-                    cnf.clauses.push(std::mem::take(&mut current));
-                } else {
-                    let lit = Lit::from_dimacs(v);
-                    if lit.var().index() >= cnf.num_vars {
-                        cnf.reserve_vars(lit.var().index() + 1);
-                    }
-                    current.push(lit);
-                }
-            }
-        }
-        if !current.is_empty() {
-            cnf.clauses.push(current);
-        }
-        if let Some(d) = declared_vars {
-            cnf.num_vars = cnf.num_vars.max(d);
-        }
-        Ok(cnf)
-    }
-}
 
 /// A satisfying assignment returned by the solver.
 ///
@@ -251,41 +99,6 @@ impl SatResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dimacs_roundtrip() {
-        let mut cnf = CnfFormula::new();
-        let a = cnf.new_var().positive();
-        let b = cnf.new_var().positive();
-        cnf.add_clause([a, !b]);
-        cnf.add_clause([!a, b]);
-        cnf.add_clause([a, b]);
-        let text = cnf.to_dimacs();
-        assert!(text.starts_with("p cnf 2 3"));
-        let parsed = CnfFormula::from_dimacs(&text).expect("well-formed dimacs");
-        assert_eq!(parsed, cnf);
-    }
-
-    #[test]
-    fn dimacs_parsing_tolerates_comments_and_blank_lines() {
-        let text = "c comment\n\np cnf 3 2\n1 -2 0\nc another\n2 3 0\n";
-        let cnf = CnfFormula::from_dimacs(text).expect("parse");
-        assert_eq!(cnf.num_vars(), 3);
-        assert_eq!(cnf.num_clauses(), 2);
-    }
-
-    #[test]
-    fn dimacs_rejects_garbage() {
-        assert!(CnfFormula::from_dimacs("p cnf x 1").is_err());
-        assert!(CnfFormula::from_dimacs("1 two 0").is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "unallocated")]
-    fn clause_with_unallocated_variable_panics() {
-        let mut cnf = CnfFormula::new();
-        cnf.add_clause([Var::from_index(3).positive()]);
-    }
 
     #[test]
     fn model_lookup() {

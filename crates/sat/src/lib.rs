@@ -11,10 +11,10 @@
 //! * two watched literals per clause,
 //! * first-UIP conflict analysis with clause learning,
 //! * VSIDS variable activities and phase saving,
-//! * a modern search loop ([`SearchConfig`]): glucose-style EMA restarts
-//!   layered on the Luby cadence with an LBD-quality gate, target rephasing,
-//!   chronological backtracking for shallow conflicts and clause
-//!   vivification as inprocessing ([`Solver::vivify`]),
+//! * a modern search loop, always on: glucose-style EMA restarts layered on
+//!   the Luby cadence with an LBD-quality gate, target rephasing,
+//!   chronological backtracking for far backjumps and clause vivification
+//!   as inprocessing ([`Solver::vivify`]),
 //! * periodic deletion of inactive learned clauses,
 //! * solving under assumptions,
 //! * **budgeted, cancellable episodes**: a deterministic per-episode
@@ -64,8 +64,8 @@ mod lit;
 mod simplify;
 mod solver;
 
-pub use cnf::{CnfFormula, Model, SatResult};
+pub use cnf::{Model, SatResult};
 pub use drat::ProofLog;
 pub use lit::{LBool, Lit, Var};
-pub use simplify::{SimplifyConfig, SimplifyStats};
-pub use solver::{Budget, CancelToken, SearchConfig, Solver, SolverStats, StopCause};
+pub use simplify::SimplifyStats;
+pub use solver::{Budget, CancelToken, Solver, SolverStats, StopCause};

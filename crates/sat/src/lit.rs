@@ -68,7 +68,7 @@ impl fmt::Display for Var {
 /// assert!(l.is_positive());
 /// assert!(!(!l).is_positive());
 /// assert_eq!(l.to_dimacs(), 3);
-/// assert_eq!(Lit::from_dimacs(-3), !l);
+/// assert_eq!((!l).to_dimacs(), -3);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Lit(pub(crate) u32);
@@ -97,17 +97,6 @@ impl Lit {
     /// Reconstructs a literal from its dense code.
     pub fn from_code(code: usize) -> Self {
         Lit(u32::try_from(code).expect("literal code exceeds u32 range"))
-    }
-
-    /// Converts a DIMACS-style signed integer (non-zero) into a literal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dimacs` is zero.
-    pub fn from_dimacs(dimacs: i64) -> Self {
-        assert!(dimacs != 0, "DIMACS literal must be non-zero");
-        let var = Var(u32::try_from(dimacs.unsigned_abs() - 1).expect("DIMACS variable too large"));
-        Lit::new(var, dimacs > 0)
     }
 
     /// Converts the literal to its DIMACS signed-integer form (1-based).
@@ -211,20 +200,8 @@ mod tests {
 
     #[test]
     fn dimacs_conversion() {
-        let l = Lit::from_dimacs(3);
-        assert_eq!(l.var().index(), 2);
-        assert!(l.is_positive());
-        assert_eq!(l.to_dimacs(), 3);
-        let l = Lit::from_dimacs(-1);
-        assert_eq!(l.var().index(), 0);
-        assert!(!l.is_positive());
-        assert_eq!(l.to_dimacs(), -1);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn dimacs_zero_rejected() {
-        let _ = Lit::from_dimacs(0);
+        assert_eq!(Var::from_index(2).positive().to_dimacs(), 3);
+        assert_eq!(Var::from_index(0).negative().to_dimacs(), -1);
     }
 
     #[test]

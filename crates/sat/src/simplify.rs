@@ -31,7 +31,7 @@
 //! # Examples
 //!
 //! ```
-//! use sat::{Solver, SimplifyConfig};
+//! use sat::Solver;
 //!
 //! let mut solver = Solver::new();
 //! let x = solver.new_var().positive();
@@ -45,7 +45,7 @@
 //! // x and y are observed later; t is internal and may be eliminated.
 //! solver.freeze(x);
 //! solver.freeze(y);
-//! assert!(solver.simplify_with(&SimplifyConfig::default()));
+//! assert!(solver.simplify(100_000));
 //! let model = solver.solve();
 //! let m = model.model().expect("sat");
 //! assert!(m.lit_is_true(x) && m.lit_is_true(y));
@@ -54,61 +54,6 @@
 
 use crate::solver::Reason;
 use crate::{LBool, Lit, Solver, Var};
-
-/// Tuning knobs of the simplification pipeline.
-///
-/// The defaults are chosen for the Tseitin-encoded unrollings produced by
-/// the `bmc` crate: clauses are short, internal gate variables occur a
-/// handful of times, and simplification runs once per bound extension.
-///
-/// # Examples
-///
-/// ```
-/// use sat::SimplifyConfig;
-///
-/// let config = SimplifyConfig {
-///     failed_literals: false, // skip probing for a cheaper pass
-///     ..SimplifyConfig::default()
-/// };
-/// assert!(config.var_elim && config.subsumption);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimplifyConfig {
-    /// Run bounded variable elimination.
-    pub var_elim: bool,
-    /// Run subsumption and self-subsuming resolution.
-    pub subsumption: bool,
-    /// Run failed-literal probing at the top level.
-    pub failed_literals: bool,
-    /// A variable is an elimination candidate only if each polarity occurs
-    /// in at most this many clauses.
-    pub elim_occurrence_limit: usize,
-    /// Allowed growth of the clause count per eliminated variable
-    /// (0 = classic "never grow" rule).
-    pub elim_grow: usize,
-    /// Skip eliminating a variable if any resolvent would exceed this many
-    /// literals.
-    pub resolvent_size_limit: usize,
-    /// Clauses longer than this are not tried as subsumers.
-    pub subsumption_size_limit: usize,
-    /// Propagation budget for failed-literal probing, per `simplify` call.
-    pub failed_literal_propagations: u64,
-}
-
-impl Default for SimplifyConfig {
-    fn default() -> Self {
-        Self {
-            var_elim: true,
-            subsumption: true,
-            failed_literals: true,
-            elim_occurrence_limit: 10,
-            elim_grow: 0,
-            resolvent_size_limit: 20,
-            subsumption_size_limit: 20,
-            failed_literal_propagations: 100_000,
-        }
-    }
-}
 
 /// Counters accumulated over every [`Solver::simplify`] call of a solver's
 /// lifetime.
@@ -121,7 +66,7 @@ impl Default for SimplifyConfig {
 /// let mut solver = Solver::new();
 /// let a = solver.new_var().positive();
 /// solver.add_clause([a]);
-/// assert!(solver.simplify());
+/// assert!(solver.simplify(100_000));
 /// assert_eq!(solver.simplify_stats().rounds, 1);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -202,6 +147,17 @@ enum SubsumeResult {
 }
 
 impl Solver {
+    /// A variable is an elimination candidate only if each polarity occurs
+    /// in at most this many clauses.
+    const ELIM_OCCURRENCE_LIMIT: usize = 10;
+
+    /// Variable elimination is skipped if any resolvent would exceed this
+    /// many literals.
+    const RESOLVENT_SIZE_LIMIT: usize = 20;
+
+    /// Clauses longer than this are not tried as subsumers.
+    const SUBSUMPTION_SIZE_LIMIT: usize = 20;
+
     /// Marks a variable as *frozen*: the simplifier will never eliminate it,
     /// so it stays legal in clauses, assumptions and model reads added after
     /// a [`Solver::simplify`] call.
@@ -263,7 +219,9 @@ impl Solver {
         self.simp_stats
     }
 
-    /// Runs the simplification pipeline with the default configuration.
+    /// Runs the simplification pipeline: failed-literal probing (stopping
+    /// once it has spent `max_probe_propagations` propagations), subsumption
+    /// with self-subsuming resolution, and bounded variable elimination.
     ///
     /// Returns `false` if simplification proved the formula unsatisfiable
     /// (the solver then answers [`crate::SatResult::Unsat`] forever), `true`
@@ -280,21 +238,15 @@ impl Solver {
     /// solver.freeze(a);
     /// solver.add_clause([a, b]);
     /// solver.add_clause([a, !b]);
-    /// assert!(solver.simplify()); // still satisfiable
+    /// assert!(solver.simplify(100_000)); // still satisfiable
     /// assert!(solver.solve().is_sat());
     /// ```
-    pub fn simplify(&mut self) -> bool {
-        self.simplify_with(&SimplifyConfig::default())
-    }
-
-    /// Runs the simplification pipeline with an explicit configuration. See
-    /// [`Solver::simplify`].
     ///
     /// # Panics
     ///
     /// Panics if called while the solver is mid-search (decision level
     /// above 0); `simplify` belongs between `solve` calls.
-    pub fn simplify_with(&mut self, config: &SimplifyConfig) -> bool {
+    pub fn simplify(&mut self, max_probe_propagations: u64) -> bool {
         assert_eq!(
             self.decision_level(),
             0,
@@ -311,9 +263,9 @@ impl Solver {
         let stats_before = self.simp_stats;
         let mut span = obs::span("sat.simplify");
 
-        if config.failed_literals {
+        {
             let _probe = obs::span("simplify.probe");
-            if !self.probe_failed_literals(config) {
+            if !self.probe_failed_literals(max_probe_propagations) {
                 self.ok = false;
                 return false;
             }
@@ -328,9 +280,9 @@ impl Solver {
             }
             clauses
         };
-        if config.subsumption {
+        {
             let _subsume = obs::span("simplify.subsume");
-            if !self.subsume_pass(&mut clauses, config) {
+            if !self.subsume_pass(&mut clauses) {
                 self.ok = false;
                 return false;
             }
@@ -339,9 +291,9 @@ impl Solver {
                 return false;
             }
         }
-        if config.var_elim {
+        {
             let _elim = obs::span("simplify.elim");
-            if !self.eliminate_pass(&mut clauses, config) {
+            if !self.eliminate_pass(&mut clauses) {
                 self.ok = false;
                 return false;
             }
@@ -371,14 +323,12 @@ impl Solver {
     /// Probing assigns (and retracts) large parts of the formula, which
     /// would overwrite the saved phases that give an incremental session its
     /// warm start; the phase array is therefore restored afterwards.
-    fn probe_failed_literals(&mut self, config: &SimplifyConfig) -> bool {
+    fn probe_failed_literals(&mut self, max_propagations: u64) -> bool {
         let saved_phases = self.phase.clone();
         let budget_start = self.stats.propagations;
         let mut consistent = true;
         'vars: for vi in 0..self.num_vars() {
-            if self.stats.propagations.saturating_sub(budget_start)
-                > config.failed_literal_propagations
-            {
+            if self.stats.propagations.saturating_sub(budget_start) > max_propagations {
                 break;
             }
             if self.assigns[vi] != LBool::Undef || self.eliminated[vi] {
@@ -518,7 +468,7 @@ impl Solver {
     /// Subsumption and self-subsuming resolution over the problem clauses.
     /// Returns `false` on unsatisfiability (a clause strengthened down to a
     /// falsified unit).
-    fn subsume_pass(&mut self, clauses: &mut [SimpClause], config: &SimplifyConfig) -> bool {
+    fn subsume_pass(&mut self, clauses: &mut [SimpClause]) -> bool {
         let signature = |lits: &[Lit]| -> u64 {
             lits.iter()
                 .fold(0u64, |sig, l| sig | 1u64 << (l.var().index() & 63))
@@ -536,7 +486,7 @@ impl Solver {
         let mut order: Vec<u32> = (0..clauses.len() as u32)
             .filter(|&i| {
                 let c = &clauses[i as usize];
-                !c.deleted && !c.learnt && c.lits.len() <= config.subsumption_size_limit
+                !c.deleted && !c.learnt && c.lits.len() <= Self::SUBSUMPTION_SIZE_LIMIT
             })
             .collect();
         order.sort_by_key(|&i| clauses[i as usize].lits.len());
@@ -627,7 +577,7 @@ impl Solver {
     }
 
     /// Bounded variable elimination. Returns `false` on unsatisfiability.
-    fn eliminate_pass(&mut self, clauses: &mut Vec<SimpClause>, config: &SimplifyConfig) -> bool {
+    fn eliminate_pass(&mut self, clauses: &mut Vec<SimpClause>) -> bool {
         let mut occur: Vec<Vec<u32>> = vec![Vec::new(); 2 * self.num_vars()];
         for (i, c) in clauses.iter().enumerate() {
             if c.deleted || c.learnt {
@@ -666,13 +616,13 @@ impl Solver {
             if pos.is_empty() && neg.is_empty() {
                 continue;
             }
-            if pos.len() > config.elim_occurrence_limit || neg.len() > config.elim_occurrence_limit
-            {
+            if pos.len() > Self::ELIM_OCCURRENCE_LIMIT || neg.len() > Self::ELIM_OCCURRENCE_LIMIT {
                 continue;
             }
             // Gather the non-tautological resolvents, giving up as soon as
-            // the elimination would grow the clause set beyond the budget.
-            let budget = pos.len() + neg.len() + config.elim_grow;
+            // the elimination would grow the clause set (the classic
+            // never-grow rule).
+            let budget = pos.len() + neg.len();
             let mut resolvents: Vec<Vec<Lit>> = Vec::new();
             let mut too_costly = false;
             'resolution: for &pi in &pos {
@@ -680,7 +630,7 @@ impl Solver {
                     if let Some(r) =
                         resolve(&clauses[pi as usize].lits, &clauses[ni as usize].lits, v)
                     {
-                        if r.len() > config.resolvent_size_limit {
+                        if r.len() > Self::RESOLVENT_SIZE_LIMIT {
                             too_costly = true;
                             break 'resolution;
                         }
@@ -953,7 +903,7 @@ mod tests {
         s.add_clause([!x, a]);
         s.add_clause([!x, b]);
         s.add_clause([x, !a, !b]);
-        assert!(s.simplify());
+        assert!(s.simplify(100_000));
         assert!(s.is_eliminated(x.var()), "internal x must be eliminated");
         // Pin a and b after simplification; the extension must reconstruct
         // x = a AND b even though x's defining clauses are gone.
@@ -978,7 +928,7 @@ mod tests {
         }
         s.add_clause([v[0], v[1]]);
         s.add_clause([!v[0], v[2]]);
-        assert!(s.simplify());
+        assert!(s.simplify(100_000));
         for &l in &v {
             assert!(!s.is_eliminated(l.var()));
         }
@@ -996,12 +946,22 @@ mod tests {
         s.add_clause([!v[0], v[1]]);
         s.add_clause([!v[0], !v[1]]);
         // Failed-literal probing alone refutes this formula.
-        assert!(!s.simplify());
+        assert!(!s.simplify(100_000));
         assert!(s.solve().is_unsat());
+    }
+
+    /// Asserts that probing and elimination left the formula alone, so the
+    /// test's effect is subsumption's alone.
+    fn assert_only_subsumption_ran(s: &Solver) {
+        let stats = s.simplify_stats();
+        assert_eq!(stats.failed_literals, 0, "{stats:?}");
+        assert_eq!(stats.eliminated_vars, 0, "{stats:?}");
     }
 
     #[test]
     fn subsumption_removes_redundant_clauses() {
+        // Every variable is frozen (nothing to eliminate) and no literal
+        // fails (the formula is satisfiable under every single probe).
         let mut s = Solver::new();
         let v = lits(&mut s, 3);
         for &l in &v {
@@ -1011,12 +971,8 @@ mod tests {
         s.add_clause([v[0], v[1], v[2]]); // subsumed
         s.add_clause([v[1], v[2]]);
         let before = s.num_clauses();
-        let config = SimplifyConfig {
-            var_elim: false,
-            failed_literals: false,
-            ..SimplifyConfig::default()
-        };
-        assert!(s.simplify_with(&config));
+        assert!(s.simplify(100_000));
+        assert_only_subsumption_ran(&s);
         assert!(s.num_clauses() < before);
         assert_eq!(s.simplify_stats().subsumed_clauses, 1);
         assert!(s.solve().is_sat());
@@ -1033,12 +989,8 @@ mod tests {
         // yields a clause that subsumes the original.
         s.add_clause([v[0], v[1]]);
         s.add_clause([v[0], !v[1], v[2]]);
-        let config = SimplifyConfig {
-            var_elim: false,
-            failed_literals: false,
-            ..SimplifyConfig::default()
-        };
-        assert!(s.simplify_with(&config));
+        assert!(s.simplify(100_000));
+        assert_only_subsumption_ran(&s);
         assert!(s.simplify_stats().strengthened_lits >= 1);
         // ¬a forces b (first clause) and then c (strengthened clause).
         let r = s.solve_with_assumptions(&[!v[0]]);
@@ -1049,23 +1001,23 @@ mod tests {
 
     #[test]
     fn eliminated_variable_in_new_clause_panics() {
+        // x <-> a AND b: no literal fails and no clause subsumes another,
+        // so the internal x survives until elimination removes it.
         let mut s = Solver::new();
-        let v = lits(&mut s, 2);
-        s.freeze(v[0]);
-        s.add_clause([v[0], v[1]]);
-        s.add_clause([v[0], !v[1]]);
-        // Variable elimination alone: resolving the two clauses on v1 gives
-        // the unit (v0), and v1 is eliminated.
-        let config = SimplifyConfig {
-            subsumption: false,
-            failed_literals: false,
-            ..SimplifyConfig::default()
-        };
-        assert!(s.simplify_with(&config));
-        assert!(s.is_eliminated(v[1].var()));
+        let v = lits(&mut s, 3);
+        let (a, b, x) = (v[0], v[1], v[2]);
+        s.freeze(a);
+        s.freeze(b);
+        s.add_clause([!x, a]);
+        s.add_clause([!x, b]);
+        s.add_clause([x, !a, !b]);
+        assert!(s.simplify(100_000));
+        let stats = s.simplify_stats();
+        assert_eq!((stats.failed_literals, stats.subsumed_clauses), (0, 0));
+        assert!(s.is_eliminated(x.var()));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut s = s.clone();
-            s.add_clause([v[1]]);
+            s.add_clause([x]);
         }));
         assert!(result.is_err(), "adding over an eliminated var must panic");
     }
@@ -1086,7 +1038,7 @@ mod tests {
         for &l in &vs {
             simplified.freeze(l);
         }
-        assert!(simplified.simplify());
+        assert!(simplified.simplify(100_000));
         // Add implications pinning everything down.
         for i in 0..5 {
             simplified.add_clause([!vs[i], vs[i + 1]]);

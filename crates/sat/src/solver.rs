@@ -21,7 +21,7 @@
 
 use crate::drat::{ProofLog, ProofStep};
 use crate::simplify::{ExtensionEntry, SimplifyStats};
-use crate::{CnfFormula, LBool, Lit, Model, SatResult, Var};
+use crate::{LBool, Lit, Model, SatResult, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -280,70 +280,6 @@ impl CancelToken {
     }
 }
 
-/// Feature toggles for the CDCL search loop.
-///
-/// The default configuration enables the full modern search loop; the all-off
-/// [`SearchConfig::baseline`] reproduces the plain Luby-restart search the
-/// differential test harness compares against. Every feature preserves
-/// verdicts and proof-log checkability — the toggles exist so the property
-/// suites can pin each heuristic against the baseline in isolation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchConfig {
-    /// Glucose-style EMA restarts: restart early when the short-term average
-    /// LBD of learned clauses degrades past the long-term average (the
-    /// LBD-quality gate), postponed while the trail is unusually deep (the
-    /// assignment looks close to a model). The Luby budget remains as the
-    /// outer cadence either way.
-    pub ema_restart: bool,
-    /// Branch on the variable's saved phase (last assigned polarity) instead
-    /// of a constant `false` polarity.
-    pub phase_saving: bool,
-    /// Target rephasing: periodically reset the saved phases wholesale,
-    /// cycling through the best-trail snapshot, its inverse, constant and
-    /// deterministic random polarities.
-    pub rephasing: bool,
-    /// Chronological backtracking: when the non-chronological backjump would
-    /// undo more than [`SearchConfig::chrono_threshold`] levels, back off a
-    /// single level instead and let the asserting clause propagate there.
-    pub chrono_backtrack: bool,
-    /// Minimum backjump distance (in decision levels) before chronological
-    /// backtracking replaces the far backjump.
-    pub chrono_threshold: u32,
-    /// Clause vivification during inprocessing ([`Solver::vivify`]); the
-    /// flag is consulted by the unrolling layer between bound extensions,
-    /// not by `solve` itself.
-    pub vivify: bool,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        Self {
-            ema_restart: true,
-            phase_saving: true,
-            rephasing: true,
-            chrono_backtrack: true,
-            chrono_threshold: 100,
-            vivify: true,
-        }
-    }
-}
-
-impl SearchConfig {
-    /// The pre-overhaul search loop: plain Luby restarts, constant branching
-    /// polarity, always-non-chronological backjumps, no vivification. The
-    /// differential reference every feature is compared against.
-    pub fn baseline() -> Self {
-        Self {
-            ema_restart: false,
-            phase_saving: false,
-            rephasing: false,
-            chrono_backtrack: false,
-            chrono_threshold: 100,
-            vivify: false,
-        }
-    }
-}
-
 /// Clause metadata for clauses of three or more literals. The literals
 /// themselves live in one flat arena (`Solver::clause_lits`) indexed by
 /// `start..start + len`: propagation is memory-latency-bound, and keeping all
@@ -595,8 +531,6 @@ pub struct Solver {
     /// logging is off, so every log site costs one branch on a pointer-sized
     /// field.
     pub(crate) proof: Option<Box<ProofLog>>,
-    /// Search-loop feature toggles (see [`SearchConfig`]).
-    config: SearchConfig,
     /// Short-term (1/32) exponential moving average of learned-clause LBD.
     lbd_ema_fast: f64,
     /// Long-term (1/4096) exponential moving average of learned-clause LBD.
@@ -642,6 +576,10 @@ impl Solver {
     /// search restarts.
     const RESTART_BASE: u64 = 128;
 
+    /// Minimum backjump distance (in decision levels) before chronological
+    /// backtracking replaces the far backjump with a one-level back-off.
+    const CHRONO_THRESHOLD: u32 = 100;
+
     /// Creates an empty solver.
     pub fn new() -> Self {
         Self {
@@ -681,7 +619,6 @@ impl Solver {
             extension: Vec::new(),
             simp_stats: SimplifyStats::default(),
             proof: None,
-            config: SearchConfig::default(),
             lbd_ema_fast: 0.0,
             lbd_ema_slow: 0.0,
             trail_ema: 0.0,
@@ -694,16 +631,6 @@ impl Solver {
             best_trail: 0,
             vivify_head: 0,
         }
-    }
-
-    /// Replaces the search-loop feature toggles (see [`SearchConfig`]).
-    pub fn set_search_config(&mut self, config: SearchConfig) {
-        self.config = config;
-    }
-
-    /// The active search-loop feature toggles.
-    pub fn search_config(&self) -> SearchConfig {
-        self.config
     }
 
     /// Starts DRAT-style proof logging.
@@ -1114,14 +1041,6 @@ impl Solver {
             _ => {
                 self.attach_clause(simplified, false);
             }
-        }
-    }
-
-    /// Adds every clause of a [`CnfFormula`], allocating variables as needed.
-    pub fn add_formula(&mut self, formula: &CnfFormula) {
-        self.reserve_vars(formula.num_vars());
-        for clause in formula.clauses() {
-            self.add_clause(clause.iter().copied());
         }
     }
 
@@ -1918,20 +1837,6 @@ impl Solver {
         obs::counter("propagations", delta.propagations);
         obs::counter("restarts", delta.restarts);
         obs::counter("arena_collections", delta.arena_collections);
-        if delta.restarts > 0 {
-            // Marker child span summarizing the episode's restart behaviour.
-            let mut rspan = obs::span("sat.restart");
-            rspan.attr_str(
-                "policy",
-                if self.config.ema_restart {
-                    "ema+luby"
-                } else {
-                    "luby"
-                },
-            );
-            rspan.attr_u64("restarts", delta.restarts);
-            rspan.attr_u64("rephasings", delta.rephasings);
-        }
         if let Some(p) = &self.proof {
             // Marker child span carrying the certificate-size attributes of
             // the proof log accumulated so far.
@@ -2003,7 +1908,7 @@ impl Solver {
                         self.last_stop = Some(StopCause::Cancelled);
                         return SatResult::Unknown;
                     }
-                    if self.config.rephasing && self.stats.conflicts >= self.rephase_next {
+                    if self.stats.conflicts >= self.rephase_next {
                         self.rephase();
                         self.rephase_interval += self.rephase_interval / 2;
                         self.rephase_next = self.stats.conflicts + self.rephase_interval;
@@ -2029,7 +1934,7 @@ impl Solver {
                 }
                 // Target-phase snapshot: the deepest trail seen since the
                 // last rephase is the assignment that got closest to a model.
-                if self.config.rephasing && self.trail.len() > self.best_trail {
+                if self.trail.len() > self.best_trail {
                     self.best_trail = self.trail.len();
                     for i in 0..self.trail.len() {
                         let lit = self.trail[i];
@@ -2049,9 +1954,8 @@ impl Solver {
                 // levels <= backtrack_level < current_level - 1), and the
                 // trail stays sorted by level because the asserting literal
                 // is recorded at the new decision level.
-                let target_level = if self.config.chrono_backtrack
-                    && learnt.len() >= 2
-                    && current_level - backtrack_level > self.config.chrono_threshold
+                let target_level = if learnt.len() >= 2
+                    && current_level - backtrack_level > Self::CHRONO_THRESHOLD
                 {
                     self.stats.chrono_backtracks += 1;
                     current_level - 1
@@ -2083,25 +1987,23 @@ impl Solver {
                 // Restart-quality EMAs (glucose-style): short-term vs
                 // long-term LBD average, plus a trail-size average used to
                 // postpone restarts while the assignment is unusually deep.
-                if self.config.ema_restart {
-                    let l = lbd as f64;
-                    let t = trail_size as f64;
-                    if self.ema_seeded {
-                        self.lbd_ema_fast += (l - self.lbd_ema_fast) / 32.0;
-                        self.lbd_ema_slow += (l - self.lbd_ema_slow) / 4096.0;
-                        self.trail_ema += (t - self.trail_ema) / 4096.0;
-                    } else {
-                        self.lbd_ema_fast = l;
-                        self.lbd_ema_slow = l;
-                        self.trail_ema = t;
-                        self.ema_seeded = true;
-                    }
-                    // Blocking: a conflict from a much-deeper-than-average
-                    // trail suggests the search is near a model; reset the
-                    // short-term average so the quality gate re-arms.
-                    if trail_size as f64 > 1.4 * self.trail_ema {
-                        self.lbd_ema_fast = self.lbd_ema_slow;
-                    }
+                let l = lbd as f64;
+                let t = trail_size as f64;
+                if self.ema_seeded {
+                    self.lbd_ema_fast += (l - self.lbd_ema_fast) / 32.0;
+                    self.lbd_ema_slow += (l - self.lbd_ema_slow) / 4096.0;
+                    self.trail_ema += (t - self.trail_ema) / 4096.0;
+                } else {
+                    self.lbd_ema_fast = l;
+                    self.lbd_ema_slow = l;
+                    self.trail_ema = t;
+                    self.ema_seeded = true;
+                }
+                // Blocking: a conflict from a much-deeper-than-average trail
+                // suggests the search is near a model; reset the short-term
+                // average so the quality gate re-arms.
+                if t > 1.4 * self.trail_ema {
+                    self.lbd_ema_fast = self.lbd_ema_slow;
                 }
                 if self.budget_conflict_cap_hit() {
                     self.stats.budget_exhaustions += 1;
@@ -2124,9 +2026,8 @@ impl Solver {
                 // than the long-term average, so the current orientation is
                 // unproductive — restart early rather than riding out the
                 // whole Luby budget.
-                let ema_restart = self.config.ema_restart
-                    && conflicts_this_round >= 32
-                    && self.lbd_ema_fast > 1.25 * self.lbd_ema_slow;
+                let ema_restart =
+                    conflicts_this_round >= 32 && self.lbd_ema_fast > 1.25 * self.lbd_ema_slow;
                 if ema_restart || conflicts_this_round >= conflict_budget {
                     return SearchOutcome::Restart;
                 }
@@ -2145,13 +2046,9 @@ impl Solver {
                 }
                 let decision = match next_decision {
                     Some(a) => Some(a),
-                    None => {
-                        let phase_saving = self.config.phase_saving;
-                        self.pick_branch_var().map(|v| {
-                            let phase = phase_saving && self.phase[v.index()];
-                            Lit::new(v, phase)
-                        })
-                    }
+                    None => self
+                        .pick_branch_var()
+                        .map(|v| Lit::new(v, self.phase[v.index()])),
                 };
                 match decision {
                     None => return SearchOutcome::Sat,
@@ -2392,21 +2289,6 @@ mod tests {
         s.add_clause([v[0], v[0], v[1]]);
         s.add_clause([v[0], !v[0]]);
         assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn add_formula_imports_cnf() {
-        let mut cnf = CnfFormula::new();
-        let a = cnf.new_var().positive();
-        let b = cnf.new_var().positive();
-        cnf.add_clause([a, b]);
-        cnf.add_clause([!a]);
-        let mut s = Solver::new();
-        s.add_formula(&cnf);
-        let r = s.solve();
-        let m = r.model().expect("sat");
-        assert!(!m.lit_is_true(a));
-        assert!(m.lit_is_true(b));
     }
 
     #[test]

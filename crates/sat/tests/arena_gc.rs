@@ -109,7 +109,7 @@ fn unassigned_vars_never_carry_clause_reasons() {
     }
     assert!(s.solve().is_sat());
     s.debug_validate().expect("no stale reasons after a model");
-    assert!(s.simplify(), "instance stays consistent");
+    assert!(s.simplify(100_000), "instance stays consistent");
     s.debug_validate()
         .expect("no stale reasons after a simplifier rebuild");
 
@@ -161,7 +161,7 @@ fn gc_mid_session_with_frozen_variables_keeps_models_correct() {
             s.add_clause(c.iter().copied());
         }
         all_clauses.extend(first);
-        let consistent = s.simplify();
+        let consistent = s.simplify(100_000);
 
         let brute = |clauses: &[Vec<Lit>]| -> bool {
             'outer: for assignment in 0u32..(1 << num_vars) {

@@ -10,7 +10,7 @@
 
 use rtl::SplitMix64;
 use sat::drat::{check, trim, CheckError, ProofLog, ProofStep};
-use sat::{Lit, SatResult, SimplifyConfig, Solver, Var};
+use sat::{Lit, SatResult, Solver, Var};
 
 /// A random clause with 2..=3 distinct variables (no unit clauses: a
 /// unit-free axiom set cannot be refuted by propagation alone, which property
@@ -50,7 +50,7 @@ fn solve_logged(clauses: &[Vec<Lit>], num_vars: usize, simplify: bool) -> (SatRe
         // Frozen variables keep the clause set meaningful to outside
         // observers; here nothing needs freezing — the certificate claim is
         // about the axiom set, which is already logged.
-        let _ = solver.simplify_with(&SimplifyConfig::default());
+        let _ = solver.simplify(100_000);
     }
     let result = solver.solve();
     let log = solver.take_proof_log().expect("logging was on");
@@ -172,7 +172,7 @@ fn logging_does_not_change_verdicts() {
                 plain.add_clause(c.iter().copied());
             }
             if simplify {
-                let _ = plain.simplify_with(&SimplifyConfig::default());
+                let _ = plain.simplify(100_000);
             }
             let unlogged = plain.solve();
             assert_eq!(

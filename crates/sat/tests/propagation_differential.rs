@@ -11,29 +11,11 @@
 //! arena collections mid-search, incremental clause additions, assumptions,
 //! and the CNF simplification pipeline.
 
+mod common;
+
+use common::brute_force_sat;
 use rtl::SplitMix64;
 use sat::{Lit, SatResult, Solver, Var};
-
-/// Brute-force satisfiability check for formulas with at most 16 variables.
-fn brute_force_sat(num_vars: usize, clauses: &[Vec<Lit>]) -> bool {
-    assert!(num_vars <= 16);
-    'outer: for assignment in 0u32..(1 << num_vars) {
-        for clause in clauses {
-            let satisfied = clause.iter().any(|l| {
-                let value = (assignment >> l.var().index()) & 1 == 1;
-                value == l.is_positive()
-            });
-            if !satisfied {
-                if clause.is_empty() {
-                    return false;
-                }
-                continue 'outer;
-            }
-        }
-        return true;
-    }
-    false
-}
 
 fn random_lit(rng: &mut SplitMix64, num_vars: usize) -> Lit {
     let v = rng.gen_u64_below(num_vars as u64) as usize;
@@ -248,7 +230,7 @@ fn simplified_solving_matches_brute_force() {
             }
         }
         let expected = brute_force_sat(num_vars, &clauses);
-        let still_consistent = solver.simplify();
+        let still_consistent = solver.simplify(100_000);
         if !still_consistent {
             assert!(
                 !expected,

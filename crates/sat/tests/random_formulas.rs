@@ -1,29 +1,11 @@
 //! Randomized validation of the CDCL solver against a brute-force reference
 //! on small formulas, generated deterministically with [`rtl::SplitMix64`].
 
-use rtl::SplitMix64;
-use sat::{CnfFormula, Lit, SatResult, Solver, Var};
+mod common;
 
-/// Brute-force satisfiability check for formulas with at most 16 variables.
-fn brute_force_sat(num_vars: usize, clauses: &[Vec<Lit>]) -> bool {
-    assert!(num_vars <= 16);
-    'outer: for assignment in 0u32..(1 << num_vars) {
-        for clause in clauses {
-            let satisfied = clause.iter().any(|l| {
-                let value = (assignment >> l.var().index()) & 1 == 1;
-                value == l.is_positive()
-            });
-            if !satisfied {
-                if clause.is_empty() {
-                    return false;
-                }
-                continue 'outer;
-            }
-        }
-        return true;
-    }
-    false
-}
+use common::brute_force_sat;
+use rtl::SplitMix64;
+use sat::{Lit, SatResult, Solver, Var};
 
 fn random_clause(rng: &mut SplitMix64, num_vars: usize) -> Vec<Lit> {
     let len = rng.gen_range(1..=3) as usize;
@@ -68,22 +50,5 @@ fn solver_agrees_with_brute_force() {
             }
             SatResult::Unknown => panic!("no limit was set, Unknown is impossible"),
         }
-    }
-}
-
-/// DIMACS export/import is an exact round trip.
-#[test]
-fn dimacs_roundtrip() {
-    let mut rng = SplitMix64::new(0xd1_3ac5);
-    for _ in 0..64 {
-        let num_vars = rng.gen_range(1..8) as usize;
-        let num_clauses = rng.gen_range(0..12) as usize;
-        let mut cnf = CnfFormula::new();
-        cnf.reserve_vars(num_vars.max(8));
-        for _ in 0..num_clauses {
-            cnf.add_clause(random_clause(&mut rng, 7));
-        }
-        let parsed = CnfFormula::from_dimacs(&cnf.to_dimacs()).expect("well-formed output");
-        assert_eq!(parsed, cnf);
     }
 }

@@ -13,7 +13,7 @@
 //!   never-simplified solver.
 
 use rtl::SplitMix64;
-use sat::{Lit, SatResult, SimplifyConfig, Solver, Var};
+use sat::{Lit, SatResult, Solver, Var};
 
 fn random_clause(rng: &mut SplitMix64, num_vars: usize) -> Vec<Lit> {
     let len = rng.gen_range(1..=3) as usize;
@@ -56,7 +56,7 @@ fn simplification_preserves_satisfiability_on_random_cnfs() {
         for &vi in &frozen {
             simplified.freeze_var(Var::from_index(vi));
         }
-        let simp_ok = simplified.simplify();
+        let simp_ok = simplified.simplify(100_000);
 
         for &vi in &frozen {
             assert!(
@@ -114,7 +114,7 @@ fn interleaved_simplify_and_clause_addition_agree_with_plain_solver() {
                 simplified.add_clause(clause.iter().copied());
                 all_clauses.push(clause);
             }
-            let simp_ok = simplified.simplify();
+            let simp_ok = simplified.simplify(100_000);
             let plain_result = plain.solve();
             if !simp_ok {
                 assert!(
@@ -163,8 +163,7 @@ fn assumptions_over_frozen_variables_agree_after_simplify() {
             plain.add_clause(clause.iter().copied());
             simplified.add_clause(clause.iter().copied());
         }
-        let config = SimplifyConfig::default();
-        if !simplified.simplify_with(&config) {
+        if !simplified.simplify(100_000) {
             assert!(plain.solve().is_unsat(), "case {case}");
             continue;
         }

@@ -50,8 +50,6 @@
 
 mod replay;
 mod simulator;
-mod trace;
 
 pub use replay::WitnessTrace;
 pub use simulator::{SimError, Simulator};
-pub use trace::Trace;

@@ -12,8 +12,9 @@
 //! cargo run --release --example meltdown_detection
 //! ```
 
+use bmc::UnrollOptions;
 use soc::{Instruction, Program, SocConfig, SocSim, SocVariant};
-use upec::{run_methodology, SecretScenario, UpecChecker, UpecModel, UpecOptions, Verdict};
+use upec::{run_methodology, IncrementalSession, SecretScenario, UpecModel, Verdict};
 
 /// The transient-access sequence: an illegal load of the secret followed by a
 /// dependent load whose address is the secret itself.
@@ -94,7 +95,6 @@ fn main() {
     // well-known starting point for side channel attacks" — so the check
     // below asks exactly that question: can the cache's tag/valid state
     // depend on the secret?
-    let checker = UpecChecker::new();
     for variant in [SocVariant::MeltdownStyle, SocVariant::Secure] {
         let config = small(variant);
         let model = UpecModel::new(&config, SecretScenario::InCache);
@@ -104,7 +104,7 @@ fn main() {
             .map(|p| p.name.clone())
             .filter(|n| n.starts_with("dcache.tag") || n.starts_with("dcache.valid"))
             .collect();
-        let outcome = checker.check(&model, UpecOptions::window(4), &cache_state);
+        let outcome = IncrementalSession::new(&model).check_bound(4, &cache_state);
         match variant {
             SocVariant::MeltdownStyle => {
                 let alert = outcome.alert().expect("the transient refill must show up");
@@ -130,7 +130,7 @@ fn main() {
     // The full methodology additionally proves the secure design free of any
     // covert channel at this window.
     let model = UpecModel::new(&small(SocVariant::Secure), SecretScenario::InCache);
-    let report = run_methodology(&model, UpecOptions::window(3));
+    let report = run_methodology(&model, 3, UnrollOptions::default());
     println!("{:>15}: {}", "secure", report.summary());
     assert_eq!(report.verdict, Verdict::Secure);
     println!("\nUPEC flags the Meltdown-style variant from the RTL alone, while the");

@@ -7,8 +7,7 @@
 
 use soc::{SocConfig, SocVariant};
 use upec::{
-    full_commitment, prove_alert_closure, AlertKind, SecretScenario, UpecChecker, UpecModel,
-    UpecOptions,
+    full_commitment, prove_alert_closure, AlertKind, IncrementalSession, SecretScenario, UpecModel,
 };
 
 fn main() {
@@ -18,8 +17,7 @@ fn main() {
         .with_miss_latency(1)
         .with_store_latency(1);
     let model = UpecModel::new(&config, SecretScenario::InCache);
-    let checker = UpecChecker::new();
-    let window = UpecOptions::window(3);
+    let window = 3;
 
     println!(
         "UPEC methodology on the {} design, {}",
@@ -29,9 +27,11 @@ fn main() {
     println!(
         "miter: {} register pairs, window k = {}\n",
         model.pairs().len(),
-        window.window
+        window
     );
 
+    // One session serves every iteration: only the commitment shrinks.
+    let mut session = IncrementalSession::new(&model);
     let mut commitment = full_commitment(&model);
     let mut collected = std::collections::BTreeSet::new();
     for iteration in 1.. {
@@ -39,7 +39,7 @@ fn main() {
             "iteration {iteration}: proving uniqueness of {} state bits ...",
             commitment.len()
         );
-        match checker.check(&model, window, &commitment) {
+        match session.check_bound(window, &commitment) {
             outcome if outcome.is_proven() => {
                 println!("  -> property PROVEN ({:?})", outcome.stats().runtime);
                 break;

@@ -5,7 +5,7 @@
 //! ```
 
 use soc::{Instruction, Program, SocConfig, SocSim, SocVariant};
-use upec::{SecretScenario, UpecChecker, UpecModel, UpecOptions};
+use upec::{full_commitment, IncrementalSession, SecretScenario, UpecModel};
 
 fn main() {
     // ------------------------------------------------------------------
@@ -61,7 +61,7 @@ fn main() {
         .with_miss_latency(1)
         .with_store_latency(1);
     let model = UpecModel::new(&small, SecretScenario::NotInCache);
-    let outcome = UpecChecker::new().check_full(&model, UpecOptions::window(2));
+    let outcome = IncrementalSession::new(&model).check_bound(2, &full_commitment(&model));
     println!(
         "UPEC (secret not cached, window 2): proven = {} ({} CNF variables, {:?})",
         outcome.is_proven(),

@@ -10,14 +10,17 @@
 #   cargo build --release && cargo test -q
 # Its umbrella tests include the encoding oracle: the compiled unrolling of
 # every distinct registry miter checked against the word-level simulator,
-# fresh and after CNF simplification (tests/cross_layer.rs).
+# fresh and after CNF simplification, and the default session agreeing with
+# a plain solve (UnrollOptions::with_simplify_trial(u64::MAX), a trial cap
+# no query reaches) on pinned k=1 verdicts (tests/cross_layer.rs).
 #
 # --full additionally runs the release-mode `--ignored` acceptance sweeps
 # (the umbrella end-to-end methodology run, full-registry simplification
-# differential, full instance-registry scan, full per-miter walk
-# differential (each instance scanned with its miter's other instances
-# versus alone), full certified-verdict sweep, fault-injection differential
-# sweep) — several minutes of SAT solving.
+# differential (default sessions against plain solves), full
+# instance-registry scan, full per-miter walk differential (each instance
+# scanned with its miter's other instances versus alone), full
+# certified-verdict sweep, fault-injection differential sweep) — several
+# minutes of SAT solving.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

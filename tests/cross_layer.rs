@@ -7,15 +7,14 @@
 
 use bmc::{UnrollOptions, Unrolling};
 use rtl::{BitVec, SignalId, SplitMix64};
-use sat::{Budget, CancelToken, Lit, SearchConfig, StopCause};
+use sat::{Budget, CancelToken, Lit, StopCause};
 use sim::Simulator;
 use soc::{SocConfig, SocVariant};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use upec::scenarios::{self, Geometry};
 use upec::{
-    full_commitment, CertificateCheck, IncrementalSession, SecretScenario, UpecModel, UpecOptions,
-    UpecOutcome,
+    full_commitment, CertificateCheck, IncrementalSession, SecretScenario, UpecModel, UpecOutcome,
 };
 
 /// One k=1 query: a miter, the state it must keep equal, and its verdict.
@@ -69,16 +68,17 @@ fn all_cases() -> impl Iterator<Item = Case> {
     tiny_cases().into_iter().chain(registry_cases())
 }
 
+/// The default session and a plain solve — a trial cap (`u64::MAX`) no
+/// query reaches, so the CNF simplifier never runs — both reach the pinned
+/// verdict.
 #[test]
-fn default_no_simplify_and_baseline_search_agree() {
+fn default_and_plain_solves_agree() {
     for case in all_cases() {
-        let options = UpecOptions::window(0);
         for (path, options) in [
-            ("default", options),
-            ("no_simplify", options.no_simplify()),
+            ("default", UnrollOptions::default()),
             (
-                "baseline search",
-                options.with_search(SearchConfig::baseline()),
+                "plain solve",
+                UnrollOptions::default().with_simplify_trial(u64::MAX),
             ),
         ] {
             let verdict = IncrementalSession::with_options(&case.model, options)
@@ -94,7 +94,7 @@ fn every_verdict_carries_a_certificate_that_checks() {
     for case in all_cases() {
         let mut session = IncrementalSession::with_options(
             &case.model,
-            UpecOptions::window(0).with_certificates(),
+            UnrollOptions::default().with_proof_log(),
         );
         let (outcome, certificate) = session
             .check_bound_certified(1, &case.commitment)
@@ -119,7 +119,7 @@ fn a_stopped_query_resumes_to_the_clean_verdict() {
     for case in tiny_cases() {
         let mut session = IncrementalSession::with_options(
             &case.model,
-            UpecOptions::window(0).with_budget(Budget::conflicts(1)),
+            UnrollOptions::default().with_budget(Budget::conflicts(1)),
         );
         let stopped = session.check_bound(1, &case.commitment);
         assert!(

@@ -1,10 +1,11 @@
 //! Cross-crate integration tests: the full stack from RTL generation through
 //! simulation and formal UPEC analysis.
 
+use bmc::UnrollOptions;
 use soc::{Instruction, Program, SocConfig, SocSim, SocVariant};
 use upec::{
-    close_alert_set, run_methodology, AlertKind, SecretScenario, UpecChecker, UpecModel,
-    UpecOptions, Verdict,
+    architectural_commitment, close_alert_set, run_methodology, AlertKind, IncrementalSession,
+    SecretScenario, UpecModel, Verdict,
 };
 
 fn formal_config(variant: SocVariant) -> SocConfig {
@@ -156,7 +157,7 @@ fn upec_methodology_classifies_all_design_variants() {
         &formal_config(SocVariant::Secure),
         SecretScenario::NotInCache,
     );
-    let report = run_methodology(&model, UpecOptions::window(2));
+    let report = run_methodology(&model, 2, UnrollOptions::default());
     assert_eq!(report.verdict, Verdict::Secure);
     assert_eq!(report.p_alert_count(), 0);
 
@@ -164,7 +165,7 @@ fn upec_methodology_classifies_all_design_variants() {
     // P-alert registers only seed the closure; the fixpoint may pull in
     // neighbouring blockable pipeline registers before it closes.
     let model = UpecModel::new(&formal_config(SocVariant::Secure), SecretScenario::InCache);
-    let report = run_methodology(&model, UpecOptions::window(2));
+    let report = run_methodology(&model, 2, UnrollOptions::default());
     assert_eq!(report.verdict, Verdict::Secure, "{}", report.summary());
     assert!(report.p_alert_count() >= 1);
     let (_, closure) = close_alert_set(&model, &report.p_alert_registers, 8);
@@ -172,7 +173,7 @@ fn upec_methodology_classifies_all_design_variants() {
 
     // Orc variant: insecure.
     let model = UpecModel::new(&formal_config(SocVariant::Orc), SecretScenario::InCache);
-    let report = run_methodology(&model, UpecOptions::window(4));
+    let report = run_methodology(&model, 4, UnrollOptions::default());
     assert_eq!(report.verdict, Verdict::Insecure);
     assert_eq!(report.alerts.last().unwrap().kind, AlertKind::LAlert);
 
@@ -189,26 +190,17 @@ fn upec_methodology_classifies_all_design_variants() {
             .filter(|n| n.starts_with("dcache.tag") || n.starts_with("dcache.valid"))
             .collect()
     };
-    let checker = UpecChecker::new();
     let model = UpecModel::new(
         &formal_config(SocVariant::MeltdownStyle),
         SecretScenario::InCache,
     );
-    let outcome = checker.check(
-        &model,
-        UpecOptions::window(5),
-        &cache_state_commitment(&model),
-    );
+    let outcome = IncrementalSession::new(&model).check_bound(5, &cache_state_commitment(&model));
     assert!(
         outcome.alert().is_some(),
         "meltdown-style refill must mark the cache"
     );
     let model = UpecModel::new(&formal_config(SocVariant::Secure), SecretScenario::InCache);
-    let outcome = checker.check(
-        &model,
-        UpecOptions::window(4),
-        &cache_state_commitment(&model),
-    );
+    let outcome = IncrementalSession::new(&model).check_bound(4, &cache_state_commitment(&model));
     assert!(
         outcome.is_proven(),
         "secure design keeps the cache state unique"
@@ -219,21 +211,19 @@ fn upec_methodology_classifies_all_design_variants() {
 /// architectural leak.
 #[test]
 fn pmp_lock_bug_is_detected_as_an_l_alert() {
-    let checker = UpecChecker::new();
     let buggy = UpecModel::new(
         &formal_config(SocVariant::PmpLockBug),
         SecretScenario::InCache,
     );
+    let commitment = architectural_commitment(&buggy);
+    let mut session = IncrementalSession::new(&buggy);
     // The shortest leaking scenario needs the locked base address to be moved
     // (CSR write retiring), an `mret` into user mode and the now-permitted
     // load to flow down the pipeline — roughly seven cycles — so the search
     // starts there instead of paying for the short, alert-free windows.
     let mut found_l_alert = false;
     for k in 7..=9 {
-        if let Some(alert) = checker
-            .check_architectural(&buggy, UpecOptions::window(k))
-            .alert()
-        {
+        if let Some(alert) = session.check_bound(k, &commitment).alert() {
             assert_eq!(alert.kind, AlertKind::LAlert);
             found_l_alert = true;
             break;
