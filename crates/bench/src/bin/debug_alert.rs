@@ -21,17 +21,17 @@ fn main() {
         Some("secure") => "secure-cached",
         Some(other) => other,
     };
-    let spec = scenarios::by_id(id).unwrap_or_else(|| {
+    let scenario = scenarios::by_id(id).unwrap_or_else(|| {
         eprintln!("unknown scenario `{id}`; registered ids:");
         for s in scenarios::registry() {
-            eprintln!("  {:<18} {}", s.id, s.title);
+            eprintln!("  {:<18} {}", s.name, s.title);
         }
         std::process::exit(1);
     });
-    let variant = spec.variant;
+    let variant = scenario.variant;
     let window: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2);
 
-    let model = spec.build_model();
+    let model = scenario.build_model();
     // Compiling the full netlist (rather than the model's proof cone) keeps
     // every control signal below in the schedule.
     let mut unrolling = Unrolling::with_frame0_aliases(

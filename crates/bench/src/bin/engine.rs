@@ -6,10 +6,13 @@
 //! ```
 //!
 //! Without arguments every registered scenario is scanned. Scenario ids
-//! (e.g. `orc pmp-lock`) restrict the sweep.
+//! (e.g. `orc pmp-lock`) restrict the sweep; `pmp-lock` (the PMP leak of
+//! Sec. VII-C) and `cache-footprint` (Fig. 1 as a UPEC check) have this
+//! binary as their driver. The exit code is 1 when a verdict misses its
+//! registered expectation.
 
 use std::time::Instant;
-use upec::scenarios::{self, ScenarioInstance, ScenarioSpec};
+use upec::scenarios::{self, ScenarioInstance};
 use upec::{EngineOptions, UpecEngine};
 
 fn main() {
@@ -23,7 +26,7 @@ fn main() {
         }
     }
 
-    let specs: Vec<ScenarioSpec> = if ids.is_empty() {
+    let instances: Vec<ScenarioInstance> = if ids.is_empty() {
         scenarios::registry()
     } else {
         ids.iter()
@@ -31,7 +34,7 @@ fn main() {
                 scenarios::by_id(id).unwrap_or_else(|| {
                     eprintln!("unknown scenario `{id}`; registered ids:");
                     for s in scenarios::registry() {
-                        eprintln!("  {:<18} {}", s.id, s.title);
+                        eprintln!("  {:<18} {}", s.name, s.title);
                     }
                     std::process::exit(1);
                 })
@@ -45,24 +48,23 @@ fn main() {
     }
     println!(
         "UPEC engine: {} scenarios, {} threads\n",
-        specs.len(),
+        instances.len(),
         options.threads
     );
     println!(
         "{:<18} {:<34} {:<30} {:>9}",
         "id", "title", "paper ref", "windows"
     );
-    for spec in &specs {
+    for s in &instances {
         println!(
             "{:<18} {:<34} {:<30} {:>4}..={}",
-            spec.id, spec.title, spec.paper_ref, spec.start_window, spec.max_window
+            s.name, s.title, s.paper_ref, s.start_window, s.max_window
         );
     }
     println!();
 
     let start = Instant::now();
-    let results =
-        UpecEngine::new(options).run_instances(specs.into_iter().map(ScenarioInstance::base));
+    let results = UpecEngine::new(options).run_instances(instances);
     for r in &results {
         println!("{}", r.summary());
     }

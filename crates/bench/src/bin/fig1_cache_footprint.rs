@@ -10,9 +10,9 @@ use soc::{SocConfig, SocSim, SocVariant};
 use upec::scenarios;
 
 fn footprint(variant: SocVariant, secret: u32) -> Vec<u64> {
-    let spec = scenarios::by_id("cache-footprint").expect("registered scenario");
+    let scenario = scenarios::by_id("cache-footprint").expect("registered scenario");
     let config = SocConfig::new(variant);
-    let program = spec
+    let program = scenario
         .demo_program(&config)
         .expect("the footprint scenario ships a demo program");
     let mut sim = SocSim::new(config.clone(), program);

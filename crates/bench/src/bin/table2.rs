@@ -18,8 +18,8 @@ struct Row {
 }
 
 fn investigate(scenario_id: &str, max_window: usize) -> Row {
-    let spec = scenarios::by_id(scenario_id).expect("registered scenario");
-    let model = spec.build_model();
+    let scenario = scenarios::by_id(scenario_id).expect("registered scenario");
+    let model = scenario.build_model();
     let (full, architectural) = (full_commitment(&model), architectural_commitment(&model));
     let mut row = Row {
         p_window: None,

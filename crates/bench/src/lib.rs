@@ -1,9 +1,11 @@
 //! # `bench` — the paper-artifact binaries
 //!
 //! Binaries that regenerate the paper's tables and figures (Table I,
-//! Table II, Fig. 1, Fig. 2, the PMP finding of Sec. VII-C), the ablation
-//! studies, the registry sweep (`engine`) and the alert debugger
-//! (`debug_alert`).
+//! Table II, Fig. 1 and Fig. 2 as simulated attacks), the ablation studies,
+//! the registry sweep (`engine`) and the alert debugger (`debug_alert`).
+//! The formal findings that are registry scenarios have `engine` as their
+//! one driver: `engine pmp-lock` is the PMP leak of Sec. VII-C and
+//! `engine cache-footprint` is Fig. 1 as a UPEC check.
 //!
 //! All workloads are driven from the shared scenario registry in
 //! [`upec::scenarios`] — this crate only adds timing, formatting and

@@ -8,9 +8,9 @@ use std::sync::Arc;
 use upec::{scenarios, IncrementalSession, UpecOutcome};
 
 fn query() -> UpecOutcome {
-    let spec = scenarios::by_id("meltdown").expect("registered scenario");
-    let model = spec.build_model();
-    let commitment = spec.commitment_set(&model);
+    let scenario = scenarios::by_id("meltdown").expect("registered scenario");
+    let model = scenario.build_model();
+    let commitment = scenario.commitment_set(&model);
     IncrementalSession::new(&model).check_bound(1, &commitment)
 }
 

@@ -122,16 +122,6 @@ pub struct CompileStats {
     pub coi: CoiStats,
 }
 
-impl CompileStats {
-    /// Fraction of netlist signals that needed no slot of their own.
-    pub fn reduction_percent(&self) -> f64 {
-        if self.netlist_signals == 0 {
-            return 0.0;
-        }
-        100.0 * (self.netlist_signals - self.scheduled_slots) as f64 / self.netlist_signals as f64
-    }
-}
-
 /// A netlist compiled into a dense transition-relation schedule.
 ///
 /// The compiled form is immutable and self-contained (it holds no borrow of

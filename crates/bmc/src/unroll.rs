@@ -775,22 +775,6 @@ impl<'n> Unrolling<'n> {
         Ok(())
     }
 
-    /// Adds a hard constraint that a single-bit signal is false in a frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the signal is not a single bit or the frame is not
-    /// built.
-    pub fn assume_signal_false(
-        &mut self,
-        frame: usize,
-        signal: SignalId,
-    ) -> Result<(), UnrollError> {
-        let lit = self.bit_lit(frame, signal)?;
-        self.gates.assert_true(!lit);
-        Ok(())
-    }
-
     /// Adds a hard constraint that two equally wide signals are equal in a
     /// frame.
     ///

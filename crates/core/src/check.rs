@@ -144,27 +144,26 @@ pub fn architectural_commitment(model: &UpecModel) -> BTreeSet<String> {
 mod tests {
     use super::*;
     use crate::engine::IncrementalSession;
+    use crate::scenarios::Geometry;
     use crate::SecretScenario;
-    use soc::{SocConfig, SocVariant};
-
-    fn tiny(variant: SocVariant) -> SocConfig {
-        SocConfig::new(variant)
-            .with_registers(4)
-            .with_cache_lines(2)
-            .with_miss_latency(1)
-            .with_store_latency(1)
-    }
+    use soc::SocVariant;
 
     #[test]
     fn secret_not_in_cache_produces_no_alert_at_window_one() {
-        let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::NotInCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::NotInCache,
+        );
         let outcome = IncrementalSession::new(&model).check_bound(1, &full_commitment(&model));
         assert!(outcome.is_proven(), "outcome: {outcome:?}");
     }
 
     #[test]
     fn secret_in_cache_produces_a_p_alert_on_the_secure_design() {
-        let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::InCache,
+        );
         let outcome = IncrementalSession::new(&model).check_bound(2, &full_commitment(&model));
         let alert = outcome.alert().expect("expected a propagation alert");
         assert_eq!(alert.kind, AlertKind::PAlert, "alert: {alert:?}");
@@ -173,7 +172,10 @@ mod tests {
 
     #[test]
     fn secure_design_has_no_l_alert_at_small_windows() {
-        let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::InCache,
+        );
         let commitment = architectural_commitment(&model);
         let mut session = IncrementalSession::new(&model);
         for k in 1..=2 {
@@ -188,7 +190,10 @@ mod tests {
 
     #[test]
     fn orc_variant_produces_an_l_alert() {
-        let model = UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Orc),
+            SecretScenario::InCache,
+        );
         let commitment = architectural_commitment(&model);
         let mut session = IncrementalSession::new(&model);
         let (k, alert) = (1..=5)
@@ -200,7 +205,10 @@ mod tests {
 
     #[test]
     fn unknown_is_reported_when_the_budget_is_tiny() {
-        let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::InCache,
+        );
         let options = bmc::UnrollOptions::default().with_budget(sat::Budget::conflicts(1));
         let outcome = IncrementalSession::with_options(&model, options)
             .check_bound(2, &full_commitment(&model));

@@ -135,14 +135,14 @@ pub enum ScanVerdict {
 /// The parallel, incremental UPEC checking engine.
 ///
 /// The engine takes a batch of [`ScenarioInstance`]s (usually straight from
-/// [`crate::scenarios::instances`], or a registry spec wrapped with
-/// [`ScenarioInstance::base`]) and scans each instance's window range on a
-/// pool of worker threads, one miter per worker at a time. A miter is the
-/// two-SoC model fixed by SoC config and secret placement; instances of the
-/// same miter differ only by commitment and windows, so they are scanned on
-/// one [`IncrementalSession`]: one persistent SAT solver that walks the
-/// bounds, reusing learned clauses and activities between bounds and
-/// between instances instead of re-solving from scratch.
+/// [`crate::scenarios::registry`] or [`crate::scenarios::instances`]) and
+/// scans each instance's window range on a pool of worker threads, one
+/// miter per worker at a time. A miter is the two-SoC model fixed by SoC
+/// config and secret placement; instances of the same miter differ only by
+/// commitment and windows, so they are scanned on one
+/// [`IncrementalSession`]: one persistent SAT solver that walks the bounds,
+/// reusing learned clauses and activities between bounds and between
+/// instances instead of re-solving from scratch.
 ///
 /// # Examples
 ///
@@ -150,12 +150,12 @@ pub enum ScanVerdict {
 /// registry is the `cargo run -p bench --bin engine` entry point.
 ///
 /// ```
-/// use upec::scenarios::{self, ScenarioInstance};
+/// use upec::scenarios;
 /// use upec::{EngineOptions, ScanVerdict, UpecEngine};
 ///
 /// let engine = UpecEngine::new(EngineOptions::new().with_threads(2).with_max_window(1));
-/// let spec = scenarios::by_id("secure-uncached").unwrap();
-/// let results = engine.run_instances([ScenarioInstance::base(spec)]);
+/// let scenario = scenarios::by_id("secure-uncached").unwrap();
+/// let results = engine.run_instances([scenario]);
 /// assert_eq!(results.len(), 1);
 /// assert_eq!(results[0].verdict, ScanVerdict::Secure);
 /// assert!(results[0].matches_expectation());
@@ -444,8 +444,7 @@ impl UpecEngine {
     /// results in submission order.
     ///
     /// This is the engine's one scan entry point: instances carry their own
-    /// geometry, window range and expectation, and a registry spec scans at
-    /// the default formal geometry as [`ScenarioInstance::base`].
+    /// geometry, window range and expectation.
     ///
     /// Instances are grouped by miter, the two inputs of [`UpecModel::new`]:
     /// SoC config and secret placement. Each group builds one model and one
@@ -461,7 +460,7 @@ impl UpecEngine {
         // One job per miter: its instances' submission indices, in order.
         let mut miters: Vec<(SocConfig, SecretScenario, Vec<usize>)> = Vec::new();
         for (index, instance) in instances.iter().enumerate() {
-            let (config, secret) = (instance.config(), instance.spec.secret);
+            let (config, secret) = (instance.config(), instance.secret);
             match miters.iter_mut().find(|m| m.0 == config && m.1 == secret) {
                 Some(miter) => miter.2.push(index),
                 None => miters.push((config, secret, vec![index])),
@@ -551,16 +550,12 @@ mod tests {
     use super::*;
     use crate::scenarios;
 
-    fn base(id: &str) -> ScenarioInstance {
-        ScenarioInstance::base(scenarios::by_id(id).unwrap())
-    }
-
     #[test]
     fn engine_matches_expectations_on_a_fast_subset() {
         // A cheap subset keeps the default suite fast on small machines; the
         // `#[ignore]`d instance sweep in `tests/scenario_instances.rs` covers
         // the whole registry.
-        let instances = [base("secure-uncached"), base("orc")];
+        let instances = ["secure-uncached", "orc"].map(|id| scenarios::by_id(id).unwrap());
         let engine = UpecEngine::new(EngineOptions::new().with_threads(2).with_max_window(2));
         for result in engine.run_instances(instances) {
             assert!(
@@ -577,7 +572,7 @@ mod tests {
     #[test]
     fn max_window_caps_the_scan() {
         let results = UpecEngine::new(EngineOptions::new().with_threads(1).with_max_window(1))
-            .run_instances([base("secure-uncached")]);
+            .run_instances([scenarios::by_id("secure-uncached").unwrap()]);
         assert_eq!(results[0].bounds.len(), 1);
         assert_eq!(results[0].verdict, ScanVerdict::Secure);
     }

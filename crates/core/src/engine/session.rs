@@ -32,15 +32,12 @@ use std::time::Instant;
 /// # Examples
 ///
 /// ```
-/// use soc::{SocConfig, SocVariant};
+/// use soc::SocVariant;
 /// use upec::engine::IncrementalSession;
+/// use upec::scenarios::Geometry;
 /// use upec::{full_commitment, SecretScenario, UpecModel};
 ///
-/// let config = SocConfig::new(SocVariant::Secure)
-///     .with_registers(4)
-///     .with_cache_lines(2)
-///     .with_miss_latency(1)
-///     .with_store_latency(1);
+/// let config = Geometry::formal_default().apply(SocVariant::Secure);
 /// let model = UpecModel::new(&config, SecretScenario::NotInCache);
 /// let mut session = IncrementalSession::new(&model);
 /// let commitment = full_commitment(&model);
@@ -485,16 +482,9 @@ impl<'m> IncrementalSession<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::Geometry;
     use crate::{architectural_commitment, full_commitment, SecretScenario};
-    use soc::{SocConfig, SocVariant};
-
-    fn tiny(variant: SocVariant) -> SocConfig {
-        SocConfig::new(variant)
-            .with_registers(4)
-            .with_cache_lines(2)
-            .with_miss_latency(1)
-            .with_store_latency(1)
-    }
+    use soc::SocVariant;
 
     /// The acceptance check of the incremental engine: walking bounds `1..=k`
     /// through one session must spend measurably fewer conflicts and
@@ -514,7 +504,10 @@ mod tests {
         // bound's query does real search work whose learned clauses the next
         // bound can reuse. (A walk whose early bounds close by propagation
         // alone would teach the solver nothing and the comparison would tie.)
-        let model = UpecModel::new(&tiny(SocVariant::MeltdownStyle), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::MeltdownStyle),
+            SecretScenario::InCache,
+        );
         let commitment = full_commitment(&model);
         let options = UnrollOptions::default().with_simplify_trial(u64::MAX);
         let max_k = 3;
@@ -557,7 +550,10 @@ mod tests {
     /// verdict here.
     #[test]
     fn simplified_walk_matches_fresh_solves() {
-        let model = UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Orc),
+            SecretScenario::InCache,
+        );
         let commitment = architectural_commitment(&model);
         // Orc with the architectural obligation is proven at k=1 and
         // L-alerts at k=2, covering both outcome paths. A zero trial budget

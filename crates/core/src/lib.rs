@@ -35,8 +35,9 @@
 //!   (a miter-parallel worker pool: one session per miter walks every
 //!   instance of that miter);
 //! * the [`scenarios`] module — the named registry of every attack scenario
-//!   the reproduction checks, with paper references and expected verdicts,
-//!   shared by the engine, the bench binaries and the examples;
+//!   the reproduction checks, with paper references, geometries and expected
+//!   verdicts, shared by the engine, the bench binaries, the examples and
+//!   the tests;
 //! * **checkable verdicts** — every query can be packaged as a
 //!   [`VerdictCertificate`]: proven bounds carry a trimmed DRAT refutation
 //!   replayed by the independent checker in [`sat::drat`], violated bounds
@@ -46,15 +47,12 @@
 //! # Example
 //!
 //! ```
-//! use soc::{SocConfig, SocVariant};
+//! use soc::SocVariant;
+//! use upec::scenarios::Geometry;
 //! use upec::{full_commitment, IncrementalSession, SecretScenario, UpecModel};
 //!
-//! // A small configuration keeps the proof fast for the doc test.
-//! let config = SocConfig::new(SocVariant::Secure)
-//!     .with_registers(4)
-//!     .with_cache_lines(2)
-//!     .with_miss_latency(1)
-//!     .with_store_latency(1);
+//! // The reduced formal geometry keeps the proof fast for the doc test.
+//! let config = Geometry::formal_default().apply(SocVariant::Secure);
 //! let model = UpecModel::new(&config, SecretScenario::NotInCache);
 //! let outcome = IncrementalSession::new(&model).check_bound(1, &full_commitment(&model));
 //! assert!(outcome.is_proven());

@@ -326,19 +326,15 @@ pub fn close_alert_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soc::{SocConfig, SocVariant};
-
-    fn tiny(variant: SocVariant) -> SocConfig {
-        SocConfig::new(variant)
-            .with_registers(4)
-            .with_cache_lines(2)
-            .with_miss_latency(1)
-            .with_store_latency(1)
-    }
+    use crate::scenarios::Geometry;
+    use soc::SocVariant;
 
     #[test]
     fn methodology_proves_the_uncached_case_secure_without_alerts() {
-        let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::NotInCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::NotInCache,
+        );
         let report = run_methodology(&model, 2, UnrollOptions::default());
         assert_eq!(report.verdict, Verdict::Secure, "{}", report.summary());
         assert_eq!(report.p_alert_count(), 0);
@@ -347,7 +343,10 @@ mod tests {
 
     #[test]
     fn methodology_collects_p_alerts_for_the_secure_cached_case() {
-        let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::InCache,
+        );
         let report = run_methodology(&model, 2, UnrollOptions::default());
         assert_eq!(report.verdict, Verdict::Secure, "{}", report.summary());
         assert!(report.p_alert_count() >= 1);
@@ -368,7 +367,10 @@ mod tests {
     fn methodology_flags_the_orc_variant_as_insecure() {
         // The Orc L-alert is already reachable at window 2; deeper windows
         // only make the queries more expensive without changing the verdict.
-        let model = UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Orc),
+            SecretScenario::InCache,
+        );
         let report = run_methodology(&model, 2, UnrollOptions::default());
         assert_eq!(report.verdict, Verdict::Insecure, "{}", report.summary());
         let last = report.alerts.last().expect("an L-alert terminates the run");
@@ -377,7 +379,10 @@ mod tests {
 
     #[test]
     fn closure_proof_succeeds_for_the_secure_design() {
-        let model = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::InCache,
+        );
         let report = run_methodology(&model, 2, UnrollOptions::default());
         assert_eq!(report.verdict, Verdict::Secure);
         // The bounded P-alerts seed the set; the fixpoint iteration may pull

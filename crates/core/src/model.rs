@@ -417,19 +417,15 @@ impl UpecModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::Geometry;
     use soc::SocVariant;
-
-    fn tiny_config(variant: SocVariant) -> SocConfig {
-        SocConfig::new(variant)
-            .with_registers(4)
-            .with_cache_lines(2)
-            .with_miss_latency(1)
-            .with_store_latency(1)
-    }
 
     #[test]
     fn miter_pairs_every_register_once() {
-        let model = UpecModel::new(&tiny_config(SocVariant::Secure), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::InCache,
+        );
         let total_regs_one_instance = model.soc1().arch_registers.len()
             + model.soc1().micro_registers.len()
             + model.soc1().memory_registers.len();
@@ -445,7 +441,10 @@ mod tests {
 
     #[test]
     fn classification_covers_arch_micro_and_memory() {
-        let model = UpecModel::new(&tiny_config(SocVariant::Secure), SecretScenario::InCache);
+        let model = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::InCache,
+        );
         assert!(model.pairs_of_class(StateClass::Architectural).count() >= 10);
         assert!(model.pairs_of_class(StateClass::Microarchitectural).count() >= 40);
         assert_eq!(
@@ -461,12 +460,18 @@ mod tests {
 
     #[test]
     fn scenarios_add_the_right_initial_constraint() {
-        let cached = UpecModel::new(&tiny_config(SocVariant::Secure), SecretScenario::InCache);
+        let cached = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::InCache,
+        );
         assert!(cached
             .initial_constraints()
             .iter()
             .any(|c| c.label.contains("present")));
-        let uncached = UpecModel::new(&tiny_config(SocVariant::Secure), SecretScenario::NotInCache);
+        let uncached = UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::NotInCache,
+        );
         assert!(uncached
             .initial_constraints()
             .iter()

@@ -1,12 +1,14 @@
 //! The attack-scenario registry: one named table of every workload the
-//! reproduction can check, shared by the engine, the bench binaries and the
-//! examples.
+//! reproduction can check, shared by the engine, the bench binaries, the
+//! examples and the tests.
 //!
-//! Each [`ScenarioSpec`] bundles a design variant, a secret placement, a
-//! proof-obligation shape and the window range to scan, together with the
-//! paper figure/table it reproduces and the expected verdict. Everything
-//! that used to duplicate this setup — bench binaries, examples, tests —
-//! drives off [`registry`] (or [`by_id`]) instead.
+//! Each [`ScenarioInstance`] bundles a design variant, a secret placement, a
+//! proof-obligation shape, a SoC [`Geometry`] and the window range to scan,
+//! together with the paper figure/table it reproduces and the expected
+//! verdict. [`registry`] holds the base scenarios at the default formal
+//! geometry; [`instances`] adds their geometry families. Everything that
+//! checks or demonstrates a scenario drives off these tables (or [`by_id`]
+//! and [`instance_by_id`]) instead of repeating its setup.
 //!
 //! # Examples
 //!
@@ -56,11 +58,11 @@ pub enum Expectation {
 /// The microarchitectural geometry of one scenario instance: the `SocConfig`
 /// knobs that parameterize a scenario into a *family*.
 ///
-/// Every [`ScenarioSpec`] is checked at [`Geometry::formal_default`]; the
-/// instance registry ([`instances`]) additionally sweeps selected scenarios
-/// across larger caches and longer memory latencies, because the paper's
-/// central claim — UPEC needs no prior knowledge of the attack — should
-/// survive a resized microarchitecture.
+/// Every [`registry`] entry is checked at [`Geometry::formal_default`];
+/// [`instances`] additionally sweeps selected scenarios across larger caches
+/// and longer memory latencies, because the paper's central claim — UPEC
+/// needs no prior knowledge of the attack — should survive a resized
+/// microarchitecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Number of architectural registers (power of two in `2..=32`).
@@ -75,7 +77,7 @@ pub struct Geometry {
 
 impl Geometry {
     /// The reduced default geometry every formal proof runs at.
-    pub fn formal_default() -> Self {
+    pub const fn formal_default() -> Self {
         Self {
             registers: 4,
             cache_lines: 2,
@@ -125,11 +127,15 @@ impl Geometry {
     }
 }
 
-/// A named, self-contained attack scenario.
+/// A named, self-contained attack scenario pinned to a SoC [`Geometry`],
+/// with the window range and expected verdict *for that geometry* (resizing
+/// the cache or stretching a latency moves the window at which an alert
+/// first appears).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScenarioSpec {
-    /// Stable machine-readable identifier (used by `by_id`, bench CLIs, CI).
-    pub id: &'static str,
+pub struct ScenarioInstance {
+    /// Stable base identifier, shared by every geometry of the scenario
+    /// (used by [`by_id`], bench CLIs, CI).
+    pub name: &'static str,
     /// Human-readable title.
     pub title: &'static str,
     /// Paper figure/table/section this scenario reproduces.
@@ -140,6 +146,8 @@ pub struct ScenarioSpec {
     pub secret: SecretScenario,
     /// Proof-obligation shape.
     pub commitment: CommitmentKind,
+    /// The SoC geometry of this instance.
+    pub geometry: Geometry,
     /// First window length worth checking (skipping windows that are too
     /// short for the attack to complete keeps scans cheap; cf. the PMP
     /// scenario, whose shortest leak needs seven cycles).
@@ -152,12 +160,20 @@ pub struct ScenarioSpec {
     pub description: &'static str,
 }
 
-impl ScenarioSpec {
-    /// The reduced SoC geometry used for the formal proofs (small enough for
-    /// the from-scratch SAT solver while preserving every microarchitectural
-    /// mechanism the paper's evaluation depends on).
-    pub fn formal_config(&self) -> SocConfig {
-        Geometry::formal_default().apply(self.variant)
+impl ScenarioInstance {
+    /// Stable identifier: the base name, suffixed with the geometry label for
+    /// non-default geometries (`cache-footprint@r4c4m1s1`).
+    pub fn id(&self) -> String {
+        if self.geometry.is_default() {
+            self.name.to_string()
+        } else {
+            format!("{}@{}", self.name, self.geometry.label())
+        }
+    }
+
+    /// The SoC configuration of this instance.
+    pub fn config(&self) -> SocConfig {
+        self.geometry.apply(self.variant)
     }
 
     /// The full-size geometry used for the simulation-based figures.
@@ -165,13 +181,12 @@ impl ScenarioSpec {
         SocConfig::new(self.variant)
     }
 
-    /// Builds the two-instance UPEC miter for this scenario (formal
-    /// geometry).
+    /// Builds the two-instance UPEC miter for this instance's geometry.
     pub fn build_model(&self) -> UpecModel {
-        UpecModel::new(&self.formal_config(), self.secret)
+        UpecModel::new(&self.config(), self.secret)
     }
 
-    /// The commitment set for this scenario's obligation shape.
+    /// The commitment set for this instance's obligation shape.
     pub fn commitment_set(&self, model: &UpecModel) -> BTreeSet<String> {
         match self.commitment {
             CommitmentKind::Full => crate::full_commitment(model),
@@ -188,7 +203,7 @@ impl ScenarioSpec {
     /// The attacker program demonstrating this scenario on the simulator
     /// (`None` for purely formal scenarios).
     pub fn demo_program(&self, config: &SocConfig) -> Option<Program> {
-        match self.id {
+        match self.name {
             "orc" => Some(orc_attack_program(config, 3)),
             "meltdown" | "meltdown-timing" | "cache-footprint" => Some(transient_program(config)),
             "fuzz-meltdown-footprint" | "fuzz-orc-footprint" => Some(fuzz_footprint_witness()),
@@ -316,210 +331,163 @@ pub fn transient_program(config: &SocConfig) -> Program {
     p
 }
 
-/// The full scenario registry, in presentation order.
-pub fn registry() -> Vec<ScenarioSpec> {
-    vec![
-        ScenarioSpec {
-            id: "secure-uncached",
-            title: "Secure design, secret only in main memory",
-            paper_ref: "Table I, column 'D not in cache'",
-            variant: SocVariant::Secure,
-            secret: SecretScenario::NotInCache,
-            commitment: CommitmentKind::Full,
-            start_window: 1,
-            max_window: 2,
-            expected: Expectation::Proven,
-            description: "Baseline proof: no state deviation of any kind on the original design",
-        },
-        ScenarioSpec {
-            id: "secure-cached",
-            title: "Secure design, secret cached",
-            paper_ref: "Table I, column 'D in cache'",
-            variant: SocVariant::Secure,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::Full,
-            start_window: 1,
-            max_window: 2,
-            expected: Expectation::PAlertsOnly,
-            description: "P-alerts appear (cache hit data enters the pipeline) but close inductively",
-        },
-        ScenarioSpec {
-            id: "secure-arch-only",
-            title: "Secure design, architectural obligation only",
-            paper_ref: "Sec. V control experiment",
-            variant: SocVariant::Secure,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::Architectural,
-            start_window: 1,
-            max_window: 2,
-            expected: Expectation::Proven,
-            description: "Control: the original design shows no L-alert at small windows",
-        },
-        ScenarioSpec {
-            id: "meltdown",
-            title: "Meltdown-style uncancelled refill",
-            paper_ref: "Sec. VII-B, Table II row 2",
-            variant: SocVariant::MeltdownStyle,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::Full,
-            start_window: 1,
-            max_window: 2,
-            expected: Expectation::PAlertsOnly,
-            description: "Transient refill survives the flush; secret marks microarchitectural state",
-        },
-        ScenarioSpec {
-            id: "meltdown-timing",
-            title: "Meltdown-style refill as a timing channel",
-            paper_ref: "new variant (beyond the paper's Table II)",
-            variant: SocVariant::MeltdownStyle,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::Architectural,
-            start_window: 3,
-            max_window: 3,
-            expected: Expectation::LAlert,
-            description: "The uncancelled refill also skews architectural timing: an L-alert at k=3",
-        },
-        ScenarioSpec {
-            id: "cache-footprint",
-            title: "Secret-dependent cache footprint",
-            paper_ref: "Fig. 1",
-            variant: SocVariant::MeltdownStyle,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::CacheState,
-            start_window: 1,
-            max_window: 5,
-            expected: Expectation::PAlertsOnly,
-            description: "The dcache tag/valid state depends on the secret after a transient access (first visible at k=5)",
-        },
-        ScenarioSpec {
-            id: "orc",
-            title: "Orc replay-buffer bypass",
-            paper_ref: "Fig. 2, Table II row 1",
-            variant: SocVariant::Orc,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::Architectural,
-            start_window: 1,
-            max_window: 5,
-            expected: Expectation::LAlert,
-            description: "RAW-hazard stall timing leaks the secret's cache index: a true covert channel",
-        },
-        ScenarioSpec {
-            id: "pmp-lock",
-            title: "PMP TOR-lock ISA violation",
-            paper_ref: "Sec. VII-C",
-            variant: SocVariant::PmpLockBug,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::Architectural,
-            start_window: 7,
-            max_window: 9,
-            expected: Expectation::LAlert,
-            description: "Privileged code can move a locked region's base: the secret leaks directly",
-        },
-        ScenarioSpec {
-            id: "fuzz-meltdown-footprint",
-            title: "Fuzz-mined transient refill footprint",
-            paper_ref: "fuzz-mined witness (cf. Fig. 1)",
-            variant: SocVariant::MeltdownStyle,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::CacheState,
-            start_window: 1,
-            max_window: 5,
-            expected: Expectation::PAlertsOnly,
-            description: "Minimized 3-instruction witness from the fuzz miner: a dependent load's refill marks the cache",
-        },
-        ScenarioSpec {
-            id: "fuzz-orc-footprint",
-            title: "Fuzz-mined Orc cache footprint",
-            paper_ref: "fuzz-mined witness (beyond Table II)",
-            variant: SocVariant::Orc,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::CacheState,
-            start_window: 1,
-            max_window: 5,
-            expected: Expectation::PAlertsOnly,
-            description: "The replay-buffer bypass also lets the transient load mark the cache, not just stall",
-        },
-        ScenarioSpec {
-            id: "fuzz-orc-timing",
-            title: "Fuzz-mined Orc stall-timing witness",
-            paper_ref: "fuzz-mined witness (cf. Fig. 2)",
-            variant: SocVariant::Orc,
-            secret: SecretScenario::InCache,
-            commitment: CommitmentKind::Architectural,
-            start_window: 1,
-            max_window: 5,
-            expected: Expectation::LAlert,
-            description: "Minimized 4-instruction witness: a pending store collides with the transient load's line",
-        },
-    ]
+/// The table behind [`registry`]; a static, so that [`by_id`] looks a
+/// scenario up without building the list.
+static REGISTRY: [ScenarioInstance; 11] = [
+    ScenarioInstance {
+        name: "secure-uncached",
+        title: "Secure design, secret only in main memory",
+        paper_ref: "Table I, column 'D not in cache'",
+        variant: SocVariant::Secure,
+        secret: SecretScenario::NotInCache,
+        commitment: CommitmentKind::Full,
+        geometry: Geometry::formal_default(),
+        start_window: 1,
+        max_window: 2,
+        expected: Expectation::Proven,
+        description: "Baseline proof: no state deviation of any kind on the original design",
+    },
+    ScenarioInstance {
+        name: "secure-cached",
+        title: "Secure design, secret cached",
+        paper_ref: "Table I, column 'D in cache'",
+        variant: SocVariant::Secure,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::Full,
+        geometry: Geometry::formal_default(),
+        start_window: 1,
+        max_window: 2,
+        expected: Expectation::PAlertsOnly,
+        description: "P-alerts appear (cache hit data enters the pipeline) but close inductively",
+    },
+    ScenarioInstance {
+        name: "secure-arch-only",
+        title: "Secure design, architectural obligation only",
+        paper_ref: "Sec. V control experiment",
+        variant: SocVariant::Secure,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::Architectural,
+        geometry: Geometry::formal_default(),
+        start_window: 1,
+        max_window: 2,
+        expected: Expectation::Proven,
+        description: "Control: the original design shows no L-alert at small windows",
+    },
+    ScenarioInstance {
+        name: "meltdown",
+        title: "Meltdown-style uncancelled refill",
+        paper_ref: "Sec. VII-B, Table II row 2",
+        variant: SocVariant::MeltdownStyle,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::Full,
+        geometry: Geometry::formal_default(),
+        start_window: 1,
+        max_window: 2,
+        expected: Expectation::PAlertsOnly,
+        description: "Transient refill survives the flush; secret marks microarchitectural state",
+    },
+    ScenarioInstance {
+        name: "meltdown-timing",
+        title: "Meltdown-style refill as a timing channel",
+        paper_ref: "new variant (beyond the paper's Table II)",
+        variant: SocVariant::MeltdownStyle,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::Architectural,
+        geometry: Geometry::formal_default(),
+        start_window: 3,
+        max_window: 3,
+        expected: Expectation::LAlert,
+        description: "The uncancelled refill also skews architectural timing: an L-alert at k=3",
+    },
+    ScenarioInstance {
+        name: "cache-footprint",
+        title: "Secret-dependent cache footprint",
+        paper_ref: "Fig. 1",
+        variant: SocVariant::MeltdownStyle,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::CacheState,
+        geometry: Geometry::formal_default(),
+        start_window: 1,
+        max_window: 5,
+        expected: Expectation::PAlertsOnly,
+        description: "The dcache tag/valid state depends on the secret after a transient access (first visible at k=5)",
+    },
+    ScenarioInstance {
+        name: "orc",
+        title: "Orc replay-buffer bypass",
+        paper_ref: "Fig. 2, Table II row 1",
+        variant: SocVariant::Orc,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::Architectural,
+        geometry: Geometry::formal_default(),
+        start_window: 1,
+        max_window: 5,
+        expected: Expectation::LAlert,
+        description: "RAW-hazard stall timing leaks the secret's cache index: a true covert channel",
+    },
+    ScenarioInstance {
+        name: "pmp-lock",
+        title: "PMP TOR-lock ISA violation",
+        paper_ref: "Sec. VII-C",
+        variant: SocVariant::PmpLockBug,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::Architectural,
+        geometry: Geometry::formal_default(),
+        start_window: 7,
+        max_window: 9,
+        expected: Expectation::LAlert,
+        description: "Privileged code can move a locked region's base: the secret leaks directly",
+    },
+    ScenarioInstance {
+        name: "fuzz-meltdown-footprint",
+        title: "Fuzz-mined transient refill footprint",
+        paper_ref: "fuzz-mined witness (cf. Fig. 1)",
+        variant: SocVariant::MeltdownStyle,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::CacheState,
+        geometry: Geometry::formal_default(),
+        start_window: 1,
+        max_window: 5,
+        expected: Expectation::PAlertsOnly,
+        description: "Minimized 3-instruction witness from the fuzz miner: a dependent load's refill marks the cache",
+    },
+    ScenarioInstance {
+        name: "fuzz-orc-footprint",
+        title: "Fuzz-mined Orc cache footprint",
+        paper_ref: "fuzz-mined witness (beyond Table II)",
+        variant: SocVariant::Orc,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::CacheState,
+        geometry: Geometry::formal_default(),
+        start_window: 1,
+        max_window: 5,
+        expected: Expectation::PAlertsOnly,
+        description: "The replay-buffer bypass also lets the transient load mark the cache, not just stall",
+    },
+    ScenarioInstance {
+        name: "fuzz-orc-timing",
+        title: "Fuzz-mined Orc stall-timing witness",
+        paper_ref: "fuzz-mined witness (cf. Fig. 2)",
+        variant: SocVariant::Orc,
+        secret: SecretScenario::InCache,
+        commitment: CommitmentKind::Architectural,
+        geometry: Geometry::formal_default(),
+        start_window: 1,
+        max_window: 5,
+        expected: Expectation::LAlert,
+        description: "Minimized 4-instruction witness: a pending store collides with the transient load's line",
+    },
+];
+
+/// The base scenarios at [`Geometry::formal_default`], in presentation
+/// order.
+pub fn registry() -> Vec<ScenarioInstance> {
+    REGISTRY.to_vec()
 }
 
-/// The full scenario registry, in presentation order — an alias of
-/// [`registry`] whose name matches the docs-generation convention
-/// (`scenarios::all()`).
-pub fn all() -> Vec<ScenarioSpec> {
-    registry()
-}
-
-/// Looks up a scenario by its stable identifier.
-pub fn by_id(id: &str) -> Option<ScenarioSpec> {
-    registry().into_iter().find(|s| s.id == id)
-}
-
-/// One concrete member of a scenario family: a [`ScenarioSpec`] pinned to a
-/// [`Geometry`], with the window range and expected verdict *for that
-/// geometry* (resizing the cache or stretching a latency moves the window at
-/// which an alert first appears).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScenarioInstance {
-    /// The scenario being instantiated.
-    pub spec: ScenarioSpec,
-    /// The SoC geometry of this instance.
-    pub geometry: Geometry,
-    /// First window length of this instance's scan range.
-    pub start_window: usize,
-    /// Last window length of this instance's scan range.
-    pub max_window: usize,
-    /// Expected verdict over this instance's scan range.
-    pub expected: Expectation,
-}
-
-impl ScenarioInstance {
-    /// The spec at its default formal geometry, windows and expectation.
-    pub fn base(spec: ScenarioSpec) -> Self {
-        Self {
-            spec,
-            geometry: Geometry::formal_default(),
-            start_window: spec.start_window,
-            max_window: spec.max_window,
-            expected: spec.expected,
-        }
-    }
-
-    /// Stable identifier: the spec id, suffixed with the geometry label for
-    /// non-default geometries (`cache-footprint@r4c4m1s1`).
-    pub fn id(&self) -> String {
-        if self.geometry.is_default() {
-            self.spec.id.to_string()
-        } else {
-            format!("{}@{}", self.spec.id, self.geometry.label())
-        }
-    }
-
-    /// The SoC configuration of this instance.
-    pub fn config(&self) -> SocConfig {
-        self.geometry.apply(self.spec.variant)
-    }
-
-    /// Builds the two-instance UPEC miter for this instance's geometry.
-    pub fn build_model(&self) -> UpecModel {
-        UpecModel::new(&self.config(), self.spec.secret)
-    }
-
-    /// The commitment set for this instance's obligation shape.
-    pub fn commitment_set(&self, model: &UpecModel) -> BTreeSet<String> {
-        self.spec.commitment_set(model)
-    }
+/// Looks up a base scenario by its stable name.
+pub fn by_id(id: &str) -> Option<ScenarioInstance> {
+    REGISTRY.iter().find(|s| s.name == id).copied()
 }
 
 /// The full instance registry: every scenario at the default formal geometry
@@ -530,70 +498,73 @@ impl ScenarioInstance {
 /// growing the cache or stretching a latency shifts the window at which an
 /// alert first appears, so each instance carries its own range.
 pub fn instances() -> Vec<ScenarioInstance> {
-    let mut out: Vec<ScenarioInstance> =
-        registry().into_iter().map(ScenarioInstance::base).collect();
-    let d = Geometry::formal_default();
-    let mut family =
-        |id: &str, geometry: Geometry, start: usize, max: usize, expected: Expectation| {
-            let spec = by_id(id).expect("family of a registered scenario");
-            out.push(ScenarioInstance {
-                spec,
-                geometry,
-                start_window: start,
-                max_window: max,
-                expected,
-            });
-        };
     use Expectation::{LAlert, PAlertsOnly, Proven};
-    // Cache-footprint family (Meltdown-style refill marking the cache).
-    family("cache-footprint", d.with_cache_lines(4), 1, 5, PAlertsOnly);
-    family("cache-footprint", d.with_miss_latency(2), 1, 6, PAlertsOnly);
-    family(
-        "cache-footprint",
-        d.with_store_latency(2),
-        1,
-        5,
-        PAlertsOnly,
-    );
-    // The fuzz-mined footprint witness across the same sweep.
-    family(
-        "fuzz-meltdown-footprint",
-        d.with_cache_lines(4),
-        1,
-        5,
-        PAlertsOnly,
-    );
-    family(
-        "fuzz-meltdown-footprint",
-        d.with_miss_latency(2),
-        1,
-        6,
-        PAlertsOnly,
-    );
-    family(
-        "fuzz-meltdown-footprint",
-        d.with_store_latency(2),
-        1,
-        5,
-        PAlertsOnly,
-    );
-    // Orc stall-timing family.
-    family("orc", d.with_cache_lines(4), 1, 5, LAlert);
-    family("orc", d.with_miss_latency(2), 1, 5, LAlert);
-    family("orc", d.with_store_latency(2), 1, 5, LAlert);
-    // The fuzz-mined timing witness across the same sweep.
-    family("fuzz-orc-timing", d.with_cache_lines(4), 1, 5, LAlert);
-    family("fuzz-orc-timing", d.with_miss_latency(2), 1, 5, LAlert);
-    family("fuzz-orc-timing", d.with_store_latency(2), 1, 5, LAlert);
-    // Secure-control family: the proof must keep closing when the
-    // microarchitecture grows.
-    family("secure-arch-only", d.with_cache_lines(4), 1, 2, Proven);
-    family("secure-arch-only", d.with_miss_latency(2), 1, 2, Proven);
+    let d = Geometry::formal_default();
+    let families = [
+        // Cache-footprint family (Meltdown-style refill marking the cache).
+        ("cache-footprint", d.with_cache_lines(4), 1, 5, PAlertsOnly),
+        ("cache-footprint", d.with_miss_latency(2), 1, 6, PAlertsOnly),
+        (
+            "cache-footprint",
+            d.with_store_latency(2),
+            1,
+            5,
+            PAlertsOnly,
+        ),
+        // The fuzz-mined footprint witness across the same sweep.
+        (
+            "fuzz-meltdown-footprint",
+            d.with_cache_lines(4),
+            1,
+            5,
+            PAlertsOnly,
+        ),
+        (
+            "fuzz-meltdown-footprint",
+            d.with_miss_latency(2),
+            1,
+            6,
+            PAlertsOnly,
+        ),
+        (
+            "fuzz-meltdown-footprint",
+            d.with_store_latency(2),
+            1,
+            5,
+            PAlertsOnly,
+        ),
+        // Orc stall-timing family.
+        ("orc", d.with_cache_lines(4), 1, 5, LAlert),
+        ("orc", d.with_miss_latency(2), 1, 5, LAlert),
+        ("orc", d.with_store_latency(2), 1, 5, LAlert),
+        // The fuzz-mined timing witness across the same sweep.
+        ("fuzz-orc-timing", d.with_cache_lines(4), 1, 5, LAlert),
+        ("fuzz-orc-timing", d.with_miss_latency(2), 1, 5, LAlert),
+        ("fuzz-orc-timing", d.with_store_latency(2), 1, 5, LAlert),
+        // Secure-control family: the proof must keep closing when the
+        // microarchitecture grows.
+        ("secure-arch-only", d.with_cache_lines(4), 1, 2, Proven),
+        ("secure-arch-only", d.with_miss_latency(2), 1, 2, Proven),
+    ];
+    let mut out = registry();
+    for (name, geometry, start_window, max_window, expected) in families {
+        let base = *out
+            .iter()
+            .find(|s| s.name == name)
+            .expect("family of a registered scenario");
+        out.push(ScenarioInstance {
+            geometry,
+            start_window,
+            max_window,
+            expected,
+            ..base
+        });
+    }
     out
 }
 
-/// Looks up an instance by its stable identifier (spec id, or
-/// `spec-id@geometry` for family members).
+/// Looks up an instance by its stable identifier (base name, or
+/// `name@geometry` for family members).
 pub fn instance_by_id(id: &str) -> Option<ScenarioInstance> {
     instances().into_iter().find(|i| i.id() == id)
 }
@@ -613,15 +584,15 @@ pub fn readme_table() -> String {
     );
     for i in instances() {
         let description = if i.geometry.is_default() {
-            i.spec.description.to_string()
+            i.description.to_string()
         } else {
-            format!("`{}` at the {} geometry", i.spec.id, i.geometry.label())
+            format!("`{}` at the {} geometry", i.name, i.geometry.label())
         };
         out.push_str(&format!(
             "| `{}` | {} | `{}` | {}–{} | {} | {} |\n",
             i.id(),
             if i.geometry.is_default() {
-                i.spec.paper_ref
+                i.paper_ref
             } else {
                 "family sweep"
             },
@@ -654,33 +625,32 @@ mod tests {
     }
 
     #[test]
-    fn all_is_an_alias_of_registry() {
-        assert_eq!(all(), registry());
-    }
-
-    #[test]
     fn ids_are_unique_and_lookup_works() {
-        let specs = registry();
-        let mut ids: Vec<_> = specs.iter().map(|s| s.id).collect();
+        let scenarios = registry();
+        let mut ids: Vec<_> = scenarios.iter().map(|s| s.name).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), specs.len(), "duplicate scenario ids");
-        for spec in &specs {
-            assert_eq!(by_id(spec.id).as_ref().map(|s| s.id), Some(spec.id));
+        assert_eq!(ids.len(), scenarios.len(), "duplicate scenario ids");
+        for scenario in &scenarios {
+            assert_eq!(by_id(scenario.name), Some(*scenario));
         }
         assert!(by_id("nonexistent").is_none());
     }
 
     #[test]
     fn every_scenario_builds_a_model_with_a_nonempty_commitment() {
-        for spec in registry() {
-            let model = spec.build_model();
-            let commitment = spec.commitment_set(&model);
-            assert!(!commitment.is_empty(), "{}: empty commitment", spec.id);
+        for scenario in registry() {
+            let model = scenario.build_model();
+            let commitment = scenario.commitment_set(&model);
             assert!(
-                spec.start_window >= 1 && spec.start_window <= spec.max_window,
+                !commitment.is_empty(),
+                "{}: empty commitment",
+                scenario.name
+            );
+            assert!(
+                scenario.start_window >= 1 && scenario.start_window <= scenario.max_window,
                 "{}",
-                spec.id
+                scenario.name
             );
         }
     }

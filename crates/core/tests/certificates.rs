@@ -10,8 +10,8 @@
 use std::collections::BTreeSet;
 
 use bmc::UnrollOptions;
-use soc::{SocConfig, SocVariant};
-use upec::scenarios::{self, Expectation};
+use soc::SocVariant;
+use upec::scenarios::{self, Expectation, Geometry};
 use upec::{
     BoundStatus, CertificateCheck, CertificateError, CertifiedResult, EngineError, EngineOptions,
     IncrementalSession, SecretScenario, UpecEngine, UpecModel, VerdictCertificate,
@@ -145,11 +145,7 @@ fn bve_eliminated_variables_decode_into_replayable_witnesses() {
     // variable elimination) runs before the violated query, so the SAT model
     // is only complete through the eliminated-variable extension. The decoded
     // trace must still replay with the recorded divergences.
-    let config = SocConfig::new(SocVariant::Orc)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1);
+    let config = Geometry::formal_default().apply(SocVariant::Orc);
     let model = UpecModel::new(&config, SecretScenario::InCache);
     let commitment: BTreeSet<String> = upec::full_commitment(&model);
     let options = UnrollOptions::default()
@@ -197,11 +193,7 @@ fn bve_eliminated_variables_decode_into_replayable_witnesses() {
 /// the same bound under a real budget certifies normally.
 #[test]
 fn budget_exhausted_queries_are_rejected_for_certification() {
-    let config = SocConfig::new(SocVariant::Secure)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1);
+    let config = Geometry::formal_default().apply(SocVariant::Secure);
     let model = UpecModel::new(&config, SecretScenario::InCache);
     let commitment = upec::full_commitment(&model);
     // A zero-conflict, zero-decision budget cannot decide this proof (it
@@ -245,11 +237,7 @@ fn budget_exhausted_queries_are_rejected_for_certification() {
 /// clear typed error instead of asserting.
 #[test]
 fn sessions_without_proof_logging_reject_certified_queries() {
-    let config = SocConfig::new(SocVariant::Secure)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1);
+    let config = Geometry::formal_default().apply(SocVariant::Secure);
     let model = UpecModel::new(&config, SecretScenario::NotInCache);
     let commitment = upec::full_commitment(&model);
     let mut session = IncrementalSession::new(&model);

@@ -11,8 +11,8 @@ use upec::{AlertKind, UpecOutcome};
 /// constant folding all fire on the two-instance miter.
 #[test]
 fn miter_schedule_is_smaller_than_the_netlist() {
-    let spec = scenarios::by_id("secure-cached").expect("registered");
-    let model = spec.build_model();
+    let scenario = scenarios::by_id("secure-cached").expect("registered");
+    let model = scenario.build_model();
     let stats = model.compiled_transition().stats();
     assert!(
         stats.scheduled_slots < stats.netlist_signals,
@@ -37,22 +37,22 @@ fn miter_schedule_is_smaller_than_the_netlist() {
 /// consistent with the netlist (spot invariants, no SAT involved).
 #[test]
 fn every_scenario_miter_compiles() {
-    for spec in scenarios::registry() {
-        let model = spec.build_model();
+    for scenario in scenarios::registry() {
+        let model = scenario.build_model();
         let ct = model.compiled_transition();
-        assert!(!ct.is_empty(), "{}: empty schedule", spec.id);
+        assert!(!ct.is_empty(), "{}: empty schedule", scenario.name);
         // All obligation signals must be in the schedule.
         for pair in model.pairs() {
             assert!(
                 ct.slot_of(pair.equal).is_some(),
                 "{}: equal signal of `{}` pruned",
-                spec.id,
+                scenario.name,
                 pair.name
             );
             assert!(
                 ct.slot_of(pair.equal_or_blocked).is_some(),
                 "{}: equal_or_blocked signal of `{}` pruned",
-                spec.id,
+                scenario.name,
                 pair.name
             );
         }
@@ -64,7 +64,7 @@ fn every_scenario_miter_compiles() {
             assert!(
                 ct.slot_of(c.signal).is_some(),
                 "{}: constraint `{}` pruned",
-                spec.id,
+                scenario.name,
                 c.label
             );
         }
@@ -77,9 +77,9 @@ fn every_scenario_miter_compiles() {
 /// mode, which is how the workspace suite runs it.
 #[test]
 fn cache_footprint_p_alert_first_appears_at_k5() {
-    let spec = scenarios::by_id("cache-footprint").expect("registered");
-    let model = spec.build_model();
-    let commitment = spec.commitment_set(&model);
+    let scenario = scenarios::by_id("cache-footprint").expect("registered");
+    let model = scenario.build_model();
+    let commitment = scenario.commitment_set(&model);
     let mut session = IncrementalSession::new(&model);
     for k in 1..=4 {
         let outcome = session.check_bound(k, &commitment);

@@ -3,15 +3,12 @@
 //! APIs instead of panics, and a failed query never poisons the session.
 
 use bmc::UnrollOptions;
-use soc::{SocConfig, SocVariant};
+use soc::SocVariant;
+use upec::scenarios::Geometry;
 use upec::{EngineError, IncrementalSession, SecretScenario, UpecModel};
 
 fn tiny_model() -> UpecModel {
-    let config = SocConfig::new(SocVariant::Secure)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1);
+    let config = Geometry::formal_default().apply(SocVariant::Secure);
     UpecModel::new(&config, SecretScenario::NotInCache)
 }
 

@@ -14,16 +14,9 @@
 
 use sat::faults::FaultPlan;
 use sat::StopCause;
-use soc::{SocConfig, SocVariant};
+use soc::SocVariant;
+use upec::scenarios::Geometry;
 use upec::{IncrementalSession, SecretScenario, UpecModel, UpecOutcome};
-
-fn tiny(variant: SocVariant) -> SocConfig {
-    SocConfig::new(variant)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1)
-}
 
 /// Runs the differential for one (model, bound) pair over `seeds` fault
 /// plans; returns how many injected faults actually fired.
@@ -69,8 +62,14 @@ fn differential(model: &UpecModel, k: usize, seeds: std::ops::Range<u64>) -> u64
 #[test]
 fn injected_faults_never_flip_engine_verdicts() {
     // One alerting and one proven miter cover both verdict paths.
-    let orc = UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache);
-    let secure = UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::NotInCache);
+    let orc = UpecModel::new(
+        &Geometry::formal_default().apply(SocVariant::Orc),
+        SecretScenario::InCache,
+    );
+    let secure = UpecModel::new(
+        &Geometry::formal_default().apply(SocVariant::Secure),
+        SecretScenario::NotInCache,
+    );
     let fired = differential(&orc, 2, 0..6) + differential(&secure, 1, 6..12);
     assert!(
         fired > 0,
@@ -84,9 +83,18 @@ fn injected_faults_never_flip_engine_verdicts() {
 #[ignore = "wide fault-injection sweep; run via scripts/verify.sh --full"]
 fn injected_fault_sweep_is_verdict_clean() {
     let models = [
-        UpecModel::new(&tiny(SocVariant::Orc), SecretScenario::InCache),
-        UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::InCache),
-        UpecModel::new(&tiny(SocVariant::Secure), SecretScenario::NotInCache),
+        UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Orc),
+            SecretScenario::InCache,
+        ),
+        UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::InCache,
+        ),
+        UpecModel::new(
+            &Geometry::formal_default().apply(SocVariant::Secure),
+            SecretScenario::NotInCache,
+        ),
     ];
     let mut fired = 0;
     for (i, model) in models.iter().enumerate() {

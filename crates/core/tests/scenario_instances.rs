@@ -12,7 +12,7 @@
 
 use soc::fuzz::{self, Channel, FuzzOptions};
 use soc::{SocConfig, SocVariant};
-use upec::scenarios::{self, fuzz_footprint_witness, fuzz_timing_witness, Geometry};
+use upec::scenarios::{self, fuzz_footprint_witness, fuzz_timing_witness, ScenarioInstance};
 use upec::{AlertKind, EngineOptions, ScanVerdict, UpecEngine};
 
 #[test]
@@ -32,17 +32,11 @@ fn instance_registry_grows_past_24_with_unique_ids() {
 
 #[test]
 fn every_base_spec_appears_as_a_default_geometry_instance() {
-    let instances = scenarios::instances();
-    for spec in scenarios::registry() {
-        let base = instances
-            .iter()
-            .find(|i| i.id() == spec.id)
-            .unwrap_or_else(|| panic!("no base instance for {}", spec.id));
-        assert_eq!(base.geometry, Geometry::formal_default());
-        assert_eq!(base.start_window, spec.start_window);
-        assert_eq!(base.max_window, spec.max_window);
-        assert_eq!(base.expected, spec.expected);
-    }
+    let defaults: Vec<ScenarioInstance> = scenarios::instances()
+        .into_iter()
+        .filter(|i| i.geometry.is_default())
+        .collect();
+    assert_eq!(scenarios::registry(), defaults);
 }
 
 #[test]
@@ -64,8 +58,24 @@ fn instance_geometries_apply_their_knobs() {
         assert_eq!(config.cache_lines, instance.geometry.cache_lines);
         assert_eq!(config.miss_latency, instance.geometry.miss_latency);
         assert_eq!(config.store_latency, instance.geometry.store_latency);
-        assert_eq!(config.variant(), instance.spec.variant);
+        assert_eq!(config.variant(), instance.variant);
     }
+}
+
+/// The simulation oracle on the registry's Fig. 1 program: it executes
+/// uniquely on the secure design and leaks through the cache footprint when
+/// the transient refill is not cancelled.
+#[test]
+fn secure_design_executes_the_transient_demo_uniquely() {
+    let opts = FuzzOptions::default();
+    let config = SocConfig::new(SocVariant::Secure);
+    let program = scenarios::transient_program(&config);
+    assert_eq!(fuzz::divergence(&config, &program, &opts), None);
+    let meltdown = SocConfig::new(SocVariant::MeltdownStyle);
+    assert_eq!(
+        fuzz::divergence(&meltdown, &program, &opts),
+        Some(Channel::CacheFootprint)
+    );
 }
 
 /// A bounded re-mine that still reaches the registry's footprint witnesses

@@ -9,11 +9,11 @@
 
 use bmc::UnrollOptions;
 use upec::engine::IncrementalSession;
-use upec::scenarios::{self, ScenarioSpec};
+use upec::scenarios::{self, ScenarioInstance};
 
-fn check(spec: &ScenarioSpec, k: usize, plain: bool) -> &'static str {
-    let model = spec.build_model();
-    let commitment = spec.commitment_set(&model);
+fn check(scenario: &ScenarioInstance, k: usize, plain: bool) -> &'static str {
+    let model = scenario.build_model();
+    let commitment = scenario.commitment_set(&model);
     let mut options = UnrollOptions::default();
     if plain {
         options = options.with_simplify_trial(u64::MAX);
@@ -24,9 +24,9 @@ fn check(spec: &ScenarioSpec, k: usize, plain: bool) -> &'static str {
 
 fn assert_agreement(ids: &[&str], k: usize) {
     for id in ids {
-        let spec = scenarios::by_id(id).expect("registered scenario");
-        let baseline = check(&spec, k, true);
-        let simplified = check(&spec, k, false);
+        let scenario = scenarios::by_id(id).expect("registered scenario");
+        let baseline = check(&scenario, k, true);
+        let simplified = check(&scenario, k, false);
         assert_eq!(
             baseline, simplified,
             "{id} at k={k}: baseline verdict {baseline} but simplified {simplified}"
@@ -47,6 +47,6 @@ fn simplified_verdicts_agree_on_fast_scenarios() {
 #[test]
 #[ignore = "full-registry differential sweep; minutes of SAT solving — run with --ignored in release mode"]
 fn simplified_verdicts_agree_on_every_registry_scenario() {
-    let ids: Vec<&str> = scenarios::all().iter().map(|s| s.id).collect();
+    let ids: Vec<&str> = scenarios::registry().iter().map(|s| s.name).collect();
     assert_agreement(&ids, 2);
 }

@@ -47,9 +47,9 @@ fn disabled_telemetry_allocates_nothing() {
 
     // A real query first: proves the instrumented code paths all run in
     // this process (compile, COI, encode, search) before we measure.
-    let spec = scenarios::by_id("cache-footprint").expect("registered");
-    let model = spec.build_model();
-    let commitment = spec.commitment_set(&model);
+    let scenario = scenarios::by_id("cache-footprint").expect("registered");
+    let model = scenario.build_model();
+    let commitment = scenario.commitment_set(&model);
     let mut session = IncrementalSession::new(&model);
     let outcome = session.check_bound(1, &commitment);
     assert!(!outcome.verdict_name().is_empty());

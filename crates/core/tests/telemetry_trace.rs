@@ -29,14 +29,14 @@ fn str_attr(span: &obs::SpanRecord, key: &str) -> Option<String> {
 
 #[test]
 fn traced_query_produces_the_documented_span_tree() {
-    let spec = scenarios::by_id("cache-footprint").expect("registered");
+    let scenario = scenarios::by_id("cache-footprint").expect("registered");
 
     // Install before model construction: transition compilation (and its
     // COI analysis) happens while the model is built.
     let sink = Arc::new(obs::MemorySink::new());
     obs::install(sink.clone());
-    let model = spec.build_model();
-    let commitment = spec.commitment_set(&model);
+    let model = scenario.build_model();
+    let commitment = scenario.commitment_set(&model);
     let options = bmc::UnrollOptions::default().with_proof_log();
     let mut session = IncrementalSession::with_options(&model, options);
     let (outcome, certificate) = session

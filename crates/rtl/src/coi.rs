@@ -57,16 +57,6 @@ pub struct CoiStats {
     pub cone_registers: usize,
 }
 
-impl CoiStats {
-    /// Fraction of signals *removed* by the pruning, in percent.
-    pub fn signal_reduction_percent(&self) -> f64 {
-        if self.total_signals == 0 {
-            return 0.0;
-        }
-        100.0 * (self.total_signals - self.cone_signals) as f64 / self.total_signals as f64
-    }
-}
-
 impl Coi {
     /// Computes the cone of influence of `roots`.
     ///
@@ -181,7 +171,6 @@ mod tests {
         assert_eq!(stats.total_registers, 3);
         assert_eq!(stats.cone_registers, 2);
         assert!(stats.cone_signals < stats.total_signals);
-        assert!(stats.signal_reduction_percent() > 0.0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * [`Node`] — word-level operators (bitwise logic, add/sub, comparisons,
 //!   shifts, mux, slice, concat),
 //! * [`Netlist`] — the design container: expression DAG, registers with
-//!   next-state functions and optional reset values, ports, hierarchical
-//!   names and free-form signal tags.
+//!   next-state functions and optional reset values, ports and hierarchical
+//!   names.
 //!
 //! Two engines consume the representation:
 //!

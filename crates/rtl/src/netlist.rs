@@ -1,7 +1,7 @@
-//! The word-level netlist: an expression DAG plus registers, ports and tags.
+//! The word-level netlist: an expression DAG plus registers and ports.
 
 use crate::{BinaryOp, BitVec, Node, RegisterId, RtlError, SignalId, UnaryOp};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Information kept for each declared register.
 #[derive(Debug, Clone)]
@@ -61,11 +61,6 @@ pub struct Netlist {
     registers: Vec<RegisterInfo>,
     inputs: Vec<SignalId>,
     outputs: Vec<OutputPort>,
-    /// Optional human-readable names for intermediate signals.
-    signal_names: HashMap<SignalId, String>,
-    /// Free-form tags attached to signals (used e.g. to classify registers as
-    /// architectural vs. microarchitectural state).
-    tags: BTreeMap<String, BTreeSet<SignalId>>,
     scope: Vec<String>,
 }
 
@@ -78,8 +73,6 @@ impl Netlist {
             registers: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            signal_names: HashMap::new(),
-            tags: BTreeMap::new(),
             scope: Vec::new(),
         }
     }
@@ -195,51 +188,14 @@ impl Netlist {
         }
     }
 
-    /// Attaches a debug name to an intermediate signal.
-    pub fn set_signal_name(&mut self, id: SignalId, name: impl Into<String>) {
-        let scoped = self.scoped(&name.into());
-        self.signal_names.insert(id, scoped);
-    }
-
-    /// Best-known name of a signal: port/register name, explicit debug name,
-    /// or a generated `s<N>` fallback.
+    /// Best-known name of a signal: port/register name, or a generated
+    /// `s<N>` fallback.
     pub fn signal_name(&self, id: SignalId) -> String {
         match self.node(id) {
             Node::Input { name, .. } => name.clone(),
             Node::Register { name, .. } => name.clone(),
-            _ => self
-                .signal_names
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| format!("{id}")),
+            _ => format!("{id}"),
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Tags
-    // ------------------------------------------------------------------
-
-    /// Attaches a free-form tag to a signal.
-    pub fn add_tag(&mut self, id: SignalId, tag: impl Into<String>) {
-        self.tags.entry(tag.into()).or_default().insert(id);
-    }
-
-    /// Whether a signal carries the given tag.
-    pub fn has_tag(&self, id: SignalId, tag: &str) -> bool {
-        self.tags.get(tag).is_some_and(|set| set.contains(&id))
-    }
-
-    /// All signals carrying the given tag, in creation order.
-    pub fn signals_with_tag(&self, tag: &str) -> Vec<SignalId> {
-        self.tags
-            .get(tag)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// All tag names used in the netlist.
-    pub fn tag_names(&self) -> impl Iterator<Item = &str> {
-        self.tags.keys().map(String::as_str)
     }
 
     // ------------------------------------------------------------------
@@ -654,11 +610,6 @@ impl Netlist {
         }
         Ok(())
     }
-
-    /// Total number of state bits held in registers.
-    pub fn state_bits(&self) -> u64 {
-        self.registers.iter().map(|r| u64::from(r.width)).sum()
-    }
 }
 
 /// Handle returned by register declaration; bundles the register id with the
@@ -712,7 +663,6 @@ mod tests {
         assert_eq!(n.register_count(), 1);
         assert_eq!(n.inputs().len(), 1);
         assert_eq!(n.outputs().len(), 1);
-        assert_eq!(n.state_bits(), 4);
     }
 
     #[test]
@@ -765,16 +715,6 @@ mod tests {
         assert_eq!(n.signal_name(x), "core.irq");
         assert!(n.find_register("core.fetch.pc").is_some());
         assert!(n.find_register("pc").is_none());
-    }
-
-    #[test]
-    fn tags_classify_signals() {
-        let (mut n, count) = counter();
-        n.add_tag(count.value(), "architectural");
-        assert!(n.has_tag(count.value(), "architectural"));
-        assert!(!n.has_tag(count.value(), "microarchitectural"));
-        assert_eq!(n.signals_with_tag("architectural"), vec![count.value()]);
-        assert_eq!(n.tag_names().collect::<Vec<_>>(), vec!["architectural"]);
     }
 
     #[test]

@@ -245,11 +245,6 @@ impl Node {
         matches!(self, Node::Register { .. })
     }
 
-    /// Whether the node is a primary input.
-    pub fn is_input(&self) -> bool {
-        matches!(self, Node::Input { .. })
-    }
-
     /// Signals this node depends on combinationally.
     pub fn operands(&self) -> Vec<SignalId> {
         match self {

@@ -123,11 +123,6 @@ impl ProofLog {
         self.deletions
     }
 
-    /// Total number of literals stored across all events.
-    pub fn num_lits(&self) -> usize {
-        self.lits.len()
-    }
-
     /// Approximate in-memory size of the log in bytes.
     pub fn size_bytes(&self) -> usize {
         self.lits.len() * std::mem::size_of::<Lit>()
@@ -972,7 +967,6 @@ mod tests {
         log.push(ProofStep::Axiom, &[lit(0, true), lit(1, true)]);
         log.push(ProofStep::Add, &[lit(0, true)]);
         assert_eq!(log.num_events(), 2);
-        assert_eq!(log.num_lits(), 3);
         assert!(log.size_bytes() > 0);
         assert!(!log.is_empty());
     }

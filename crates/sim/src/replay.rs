@@ -69,11 +69,6 @@ impl WitnessTrace {
         self.inputs.len().saturating_sub(1)
     }
 
-    /// Total number of recorded `(name, value)` bindings.
-    pub fn num_bindings(&self) -> usize {
-        self.initial_registers.len() + self.inputs.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Approximate in-memory footprint of the trace, for reporting.
     pub fn size_bytes(&self) -> usize {
         let binding = |pairs: &[(String, BitVec)]| -> usize {
@@ -162,7 +157,6 @@ mod tests {
         assert_eq!(sim.cycle(), 0);
         assert_eq!(sim.peek_output("count").unwrap().as_u64(), 0);
         assert_eq!(trace.cycles(), 0);
-        assert_eq!(trace.num_bindings(), 0);
     }
 
     #[test]
@@ -185,6 +179,5 @@ mod tests {
             inputs: vec![vec![("enable".into(), BitVec::new(1, 1))]],
         };
         assert!(trace.size_bytes() > empty.size_bytes());
-        assert_eq!(trace.num_bindings(), 2);
     }
 }

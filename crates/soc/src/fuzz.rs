@@ -48,7 +48,6 @@
 
 use crate::{Instruction, Program, SocConfig, SocSim, SocVariant};
 use rtl::SplitMix64;
-use std::time::{Duration, Instant};
 
 /// Word-aligned base of the scratch array every generated program may freely
 /// load from and store to.
@@ -76,11 +75,6 @@ pub struct FuzzOptions {
     /// Design variants to sweep. The secure design is included by default as
     /// a soundness control: it must never diverge.
     pub variants: Vec<SocVariant>,
-    /// Optional wall-clock cap; generation stops early once exceeded. Capped
-    /// runs are still deterministic *per machine-independent prefix*: the
-    /// programs that do run are identical, only the cut-off point moves —
-    /// reproducibility tests should leave this `None`.
-    pub time_budget: Option<Duration>,
 }
 
 impl Default for FuzzOptions {
@@ -97,27 +91,14 @@ impl Default for FuzzOptions {
                 SocVariant::MeltdownStyle,
                 SocVariant::Orc,
             ],
-            time_budget: None,
         }
     }
 }
 
 impl FuzzOptions {
-    /// Sets the generator seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the program count (builder style).
     pub fn with_programs(mut self, programs: usize) -> Self {
         self.programs = programs;
-        self
-    }
-
-    /// Sets the wall-clock cap (builder style).
-    pub fn with_time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
         self
     }
 }
@@ -501,8 +482,6 @@ pub struct MineReport {
     /// RTL-vs-golden-model co-simulation mismatches across all variants
     /// (expected zero: the variants only change *micro*-architecture).
     pub cosim_mismatches: usize,
-    /// Wall-clock time of the run.
-    pub elapsed: Duration,
 }
 
 impl MineReport {
@@ -521,7 +500,6 @@ pub fn mine(opts: &FuzzOptions) -> MineReport {
     let mut span = obs::span("fuzz.mine");
     span.attr_u64("seed", opts.seed);
     span.attr_u64("programs", opts.programs as u64);
-    let start = Instant::now();
     let mut gen = ProgramGen::new(opts.seed, &SocConfig::new(SocVariant::Secure));
     let mut report = MineReport {
         witnesses: Vec::new(),
@@ -529,14 +507,8 @@ pub fn mine(opts: &FuzzOptions) -> MineReport {
         divergent_runs: 0,
         secure_divergences: 0,
         cosim_mismatches: 0,
-        elapsed: Duration::ZERO,
     };
     for case_index in 0..opts.programs {
-        if let Some(budget) = opts.time_budget {
-            if start.elapsed() > budget {
-                break;
-            }
-        }
         let program = gen.next_program_in(opts.min_len, opts.max_len);
         report.programs_run += 1;
         for &variant in &opts.variants {
@@ -561,7 +533,6 @@ pub fn mine(opts: &FuzzOptions) -> MineReport {
             }
         }
     }
-    report.elapsed = start.elapsed();
     span.attr_u64("programs_run", report.programs_run as u64);
     span.attr_u64("witnesses", report.witnesses.len() as u64);
     obs::counter("fuzz.programs", report.programs_run as u64);
@@ -692,36 +663,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn secure_design_executes_the_transient_demo_uniquely() {
-        let opts = FuzzOptions::default();
-        let config = SocConfig::new(SocVariant::Secure);
-        let mut p = Program::new(0);
-        p.push(Instruction::Addi {
-            rd: 1,
-            rs1: 0,
-            imm: config.secret_addr as i32,
-        });
-        p.push(Instruction::Lw {
-            rd: 4,
-            rs1: 1,
-            offset: 0,
-        });
-        p.push(Instruction::Lw {
-            rd: 5,
-            rs1: 4,
-            offset: 0,
-        });
-        p.push_nops(2);
-        assert_eq!(divergence(&config, &p, &opts), None);
-        // The same program leaks through the cache footprint when the
-        // transient refill is not cancelled.
-        let meltdown = SocConfig::new(SocVariant::MeltdownStyle);
-        assert_eq!(
-            divergence(&meltdown, &p, &opts),
-            Some(Channel::CacheFootprint)
-        );
     }
 }

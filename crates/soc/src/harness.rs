@@ -182,18 +182,6 @@ impl SocSim {
         }
     }
 
-    /// Runs until the PC reaches `target` or `max_cycles` elapse; returns the
-    /// number of cycles taken, or `None` on timeout.
-    pub fn run_until_pc(&mut self, target: u32, max_cycles: u64) -> Option<u64> {
-        for elapsed in 0..max_cycles {
-            if self.pc() == target {
-                return Some(elapsed);
-            }
-            self.step();
-        }
-        (self.pc() == target).then_some(max_cycles)
-    }
-
     /// Runs until the first trap is taken; returns the cycle count, or `None`
     /// on timeout.
     pub fn run_until_trap(&mut self, max_cycles: u64) -> Option<u64> {

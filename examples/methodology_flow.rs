@@ -1,27 +1,22 @@
 //! The iterative UPEC methodology of paper Fig. 5, narrated step by step on
-//! the original (secure) design with the secret in the cache.
+//! the original (secure) design with the secret in the cache (the
+//! registry's `secure-cached` scenario).
 //!
 //! ```text
 //! cargo run --release --example methodology_flow
 //! ```
 
-use soc::{SocConfig, SocVariant};
-use upec::{
-    full_commitment, prove_alert_closure, AlertKind, IncrementalSession, SecretScenario, UpecModel,
-};
+use bmc::UnrollOptions;
+use upec::{prove_alert_closure, run_methodology, scenarios, AlertKind, Verdict};
 
 fn main() {
-    let config = SocConfig::new(SocVariant::Secure)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1);
-    let model = UpecModel::new(&config, SecretScenario::InCache);
+    let scenario = scenarios::by_id("secure-cached").expect("registered scenario");
+    let model = scenario.build_model();
     let window = 3;
 
     println!(
         "UPEC methodology on the {} design, {}",
-        config.variant().name(),
+        scenario.variant.name(),
         model.scenario().label()
     );
     println!(
@@ -31,49 +26,39 @@ fn main() {
     );
 
     // One session serves every iteration: only the commitment shrinks.
-    let mut session = IncrementalSession::new(&model);
-    let mut commitment = full_commitment(&model);
-    let mut collected = std::collections::BTreeSet::new();
-    for iteration in 1.. {
-        println!(
-            "iteration {iteration}: proving uniqueness of {} state bits ...",
-            commitment.len()
-        );
-        match session.check_bound(window, &commitment) {
-            outcome if outcome.is_proven() => {
-                println!("  -> property PROVEN ({:?})", outcome.stats().runtime);
-                break;
-            }
-            outcome => {
-                let alert = outcome.alert().expect("violated").clone();
-                match alert.kind {
-                    AlertKind::LAlert => {
-                        println!(
-                            "  -> L-ALERT: architectural registers {:?} depend on the secret",
-                            alert.architectural_differences
-                        );
-                        println!("  The design is NOT secure.");
-                        return;
-                    }
-                    AlertKind::PAlert => {
-                        println!(
-                            "  -> P-alert: secret propagated into {:?} ({:?})",
-                            alert.microarchitectural_differences,
-                            outcome.stats().runtime
-                        );
-                        for reg in &alert.microarchitectural_differences {
-                            commitment.remove(reg);
-                            collected.insert(reg.clone());
-                        }
-                    }
-                }
-            }
+    let report = run_methodology(&model, window, UnrollOptions::default());
+    for (iteration, alert) in report.alerts.iter().enumerate() {
+        match alert.kind {
+            AlertKind::LAlert => println!(
+                "iteration {}: L-ALERT: architectural registers {:?} depend on the secret",
+                iteration + 1,
+                alert.architectural_differences
+            ),
+            AlertKind::PAlert => println!(
+                "iteration {}: P-alert: secret propagated into {:?}",
+                iteration + 1,
+                alert.microarchitectural_differences
+            ),
         }
     }
+    if report.verdict == Verdict::Secure && report.iterations > report.alerts.len() {
+        println!("iteration {}: property PROVEN", report.iterations);
+    }
+    println!(
+        "\n{} iterations in {:.2?}: {:?}",
+        report.iterations, report.proof_runtime, report.verdict
+    );
+    if report.verdict != Verdict::Secure {
+        println!("The design is NOT secure.");
+        return;
+    }
 
-    println!("\ncollected P-alert registers: {collected:?}");
+    println!(
+        "\ncollected P-alert registers: {:?}",
+        report.p_alert_registers
+    );
     println!("running the inductive closure proof (Sec. VI) ...");
-    let closure = prove_alert_closure(&model, &collected);
+    let closure = prove_alert_closure(&model, &report.p_alert_registers);
     println!("closure proof: {closure:?}");
     assert!(closure.is_closed());
     println!("\nThe propagated secret can never reach architectural state:");

@@ -5,6 +5,7 @@
 //! ```
 
 use soc::{Instruction, Program, SocConfig, SocSim, SocVariant};
+use upec::scenarios::Geometry;
 use upec::{full_commitment, IncrementalSession, SecretScenario, UpecModel};
 
 fn main() {
@@ -55,11 +56,7 @@ fn main() {
     // 2. Prove unique program execution for the "secret not in cache" case
     //    on a small configuration (fast enough for a quickstart).
     // ------------------------------------------------------------------
-    let small = SocConfig::new(SocVariant::Secure)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1);
+    let small = Geometry::formal_default().apply(SocVariant::Secure);
     let model = UpecModel::new(&small, SecretScenario::NotInCache);
     let outcome = IncrementalSession::new(&model).check_bound(2, &full_commitment(&model));
     println!(

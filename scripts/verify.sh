@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository verification: formatting, lints, the tier-1 build/test gate,
-# the release-mode workspace test suites, the fast fault-injection
-# differential and the benchmark's contract tests.
+# the release-mode workspace test suites, the fast paper-artifact drivers,
+# the fast fault-injection differential and the benchmark's contract tests.
 #
 # Usage: scripts/verify.sh [--full]
 #
@@ -14,13 +14,21 @@
 # a plain solve (UnrollOptions::with_simplify_trial(u64::MAX), a trial cap
 # no query reaches) on pinned k=1 verdicts (tests/cross_layer.rs).
 #
-# --full additionally runs the release-mode `--ignored` acceptance sweeps
-# (the umbrella end-to-end methodology run, full-registry simplification
-# differential (default sessions against plain solves), full
-# instance-registry scan, full per-miter walk differential (each instance
-# scanned with its miter's other instances versus alone), full
-# certified-verdict sweep, fault-injection differential sweep) — several
-# minutes of SAT solving.
+# The driver stage runs every paper-artifact driver that finishes within
+# seconds, so none can rot unnoticed: the quickstart example, Fig. 1 and
+# Fig. 2 (simulation), Table II, and the engine on `pmp-lock` (Sec. VII-C)
+# and `cache-footprint` (Fig. 1 as a UPEC check); the engine exits 1 when a
+# verdict misses its registered expectation. `table1` stays ungated: both of
+# its columns run for more than ten minutes.
+#
+# --full additionally runs the slow drivers (the methodology_flow example,
+# about two minutes; the ablations, about 85 s) and the release-mode
+# `--ignored` acceptance sweeps (the umbrella end-to-end methodology run,
+# full-registry simplification differential (default sessions against
+# plain solves), full instance-registry scan, full per-miter walk
+# differential (each instance scanned with its miter's other instances
+# versus alone), full certified-verdict sweep, fault-injection differential
+# sweep) — several minutes of SAT solving.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,6 +56,13 @@ cargo test -q
 echo "==> workspace tests: cargo test -q --workspace --release"
 cargo test -q --workspace --release
 
+echo "==> paper-artifact drivers (release)"
+cargo run --release -q --example quickstart
+cargo run --release -q -p bench --bin fig1_cache_footprint
+cargo run --release -q -p bench --bin fig2_orc_attack
+cargo run --release -q -p bench --bin table2
+cargo run --release -q -p bench --bin engine -- --threads 1 pmp-lock cache-footprint
+
 echo "==> fault-injection differential (--features faults, release)"
 # Deterministic faults (forced budget exhaustion, spurious cancellation,
 # an abort between restart boundaries) are armed at SplitMix64-chosen
@@ -63,6 +78,10 @@ echo "==> benchmark contract tests (upecbench, release)"
 cargo test --release -q --offline --manifest-path upecbench/Cargo.toml
 
 if [ "$full" -eq 1 ]; then
+  echo "==> full: slow paper-artifact drivers (release)"
+  cargo run --release -q --example methodology_flow
+  cargo run --release -q -p bench --bin ablations
+
   echo "==> full: end-to-end methodology over all design variants (--ignored, release)"
   cargo test --release -q --test end_to_end -- --ignored
 

@@ -53,11 +53,11 @@ fn registry_cases() -> [Case; 3] {
         ("secure-arch-only", "proven"),
     ]
     .map(|(id, expected)| {
-        let spec = scenarios::by_id(id).expect("registered scenario");
-        let model = spec.build_model();
+        let scenario = scenarios::by_id(id).expect("registered scenario");
+        let model = scenario.build_model();
         Case {
-            name: spec.id,
-            commitment: spec.commitment_set(&model),
+            name: scenario.name,
+            commitment: scenario.commitment_set(&model),
             model,
             expected,
         }
@@ -215,7 +215,7 @@ fn check_random_run(
 fn compiled_unrolling_matches_the_simulator_on_every_registry_miter() {
     let mut miters: Vec<(String, SocConfig, SecretScenario)> = Vec::new();
     for instance in scenarios::instances() {
-        let (config, secret) = (instance.config(), instance.spec.secret);
+        let (config, secret) = (instance.config(), instance.secret);
         if !miters.iter().any(|(_, c, s)| *c == config && *s == secret) {
             miters.push((instance.id(), config, secret));
         }

@@ -2,19 +2,13 @@
 //! simulation and formal UPEC analysis.
 
 use bmc::UnrollOptions;
-use soc::{Instruction, Program, SocConfig, SocSim, SocVariant};
+use soc::fuzz::{cosim_check, FuzzOptions, ProgramGen};
+use soc::{SocConfig, SocSim, SocVariant};
+use upec::scenarios::{self, Geometry};
 use upec::{
-    architectural_commitment, close_alert_set, run_methodology, AlertKind, IncrementalSession,
-    SecretScenario, UpecModel, Verdict,
+    close_alert_set, run_methodology, AlertKind, IncrementalSession, SecretScenario, UpecModel,
+    Verdict,
 };
-
-fn formal_config(variant: SocVariant) -> SocConfig {
-    SocConfig::new(variant)
-        .with_registers(4)
-        .with_cache_lines(2)
-        .with_miss_latency(1)
-        .with_store_latency(1)
-}
 
 /// The Orc attack measured on the simulator: the vulnerable design shows a
 /// secret-dependent timing difference, the secure design does not, and in
@@ -24,40 +18,8 @@ fn orc_attack_timing_channel_exists_only_in_the_vulnerable_design() {
     let secret = 0x184u32; // maps to cache index 1 (4 lines, word lines)
     let measure = |variant: SocVariant, guess: u32| -> u64 {
         let config = SocConfig::new(variant);
-        let accessible = 0x40u32;
-        let mut p = Program::new(0);
-        p.push(Instruction::Addi {
-            rd: 1,
-            rs1: 0,
-            imm: config.secret_addr as i32,
-        });
-        p.push(Instruction::Addi {
-            rd: 2,
-            rs1: 0,
-            imm: accessible as i32,
-        });
-        p.push(Instruction::Addi {
-            rd: 2,
-            rs1: 2,
-            imm: (guess * 4) as i32,
-        });
-        p.push(Instruction::Sw {
-            rs1: 2,
-            rs2: 3,
-            offset: 0,
-        });
-        p.push(Instruction::Lw {
-            rd: 4,
-            rs1: 1,
-            offset: 0,
-        });
-        p.push(Instruction::Lw {
-            rd: 5,
-            rs1: 4,
-            offset: 0,
-        });
-        p.push_nops(2);
-        let mut sim = SocSim::new(config, p);
+        let program = scenarios::orc_attack_program(&config, guess);
+        let mut sim = SocSim::new(config, program);
         sim.protect_secret_region();
         sim.preload_secret_in_cache(secret);
         let cycles = sim.run_until_trap(300).expect("illegal access must trap");
@@ -108,24 +70,8 @@ fn orc_attack_timing_channel_exists_only_in_the_vulnerable_design() {
 fn meltdown_style_cache_footprint_depends_on_the_secret() {
     let footprint = |variant: SocVariant, secret: u32| -> Vec<u64> {
         let config = SocConfig::new(variant);
-        let mut p = Program::new(0);
-        p.push(Instruction::Addi {
-            rd: 1,
-            rs1: 0,
-            imm: config.secret_addr as i32,
-        });
-        p.push(Instruction::Lw {
-            rd: 4,
-            rs1: 1,
-            offset: 0,
-        });
-        p.push(Instruction::Lw {
-            rd: 5,
-            rs1: 4,
-            offset: 0,
-        });
-        p.push_nops(2);
-        let mut sim = SocSim::new(config.clone(), p);
+        let program = scenarios::transient_program(&config);
+        let mut sim = SocSim::new(config.clone(), program);
         sim.protect_secret_region();
         sim.preload_secret_in_cache(secret);
         sim.store_word(secret, 0xaaaa_bbbb);
@@ -154,7 +100,7 @@ fn meltdown_style_cache_footprint_depends_on_the_secret() {
 fn upec_methodology_classifies_all_design_variants() {
     // Secure design, secret not cached: proven with no alerts.
     let model = UpecModel::new(
-        &formal_config(SocVariant::Secure),
+        &Geometry::formal_default().apply(SocVariant::Secure),
         SecretScenario::NotInCache,
     );
     let report = run_methodology(&model, 2, UnrollOptions::default());
@@ -164,7 +110,10 @@ fn upec_methodology_classifies_all_design_variants() {
     // Secure design, secret cached: P-alerts only, closed by induction. The
     // P-alert registers only seed the closure; the fixpoint may pull in
     // neighbouring blockable pipeline registers before it closes.
-    let model = UpecModel::new(&formal_config(SocVariant::Secure), SecretScenario::InCache);
+    let model = UpecModel::new(
+        &Geometry::formal_default().apply(SocVariant::Secure),
+        SecretScenario::InCache,
+    );
     let report = run_methodology(&model, 2, UnrollOptions::default());
     assert_eq!(report.verdict, Verdict::Secure, "{}", report.summary());
     assert!(report.p_alert_count() >= 1);
@@ -172,7 +121,10 @@ fn upec_methodology_classifies_all_design_variants() {
     assert!(closure.is_closed(), "closure: {closure:?}");
 
     // Orc variant: insecure.
-    let model = UpecModel::new(&formal_config(SocVariant::Orc), SecretScenario::InCache);
+    let model = UpecModel::new(
+        &Geometry::formal_default().apply(SocVariant::Orc),
+        SecretScenario::InCache,
+    );
     let report = run_methodology(&model, 4, UnrollOptions::default());
     assert_eq!(report.verdict, Verdict::Insecure);
     assert_eq!(report.alerts.last().unwrap().kind, AlertKind::LAlert);
@@ -182,25 +134,18 @@ fn upec_methodology_classifies_all_design_variants() {
     // side channel attacks"), first visible at window 5 as the registry's
     // `cache-footprint` pins; the same check stays proven on the secure
     // design (at window 4: its k=5 proof alone takes a minute in release).
-    let cache_state_commitment = |model: &UpecModel| -> std::collections::BTreeSet<String> {
-        model
-            .pairs()
-            .iter()
-            .map(|p| p.name.clone())
-            .filter(|n| n.starts_with("dcache.tag") || n.starts_with("dcache.valid"))
-            .collect()
-    };
-    let model = UpecModel::new(
-        &formal_config(SocVariant::MeltdownStyle),
-        SecretScenario::InCache,
-    );
-    let outcome = IncrementalSession::new(&model).check_bound(5, &cache_state_commitment(&model));
+    let footprint = scenarios::by_id("cache-footprint").expect("registered scenario");
+    let model = footprint.build_model();
+    let outcome = IncrementalSession::new(&model).check_bound(5, &footprint.commitment_set(&model));
     assert!(
         outcome.alert().is_some(),
         "meltdown-style refill must mark the cache"
     );
-    let model = UpecModel::new(&formal_config(SocVariant::Secure), SecretScenario::InCache);
-    let outcome = IncrementalSession::new(&model).check_bound(4, &cache_state_commitment(&model));
+    let model = UpecModel::new(
+        &Geometry::formal_default().apply(SocVariant::Secure),
+        SecretScenario::InCache,
+    );
+    let outcome = IncrementalSession::new(&model).check_bound(4, &footprint.commitment_set(&model));
     assert!(
         outcome.is_proven(),
         "secure design keeps the cache state unique"
@@ -211,18 +156,17 @@ fn upec_methodology_classifies_all_design_variants() {
 /// architectural leak.
 #[test]
 fn pmp_lock_bug_is_detected_as_an_l_alert() {
-    let buggy = UpecModel::new(
-        &formal_config(SocVariant::PmpLockBug),
-        SecretScenario::InCache,
-    );
-    let commitment = architectural_commitment(&buggy);
+    let pmp = scenarios::by_id("pmp-lock").expect("registered scenario");
+    let buggy = pmp.build_model();
+    let commitment = pmp.commitment_set(&buggy);
     let mut session = IncrementalSession::new(&buggy);
     // The shortest leaking scenario needs the locked base address to be moved
     // (CSR write retiring), an `mret` into user mode and the now-permitted
-    // load to flow down the pipeline — roughly seven cycles — so the search
-    // starts there instead of paying for the short, alert-free windows.
+    // load to flow down the pipeline — roughly seven cycles — so the
+    // registry's scan starts there instead of paying for the short,
+    // alert-free windows.
     let mut found_l_alert = false;
-    for k in 7..=9 {
+    for k in pmp.start_window..=pmp.max_window {
         if let Some(alert) = session.check_bound(k, &commitment).alert() {
             assert_eq!(alert.kind, AlertKind::LAlert);
             found_l_alert = true;
@@ -233,72 +177,18 @@ fn pmp_lock_bug_is_detected_as_an_l_alert() {
 }
 
 /// Random fault-free programs executed on the RTL and on the ISA-level golden
-/// model reach the same architectural state.
+/// model reach the same architectural state. The programs are the fuzz
+/// miner's first ones at its default seed, which the mining tests pin to
+/// co-simulate.
 #[test]
 fn random_programs_cosimulate_against_the_golden_model() {
-    use rtl::SplitMix64;
+    let opts = FuzzOptions::default();
     let config = SocConfig::new(SocVariant::Secure);
-    let mut rng = SplitMix64::new(2024);
+    let mut gen = ProgramGen::new(opts.seed, &config);
     for trial in 0..8 {
-        let mut p = Program::new(0);
-        // Seed registers with small values and a valid pointer.
-        p.push(Instruction::Addi {
-            rd: 1,
-            rs1: 0,
-            imm: 0x40,
-        });
-        p.push(Instruction::Addi {
-            rd: 2,
-            rs1: 0,
-            imm: rng.gen_range(0..100) as i32,
-        });
-        p.push(Instruction::Addi {
-            rd: 3,
-            rs1: 0,
-            imm: rng.gen_range(0..100) as i32,
-        });
-        for _ in 0..12 {
-            let rd = rng.gen_range(2..8) as u32;
-            let rs1 = rng.gen_range(0..8) as u32;
-            let rs2 = rng.gen_range(0..8) as u32;
-            let choice = rng.gen_range(0..8);
-            let ins = match choice {
-                0 => Instruction::Add { rd, rs1, rs2 },
-                1 => Instruction::Sub { rd, rs1, rs2 },
-                2 => Instruction::Xor { rd, rs1, rs2 },
-                3 => Instruction::Or { rd, rs1, rs2 },
-                4 => Instruction::Sltu { rd, rs1, rs2 },
-                5 => Instruction::Addi {
-                    rd,
-                    rs1,
-                    imm: rng.gen_range(-64..64) as i32,
-                },
-                6 => Instruction::Sw {
-                    rs1: 1,
-                    rs2,
-                    offset: 4 * rng.gen_range(0..4) as i32,
-                },
-                _ => Instruction::Lw {
-                    rd,
-                    rs1: 1,
-                    offset: 4 * rng.gen_range(0..4) as i32,
-                },
-            };
-            p.push(ins);
-        }
-        p.push_nops(4);
-
-        let mut sim = SocSim::new(config.clone(), p.clone());
-        let mut golden = sim.golden();
-        sim.run(400);
-        golden.run(&p, &config, 400);
-        for r in 1..config.num_registers {
-            assert_eq!(
-                sim.reg(r),
-                golden.regs[r as usize],
-                "trial {trial}: x{r} mismatch\n{}",
-                p.listing()
-            );
+        let program = gen.next_program_in(opts.min_len, opts.max_len);
+        if let Err(mismatch) = cosim_check(&config, &program) {
+            panic!("trial {trial}: {mismatch}\n{}", program.listing());
         }
     }
 }
