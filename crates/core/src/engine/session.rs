@@ -362,8 +362,14 @@ impl<'m> IncrementalSession<'m> {
                         .unrolling
                         .proof_log()
                         .expect("checked in check_bound_certified");
+                    // Trimming runs after `stats.runtime` was taken: its time
+                    // is inside this query's span but outside `UpecStats`.
+                    let mut trim_span = obs::span("cert.trim");
+                    trim_span.attr_u64("events", log.num_events() as u64);
                     let (proof, _) = sat::drat::trim(log, &[activation])
                         .expect("an unsat verdict must replay through the DRAT checker");
+                    trim_span.attr_u64("kept_events", proof.num_events() as u64);
+                    drop(trim_span);
                     certificate = Some(VerdictCertificate::Proof(UnsatCertificate {
                         window: k,
                         proof,

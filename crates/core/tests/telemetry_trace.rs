@@ -2,9 +2,9 @@
 //! `docs/observability.md` must actually come out of `check_bound`, with
 //! correct nesting, close ordering, verdict attribution and counter
 //! placement — including the certificate spans (`sat.proof_log` under the
-//! solve, `cert.check` for the independent re-check). Collected through the
-//! in-memory sink; the JSONL wire format of the same records is
-//! golden-tested in the `obs` crate itself.
+//! solve, `cert.trim` under the query, `cert.check` for the independent
+//! re-check). Collected through the in-memory sink; the JSONL wire format
+//! of the same records is golden-tested in the `obs` crate itself.
 //!
 //! All assertions live in a single test because the sink is process-global:
 //! one install, one traced query, many checks.
@@ -193,6 +193,17 @@ fn traced_query_produces_the_documented_span_tree() {
     assert!(u64_attr(proof_log, "events").is_some());
     assert!(u64_attr(proof_log, "axioms").is_some());
     assert!(u64_attr(proof_log, "size_bytes").is_some());
+
+    // Certificate trimming: a child of the query that produced the proof,
+    // keeping at most the events the log had.
+    let trim = spans
+        .iter()
+        .find(|s| s.name == "cert.trim")
+        .expect("cert.trim span recorded for a proven certified query");
+    assert_eq!(trim.parent, Some(root.id), "trimming nests under the query");
+    let events = u64_attr(trim, "events").expect("events attribute");
+    let kept = u64_attr(trim, "kept_events").expect("kept_events attribute");
+    assert!(kept <= events, "trim kept {kept} of {events} events");
 
     // Certificate checking: an independent root span carrying the
     // certificate's kind, window and size.

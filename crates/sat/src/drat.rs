@@ -10,9 +10,13 @@
 //! root-level conflict (a refutation). [`trim`] additionally tracks which
 //! lemmas the refutation actually depends on and drops the rest.
 //!
-//! The checker shares no search code with the solver: it has its own watched
-//! literal scheme, its own trail, and no heuristics, so a bug in the solver's
-//! propagation, clause GC, or inprocessing cannot also hide in the checker.
+//! The checker shares no code with the solver: it has its own clause arena,
+//! watched-literal scheme and trail, and no heuristics, so a bug in the
+//! solver's propagation, clause GC, or inprocessing cannot also hide in the
+//! checker. Its clauses live in one flat `u32` arena, each a fixed-size
+//! header followed by its literals, and every watcher carries a blocker
+//! literal: a watcher whose blocker is true is skipped without reading the
+//! clause. Replaying an event allocates nothing once the buffers are warm.
 //!
 //! # Trust story
 //!
@@ -22,7 +26,10 @@
 //! RUP with respect to the preceding events, and unit propagation from the
 //! assumption literals derives a conflict. Deletion events are advisory — the
 //! checker may ignore any of them without losing soundness, because keeping
-//! extra implied clauses only strengthens unit propagation.
+//! extra implied clauses only strengthens unit propagation. Both [`check`]
+//! and [`trim`] follow them anyway, which keeps propagation cheap on long
+//! logs; they ignore only a deletion that matches no clause, names a unit, or
+//! hits the reason of a root-level assignment.
 //!
 //! # Examples
 //!
@@ -237,89 +244,146 @@ impl std::error::Error for CheckError {}
 const NO_REASON: u32 = u32::MAX;
 /// Clause-origin marker for assumption units (not tied to a log event).
 const ASSUMPTION_EVENT: u32 = u32::MAX;
+/// End of a deletion-index bucket chain; also "no clause" for an event.
+const NO_CLAUSE: u32 = u32::MAX;
 
-struct CClause {
-    lits: Vec<Lit>,
-    alive: bool,
-    /// Index of the log event that introduced the clause, or
-    /// [`ASSUMPTION_EVENT`] for assumption units.
-    event: u32,
-    used_as_reason: bool,
+// A checker clause is a fixed-size header of `u32` words followed by its
+// literal codes, all in one arena vector; the clause is named by the arena
+// offset of its header.
+/// Header word: number of literals.
+const LEN: usize = 0;
+/// Header word: index of the log event that introduced the clause, or
+/// [`ASSUMPTION_EVENT`] for assumption units.
+const EVENT: usize = 1;
+/// Header word: the [`ALIVE`], [`WATCHED_0`] and [`WATCHED_1`] bits.
+const FLAGS: usize = 2;
+/// Header word: the next clause of the same deletion-index bucket, or
+/// [`NO_CLAUSE`].
+const NEXT: usize = 3;
+/// Header size in words: the literals start here.
+const HEADER: usize = 4;
+
+/// The clause takes part in propagation (neither deleted nor retracted).
+const ALIVE: u32 = 1;
+/// The watcher of literal 0 is in its watch list. A detached clause drops
+/// its watchers lazily, so re-attaching it restores only the missing ones.
+const WATCHED_0: u32 = 2;
+/// The watcher of literal 1 is in its watch list (see [`WATCHED_0`]).
+const WATCHED_1: u32 = 4;
+
+/// A watch-list entry.
+#[derive(Clone, Copy)]
+struct Watch {
+    clause: u32,
+    /// Some literal of the clause. While it is true the clause is satisfied,
+    /// and propagation skips the watcher without reading the arena.
+    blocker: Lit,
 }
 
 /// Outcome of inserting a clause into the checker database.
+#[derive(PartialEq, Eq)]
 enum Insert {
     Ok,
-    /// Root-level conflict: the formula so far is refuted. Carries the clause
-    /// ids involved when dependency tracking is on.
-    Refuted(Vec<u32>),
+    /// Root-level conflict: the formula so far is refuted. Under
+    /// `track_deps`, [`Checker::deps`] holds the clauses involved.
+    Refuted,
 }
 
 struct Checker {
-    clauses: Vec<CClause>,
-    watches: Vec<Vec<u32>>,
+    /// Clause headers and literal codes (see [`HEADER`]).
+    arena: Vec<u32>,
+    watches: Vec<Vec<Watch>>,
     assigns: Vec<LBool>,
     reason: Vec<u32>,
     trail: Vec<Lit>,
     qhead: usize,
-    index: HashMap<u64, Vec<u32>>,
+    /// Deletion index: the wrapping sum of [`lit_hash`] over a watched
+    /// clause's literals, an order-independent hash → the first clause of
+    /// its bucket, chained through [`NEXT`].
+    index: HashMap<u64, u32>,
+    /// Per-literal-code marks of [`Checker::delete`], clear between calls.
+    marks: Vec<bool>,
     seen: Vec<bool>,
     track_deps: bool,
+    /// The clauses the last refutation or RUP check used (under
+    /// `track_deps`).
+    deps: Vec<u32>,
+    /// Reused work lists of [`Checker::collect_deps`].
+    stack: Vec<usize>,
+    visited: Vec<usize>,
     propagations: u64,
 }
 
-fn lit_value(assigns: &[LBool], l: Lit) -> LBool {
-    let v = assigns[l.var().index()];
-    if l.is_positive() {
-        v
-    } else {
-        v.negate()
-    }
-}
-
-fn clause_signature(sorted_codes: &[usize]) -> u64 {
-    // FNV-1a over the sorted literal codes.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &c in sorted_codes {
-        h ^= c as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn sorted_codes(lits: &[Lit]) -> Vec<usize> {
-    let mut codes: Vec<usize> = lits.iter().map(|l| l.code()).collect();
-    codes.sort_unstable();
-    codes.dedup();
-    codes
+/// One literal's share of the deletion-index hash (the SplitMix64
+/// finalizer of its code).
+fn lit_hash(l: Lit) -> u64 {
+    let mut z = u64::from(l.0).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 impl Checker {
     fn new(num_vars: usize, track_deps: bool) -> Self {
         Checker {
-            clauses: Vec::new(),
+            arena: Vec::new(),
             watches: vec![Vec::new(); 2 * num_vars],
             assigns: vec![LBool::Undef; num_vars],
             reason: vec![NO_REASON; num_vars],
             trail: Vec::new(),
             qhead: 0,
             index: HashMap::new(),
+            marks: vec![false; 2 * num_vars],
             seen: vec![false; num_vars],
             track_deps,
+            deps: Vec::new(),
+            stack: Vec::new(),
+            visited: Vec::new(),
             propagations: 0,
         }
+    }
+
+    fn value(&self, l: Lit) -> LBool {
+        let v = self.assigns[l.var().index()];
+        if l.is_positive() {
+            v
+        } else {
+            v.negate()
+        }
+    }
+
+    /// The literal stored at arena word `i`.
+    fn lit(&self, i: usize) -> Lit {
+        Lit(self.arena[i])
+    }
+
+    /// Arena range of clause `c`'s literals.
+    fn lits_of(&self, c: u32) -> std::ops::Range<usize> {
+        let start = c as usize + HEADER;
+        start..start + self.arena[c as usize + LEN] as usize
     }
 
     fn enqueue(&mut self, l: Lit, reason: u32) {
         self.assigns[l.var().index()] = LBool::from_bool(l.is_positive());
         self.reason[l.var().index()] = reason;
         self.trail.push(l);
-        if reason != NO_REASON {
-            self.clauses[reason as usize].used_as_reason = true;
-        }
     }
 
-    /// Propagates to fixpoint; returns the conflicting clause id if any.
+    /// Inserts the assumption literals as unit clauses: the certificate
+    /// claims "axioms AND assumptions" is unsatisfiable.
+    fn assume(&mut self, assumptions: &[Lit]) -> Insert {
+        for (i, &a) in assumptions.iter().enumerate() {
+            if assumptions[..i].contains(&a) {
+                continue;
+            }
+            if self.insert(&[a], ASSUMPTION_EVENT) == Insert::Refuted {
+                return Insert::Refuted;
+            }
+        }
+        Insert::Ok
+    }
+
+    /// Propagates to fixpoint; returns the conflicting clause if any.
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -327,38 +391,62 @@ impl Checker {
             self.propagations += 1;
             let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
+            let mut kept = 0;
             let mut i = 0;
             let mut conflict = None;
             'watchers: while i < ws.len() {
-                let cid = ws[i] as usize;
-                if !self.clauses[cid].alive {
-                    ws.swap_remove(i);
+                let w = ws[i];
+                i += 1;
+                if self.value(w.blocker) == LBool::True {
+                    ws[kept] = w;
+                    kept += 1;
                     continue;
                 }
-                if self.clauses[cid].lits[0] == false_lit {
-                    self.clauses[cid].lits.swap(0, 1);
-                }
-                let first = self.clauses[cid].lits[0];
-                if lit_value(&self.assigns, first) == LBool::True {
-                    i += 1;
+                let c = w.clause as usize;
+                let lits = c + HEADER;
+                if self.arena[c + FLAGS] & ALIVE == 0 {
+                    // Drop a detached clause's watcher, noting which one.
+                    let bit = if self.arena[lits] == false_lit.0 {
+                        WATCHED_0
+                    } else {
+                        WATCHED_1
+                    };
+                    self.arena[c + FLAGS] &= !bit;
                     continue;
                 }
-                for k in 2..self.clauses[cid].lits.len() {
-                    let cand = self.clauses[cid].lits[k];
-                    if lit_value(&self.assigns, cand) != LBool::False {
-                        self.clauses[cid].lits.swap(1, k);
-                        self.watches[cand.code()].push(cid as u32);
-                        ws.swap_remove(i);
+                if self.arena[lits] == false_lit.0 {
+                    self.arena.swap(lits, lits + 1);
+                }
+                let first = self.lit(lits);
+                let watch = Watch {
+                    clause: w.clause,
+                    blocker: first,
+                };
+                if first != w.blocker && self.value(first) == LBool::True {
+                    ws[kept] = watch;
+                    kept += 1;
+                    continue;
+                }
+                for k in lits + 2..lits + self.arena[c + LEN] as usize {
+                    let cand = self.lit(k);
+                    if self.value(cand) != LBool::False {
+                        self.arena.swap(lits + 1, k);
+                        self.watches[cand.code()].push(watch);
                         continue 'watchers;
                     }
                 }
-                if lit_value(&self.assigns, first) == LBool::False {
-                    conflict = Some(cid as u32);
+                ws[kept] = watch;
+                kept += 1;
+                if self.value(first) == LBool::False {
+                    conflict = Some(w.clause);
                     break;
                 }
-                self.enqueue(first, cid as u32);
-                i += 1;
+                self.enqueue(first, w.clause);
             }
+            // Keep the watchers a conflict left unvisited.
+            let rest = ws.len() - i;
+            ws.copy_within(i.., kept);
+            ws.truncate(kept + rest);
             self.watches[false_lit.code()] = ws;
             if conflict.is_some() {
                 return conflict;
@@ -367,155 +455,141 @@ impl Checker {
         None
     }
 
-    /// Collects the clause ids reachable through reason chains from `seed_vars`,
-    /// starting from `seed_clause` when given. Only populated under
-    /// `track_deps`.
-    fn collect_deps(&mut self, seed_clause: Option<u32>, seed_vars: &[Lit]) -> Vec<u32> {
+    /// Fills [`Checker::deps`] with `seed` (a conflicting clause or a root
+    /// reason) and every clause reachable from its literals through reason
+    /// chains. Does nothing unless `track_deps`.
+    fn collect_deps(&mut self, seed: u32) {
+        self.deps.clear();
         if !self.track_deps {
-            return Vec::new();
+            return;
         }
-        let mut deps = Vec::new();
-        let mut stack: Vec<usize> = Vec::new();
-        if let Some(cid) = seed_clause {
-            deps.push(cid);
+        self.deps.push(seed);
+        for k in self.lits_of(seed) {
+            self.stack.push(Lit(self.arena[k]).var().index());
         }
-        for l in seed_vars {
-            stack.push(l.var().index());
-        }
-        let mut visited: Vec<usize> = Vec::new();
-        while let Some(v) = stack.pop() {
+        while let Some(v) = self.stack.pop() {
             if self.seen[v] {
                 continue;
             }
             self.seen[v] = true;
-            visited.push(v);
+            self.visited.push(v);
             let r = self.reason[v];
             if r != NO_REASON {
-                deps.push(r);
-                for l in &self.clauses[r as usize].lits {
-                    stack.push(l.var().index());
+                self.deps.push(r);
+                for k in self.lits_of(r) {
+                    self.stack.push(Lit(self.arena[k]).var().index());
                 }
             }
         }
-        for v in visited {
+        for &v in &self.visited {
             self.seen[v] = false;
         }
-        deps.sort_unstable();
-        deps.dedup();
-        deps
+        self.visited.clear();
+    }
+
+    /// Marks the log events that introduced the clauses in
+    /// [`Checker::deps`].
+    fn mark_deps(&self, marked: &mut [bool]) {
+        for &c in &self.deps {
+            let e = self.arena[c as usize + EVENT];
+            if e != ASSUMPTION_EVENT {
+                marked[e as usize] = true;
+            }
+        }
     }
 
     /// Inserts a clause at root level, propagating any resulting units.
     ///
-    /// `lits` must already be deduplicated and tautology-free.
+    /// `lits` must already be deduplicated and tautology-free. A clause with
+    /// a root-true literal can never propagate and is not stored.
     fn insert(&mut self, lits: &[Lit], event: u32) -> Insert {
-        if lits
-            .iter()
-            .any(|&l| lit_value(&self.assigns, l) == LBool::True)
-        {
-            // Permanently satisfied at root; it can never propagate.
+        if lits.iter().any(|&l| self.value(l) == LBool::True) {
             return Insert::Ok;
         }
-        let cid = u32::try_from(self.clauses.len()).expect("checker clause count overflow");
-        let non_false: Vec<Lit> = lits
-            .iter()
-            .copied()
-            .filter(|&l| lit_value(&self.assigns, l) != LBool::False)
-            .collect();
-        match non_false.len() {
+        let c = u32::try_from(self.arena.len()).expect("checker arena overflow");
+        let len = u32::try_from(lits.len()).expect("checker clause too long");
+        self.arena
+            .extend_from_slice(&[len, event, ALIVE, NO_CLAUSE]);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        // Move the first two non-false literals to the front: the watches.
+        let range = self.lits_of(c);
+        let start = range.start;
+        let mut non_false = 0;
+        for k in range {
+            if self.value(self.lit(k)) != LBool::False {
+                self.arena.swap(start + non_false, k);
+                non_false += 1;
+                if non_false == 2 {
+                    break;
+                }
+            }
+        }
+        match non_false {
             0 => {
                 // Conflicting at root (also covers the empty clause).
-                self.clauses.push(CClause {
-                    lits: lits.to_vec(),
-                    alive: true,
-                    event,
-                    used_as_reason: false,
-                });
-                let deps = self.collect_deps(Some(cid), lits);
-                Insert::Refuted(deps)
+                self.collect_deps(c);
+                Insert::Refuted
             }
             1 => {
-                let unit = non_false[0];
-                self.clauses.push(CClause {
-                    lits: lits.to_vec(),
-                    alive: true,
-                    event,
-                    used_as_reason: false,
-                });
-                self.enqueue(unit, cid);
+                self.enqueue(self.lit(start), c);
                 match self.propagate() {
                     Some(conflict) => {
-                        let seed: Vec<Lit> = self.clauses[conflict as usize].lits.clone();
-                        let deps = self.collect_deps(Some(conflict), &seed);
-                        Insert::Refuted(deps)
+                        self.collect_deps(conflict);
+                        Insert::Refuted
                     }
                     None => Insert::Ok,
                 }
             }
             _ => {
-                // Watch two non-false literals.
-                let mut stored = lits.to_vec();
-                let p0 = stored.iter().position(|&l| l == non_false[0]).unwrap();
-                stored.swap(0, p0);
-                let p1 = stored.iter().position(|&l| l == non_false[1]).unwrap();
-                stored.swap(1, p1);
-                let (w0, w1) = (stored[0], stored[1]);
-                self.clauses.push(CClause {
-                    lits: stored,
-                    alive: true,
-                    event,
-                    used_as_reason: false,
+                let (w0, w1) = (self.lit(start), self.lit(start + 1));
+                self.watches[w0.code()].push(Watch {
+                    clause: c,
+                    blocker: w1,
                 });
-                self.watches[w0.code()].push(cid);
-                self.watches[w1.code()].push(cid);
-                let codes = sorted_codes(lits);
-                self.index
-                    .entry(clause_signature(&codes))
-                    .or_default()
-                    .push(cid);
+                self.watches[w1.code()].push(Watch {
+                    clause: c,
+                    blocker: w0,
+                });
+                self.arena[c as usize + FLAGS] |= WATCHED_0 | WATCHED_1;
+                let hash = lits.iter().fold(0u64, |h, &l| h.wrapping_add(lit_hash(l)));
+                if let Some(next) = self.index.insert(hash, c) {
+                    self.arena[c as usize + NEXT] = next;
+                }
                 Insert::Ok
             }
         }
     }
 
-    /// RUP check of `lits` against the current database. On success returns the
-    /// clause ids used (under `track_deps`); on failure returns `None`.
-    fn check_rup(&mut self, lits: &[Lit]) -> Option<Vec<u32>> {
+    /// RUP check of `lits` against the current database. On success under
+    /// `track_deps`, [`Checker::deps`] holds the clauses used.
+    fn check_rup(&mut self, lits: &[Lit]) -> bool {
         // A lemma with a root-satisfied literal is trivially implied.
-        for &l in lits {
-            if lit_value(&self.assigns, l) == LBool::True {
-                let deps = self.collect_deps(None, &[l]);
-                return Some(deps);
-            }
+        if let Some(&l) = lits.iter().find(|&&l| self.value(l) == LBool::True) {
+            self.collect_deps(self.reason[l.var().index()]);
+            return true;
         }
         let saved = self.trail.len();
         debug_assert_eq!(self.qhead, saved);
         for &l in lits {
-            if lit_value(&self.assigns, l) == LBool::Undef {
+            if self.value(l) == LBool::Undef {
                 let neg = !l;
                 self.assigns[neg.var().index()] = LBool::from_bool(neg.is_positive());
                 self.trail.push(neg);
             }
         }
         let conflict = self.propagate();
-        let result = conflict.map(|c| {
-            let seed: Vec<Lit> = self.clauses[c as usize].lits.clone();
-            self.collect_deps(Some(c), &seed)
-        });
-        // Undo all temporary assignments.
-        for i in saved..self.trail.len() {
-            let v = self.trail[i].var().index();
-            self.assigns[v] = LBool::Undef;
-            self.reason[v] = NO_REASON;
+        if let Some(c) = conflict {
+            self.collect_deps(c);
         }
-        self.trail.truncate(saved);
-        self.qhead = saved;
-        result
+        // Undo all temporary assignments.
+        self.unwind_to(saved);
+        conflict.is_some()
     }
 
-    /// Pops the root trail back to `len` assignments, un-assigning everything
-    /// above it. Only used by the backward dependency sweep, where the trail
-    /// is always fully propagated (`qhead == trail.len()`) between events.
+    /// Pops the trail back to `len` assignments, un-assigning everything
+    /// above it. `len` is always a propagation fixpoint: the root state a
+    /// RUP check started from, or in the backward sweep the state before an
+    /// event.
     fn unwind_to(&mut self, len: usize) {
         while self.trail.len() > len {
             let v = self
@@ -530,33 +604,92 @@ impl Checker {
         self.qhead = len;
     }
 
-    /// Handles a deletion event: marks the first matching deletable clause
-    /// dead. Unmatched or reason-locked deletions are ignored (sound: keeping
-    /// implied clauses only strengthens propagation).
-    fn delete(&mut self, lits: &[Lit]) {
-        let codes = sorted_codes(lits);
-        if codes.len() <= 1 {
-            return;
+    /// Takes clause `c` out of propagation; its watchers go lazily.
+    fn detach(&mut self, c: u32) {
+        self.arena[c as usize + FLAGS] &= !ALIVE;
+    }
+
+    /// Puts a detached watched clause back, restoring the watchers it lost.
+    /// Only valid in the assignment it was detached in, where its two
+    /// watches were sound: the backward sweep re-attaches a deleted clause
+    /// after unwinding to the trail of its deletion event.
+    fn reattach(&mut self, c: u32) {
+        let start = c as usize + HEADER;
+        let (w0, w1) = (self.lit(start), self.lit(start + 1));
+        let flags = self.arena[c as usize + FLAGS];
+        if flags & WATCHED_0 == 0 {
+            self.watches[w0.code()].push(Watch {
+                clause: c,
+                blocker: w1,
+            });
         }
-        let sig = clause_signature(&codes);
-        let Some(candidates) = self.index.get_mut(&sig) else {
-            return;
+        if flags & WATCHED_1 == 0 {
+            self.watches[w1.code()].push(Watch {
+                clause: c,
+                blocker: w0,
+            });
+        }
+        self.arena[c as usize + FLAGS] = ALIVE | WATCHED_0 | WATCHED_1;
+    }
+
+    /// Handles a deletion event: detaches the first indexed clause with the
+    /// same literal set and returns it. A deletion that matches nothing,
+    /// names a unit, or matches only reasons of root-level assignments is
+    /// ignored (sound: keeping implied clauses only strengthens
+    /// propagation).
+    fn delete(&mut self, lits: &[Lit]) -> Option<u32> {
+        let mut len = 0;
+        let mut hash = 0u64;
+        for &l in lits {
+            if !self.marks[l.code()] {
+                self.marks[l.code()] = true;
+                len += 1;
+                hash = hash.wrapping_add(lit_hash(l));
+            }
+        }
+        let found = if len > 1 {
+            self.find_deletable(hash, len)
+        } else {
+            None
         };
-        let mut chosen = None;
-        for (pos, &cid) in candidates.iter().enumerate() {
-            let c = &self.clauses[cid as usize];
-            if !c.alive || c.used_as_reason {
-                continue;
+        for &l in lits {
+            self.marks[l.code()] = false;
+        }
+        let (prev, c) = found?;
+        let next = self.arena[c as usize + NEXT];
+        match prev {
+            Some(p) => self.arena[p as usize + NEXT] = next,
+            None if next == NO_CLAUSE => {
+                self.index.remove(&hash);
             }
-            if sorted_codes(&c.lits) == codes {
-                chosen = Some((pos, cid));
-                break;
+            None => {
+                self.index.insert(hash, next);
             }
         }
-        if let Some((pos, cid)) = chosen {
-            candidates.swap_remove(pos);
-            self.clauses[cid as usize].alive = false;
+        self.detach(c);
+        Some(c)
+    }
+
+    /// The first clause of `hash`'s bucket whose `len` literals are all
+    /// marked and that is not the reason of a root-level assignment,
+    /// together with its predecessor in the chain.
+    fn find_deletable(&self, hash: u64, len: usize) -> Option<(Option<u32>, u32)> {
+        let mut prev = None;
+        let mut c = *self.index.get(&hash)?;
+        while c != NO_CLAUSE {
+            let lits = &self.arena[self.lits_of(c)];
+            if lits.len() == len
+                && lits.iter().all(|&code| self.marks[code as usize])
+                && lits
+                    .iter()
+                    .all(|&code| self.reason[Lit(code).var().index()] != c)
+            {
+                return Some((prev, c));
+            }
+            prev = Some(c);
+            c = self.arena[c as usize + NEXT];
         }
+        None
     }
 }
 
@@ -591,59 +724,48 @@ fn max_var_index(log: &ProofLog, assumptions: &[Lit]) -> usize {
     n
 }
 
+/// Copies event `i`'s literals into `buf` and deduplicates them; returns
+/// `false` for a tautology, which is valid and inert.
+fn load_clause(log: &ProofLog, i: usize, buf: &mut Vec<Lit>) -> bool {
+    buf.clear();
+    buf.extend_from_slice(log.event_lits(i));
+    !dedup_clause(buf)
+}
+
 fn run_check(log: &ProofLog, assumptions: &[Lit]) -> Result<CheckReport, CheckError> {
     let num_vars = max_var_index(log, assumptions);
     let mut checker = Checker::new(num_vars, false);
     let mut report = CheckReport::default();
     let mut refuted: Option<Option<usize>> = None;
+    let mut lits = Vec::new();
 
-    // Assumption literals become unit clauses: the certificate claims
-    // "axioms AND assumptions" is unsatisfiable.
     'outer: {
-        let mut seen_assumptions: Vec<Lit> = Vec::new();
-        for &a in assumptions {
-            if seen_assumptions.contains(&a) {
-                continue;
-            }
-            seen_assumptions.push(a);
-            if let Insert::Refuted(_) = checker.insert(&[a], ASSUMPTION_EVENT) {
-                refuted = Some(None);
-                break 'outer;
-            }
+        if checker.assume(assumptions) == Insert::Refuted {
+            refuted = Some(None);
+            break 'outer;
         }
         for i in 0..log.num_events() {
             let step = log.events[i].step;
-            let mut lits = log.event_lits(i).to_vec();
             match step {
-                ProofStep::Axiom | ProofStep::Add => {
-                    if dedup_clause(&mut lits) {
-                        // Tautologies are valid and inert; skip them.
-                        if step == ProofStep::Axiom {
-                            report.axioms += 1;
-                        } else {
-                            report.lemmas_checked += 1;
-                        }
-                        continue;
-                    }
-                    if step == ProofStep::Add {
-                        report.lemmas_checked += 1;
-                        if checker.check_rup(&lits).is_none() {
-                            return Err(CheckError::NotRup { event: i });
-                        }
-                    } else {
-                        report.axioms += 1;
-                    }
-                    let event = u32::try_from(i).expect("proof log event index overflow");
-                    if let Insert::Refuted(_) = checker.insert(&lits, event) {
-                        refuted = Some(Some(i));
-                        report.skipped_events = log.num_events() - i - 1;
-                        break 'outer;
-                    }
-                }
+                ProofStep::Axiom => report.axioms += 1,
+                ProofStep::Add => report.lemmas_checked += 1,
                 ProofStep::Delete => {
                     report.deletions += 1;
-                    checker.delete(&lits);
+                    checker.delete(log.event_lits(i));
+                    continue;
                 }
+            }
+            if !load_clause(log, i, &mut lits) {
+                continue;
+            }
+            if step == ProofStep::Add && !checker.check_rup(&lits) {
+                return Err(CheckError::NotRup { event: i });
+            }
+            let event = u32::try_from(i).expect("proof log event index overflow");
+            if checker.insert(&lits, event) == Insert::Refuted {
+                refuted = Some(Some(i));
+                report.skipped_events = log.num_events() - i - 1;
+                break 'outer;
             }
         }
     }
@@ -659,14 +781,19 @@ fn run_check(log: &ProofLog, assumptions: &[Lit]) -> Result<CheckReport, CheckEr
 }
 
 /// Marks the events the refutation transitively depends on (backward
-/// checking): a forward pass *inserts* every clause without RUP-checking it
-/// and finds the refutation, then a backward sweep unwinds the database event
-/// by event and RUP-checks only the lemmas that are already marked as
-/// dependencies, marking their own dependencies in turn. Lemmas and axioms
-/// the refutation never touches are neither checked nor kept.
+/// checking): a forward pass *inserts* every clause without RUP-checking it,
+/// applies every deletion as [`check`] does, and finds the refutation; then a
+/// backward sweep unwinds the database event by event and RUP-checks only
+/// the lemmas that are already marked as dependencies, marking their own
+/// dependencies in turn. Lemmas and axioms the refutation never touches are
+/// neither checked nor kept.
 ///
-/// Deletion events are ignored here: keeping extra implied clauses only
-/// strengthens propagation, and the trimmed output drops deletions anyway.
+/// The backward sweep restores, before each event, the database that event
+/// saw in the forward pass: it retracts the clause an addition inserted (a
+/// lemma must not justify itself) and re-attaches the clause a deletion
+/// detached. A lemma that needs a clause deleted before it is therefore
+/// rejected here exactly as in [`check`], and a lemma checked after walking
+/// back past a deletion may use, and so keep, the deleted clause.
 ///
 /// Returns the marked-event bitmap and the refutation event (`None` when the
 /// assumptions alone were contradictory).
@@ -677,79 +804,62 @@ fn mark_dependencies(
     let num_events = log.num_events();
     let num_vars = max_var_index(log, assumptions);
     let mut checker = Checker::new(num_vars, true);
-    // Clause each event inserted (inert events insert none) and the trail
-    // height before it, so the backward sweep can restore the exact database
-    // and propagation state every event was inserted into.
-    let mut event_clause: Vec<Option<u32>> = vec![None; num_events];
+    // The clause each event inserted, or for a deletion the clause it
+    // detached ([`NO_CLAUSE`] for inert events), and the trail height before
+    // it, so the backward sweep can restore the exact database and
+    // propagation state every event saw.
+    let mut event_clause: Vec<u32> = vec![NO_CLAUSE; num_events];
     let mut trail_before: Vec<usize> = vec![0; num_events];
-    let mut refuted: Option<(Option<usize>, Vec<u32>)> = None;
+    let mut refuted: Option<Option<usize>> = None;
+    let mut lits = Vec::new();
 
     'outer: {
-        let mut seen_assumptions: Vec<Lit> = Vec::new();
-        for &a in assumptions {
-            if seen_assumptions.contains(&a) {
-                continue;
-            }
-            seen_assumptions.push(a);
-            if let Insert::Refuted(deps) = checker.insert(&[a], ASSUMPTION_EVENT) {
-                refuted = Some((None, deps));
-                break 'outer;
-            }
+        if checker.assume(assumptions) == Insert::Refuted {
+            refuted = Some(None);
+            break 'outer;
         }
         for i in 0..num_events {
             trail_before[i] = checker.trail.len();
             if log.events[i].step == ProofStep::Delete {
+                event_clause[i] = checker.delete(log.event_lits(i)).unwrap_or(NO_CLAUSE);
                 continue;
             }
-            let mut lits = log.event_lits(i).to_vec();
-            if dedup_clause(&mut lits) {
+            if !load_clause(log, i, &mut lits) {
                 continue;
             }
-            let clauses_before = checker.clauses.len();
+            let arena_before = checker.arena.len();
             let event = u32::try_from(i).expect("proof log event index overflow");
             let inserted = checker.insert(&lits, event);
-            if checker.clauses.len() > clauses_before {
-                event_clause[i] = Some(clauses_before as u32);
+            if checker.arena.len() > arena_before {
+                event_clause[i] = arena_before as u32;
             }
-            if let Insert::Refuted(deps) = inserted {
-                refuted = Some((Some(i), deps));
+            if inserted == Insert::Refuted {
+                refuted = Some(Some(i));
                 break 'outer;
             }
         }
     }
 
-    let Some((refutation_event, dep_clauses)) = refuted else {
+    let Some(refutation_event) = refuted else {
         return Err(CheckError::NoRefutation);
     };
     let mut marked = vec![false; num_events];
-    let mark_clause_events = |checker: &Checker, marked: &mut Vec<bool>, deps: &[u32]| {
-        for &c in deps {
-            let e = checker.clauses[c as usize].event;
-            if e != ASSUMPTION_EVENT {
-                marked[e as usize] = true;
-            }
-        }
-    };
-    mark_clause_events(&checker, &mut marked, &dep_clauses);
+    checker.mark_deps(&mut marked);
     if let Some(re) = refutation_event {
         marked[re] = true;
-        // Backward sweep: restore the pre-event state, retract the event's
-        // clause (a lemma must not justify itself), and RUP-check it only if
-        // something later depends on it.
         for i in (0..=re).rev() {
             checker.unwind_to(trail_before[i]);
-            if let Some(cid) = event_clause[i] {
-                checker.clauses[cid as usize].alive = false;
+            let step = log.events[i].step;
+            match event_clause[i] {
+                NO_CLAUSE => {}
+                c if step == ProofStep::Delete => checker.reattach(c),
+                c => checker.detach(c),
             }
-            if marked[i] && log.events[i].step == ProofStep::Add {
-                let mut lits = log.event_lits(i).to_vec();
-                if dedup_clause(&mut lits) {
-                    continue;
+            if marked[i] && step == ProofStep::Add && load_clause(log, i, &mut lits) {
+                if !checker.check_rup(&lits) {
+                    return Err(CheckError::NotRup { event: i });
                 }
-                match checker.check_rup(&lits) {
-                    Some(deps) => mark_clause_events(&checker, &mut marked, &deps),
-                    None => return Err(CheckError::NotRup { event: i }),
-                }
+                checker.mark_deps(&mut marked);
             }
         }
     }
@@ -789,8 +899,11 @@ pub fn check(log: &ProofLog, assumptions: &[Lit]) -> Result<CheckReport, CheckEr
 /// checking the trimmed log.
 ///
 /// Trimming uses *backward checking*: a forward pass inserts every clause
-/// without RUP-checking it and locates the refutation, then a backward sweep
-/// RUP-checks exactly the lemmas in the refutation's dependency cone. Both
+/// without RUP-checking it, follows the deletions as [`check`] does, and
+/// locates the refutation, then a backward sweep RUP-checks exactly the
+/// lemmas in the refutation's dependency cone, each against the database it
+/// was added to (clauses deleted after a lemma are re-attached when the sweep
+/// walks back past their deletion, and kept if that lemma uses them). Both
 /// unused lemmas *and unused axioms* are dropped — the kept axioms are an
 /// unsatisfiable core, and a core being unsatisfiable implies the full axiom
 /// set is. This makes trimming much cheaper than [`check`] on logs where the
@@ -919,6 +1032,83 @@ mod tests {
         let report = check(&log, &[]).unwrap();
         assert_eq!(report.deletions, 1);
         assert_eq!(report.refutation_event, Some(6));
+    }
+
+    #[test]
+    fn lemma_needing_an_earlier_deleted_clause_is_rejected() {
+        let x = lit(0, true);
+        let y = lit(1, true);
+        let mut log = ProofLog::new();
+        log.push(ProofStep::Axiom, &[x, y]);
+        log.push(ProofStep::Axiom, &[x, !y]);
+        log.push(ProofStep::Axiom, &[!x, y]);
+        log.push(ProofStep::Axiom, &[!x, !y]);
+        // Without [x, !y], assuming !x only propagates y: [x] is not RUP.
+        log.push(ProofStep::Delete, &[x, !y]);
+        log.push(ProofStep::Add, &[x]);
+        assert_eq!(check(&log, &[]), Err(CheckError::NotRup { event: 5 }));
+        assert_eq!(
+            trim(&log, &[]).map(|(t, _)| t.num_events()),
+            Err(CheckError::NotRup { event: 5 })
+        );
+    }
+
+    #[test]
+    fn trim_reattaches_a_clause_deleted_after_the_lemma_that_used_it() {
+        let [x, y, a, b] = [0, 1, 2, 3].map(|i| lit(i, true));
+        let mut log = ProofLog::new();
+        log.push(ProofStep::Axiom, &[x, y]);
+        log.push(ProofStep::Axiom, &[x, !y]);
+        log.push(ProofStep::Axiom, &[!x, a, b]);
+        log.push(ProofStep::Axiom, &[!x, a, !b]);
+        log.push(ProofStep::Axiom, &[!x, !a, b]);
+        log.push(ProofStep::Axiom, &[!x, !a, !b]);
+        // L1 = [x] is RUP through [x, !y], which is deleted right after it;
+        // L2 = [a] needs x and refutes.
+        log.push(ProofStep::Add, &[x]);
+        log.push(ProofStep::Delete, &[x, !y]);
+        log.push(ProofStep::Add, &[a]);
+        assert_eq!(check(&log, &[]).unwrap().refutation_event, Some(8));
+
+        let (trimmed, report) = trim(&log, &[]).unwrap();
+        let kept: Vec<(ProofStep, Vec<Lit>)> =
+            trimmed.events().map(|(s, l)| (s, l.to_vec())).collect();
+        assert!(
+            kept.contains(&(ProofStep::Axiom, vec![x, !y])),
+            "re-checking L1 needs the deleted clause, so it is kept"
+        );
+        assert_eq!(trimmed.num_lemmas(), 2);
+        assert_eq!(trimmed.num_deletions(), 0);
+        assert_eq!(report, check(&trimmed, &[]).unwrap());
+    }
+
+    #[test]
+    fn deleting_the_reason_of_a_root_unit_is_ignored() {
+        let [x, y, z] = [0, 1, 2].map(|i| lit(i, true));
+        let mut log = ProofLog::new();
+        // [!y] makes [x, y] the reason of the root unit x.
+        log.push(ProofStep::Axiom, &[x, y]);
+        log.push(ProofStep::Axiom, &[!y]);
+        log.push(ProofStep::Delete, &[x, y]);
+        log.push(ProofStep::Axiom, &[!x, z]);
+        log.push(ProofStep::Axiom, &[!x, !z]);
+
+        // Both passes share `Checker::delete`: `check` replays without
+        // dependency tracking, `trim`'s forward pass with it.
+        for track_deps in [false, true] {
+            let mut checker = Checker::new(3, track_deps);
+            assert!(checker.insert(&[x, y], 0) == Insert::Ok);
+            assert!(checker.insert(&[!y], 1) == Insert::Ok);
+            assert_eq!(checker.reason[x.var().index()], 0, "[x, y] implies x");
+            assert_eq!(checker.delete(&[y, x]), None);
+            assert_eq!(checker.arena[FLAGS] & ALIVE, ALIVE);
+        }
+        let report = check(&log, &[]).unwrap();
+        assert_eq!((report.deletions, report.refutation_event), (1, Some(4)));
+        let (trimmed, _) = trim(&log, &[]).unwrap();
+        assert!(trimmed
+            .events()
+            .any(|(s, l)| s == ProofStep::Axiom && l == [x, y]));
     }
 
     #[test]

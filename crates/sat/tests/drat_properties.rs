@@ -6,7 +6,10 @@
 //!    simplification pipeline in the loop), and the trimmed log re-checks,
 //! 2. corrupting the proof — dropping every lemma, or replacing a lemma with
 //!    a clause that is not a consequence — makes the checker reject,
-//! 3. verdicts with logging on and logging off agree.
+//! 3. verdicts with logging on and logging off agree,
+//! 4. the checker follows deletions: on logs whose learnt budget forces
+//!    `reduce_db` deletions it rejects a replaced lemma wherever a naive
+//!    full-scan propagator that keeps every clause rejects it.
 
 use rtl::SplitMix64;
 use sat::drat::{check, trim, CheckError, ProofLog, ProofStep};
@@ -17,6 +20,10 @@ use sat::{Lit, SatResult, Solver, Var};
 /// 2's lemma-free rejection relies on).
 fn random_clause(rng: &mut SplitMix64, num_vars: usize) -> Vec<Lit> {
     let len = rng.gen_range(2..=3) as usize;
+    random_clause_of_len(rng, num_vars, len)
+}
+
+fn random_clause_of_len(rng: &mut SplitMix64, num_vars: usize, len: usize) -> Vec<Lit> {
     let mut vars: Vec<usize> = Vec::new();
     while vars.len() < len {
         let v = rng.gen_u64_below(num_vars as u64) as usize;
@@ -354,4 +361,159 @@ fn assumption_certificates_check() {
         }
     }
     assert!(tested >= 4, "generator produced too few unsat cases");
+}
+
+/// Naive reference for property 4: full-scan unit propagation from `units`
+/// over `clauses`, to a fixpoint. Returns whether it reaches a conflict.
+fn reference_conflict(clauses: &[Vec<Lit>], units: &[Lit], num_vars: usize) -> bool {
+    let mut value: Vec<Option<bool>> = vec![None; num_vars];
+    let truth =
+        |value: &[Option<bool>], l: Lit| value[l.var().index()].map(|v| v == l.is_positive());
+    for &u in units {
+        match truth(&value, u) {
+            Some(false) => return true,
+            Some(true) => {}
+            None => value[u.var().index()] = Some(u.is_positive()),
+        }
+    }
+    loop {
+        let mut changed = false;
+        for c in clauses {
+            let mut open = c.iter().filter(|&&l| truth(&value, l) != Some(false));
+            match (open.next(), open.next()) {
+                (None, _) => return true,
+                (Some(&l), None) if truth(&value, l).is_none() => {
+                    value[l.var().index()] = Some(l.is_positive());
+                    changed = true;
+                }
+                _ => {}
+            }
+        }
+        if !changed {
+            return false;
+        }
+    }
+}
+
+/// What the reference makes of a log. It keeps every clause the log ever
+/// added and ignores deletions, so it propagates at least as much as the
+/// checker at every event.
+#[derive(Debug, PartialEq, Eq)]
+enum Reference {
+    /// The first lemma that is not RUP, before any refutation.
+    NotRup(usize),
+    /// The event whose clause first propagates to a root conflict.
+    Refuted(usize),
+    NoRefutation,
+}
+
+fn reference_verdict(log: &ProofLog, num_vars: usize) -> Reference {
+    let mut clauses: Vec<Vec<Lit>> = Vec::new();
+    for (i, (step, lits)) in log.events().enumerate() {
+        if step == ProofStep::Delete {
+            continue;
+        }
+        let negated: Vec<Lit> = lits.iter().map(|&l| !l).collect();
+        if step == ProofStep::Add && !reference_conflict(&clauses, &negated, num_vars) {
+            return Reference::NotRup(i);
+        }
+        clauses.push(lits.to_vec());
+        if reference_conflict(&clauses, &[], num_vars) {
+            return Reference::Refuted(i);
+        }
+    }
+    Reference::NoRefutation
+}
+
+/// Property 4: the checker follows deletions. A learnt budget of 8 makes
+/// `reduce_db` delete clauses even on these small formulas (the default
+/// budget is never reached). Unmutated logs check, trim, and re-check. With
+/// one lemma replaced by a random clause, `check` rejects wherever the naive
+/// reference does: at the same event when the reference's first non-RUP
+/// lemma is the replaced one, and never after the reference or before the
+/// replacement otherwise.
+#[test]
+fn checker_follows_deletions_like_a_naive_reference() {
+    let mut rng = SplitMix64::new(0xd8a7_0007);
+    let (mut reduce_deletions, mut unsat_seen, mut mutants, mut exact) = (0, 0, 0, 0);
+    for case in 0..64 {
+        // Random 3-SAT at the phase transition, large enough for a few
+        // hundred conflicts.
+        let num_vars = rng.gen_range(24..=30) as usize;
+        let clauses: Vec<Vec<Lit>> = (0..num_vars * 43 / 10)
+            .map(|_| random_clause_of_len(&mut rng, num_vars, 3))
+            .collect();
+        for simplify in [false, true] {
+            let mut solver = Solver::new();
+            solver.reserve_vars(num_vars);
+            solver.set_learnt_budget(8);
+            solver.start_proof_log();
+            for c in &clauses {
+                solver.add_clause(c.iter().copied());
+            }
+            if simplify {
+                let _ = solver.simplify(100_000);
+            }
+            if !solver.solve().is_unsat() {
+                continue;
+            }
+            unsat_seen += 1;
+            let log = solver.take_proof_log().expect("logging was on");
+            if !simplify {
+                reduce_deletions += log.num_deletions();
+            }
+            let ctx = format!("case {case} simplify={simplify}");
+            let report = check(&log, &[]).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let (trimmed, _) = trim(&log, &[]).unwrap_or_else(|e| panic!("{ctx} trim: {e}"));
+            check(&trimmed, &[]).unwrap_or_else(|e| panic!("{ctx} recheck: {e}"));
+            assert!(
+                matches!(reference_verdict(&log, num_vars), Reference::Refuted(r) if r <= report.refutation_event.unwrap()),
+                "{ctx}: the reference refutes no later than the checker"
+            );
+
+            let events: Vec<(ProofStep, Vec<Lit>)> =
+                log.events().map(|(s, l)| (s, l.to_vec())).collect();
+            let lemmas: Vec<usize> = (0..events.len())
+                .filter(|&i| events[i].0 == ProofStep::Add)
+                .collect();
+            for _ in 0..lemmas.len().min(4) {
+                let target = lemmas[rng.gen_u64_below(lemmas.len() as u64) as usize];
+                let mut mutated = ProofLog::new();
+                for (i, (step, lits)) in events.iter().enumerate() {
+                    if i == target {
+                        mutated.push(ProofStep::Add, &random_clause(&mut rng, num_vars));
+                    } else {
+                        mutated.push(*step, lits);
+                    }
+                }
+                mutants += 1;
+                let checked = check(&mutated, &[]);
+                let ctx = format!("{ctx} mutated lemma {target}: {checked:?}");
+                match reference_verdict(&mutated, num_vars) {
+                    Reference::NotRup(first) => {
+                        let Err(CheckError::NotRup { event }) = checked else {
+                            panic!("{ctx}: the reference rejects event {first}");
+                        };
+                        assert!((target..=first).contains(&event), "{ctx}");
+                        if first == target {
+                            assert_eq!(event, target, "{ctx}");
+                            exact += 1;
+                        }
+                    }
+                    Reference::Refuted(first) => match checked {
+                        Ok(r) => assert!(r.refutation_event.unwrap() >= first, "{ctx}"),
+                        Err(CheckError::NotRup { event }) => assert!(event >= target, "{ctx}"),
+                        Err(CheckError::NoRefutation) => {}
+                    },
+                    Reference::NoRefutation => assert!(checked.is_err(), "{ctx}"),
+                }
+            }
+        }
+    }
+    assert!(unsat_seen >= 32, "too few unsat cases: {unsat_seen}");
+    assert!(reduce_deletions > 0, "reduce_db never deleted a clause");
+    assert!(
+        exact >= mutants / 2,
+        "only {exact} of {mutants} mutants hit the exact case"
+    );
 }
