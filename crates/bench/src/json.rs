@@ -389,11 +389,5 @@ mod tests {
             ],
         };
         validate(&obs::span_to_jsonl(&span)).expect("span line parses");
-        let counter = obs::CounterRecord {
-            span: Some(3),
-            name: "propagations",
-            value: 12,
-        };
-        validate(&obs::counter_to_jsonl(&counter)).expect("counter line parses");
     }
 }

@@ -36,7 +36,7 @@
 //! n.output("in_is_9", in_is_9);
 //! n.output("out_is_9", out_is_9);
 //!
-//! let mut unrolling = Unrolling::new(&n, UnrollOptions::symbolic_initial_state());
+//! let mut unrolling = Unrolling::new(&n, UnrollOptions::default());
 //! unrolling.extend_to(2);
 //! // Assume the input is 9 at cycle 0 and ask for an output other than 9
 //! // at cycle 2: no assignment exists, so the property holds.

@@ -27,14 +27,12 @@ pub struct UnrollOptions {
     /// the "any-state proof" setting used by interval property checking
     /// (IPC) and by all UPEC proofs.
     pub use_initial_values: bool,
-    /// Deterministic resource budget for each [`Unrolling::solve`] call
-    /// (conflicts / propagations / decisions; see [`sat::Budget`]). The
-    /// budget covers the whole call including the trial solve and the
-    /// post-simplification full solve: the remainder is threaded through
-    /// the pipeline, and an exhausted call answers
-    /// [`SatResult::Unknown`] with
-    /// [`sat::StopCause::BudgetExhausted`] while keeping the session
-    /// resumable. Unlimited by default.
+    /// Deterministic conflict budget for each [`Unrolling::solve`] call
+    /// (see [`sat::Budget`]). The budget covers the whole call including the
+    /// trial solve and the post-simplification full solve: the remainder is
+    /// threaded through the pipeline, and an exhausted call answers
+    /// [`SatResult::Unknown`] with [`sat::StopCause::BudgetExhausted`] while
+    /// keeping the session resumable. Unlimited by default.
     pub budget: sat::Budget,
     /// Conflict budget of the *trial solve* that gates the CNF
     /// simplification pipeline: after a substantial database growth (e.g. a
@@ -67,11 +65,6 @@ impl Default for UnrollOptions {
 }
 
 impl UnrollOptions {
-    /// Symbolic-initial-state unrolling (the IPC default).
-    pub fn symbolic_initial_state() -> Self {
-        Self::default()
-    }
-
     /// Reset-state bounded model checking (used by the ablation experiments).
     pub fn from_reset_state() -> Self {
         Self {
@@ -978,10 +971,9 @@ impl<'n> Unrolling<'n> {
         // proof-logging session stays certifiable.
         self.gates.solver_mut().vivify(Self::VIVIFY_PROPAGATIONS);
         let solver = self.gates.solver_mut();
-        // Charge the trial episode plus the simplification/vivification work
-        // against the per-call budget, so the whole call — not each episode —
-        // respects it. An already-exhausted remainder stops the full solve at
-        // its first checkpoint with `StopCause::BudgetExhausted`.
+        // Charge the trial episode's conflicts against the per-call budget,
+        // so the whole call — not each episode — respects it (simplification
+        // and vivification spend no conflicts).
         solver.set_budget(budget.minus(&solver.stats().delta_since(&stats_before)));
         let result = solver.solve_with_assumptions(assumptions);
         solver.set_budget(budget);
@@ -1208,7 +1200,7 @@ mod tests {
     #[test]
     fn symbolic_initial_state_allows_any_start() {
         let (n, c) = counter_netlist();
-        let mut u = Unrolling::new(&n, UnrollOptions::symbolic_initial_state());
+        let mut u = Unrolling::new(&n, UnrollOptions::default());
         u.extend_to(2);
         // From a symbolic initial state the counter can reach 9 at frame 2
         // (by starting at 7), which is impossible from reset.

@@ -42,7 +42,7 @@ fn mixer_pair() -> (Netlist, SignalId, SignalId, SignalId) {
 fn incremental_walk_keeps_waste_ratio_bounded() {
     let (netlist, r1, r2, differ) = mixer_pair();
 
-    let mut u = Unrolling::new(&netlist, UnrollOptions::symbolic_initial_state());
+    let mut u = Unrolling::new(&netlist, UnrollOptions::default());
     u.set_learnt_budget(16);
     u.assume_signals_equal(0, r1, r2).expect("equal widths");
 

@@ -11,7 +11,8 @@
 //!   [`sat::drat`];
 //! * a **violated** bound carries the counterexample decoded into a concrete
 //!   [`sim::WitnessTrace`], replayed on the word-level simulator to confirm
-//!   that the committed register pairs really diverge as the alert claims.
+//!   that the trace is a run of the constrained miter and that the
+//!   committed register pairs really diverge as the alert claims.
 //!
 //! Certificates are produced by
 //! [`IncrementalSession::check_bound_certified`](crate::engine::IncrementalSession::check_bound_certified)
@@ -19,11 +20,11 @@
 //! the format and its soundness argument are documented in
 //! `docs/certificates.md` at the repository root.
 
-use crate::UpecModel;
+use crate::{StateClass, UpecModel};
 use rtl::BitVec;
 use sat::drat::{self, CheckError, CheckReport};
 use sat::{Lit, ProofLog};
-use sim::WitnessTrace;
+use sim::{Simulator, WitnessTrace};
 
 /// Certificate of a *proven* bound: a trimmed DRAT refutation of the query's
 /// CNF under its activation-literal assumptions.
@@ -90,6 +91,15 @@ pub enum CertificateError {
     UnknownPair(String),
     /// The witness carries no divergences, so it certifies nothing.
     EmptyWitness,
+    /// The witness trace is not a run of the constrained miter: it breaks
+    /// an equal initial value of a non-memory register pair, an initial
+    /// constraint or a window constraint.
+    ConstraintViolated {
+        /// Label of the broken constraint (see [`crate::NamedConstraint`]).
+        label: String,
+        /// Cycle at which the constraint does not hold.
+        cycle: usize,
+    },
     /// Replaying the witness produced different final register values than
     /// the alert recorded.
     DivergenceMismatch {
@@ -112,6 +122,9 @@ impl std::fmt::Display for CertificateError {
             }
             CertificateError::EmptyWitness => {
                 write!(f, "witness certificate carries no divergences")
+            }
+            CertificateError::ConstraintViolated { label, cycle } => {
+                write!(f, "witness breaks `{label}` at cycle {cycle}")
             }
             CertificateError::DivergenceMismatch {
                 name,
@@ -160,9 +173,12 @@ impl VerdictCertificate {
     /// * [`VerdictCertificate::Proof`]: replays the DRAT log through the
     ///   independent reverse-unit-propagation checker.
     /// * [`VerdictCertificate::Witness`]: replays the stimulus on a fresh
-    ///   [`sim::Simulator`] for the miter netlist and confirms every
-    ///   recorded divergence — values of both instances at the final cycle
-    ///   must match the alert, and must actually differ.
+    ///   [`sim::Simulator`] for the miter netlist, confirms that it is a run
+    ///   of the constrained miter — equal initial values of every non-memory
+    ///   register pair and the initial constraints at cycle 0, the window
+    ///   constraints at every cycle — and confirms every recorded divergence:
+    ///   values of both instances at the final cycle must match the alert,
+    ///   and must actually differ.
     ///
     /// The check is wrapped in a `cert.check` telemetry span carrying the
     /// certificate's kind, window and size.
@@ -189,7 +205,8 @@ impl VerdictCertificate {
     }
 }
 
-/// Replays a witness certificate and confirms its divergences.
+/// Replays a witness certificate, checking it against the miter's
+/// constraints frame by frame, and confirms its divergences.
 fn check_witness(
     cert: &WitnessCertificate,
     model: &UpecModel,
@@ -197,10 +214,19 @@ fn check_witness(
     if cert.expected_divergences.is_empty() {
         return Err(CertificateError::EmptyWitness);
     }
+    let mut broken = None;
     let sim = cert
         .trace
-        .replay(model.netlist().clone())
+        .replay(model.netlist().clone(), |cycle, sim| {
+            if broken.is_none() {
+                broken = broken_constraint(model, cycle, sim)
+                    .map(|label| CertificateError::ConstraintViolated { label, cycle });
+            }
+        })
         .map_err(CertificateError::Replay)?;
+    if let Some(error) = broken {
+        return Err(error);
+    }
     for (name, value1, value2) in &cert.expected_divergences {
         if model.pair(name).is_none() {
             return Err(CertificateError::UnknownPair(name.clone()));
@@ -225,4 +251,32 @@ fn check_witness(
         cycles: cert.trace.cycles(),
         divergences_confirmed: cert.expected_divergences.len(),
     })
+}
+
+/// The label of the first miter constraint the replay breaks at `cycle`:
+/// the assumptions every UPEC query makes (paper Fig. 4). At cycle 0 those
+/// are the equal initial values of the non-memory register pairs (the
+/// session's frame-0 aliases) and the initial constraints; at every cycle,
+/// the window constraints.
+fn broken_constraint(model: &UpecModel, cycle: usize, sim: &mut Simulator) -> Option<String> {
+    if cycle == 0 {
+        let unequal = model
+            .pairs()
+            .iter()
+            .filter(|p| p.class != StateClass::Memory)
+            .find(|p| sim.peek(p.signal1) != sim.peek(p.signal2));
+        if let Some(pair) = unequal {
+            return Some(format!("equal initial value of `{}`", pair.name));
+        }
+    }
+    let initial = if cycle == 0 {
+        model.initial_constraints()
+    } else {
+        &[]
+    };
+    initial
+        .iter()
+        .chain(model.window_constraints())
+        .find(|c| sim.peek(c.signal).is_zero())
+        .map(|c| c.label.clone())
 }

@@ -35,17 +35,6 @@ pub struct Alert {
     pub differing_values: Vec<(String, BitVec, BitVec)>,
 }
 
-impl Alert {
-    /// All differing register names regardless of class.
-    pub fn differing_registers(&self) -> Vec<String> {
-        self.architectural_differences
-            .iter()
-            .chain(&self.microarchitectural_differences)
-            .cloned()
-            .collect()
-    }
-}
-
 /// Statistics of one UPEC property check.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpecStats {
@@ -69,7 +58,7 @@ pub struct UpecStats {
     /// decided queries, [`sat::StopCause::BudgetExhausted`] /
     /// [`sat::StopCause::Cancelled`] behind an [`UpecOutcome::Unknown`].
     /// This is how budget exhaustion propagates honestly from the solver to
-    /// scan verdicts and reports.
+    /// the session's caller.
     pub stop: Option<sat::StopCause>,
 }
 

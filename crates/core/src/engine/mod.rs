@@ -14,8 +14,10 @@
 //! * [`UpecEngine`] — a worker pool that scans many scenario instances,
 //!   one incremental session per miter: instances that share SoC config
 //!   and secret placement walk their windows together on one session,
-//!   each with its own commitment, under optional per-bound and
-//!   per-scenario [`sat::Budget`]s.
+//!   each with its own commitment. The queries run unbudgeted, so every
+//!   bound decides; a certified scan is the same walk on a proof-logging
+//!   session. Callers that need to bound a query's work set a
+//!   [`sat::Budget`] on their own [`IncrementalSession`].
 //! * [`InstanceResult`] — aggregation of the per-bound outcomes back into
 //!   the paper's vocabulary (P-alerts, L-alerts, proven windows), with
 //!   per-instance expectation checking against the

@@ -1,7 +1,7 @@
 //! The parallel scenario/bound scheduler built on incremental sessions.
 
 use crate::certify::{CertificateCheck, CertificateError, VerdictCertificate};
-use crate::engine::{EngineError, IncrementalSession};
+use crate::engine::IncrementalSession;
 use crate::scenarios::{Expectation, ScenarioInstance};
 use crate::{Alert, AlertKind, SecretScenario, UpecModel, UpecOutcome, UpecStats};
 use soc::SocConfig;
@@ -18,40 +18,15 @@ pub struct EngineOptions {
     /// Optional cap on every scenario's scan range (`None`: each scenario's
     /// own `max_window`).
     pub max_window: Option<usize>,
-    /// Deterministic resource budget of each bound's query (see
-    /// [`sat::Budget`]); an exhausted bound is recorded as
-    /// [`BoundStatus::Unknown`] and never invents a verdict. Unlimited by
-    /// default.
-    pub bound_budget: sat::Budget,
-    /// Deterministic resource budget of one whole scenario scan: the spend
-    /// of every bound accumulates against it, each bound runs under the
-    /// remainder (intersected with `bound_budget`), and bounds reached after
-    /// exhaustion are recorded as [`BoundStatus::Unknown`] without solving.
-    /// Unlimited by default.
-    pub scenario_budget: sat::Budget,
 }
 
 impl EngineOptions {
-    /// Defaults: all available cores (max 8), no limits.
+    /// Defaults: all available cores (max 8), each scenario's own windows.
     pub fn new() -> Self {
         Self {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
             max_window: None,
-            bound_budget: sat::Budget::unlimited(),
-            scenario_budget: sat::Budget::unlimited(),
         }
-    }
-
-    /// Sets the per-bound resource budget (builder style).
-    pub fn with_bound_budget(mut self, budget: sat::Budget) -> Self {
-        self.bound_budget = budget;
-        self
-    }
-
-    /// Sets the per-scenario resource budget (builder style).
-    pub fn with_scenario_budget(mut self, budget: sat::Budget) -> Self {
-        self.scenario_budget = budget;
-        self
     }
 
     /// Sets the worker-thread count (builder style).
@@ -82,10 +57,12 @@ pub enum BoundStatus {
     PAlert,
     /// An L-alert: a covert channel is proven at this bound.
     LAlert,
-    /// The query stopped on an exhausted [`sat::Budget`], or was skipped
-    /// because the scenario budget ran out first.
+    /// The query stopped on an exhausted [`sat::Budget`]. The engine's
+    /// queries run unbudgeted, so its scans never record this status.
     Unknown,
     /// The query stopped on a cancellation ([`sat::StopCause::Cancelled`]).
+    /// The engine installs no [`sat::CancelToken`], so its scans never
+    /// record this status.
     Cancelled,
 }
 
@@ -128,7 +105,8 @@ pub enum ScanVerdict {
     PAlertsOnly,
     /// At least one L-alert: the design leaks.
     Insecure,
-    /// Budget exhausted before a verdict.
+    /// No verdict: no bound was checked (the engine's window cap lies
+    /// below the scenario's start window), or a bound stopped undecided.
     Inconclusive,
 }
 
@@ -181,7 +159,8 @@ impl UpecEngine {
             .map_or(instance.max_window, |m| m.min(instance.max_window))
     }
 
-    /// Walks the instances of one miter on a single incremental session.
+    /// Walks the instances of one miter on a single incremental session,
+    /// opened with `options`.
     ///
     /// `members` share SoC config and secret placement and differ only by
     /// commitment and window range. The walk raises `k` from the lowest
@@ -189,19 +168,25 @@ impl UpecEngine {
     /// submission order, every member whose range contains `k` and that has
     /// no L-alert yet. `k` never decreases, as
     /// [`IncrementalSession::check_bound`] requires. Each member's counters
-    /// and scenario budget are charged with its own queries' solver deltas.
-    fn scan_miter(&self, members: &[ScenarioInstance]) -> Vec<InstanceResult> {
+    /// are charged with its own queries' solver deltas. When `options` turn
+    /// the proof log on, every bound also carries its certificate.
+    fn scan_miter(
+        &self,
+        members: &[ScenarioInstance],
+        options: bmc::UnrollOptions,
+    ) -> Vec<MemberScan> {
         let mut miter_span = obs::span("upec.miter");
         let ids: Vec<String> = members.iter().map(ScenarioInstance::id).collect();
         miter_span.attr_str("members", &ids.join(","));
         let model = members[0].build_model();
-        let mut session = IncrementalSession::new(&model);
+        let mut session = IncrementalSession::with_options(&model, options);
+        let certify = session.proof_log().is_some();
         let mut scans: Vec<MemberScan> = members
             .iter()
             .map(|&instance| MemberScan {
                 commitment: instance.commitment_set(&model),
                 last_window: self.last_window(&instance),
-                budget_left: self.options.scenario_budget,
+                certificates: Vec::new(),
                 result: InstanceResult {
                     instance,
                     verdict: ScanVerdict::Inconclusive,
@@ -226,25 +211,11 @@ impl UpecEngine {
                 if alerted || !(result.instance.start_window..=scan.last_window).contains(&k) {
                     continue;
                 }
-                // Budget policy: each bound runs under its own budget
-                // intersected with whatever the scenario budget has left;
-                // once the scan's allotment is spent, remaining bounds are
-                // recorded as Unknown without solving. The scan never
-                // invents a verdict.
-                if scan.budget_left.is_exhausted() {
-                    obs::counter("upec.scan.budget_skipped_bounds", 1);
-                    result.bounds.push(BoundSummary::new(
-                        k,
-                        BoundStatus::Unknown,
-                        &UpecStats::default(),
-                    ));
-                    continue;
-                }
-                session.set_budget(self.options.bound_budget.min(scan.budget_left));
                 let before = session.solver_stats();
-                let outcome = session.check_bound(k, &scan.commitment);
+                let (outcome, certificate) = session
+                    .check_bound_inner(k, &scan.commitment, certify)
+                    .unwrap_or_else(|e| panic!("{}: {e}", result.instance.id()));
                 let spent = session.solver_stats().delta_since(&before);
-                scan.budget_left = scan.budget_left.minus(&spent);
                 result.conflicts += spent.conflicts;
                 result.propagations += spent.propagations;
                 result.budget_exhaustions += spent.budget_exhaustions;
@@ -254,18 +225,16 @@ impl UpecEngine {
                     bound_status(&outcome),
                     &outcome.stats(),
                 ));
+                scan.certificates.push(certificate);
                 if let UpecOutcome::Violated(alert, _) = outcome {
                     result.first_alert.get_or_insert(alert);
                 }
             }
         }
+        for scan in &mut scans {
+            scan.result.verdict = verdict_from_bounds(&scan.result.bounds);
+        }
         scans
-            .into_iter()
-            .map(|scan| InstanceResult {
-                verdict: verdict_from_bounds(&scan.result.bounds),
-                ..scan.result
-            })
-            .collect()
     }
 }
 
@@ -280,8 +249,9 @@ struct MemberScan {
     commitment: BTreeSet<String>,
     /// The instance's last window under the engine's cap.
     last_window: usize,
-    /// What is left of the instance's scenario budget.
-    budget_left: sat::Budget,
+    /// Each bound's certificate, in `result.bounds` order (all `None` on a
+    /// session without a proof log).
+    certificates: Vec<Option<VerdictCertificate>>,
 }
 
 /// The status a bound's outcome records.
@@ -292,18 +262,9 @@ fn bound_status(outcome: &UpecOutcome) -> BoundStatus {
             AlertKind::PAlert => BoundStatus::PAlert,
             AlertKind::LAlert => BoundStatus::LAlert,
         },
-        UpecOutcome::Unknown(stats) => unknown_status(stats.stop),
-    }
-}
-
-/// The status of a bound whose query stopped without a verdict: only a
-/// genuine cancellation counts as Cancelled — exhausted budgets stay
-/// Unknown.
-fn unknown_status(stop: Option<sat::StopCause>) -> BoundStatus {
-    if stop == Some(sat::StopCause::Cancelled) {
-        BoundStatus::Cancelled
-    } else {
-        BoundStatus::Unknown
+        UpecOutcome::Unknown(_) => {
+            unreachable!("an unbudgeted, uncancellable query always decides")
+        }
     }
 }
 
@@ -351,8 +312,9 @@ pub struct InstanceResult {
     /// Total unit propagations of the scan.
     pub propagations: u64,
     /// Solver episodes stopped by an exhausted [`sat::Budget`] during the
-    /// scan, including the conflict-capped trial solves that decide whether
-    /// a query is worth simplifying (see [`bmc::Unrolling::solve`]).
+    /// scan: the conflict-capped trial solves that decide whether a query
+    /// is worth simplifying (see [`bmc::Unrolling::solve`]), since the
+    /// engine's queries themselves run unbudgeted.
     pub budget_exhaustions: u64,
     /// Solver episodes stopped by cancellation during the scan.
     pub cancellations: u64,
@@ -387,13 +349,13 @@ impl InstanceResult {
 }
 
 /// Per-bound record of a certified scan: the usual bound summary plus the
-/// verdict's proof artifact (absent only for [`BoundStatus::Unknown`]
-/// bounds, which carry no verdict to certify).
+/// verdict's proof artifact.
 #[derive(Debug, Clone)]
 pub struct CertifiedBound {
     /// The bound's outcome and effort counters.
     pub summary: BoundSummary,
-    /// The bound's checkable certificate.
+    /// The bound's checkable certificate (present on every bound of a
+    /// [`UpecEngine::check_certified`] scan).
     pub certificate: Option<VerdictCertificate>,
 }
 
@@ -413,14 +375,6 @@ impl CertifiedResult {
     /// Whether the verdict matches the instance's pinned expectation.
     pub fn matches_expectation(&self) -> bool {
         verdict_matches(self.instance.expected, self.verdict)
-    }
-
-    /// Number of bounds that carry a certificate.
-    pub fn certified_bounds(&self) -> usize {
-        self.bounds
-            .iter()
-            .filter(|b| b.certificate.is_some())
-            .count()
     }
 
     /// Re-checks every certificate against `model` (which must be built from
@@ -477,10 +431,10 @@ impl UpecEngine {
                     let Some(indices) = job else { break };
                     let members: Vec<ScenarioInstance> =
                         indices.iter().map(|&i| instances[i]).collect();
-                    let scanned = self.scan_miter(&members);
+                    let scanned = self.scan_miter(&members, bmc::UnrollOptions::default());
                     let mut results = results.lock().expect(UNPOISONED);
-                    for (index, result) in indices.into_iter().zip(scanned) {
-                        results[index] = Some(result);
+                    for (index, scan) in indices.into_iter().zip(scanned) {
+                        results[index] = Some(scan.result);
                     }
                 });
             }
@@ -493,54 +447,35 @@ impl UpecEngine {
             .collect()
     }
 
-    /// Scans one instance with certificate production on: every decided
-    /// bound's verdict is packaged as a [`VerdictCertificate`] (DRAT
-    /// refutation for proven bounds, replayable witness for violated ones).
+    /// Scans one instance with certificate production on: every bound's
+    /// verdict is packaged as a [`VerdictCertificate`] (DRAT refutation for
+    /// proven bounds, replayable witness for violated ones).
     ///
     /// Certificates are *produced*, not yet checked — call
     /// [`CertifiedResult::check_all`] (or each certificate's
     /// [`VerdictCertificate::check`]) to re-validate the verdicts
-    /// independently of the solver. The scan is serial: certification is a
-    /// per-verdict audit trail, not a throughput path, and a single
-    /// incremental session keeps the proof log contiguous.
-    ///
-    /// The engine's window cap and bound budget are honored exactly like
-    /// [`UpecEngine::run_instances`].
+    /// independently of the solver. The scan is the walk of
+    /// [`UpecEngine::run_instances`] over this one instance, on a session
+    /// opened with [`bmc::UnrollOptions::with_proof_log`]: the same queries,
+    /// the same solver work, and the engine's window cap.
     pub fn check_certified(&self, instance: &ScenarioInstance) -> CertifiedResult {
-        let model = instance.build_model();
-        let commitment = instance.commitment_set(&model);
-        let options = bmc::UnrollOptions::default()
-            .with_budget(self.options.bound_budget)
-            .with_proof_log();
-        let mut session = IncrementalSession::with_options(&model, options);
-        let mut bounds = Vec::new();
-        for k in instance.start_window..=self.last_window(instance) {
-            let (summary, certificate) = match session.check_bound_certified(k, &commitment) {
-                Ok((outcome, certificate)) => (
-                    BoundSummary::new(k, bound_status(&outcome), &outcome.stats()),
-                    certificate,
-                ),
-                // An undecided bound has no verdict and therefore no
-                // certificate; record it honestly and keep scanning — the
-                // session stays valid.
-                Err(EngineError::UncertifiableVerdict { stats, stop, .. }) => {
-                    (BoundSummary::new(k, unknown_status(stop), &stats), None)
-                }
-                Err(e) => panic!("certified scan of {}: {e}", instance.id()),
-            };
-            bounds.push(CertifiedBound {
-                summary,
-                certificate,
-            });
-            if summary.status == BoundStatus::LAlert {
-                break;
-            }
-        }
-        let summaries: Vec<BoundSummary> = bounds.iter().map(|b| b.summary).collect();
+        let options = bmc::UnrollOptions::default().with_proof_log();
+        let scan = self
+            .scan_miter(std::slice::from_ref(instance), options)
+            .remove(0);
         CertifiedResult {
             instance: *instance,
-            verdict: verdict_from_bounds(&summaries),
-            bounds,
+            verdict: scan.result.verdict,
+            bounds: scan
+                .result
+                .bounds
+                .into_iter()
+                .zip(scan.certificates)
+                .map(|(summary, certificate)| CertifiedBound {
+                    summary,
+                    certificate,
+                })
+                .collect(),
         }
     }
 }
@@ -575,68 +510,5 @@ mod tests {
             .run_instances([scenarios::by_id("secure-uncached").unwrap()]);
         assert_eq!(results[0].bounds.len(), 1);
         assert_eq!(results[0].verdict, ScanVerdict::Secure);
-    }
-
-    /// A bound budget too small for any query leaves its bounds Unknown and
-    /// the scan Inconclusive; a bound that does finish agrees with the
-    /// unbudgeted scan.
-    #[test]
-    fn tiny_bound_budget_yields_unknown_bounds_not_wrong_verdicts() {
-        // Capped at k=2: proven at k=1, L-alert at k=2.
-        let mut instance = scenarios::instance_by_id("fuzz-orc-timing").unwrap();
-        instance.max_window = 2;
-        let clean = UpecEngine::new(EngineOptions::new().with_threads(1))
-            .run_instances([instance])
-            .remove(0);
-        assert_eq!(clean.verdict, ScanVerdict::Insecure);
-        let budgeted = UpecEngine::new(
-            EngineOptions::new()
-                .with_threads(1)
-                .with_bound_budget(sat::Budget::conflicts(1)),
-        )
-        .run_instances([instance])
-        .remove(0);
-        assert_eq!(budgeted.verdict, ScanVerdict::Inconclusive);
-        assert!(budgeted.first_alert.is_none(), "{}", budgeted.summary());
-        assert!(budgeted.budget_exhaustions > 0);
-        for (b, c) in budgeted.bounds.iter().zip(&clean.bounds) {
-            assert_eq!(b.bound, c.bound);
-            assert!(
-                b.status == BoundStatus::Unknown || b.status == c.status,
-                "k={}: budgeted {:?} vs clean {:?}",
-                b.bound,
-                b.status,
-                c.status
-            );
-        }
-    }
-
-    /// Once the scenario budget is spent, the remaining bounds are recorded
-    /// as Unknown without being encoded or solved.
-    #[test]
-    fn exhausted_scenario_budget_skips_the_remaining_bounds() {
-        let instance = scenarios::instance_by_id("fuzz-orc-timing").unwrap();
-        let result = UpecEngine::new(
-            EngineOptions::new()
-                .with_threads(1)
-                .with_scenario_budget(sat::Budget::conflicts(1)),
-        )
-        .run_instances([instance])
-        .remove(0);
-        assert_eq!(result.verdict, ScanVerdict::Inconclusive);
-        // The first bound that hits a conflict spends the whole budget.
-        let spender = result
-            .bounds
-            .iter()
-            .position(|b| b.conflicts > 0)
-            .expect("a bound spends the budget");
-        assert_eq!(result.bounds[spender].status, BoundStatus::Unknown);
-        let skipped = &result.bounds[spender + 1..];
-        assert!(!skipped.is_empty(), "{}", result.summary());
-        for b in skipped {
-            assert_eq!(b.status, BoundStatus::Unknown);
-            assert_eq!((b.conflicts, b.variables, b.clauses), (0, 0, 0));
-            assert_eq!(b.runtime, Duration::ZERO);
-        }
     }
 }

@@ -123,10 +123,10 @@ impl<'m> IncrementalSession<'m> {
         self.model
     }
 
-    /// Replaces the deterministic per-query resource budget (conflicts /
-    /// propagations / decisions; see [`sat::Budget`]). The budget covers each
-    /// subsequent [`IncrementalSession::check_bound`] call as a whole; an
-    /// exhausted query answers [`UpecOutcome::Unknown`] with
+    /// Replaces the deterministic per-query conflict budget (see
+    /// [`sat::Budget`]). The budget covers each subsequent
+    /// [`IncrementalSession::check_bound`] call as a whole; an exhausted
+    /// query answers [`UpecOutcome::Unknown`] with
     /// [`IncrementalSession::last_stop`] reporting
     /// [`sat::StopCause::BudgetExhausted`], and the session stays resumable —
     /// re-checking the same bound under a larger budget continues from the
@@ -135,7 +135,7 @@ impl<'m> IncrementalSession<'m> {
         self.unrolling.set_budget(budget);
     }
 
-    /// The deterministic per-query resource budget currently in force.
+    /// The deterministic per-query conflict budget currently in force.
     pub fn budget(&self) -> sat::Budget {
         self.unrolling.budget()
     }
@@ -276,7 +276,10 @@ impl<'m> IncrementalSession<'m> {
         Ok((outcome, certificate))
     }
 
-    fn check_bound_inner(
+    /// The query behind every `check_bound` form: with `certify` on (which
+    /// needs the proof log), a decided verdict also carries its
+    /// certificate.
+    pub(super) fn check_bound_inner(
         &mut self,
         k: usize,
         commitment: &BTreeSet<String>,
@@ -361,7 +364,7 @@ impl<'m> IncrementalSession<'m> {
                     let log = self
                         .unrolling
                         .proof_log()
-                        .expect("checked in check_bound_certified");
+                        .expect("certified queries run on a proof-logging session");
                     // Trimming runs after `stats.runtime` was taken: its time
                     // is inside this query's span but outside `UpecStats`.
                     let mut trim_span = obs::span("cert.trim");

@@ -30,10 +30,11 @@
 //!
 //! * the [`engine`] module — [`IncrementalSession`] (the one way to pose a
 //!   query: one persistent SAT solver per miter, reused across bound
-//!   deepening and commitment shrinking, bounded by a resumable
-//!   [`sat::Budget`] and configured by [`bmc::UnrollOptions`]) and [`UpecEngine`]
-//!   (a miter-parallel worker pool: one session per miter walks every
-//!   instance of that miter);
+//!   deepening and commitment shrinking, configured by
+//!   [`bmc::UnrollOptions`], whose resumable [`sat::Budget`] caps a query's
+//!   conflicts) and [`UpecEngine`] (a miter-parallel worker pool: one
+//!   unbudgeted session per miter walks every instance of that miter, and a
+//!   certified scan is the same walk with the proof log on);
 //! * the [`scenarios`] module — the named registry of every attack scenario
 //!   the reproduction checks, with paper references, geometries and expected
 //!   verdicts, shared by the engine, the bench binaries, the examples and

@@ -186,7 +186,7 @@ pub fn prove_alert_closure(
     let mut unrolling = Unrolling::with_compiled(
         model.netlist(),
         std::sync::Arc::clone(model.compiled_transition()),
-        UnrollOptions::symbolic_initial_state(),
+        UnrollOptions::default(),
         &aliases,
     );
     unrolling.extend_to(1);

@@ -10,17 +10,24 @@
 use std::collections::BTreeSet;
 
 use bmc::UnrollOptions;
+use rtl::BitVec;
+use sim::WitnessTrace;
 use soc::SocVariant;
 use upec::scenarios::{self, Expectation, Geometry};
 use upec::{
     BoundStatus, CertificateCheck, CertificateError, CertifiedResult, EngineError, EngineOptions,
-    IncrementalSession, SecretScenario, UpecEngine, UpecModel, VerdictCertificate,
+    IncrementalSession, SecretScenario, StateClass, UpecEngine, UpecModel, VerdictCertificate,
+    WitnessCertificate,
 };
 
 /// Certifies one instance end to end and checks every certificate against a
 /// freshly built model. `max_window` caps the scan (`None` runs the pinned
 /// range) — the fast subset caps windows because debug-mode SAT solving and
 /// proof checking of the deepest bounds would dominate the default suite.
+///
+/// The plain scan of the same instance and cap must agree bound for bound:
+/// same status, conflicts and CNF size. Proof logging never perturbs the
+/// search, and the certified scan is the plain scan's walk.
 fn certify_and_check(
     instance: &scenarios::ScenarioInstance,
     max_window: Option<usize>,
@@ -38,9 +45,20 @@ fn certify_and_check(
         result.verdict,
         instance.expected
     );
+    let plain = engine.run_instances([*instance]).remove(0);
+    let work = |b: &upec::BoundSummary| (b.bound, b.status, b.conflicts, b.variables, b.clauses);
+    assert_eq!(
+        result
+            .bounds
+            .iter()
+            .map(|b| work(&b.summary))
+            .collect::<Vec<_>>(),
+        plain.bounds.iter().map(work).collect::<Vec<_>>(),
+        "{}: certified and plain scans disagree",
+        instance.id()
+    );
 
-    // Every decided bound carries a certificate of the right kind; only
-    // Unknown/Cancelled bounds (no verdict) may go without.
+    // Every bound carries a certificate of the right kind.
     for bound in &result.bounds {
         match (bound.summary.status, &bound.certificate) {
             (BoundStatus::Proven, Some(VerdictCertificate::Proof(cert))) => {
@@ -62,7 +80,6 @@ fn certify_and_check(
                     instance.id()
                 );
             }
-            (BoundStatus::Unknown | BoundStatus::Cancelled, None) => {}
             (status, cert) => panic!(
                 "{}: bound {} has status {status:?} but certificate {:?}",
                 instance.id(),
@@ -77,8 +94,25 @@ fn certify_and_check(
     let checks = result
         .check_all(&model)
         .unwrap_or_else(|e| panic!("{}: certificate rejected: {e}", instance.id()));
-    assert_eq!(checks.len(), result.certified_bounds(), "{}", instance.id());
+    assert_eq!(checks.len(), result.bounds.len(), "{}", instance.id());
     result
+}
+
+/// The non-memory register pairs whose two instances differ once `trace`
+/// has replayed, as a witness certificate records them.
+fn replayed_divergences(model: &UpecModel, trace: &WitnessTrace) -> Vec<(String, BitVec, BitVec)> {
+    let mut sim = trace
+        .replay(model.netlist().clone(), |_, _| {})
+        .expect("the trace's names resolve");
+    model
+        .pairs()
+        .iter()
+        .filter(|p| p.class != StateClass::Memory)
+        .filter_map(|p| {
+            let (v1, v2) = (sim.peek(p.signal1), sim.peek(p.signal2));
+            (v1 != v2).then(|| (p.name.clone(), v1, v2))
+        })
+        .collect()
 }
 
 #[test]
@@ -90,7 +124,7 @@ fn fast_subset_verdicts_are_certified() {
         let instance = scenarios::instance_by_id(id).expect("registry id");
         let result = certify_and_check(&instance, Some(cap));
         assert!(
-            result.certified_bounds() > 0,
+            !result.bounds.is_empty(),
             "{id}: expected at least one certified bound"
         );
     }
@@ -130,12 +164,83 @@ fn tampered_witness_certificates_are_rejected() {
 
     // Naming a register pair the model does not have is caught before replay
     // values are even compared.
-    let mut forged = witness;
+    let mut forged = witness.clone();
     forged.expected_divergences[0].0 = "no-such-pair".to_string();
     let err = VerdictCertificate::Witness(forged)
         .check(&model)
         .expect_err("an unknown pair must be rejected");
     assert!(matches!(err, CertificateError::UnknownPair(_)), "{err}");
+
+    // A different instruction fetched by instance 2 alone, from the same
+    // fetch address, is no run of the miter, even with divergences the
+    // replay reproduces.
+    let mut forged = witness;
+    let instr = forged.trace.inputs[0]
+        .iter_mut()
+        .find(|(name, _)| name == "soc2.imem_instr")
+        .expect("the trace drives the instruction input");
+    instr.1 = BitVec::new(instr.1.as_u64() ^ 0x0010_0093, 32);
+    forged.expected_divergences = replayed_divergences(&model, &forged.trace);
+    assert!(!forged.expected_divergences.is_empty());
+    let err = VerdictCertificate::Witness(forged)
+        .check(&model)
+        .expect_err("a decoupled instruction fetch must be rejected");
+    assert_eq!(
+        err,
+        CertificateError::ConstraintViolated {
+            label: "instruction memory coupling".to_string(),
+            cycle: 0,
+        }
+    );
+
+    // A forged P-alert on a design proven secure at this window: every
+    // register and input zero, except the instruction instance 2 fetches at
+    // cycle 0, which reaches `if_id_instr` one cycle later.
+    let secure = scenarios::instance_by_id("secure-uncached").expect("registry id");
+    let model = secure.build_model();
+    let netlist = model.netlist();
+    let zero_inputs: Vec<(String, BitVec)> = netlist
+        .inputs()
+        .iter()
+        .map(|&signal| match netlist.node(signal) {
+            rtl::Node::Input { name, width } => (name.clone(), BitVec::zero(*width)),
+            _ => unreachable!("the input list holds input nodes"),
+        })
+        .collect();
+    let mut trace = WitnessTrace {
+        initial_registers: netlist
+            .registers()
+            .iter()
+            .map(|info| (info.name.clone(), BitVec::zero(info.width)))
+            .collect(),
+        inputs: vec![zero_inputs.clone(), zero_inputs],
+    };
+    trace.inputs[0]
+        .iter_mut()
+        .find(|(name, _)| name == "soc2.imem_instr")
+        .expect("the miter has an instruction input")
+        .1 = BitVec::new(0x0010_0093, 32);
+    let forged = WitnessCertificate {
+        window: 1,
+        trace,
+        expected_divergences: vec![(
+            "if_id_instr".to_string(),
+            BitVec::zero(32),
+            BitVec::new(0x0010_0093, 32),
+        )],
+    };
+    assert_eq!(
+        replayed_divergences(&model, &forged.trace),
+        forged.expected_divergences,
+        "the forged divergence replays"
+    );
+    let err = VerdictCertificate::Witness(forged)
+        .check(&model)
+        .expect_err("a forged P-alert must be rejected");
+    assert!(
+        matches!(err, CertificateError::ConstraintViolated { cycle: 0, .. }),
+        "{err}"
+    );
 }
 
 #[test]
@@ -196,11 +301,11 @@ fn budget_exhausted_queries_are_rejected_for_certification() {
     let config = Geometry::formal_default().apply(SocVariant::Secure);
     let model = UpecModel::new(&config, SecretScenario::InCache);
     let commitment = upec::full_commitment(&model);
-    // A zero-conflict, zero-decision budget cannot decide this proof (it
-    // needs real search), so the query must stop as Unknown.
+    // A zero-conflict budget stops the query at its first conflict, and
+    // this proof needs real search, so the query must stop as Unknown.
     let options = UnrollOptions::default()
         .with_proof_log()
-        .with_budget(sat::Budget::conflicts(0).with_decisions(0));
+        .with_budget(sat::Budget::conflicts(0));
     let mut session = IncrementalSession::with_options(&model, options);
     let err = session
         .check_bound_certified(2, &commitment)
@@ -259,7 +364,7 @@ fn full_registry_sweep_is_certified() {
     let mut certified = 0usize;
     for instance in scenarios::instances() {
         let result = certify_and_check(&instance, None);
-        certified += result.certified_bounds();
+        certified += result.bounds.len();
         // Expectation-specific shape of the certified scan.
         match instance.expected {
             Expectation::Proven => assert!(

@@ -1,9 +1,9 @@
 //! # `obs` — query-level telemetry for the UPEC pipeline
 //!
-//! Zero-dependency hierarchical spans, named counters and pluggable trace
-//! sinks. Every layer of the verification stack (`rtl`, `sat`, `bmc`,
-//! `upec`, `bench`) records what it spends time on through this crate, so a
-//! single UPEC query can be attributed phase by phase: cone-of-influence
+//! Zero-dependency hierarchical spans and pluggable trace sinks. Every layer
+//! of the verification stack (`rtl`, `sat`, `bmc`, `upec`, `bench`) records
+//! what it spends time on through this crate, so a single UPEC query can be
+//! attributed phase by phase: cone-of-influence
 //! analysis, transition compilation, Tseitin encoding, the CNF
 //! simplification pipeline (pass by pass), trial solves and CDCL search.
 //!
@@ -11,17 +11,16 @@
 //!
 //! * **Spans** are RAII guards ([`span`] returns a [`SpanGuard`]) timed with
 //!   the monotonic clock. A thread-local stack links each span to its
-//!   parent, so nesting is recorded without any caller plumbing. Guards can
-//!   carry typed attributes ([`SpanGuard::attr_u64`] and friends).
-//! * **Counters** ([`counter`]) are point events attributed to the
-//!   innermost open span of the calling thread — the solver emits its
-//!   propagation/conflict/restart deltas this way.
-//! * **Sinks** ([`Sink`]) receive finished spans and counters. The crate
-//!   ships a lock-protected JSONL writer ([`JsonlSink`]) and an in-memory
-//!   collector for tests and aggregation ([`MemorySink`]).
+//!   parent, so nesting is recorded without any caller plumbing. Guards
+//!   carry integer and string attributes ([`SpanGuard::attr_u64`],
+//!   [`SpanGuard::attr_str`]) — the solver records its conflict,
+//!   propagation and restart deltas as attributes of its `sat.search` span.
+//! * **Sinks** ([`Sink`]) receive finished spans. The crate ships a
+//!   lock-protected JSONL writer ([`JsonlSink`]) and an in-memory collector
+//!   for tests and aggregation ([`MemorySink`]).
 //! * **The disabled path is compile-cheap.** With no sink installed,
-//!   [`span`] and [`counter`] cost one relaxed atomic load and allocate
-//!   nothing — the instrumentation can stay on in production code paths.
+//!   [`span`] costs one relaxed atomic load and allocates nothing — the
+//!   instrumentation can stay on in production code paths.
 //!   The `no_alloc` test suite pins this with a counting allocator.
 //!
 //! # Example
@@ -34,12 +33,13 @@
 //! {
 //!     let mut outer = obs::span("query");
 //!     outer.attr_str("scenario", "orc");
-//!     let _inner = obs::span("solve");
-//!     obs::counter("conflicts", 42);
+//!     let mut inner = obs::span("solve");
+//!     inner.attr_u64("conflicts", 42);
 //! }
 //! obs::uninstall();
-//! let events = sink.events();
-//! assert_eq!(events.len(), 3); // counter, inner span, outer span
+//! let spans = sink.spans();
+//! assert_eq!(spans.len(), 2); // inner span, outer span
+//! assert_eq!(spans[0].parent, Some(spans[1].id));
 //! ```
 
 #![deny(missing_docs)]
@@ -47,8 +47,7 @@
 mod sink;
 
 pub use sink::{
-    counter_to_jsonl, json_escape_into, span_to_jsonl, AttrValue, CounterRecord, Event, JsonlSink,
-    MemorySink, Sink, SpanRecord,
+    json_escape_into, span_to_jsonl, AttrValue, JsonlSink, MemorySink, Sink, SpanRecord,
 };
 
 use std::cell::RefCell;
@@ -57,7 +56,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 /// Fast-path gate: `true` exactly while a sink is installed. Checked with a
-/// single relaxed load before anything else happens in [`span`]/[`counter`].
+/// single relaxed load before anything else happens in [`span`].
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Monotonically increasing span-id source (0 is reserved for "no span").
@@ -105,16 +104,6 @@ pub fn uninstall() -> Option<Arc<dyn Sink>> {
 /// Whether a sink is currently installed.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Runs `f` on the installed sink, if any. Spans that closed while the sink
-/// was being swapped are simply dropped — telemetry is best-effort.
-fn with_sink(f: impl FnOnce(&dyn Sink)) {
-    if let Ok(guard) = SINK.read() {
-        if let Some(sink) = guard.as_ref() {
-            f(sink.as_ref());
-        }
-    }
 }
 
 /// Live state of an enabled span, owned by its [`SpanGuard`].
@@ -182,27 +171,6 @@ impl SpanGuard {
         }
     }
 
-    /// Attaches a signed integer attribute.
-    pub fn attr_i64(&mut self, key: &'static str, value: i64) {
-        if let Some(a) = &mut self.active {
-            a.attrs.push((key, AttrValue::I64(value)));
-        }
-    }
-
-    /// Attaches a floating-point attribute.
-    pub fn attr_f64(&mut self, key: &'static str, value: f64) {
-        if let Some(a) = &mut self.active {
-            a.attrs.push((key, AttrValue::F64(value)));
-        }
-    }
-
-    /// Attaches a boolean attribute.
-    pub fn attr_bool(&mut self, key: &'static str, value: bool) {
-        if let Some(a) = &mut self.active {
-            a.attrs.push((key, AttrValue::Bool(value)));
-        }
-    }
-
     /// Attaches a string attribute. The string is only copied when the span
     /// is live (the disabled path allocates nothing).
     pub fn attr_str(&mut self, key: &'static str, value: &str) {
@@ -241,21 +209,14 @@ impl Drop for SpanGuard {
             duration_ns,
             attrs: active.attrs,
         };
-        with_sink(|sink| sink.record_span(&record));
+        // Spans that close while the sink is being swapped are simply
+        // dropped — telemetry is best-effort.
+        if let Ok(guard) = SINK.read() {
+            if let Some(sink) = guard.as_ref() {
+                sink.record_span(&record);
+            }
+        }
     }
-}
-
-/// Emits a named counter value, attributed to the calling thread's innermost
-/// open span (if any).
-///
-/// With no sink installed this is one relaxed atomic load and nothing else.
-pub fn counter(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let span = SPAN_STACK.with(|stack| stack.borrow().last().copied());
-    let record = CounterRecord { span, name, value };
-    with_sink(|sink| sink.record_counter(&record));
 }
 
 #[cfg(test)]
@@ -273,55 +234,39 @@ mod tests {
         let mut s = span("never-recorded");
         assert_eq!(s.id(), None);
         s.attr_u64("k", 1);
-        counter("ignored", 7);
         drop(s);
         assert!(!enabled());
     }
 
     #[test]
-    fn spans_nest_and_counters_attach() {
+    fn spans_nest_and_close_innermost_first() {
         let _guard = TEST_LOCK.lock().unwrap();
         let sink = Arc::new(MemorySink::new());
         install(sink.clone());
         let outer_id;
-        let inner_id;
         {
             let outer = span("outer");
             outer_id = outer.id().unwrap();
-            {
-                let mut inner = span("inner");
-                inner.attr_str("phase", "x");
-                inner_id = inner.id().unwrap();
-                counter("ticks", 3);
-            }
-            counter("outer_ticks", 1);
+            let mut inner = span("inner");
+            inner.attr_str("phase", "x");
+            inner.attr_u64("ticks", 3);
         }
         uninstall();
-        let events = sink.events();
-        // Order: inner counter, inner span, outer counter, outer span.
-        assert_eq!(events.len(), 4);
-        match &events[0] {
-            Event::Counter(c) => {
-                assert_eq!(c.name, "ticks");
-                assert_eq!(c.span, Some(inner_id));
-            }
-            other => panic!("expected counter, got {other:?}"),
-        }
-        match &events[1] {
-            Event::Span(s) => {
-                assert_eq!(s.name, "inner");
-                assert_eq!(s.parent, Some(outer_id));
-            }
-            other => panic!("expected span, got {other:?}"),
-        }
-        match &events[3] {
-            Event::Span(s) => {
-                assert_eq!(s.name, "outer");
-                assert_eq!(s.parent, None);
-                assert_eq!(s.id, outer_id);
-            }
-            other => panic!("expected span, got {other:?}"),
-        }
+        let spans = sink.spans();
+        // Close order: inner span, outer span.
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].name, "inner");
+        assert_eq!(spans[0].parent, Some(outer_id));
+        assert_eq!(
+            spans[0].attrs,
+            vec![
+                ("phase", AttrValue::Str("x".to_string())),
+                ("ticks", AttrValue::U64(3))
+            ]
+        );
+        assert_eq!(spans[1].name, "outer");
+        assert_eq!(spans[1].parent, None);
+        assert_eq!(spans[1].id, outer_id);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Trace records, the [`Sink`] trait, and the two bundled sinks.
 //!
 //! The JSONL wire format is part of the crate's public contract (golden
-//! tested): one JSON object per line, `"type":"span"` or `"type":"counter"`.
-//! [`span_to_jsonl`] / [`counter_to_jsonl`] are exposed so consumers can
-//! re-serialize in-memory events identically to what [`JsonlSink`] writes.
+//! tested): one JSON object per line, each a `"type":"span"` record.
+//! [`span_to_jsonl`] is exposed so consumers can re-serialize in-memory
+//! spans identically to what [`JsonlSink`] writes.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -16,12 +16,6 @@ use std::sync::Mutex;
 pub enum AttrValue {
     /// Unsigned integer.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point (serialized with full `{}` formatting).
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
     /// Owned string (JSON-escaped on serialization).
     Str(String),
 }
@@ -43,25 +37,11 @@ pub struct SpanRecord {
     pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
-/// A point counter event attributed to the span that was innermost when it
-/// was emitted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterRecord {
-    /// Id of the attributed span, or `None` when emitted outside any span.
-    pub span: Option<u64>,
-    /// Static counter name.
-    pub name: &'static str,
-    /// Counter value (deltas, not gauges, by convention).
-    pub value: u64,
-}
-
 /// Receiver of finished telemetry records. Implementations must be
 /// thread-safe: spans close on whatever thread opened them.
 pub trait Sink: Send + Sync {
     /// Called once per span, at the moment the span closes.
     fn record_span(&self, span: &SpanRecord);
-    /// Called once per [`crate::counter`] emission.
-    fn record_counter(&self, counter: &CounterRecord);
     /// Flushes any buffered output; called by [`crate::uninstall`].
     fn flush(&self) {}
 }
@@ -90,21 +70,6 @@ pub fn json_escape_into(out: &mut String, value: &str) {
 fn attr_value_into(out: &mut String, value: &AttrValue) {
     match value {
         AttrValue::U64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        AttrValue::I64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        AttrValue::F64(v) => {
-            if v.is_finite() {
-                // NaN/inf have no JSON number form; finite floats use Rust's
-                // shortest round-trip formatting, which is valid JSON.
-                let _ = write!(out, "{v}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        AttrValue::Bool(v) => {
             let _ = write!(out, "{v}");
         }
         AttrValue::Str(v) => {
@@ -148,37 +113,11 @@ pub fn span_to_jsonl(span: &SpanRecord) -> String {
     out
 }
 
-/// Serializes a counter record to its single-line JSONL form (no trailing
-/// newline), exactly as [`JsonlSink`] writes it.
-pub fn counter_to_jsonl(counter: &CounterRecord) -> String {
-    let mut out = String::with_capacity(64);
-    out.push_str("{\"type\":\"counter\",\"span\":");
-    match counter.span {
-        Some(s) => {
-            let _ = write!(out, "{s}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"name\":\"");
-    json_escape_into(&mut out, counter.name);
-    let _ = write!(out, "\",\"value\":{}}}", counter.value);
-    out
-}
-
-/// One recorded event, in sink-arrival order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A finished span.
-    Span(SpanRecord),
-    /// A counter emission.
-    Counter(CounterRecord),
-}
-
-/// In-memory sink: collects every event into a vector, in arrival order.
+/// In-memory sink: collects every span into a vector, in close order.
 /// Intended for tests and for post-run aggregation (`upecbench --trace 1`).
 #[derive(Debug, Default)]
 pub struct MemorySink {
-    events: Mutex<Vec<Event>>,
+    spans: Mutex<Vec<SpanRecord>>,
 }
 
 impl MemorySink {
@@ -187,58 +126,18 @@ impl MemorySink {
         Self::default()
     }
 
-    /// Returns a copy of all events recorded so far.
-    pub fn events(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .expect("MemorySink lock poisoned")
-            .clone()
-    }
-
-    /// Drops all recorded events.
-    pub fn clear(&self) {
-        self.events
-            .lock()
-            .expect("MemorySink lock poisoned")
-            .clear();
-    }
-
-    /// Returns only the span records, in arrival (i.e. close) order.
+    /// Returns a copy of the span records, in arrival (i.e. close) order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.events()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::Span(s) => Some(s),
-                Event::Counter(_) => None,
-            })
-            .collect()
-    }
-
-    /// Returns only the counter records, in arrival order.
-    pub fn counters(&self) -> Vec<CounterRecord> {
-        self.events()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::Counter(c) => Some(c),
-                Event::Span(_) => None,
-            })
-            .collect()
+        self.spans.lock().expect("MemorySink lock poisoned").clone()
     }
 }
 
 impl Sink for MemorySink {
     fn record_span(&self, span: &SpanRecord) {
-        self.events
+        self.spans
             .lock()
             .expect("MemorySink lock poisoned")
-            .push(Event::Span(span.clone()));
-    }
-
-    fn record_counter(&self, counter: &CounterRecord) {
-        self.events
-            .lock()
-            .expect("MemorySink lock poisoned")
-            .push(Event::Counter(counter.clone()));
+            .push(span.clone());
     }
 }
 
@@ -257,22 +156,15 @@ impl JsonlSink {
             writer: Mutex::new(BufWriter::new(file)),
         })
     }
-
-    fn write_line(&self, line: &str) {
-        let mut writer = self.writer.lock().expect("JsonlSink lock poisoned");
-        // Telemetry is best-effort: a full disk must not abort verification.
-        let _ = writer.write_all(line.as_bytes());
-        let _ = writer.write_all(b"\n");
-    }
 }
 
 impl Sink for JsonlSink {
     fn record_span(&self, span: &SpanRecord) {
-        self.write_line(&span_to_jsonl(span));
-    }
-
-    fn record_counter(&self, counter: &CounterRecord) {
-        self.write_line(&counter_to_jsonl(counter));
+        let line = span_to_jsonl(span);
+        let mut writer = self.writer.lock().expect("JsonlSink lock poisoned");
+        // Telemetry is best-effort: a full disk must not abort verification.
+        let _ = writer.write_all(line.as_bytes());
+        let _ = writer.write_all(b"\n");
     }
 
     fn flush(&self) {
@@ -295,15 +187,13 @@ mod tests {
             attrs: vec![
                 ("result", AttrValue::Str("unsat".to_string())),
                 ("conflicts", AttrValue::U64(12)),
-                ("ok", AttrValue::Bool(true)),
-                ("delta", AttrValue::I64(-3)),
             ],
         };
         assert_eq!(
             span_to_jsonl(&span),
             "{\"type\":\"span\",\"id\":5,\"parent\":4,\"name\":\"sat.search\",\
              \"start_ns\":1000,\"dur_ns\":2500,\"attrs\":{\"result\":\"unsat\",\
-             \"conflicts\":12,\"ok\":true,\"delta\":-3}}"
+             \"conflicts\":12}}"
         );
     }
 
@@ -321,28 +211,6 @@ mod tests {
             span_to_jsonl(&span),
             "{\"type\":\"span\",\"id\":1,\"parent\":null,\"name\":\"upec.check_bound\",\
              \"start_ns\":0,\"dur_ns\":9,\"attrs\":{}}"
-        );
-    }
-
-    #[test]
-    fn counter_jsonl_golden() {
-        let counter = CounterRecord {
-            span: Some(5),
-            name: "propagations",
-            value: 1234,
-        };
-        assert_eq!(
-            counter_to_jsonl(&counter),
-            "{\"type\":\"counter\",\"span\":5,\"name\":\"propagations\",\"value\":1234}"
-        );
-        let orphan = CounterRecord {
-            span: None,
-            name: "x",
-            value: 0,
-        };
-        assert_eq!(
-            counter_to_jsonl(&orphan),
-            "{\"type\":\"counter\",\"span\":null,\"name\":\"x\",\"value\":0}"
         );
     }
 

@@ -1,5 +1,5 @@
 //! Pins the disabled path's zero-allocation guarantee with a counting
-//! global allocator: with no sink installed, spans, attributes and counters
+//! global allocator: with no sink installed, spans and their attributes
 //! must not touch the heap. A separate integration-test binary so the
 //! process-global allocator and sink registry are fully under this test's
 //! control (the crate's unit tests install sinks).
@@ -31,19 +31,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
-fn disabled_spans_and_counters_do_not_allocate() {
+fn disabled_spans_do_not_allocate() {
     assert!(!obs::enabled());
     let big = "x".repeat(256); // built before measuring
     let exercise = |n: u64| {
         for i in 0..n {
             let mut span = obs::span("bench.loop");
             span.attr_u64("i", i);
-            span.attr_i64("j", -1);
-            span.attr_f64("f", 1.5);
-            span.attr_bool("b", true);
             span.attr_str("s", &big); // must not copy when disabled
             assert_eq!(span.id(), None);
-            obs::counter("ticks", i);
             let _inner = obs::span("bench.inner");
         }
     };

@@ -18,9 +18,9 @@
 //! * periodic deletion of inactive learned clauses,
 //! * solving under assumptions,
 //! * **budgeted, cancellable episodes**: a deterministic per-episode
-//!   resource [`Budget`] (conflicts / propagations / decisions — never
-//!   wall-clock) whose exhaustion yields a resumable
-//!   [`SatResult::Unknown`], a restart-boundary [`CancelToken`], and a
+//!   conflict [`Budget`] (never wall-clock) whose exhaustion yields a
+//!   resumable [`SatResult::Unknown`], a restart-boundary [`CancelToken`],
+//!   and a
 //!   [`StopCause`] telling callers why an episode stopped (see
 //!   `docs/robustness.md`),
 //! * **incremental sessions**: clauses and variables may be added between

@@ -115,27 +115,18 @@ impl SolverStats {
 
 /// Deterministic resource budget for one solving episode.
 ///
-/// Budgets are expressed in solver work units — conflicts, unit propagations
-/// and decisions — never wall-clock time, so a budgeted run stops at exactly
-/// the same point on every machine and every rerun. A cap of `None` leaves
-/// that unit unlimited. Budgets are *per episode*: each [`Solver::solve`]
-/// call measures its own spend from zero, so calling `solve` again after an
+/// A budget caps the conflicts of each episode — solver work, never
+/// wall-clock time — so a budgeted run stops at exactly the same point on
+/// every machine and every rerun. A cap of `None` leaves the episode
+/// unlimited. Budgets are *per episode*: each [`Solver::solve`] call
+/// measures its own spend from zero, so calling `solve` again after an
 /// exhausted episode **resumes** the search with a fresh allotment while
 /// keeping every learned clause, activity and saved phase — the resumed run
 /// reaches the same verdict the uninterrupted run would have.
 ///
-/// Caps are checked at deterministic checkpoints: the conflict and
-/// propagation caps once per conflict, the decision and propagation caps
-/// once per decision. The stop point is exactly reproducible but may
-/// overshoot a propagation cap by the propagations of one conflict round.
-///
-/// **Progress caveat.** Only conflicts leave a trace (a learned clause,
-/// bumped activities, saved phases) — an episode that exhausts a decision
-/// or propagation cap *before its first conflict* leaves the search state
-/// unchanged, so resuming with the same tiny allotment repeats the same
-/// episode forever. Drivers that resume in a loop must either cap
-/// conflicts (every budgeted episode then makes learning progress) or grow
-/// their slices geometrically.
+/// The cap is checked once per conflict, after the conflict's clause is
+/// learned, so every exhausted episode leaves a trace and a resume loop
+/// with a fixed allotment makes progress.
 ///
 /// # Examples
 ///
@@ -143,73 +134,43 @@ impl SolverStats {
 /// use sat::{Budget, SatResult, Solver, StopCause};
 ///
 /// let mut solver = Solver::new();
-/// # let lits: Vec<sat::Lit> = (0..6).map(|_| solver.new_var().positive()).collect();
-/// # for a in 0..3 { solver.add_clause([lits[2*a], lits[2*a+1]]); }
-/// solver.set_budget(Budget::default().with_decisions(0));
+/// let x = solver.new_var().positive();
+/// let y = solver.new_var().positive();
+/// for (a, b) in [(x, y), (x, !y), (!x, y), (!x, !y)] {
+///     solver.add_clause([a, b]);
+/// }
+/// solver.set_budget(Budget::conflicts(0)); // stop at the first conflict
 /// assert_eq!(solver.solve(), SatResult::Unknown);
 /// assert_eq!(solver.last_stop(), Some(StopCause::BudgetExhausted));
 /// solver.set_budget(Budget::unlimited());
-/// assert!(solver.solve().is_sat()); // resumed and finished
+/// assert!(solver.solve().is_unsat()); // resumed and finished
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Maximum conflicts per episode (`None` = unlimited).
     pub conflicts: Option<u64>,
-    /// Maximum unit propagations per episode (`None` = unlimited).
-    pub propagations: Option<u64>,
-    /// Maximum decisions per episode (`None` = unlimited).
-    pub decisions: Option<u64>,
 }
 
 impl Budget {
-    /// The unlimited budget (no caps; identical to `Budget::default()`).
+    /// The unlimited budget (no cap; identical to `Budget::default()`).
     pub fn unlimited() -> Self {
         Self::default()
     }
 
-    /// A budget capping only conflicts.
+    /// A budget capping conflicts at `n` per episode.
     pub fn conflicts(n: u64) -> Self {
-        Self::default().with_conflicts(n)
+        Self { conflicts: Some(n) }
     }
 
-    /// Caps conflicts (builder style).
-    pub fn with_conflicts(mut self, n: u64) -> Self {
-        self.conflicts = Some(n);
-        self
-    }
-
-    /// Caps unit propagations (builder style).
-    pub fn with_propagations(mut self, n: u64) -> Self {
-        self.propagations = Some(n);
-        self
-    }
-
-    /// Caps decisions (builder style).
-    pub fn with_decisions(mut self, n: u64) -> Self {
-        self.decisions = Some(n);
-        self
-    }
-
-    /// Whether no unit is capped.
-    pub fn is_unlimited(&self) -> bool {
-        self.conflicts.is_none() && self.propagations.is_none() && self.decisions.is_none()
-    }
-
-    /// Pointwise minimum of two budgets: per unit, the tighter cap wins.
-    /// Layered budget policies (per-bound vs per-scenario in the `upec`
-    /// engine) combine with this.
+    /// The tighter of two budgets. The `bmc` unroller caps a call's budget
+    /// at its simplification trial with this.
     pub fn min(self, other: Budget) -> Budget {
-        fn tighter(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-            match (a, b) {
+        Budget {
+            conflicts: match (self.conflicts, other.conflicts) {
                 (Some(x), Some(y)) => Some(x.min(y)),
                 (x, None) => x,
                 (None, y) => y,
-            }
-        }
-        Budget {
-            conflicts: tighter(self.conflicts, other.conflicts),
-            propagations: tighter(self.propagations, other.propagations),
-            decisions: tighter(self.decisions, other.decisions),
+            },
         }
     }
 
@@ -220,16 +181,12 @@ impl Budget {
     pub fn minus(self, spent: &SolverStats) -> Budget {
         Budget {
             conflicts: self.conflicts.map(|c| c.saturating_sub(spent.conflicts)),
-            propagations: self
-                .propagations
-                .map(|c| c.saturating_sub(spent.propagations)),
-            decisions: self.decisions.map(|c| c.saturating_sub(spent.decisions)),
         }
     }
 
-    /// Whether any capped unit has zero remaining.
+    /// Whether the cap has zero remaining.
     pub fn is_exhausted(&self) -> bool {
-        self.conflicts == Some(0) || self.propagations == Some(0) || self.decisions == Some(0)
+        self.conflicts == Some(0)
     }
 }
 
@@ -761,12 +718,6 @@ impl Solver {
         self.last_stop
     }
 
-    /// Counter deltas of the current (or most recent) episode — the spend
-    /// the budget caps are measured against.
-    pub fn episode_spent(&self) -> SolverStats {
-        self.stats.delta_since(&self.episode)
-    }
-
     /// Arms (or disarms, with `None`) a one-shot fault-injection plan; see
     /// [`crate::faults`]. Testing only — the hook does not exist in release
     /// builds.
@@ -786,28 +737,12 @@ impl Solver {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Whether the episode spend has hit the conflict or propagation cap
-    /// (evaluated once per conflict).
+    /// Whether the episode spend has hit the conflict cap (evaluated once
+    /// per conflict).
     fn budget_conflict_cap_hit(&self) -> bool {
         self.budget
             .conflicts
             .is_some_and(|cap| self.stats.conflicts - self.episode.conflicts >= cap)
-            || self
-                .budget
-                .propagations
-                .is_some_and(|cap| self.stats.propagations - self.episode.propagations >= cap)
-    }
-
-    /// Whether the episode spend has hit the decision or propagation cap
-    /// (evaluated once per decision, before the decision is made).
-    fn budget_decision_cap_hit(&self) -> bool {
-        self.budget
-            .decisions
-            .is_some_and(|cap| self.stats.decisions - self.episode.decisions >= cap)
-            || self
-                .budget
-                .propagations
-                .is_some_and(|cap| self.stats.propagations - self.episode.propagations >= cap)
     }
 
     /// Polls the armed fault plan at a conflict checkpoint; returns the
@@ -1833,10 +1768,6 @@ impl Solver {
         span.attr_u64("rephasings", delta.rephasings);
         span.attr_u64("chrono_backtracks", delta.chrono_backtracks);
         span.attr_u64("vivified_clauses", delta.vivified_clauses);
-        obs::counter("conflicts", delta.conflicts);
-        obs::counter("propagations", delta.propagations);
-        obs::counter("restarts", delta.restarts);
-        obs::counter("arena_collections", delta.arena_collections);
         if let Some(p) = &self.proof {
             // Marker child span carrying the certificate-size attributes of
             // the proof log accumulated so far.
@@ -2053,19 +1984,6 @@ impl Solver {
                 match decision {
                     None => return SearchOutcome::Sat,
                     Some(lit) => {
-                        // Decision checkpoint of the budget: an answer found
-                        // without spending another decision is still
-                        // returned; only committing to more work is gated.
-                        if self.budget_decision_cap_hit() {
-                            // Reinsert the branch variable `pick_branch_var`
-                            // popped: every unassigned variable must stay in
-                            // the order heap, or a resumed episode could
-                            // declare Sat without ever assigning it.
-                            self.order.insert(lit.var(), &self.activity);
-                            self.stats.budget_exhaustions += 1;
-                            self.last_stop = Some(StopCause::BudgetExhausted);
-                            return SearchOutcome::LimitReached;
-                        }
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
                         self.enqueue(lit, Reason::Decision);
@@ -2354,36 +2272,20 @@ mod tests {
     }
 
     #[test]
-    fn propagation_and_decision_caps_stop_the_episode() {
-        let mut s = pigeonhole(7, 6);
-        s.set_budget(Budget::default().with_propagations(50));
-        assert_eq!(s.solve(), SatResult::Unknown);
-        assert_eq!(s.last_stop(), Some(StopCause::BudgetExhausted));
-
-        s.set_budget(Budget::default().with_decisions(3));
-        assert_eq!(s.solve(), SatResult::Unknown);
-        assert_eq!(s.last_stop(), Some(StopCause::BudgetExhausted));
-        assert!(s.episode_spent().decisions <= 3);
-
-        s.set_budget(Budget::unlimited());
-        assert!(s.solve().is_unsat());
-        assert_eq!(s.last_stop(), None);
-    }
-
-    #[test]
-    fn budget_min_takes_the_tighter_cap_per_unit() {
-        let a = Budget::conflicts(100).with_decisions(5);
-        let b = Budget::conflicts(50).with_propagations(7);
-        let m = a.min(b);
-        assert_eq!(m.conflicts, Some(50));
-        assert_eq!(m.propagations, Some(7));
-        assert_eq!(m.decisions, Some(5));
-        assert!(Budget::unlimited().min(Budget::unlimited()).is_unlimited());
+    fn budget_min_takes_the_tighter_cap() {
+        let m = Budget::conflicts(100).min(Budget::conflicts(50));
+        assert_eq!(m, Budget::conflicts(50));
+        assert_eq!(
+            Budget::conflicts(7).min(Budget::unlimited()),
+            Budget::conflicts(7)
+        );
+        assert_eq!(
+            Budget::unlimited().min(Budget::unlimited()),
+            Budget::unlimited()
+        );
         assert!(m
             .minus(&SolverStats {
                 conflicts: 60,
-                propagations: 7,
-                decisions: 0,
                 ..SolverStats::default()
             })
             .is_exhausted());
@@ -2414,7 +2316,7 @@ mod tests {
     fn identical_budgeted_runs_have_identical_stats() {
         let run = || {
             let mut s = pigeonhole(7, 6);
-            s.set_budget(Budget::conflicts(25).with_propagations(10_000));
+            s.set_budget(Budget::conflicts(25));
             let first = s.solve();
             let second = s.solve();
             (first, second, s.stats())

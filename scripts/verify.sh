@@ -16,8 +16,10 @@
 #
 # The driver stage runs every paper-artifact driver that finishes within
 # seconds, so none can rot unnoticed: the quickstart example, Fig. 1 and
-# Fig. 2 (simulation), Table II, and the engine on `pmp-lock` (Sec. VII-C)
-# and `cache-footprint` (Fig. 1 as a UPEC check); the engine exits 1 when a
+# Fig. 2 (simulation), Table II, the engine on `pmp-lock` (Sec. VII-C) and
+# `cache-footprint` (Fig. 1 as a UPEC check), and the alert debugger
+# (`debug_alert`, which poses its own query straight on `bmc::Unrolling`
+# and dumps the `orc` L-alert at window 2); the engine exits 1 when a
 # verdict misses its registered expectation. `table1` stays ungated: both of
 # its columns run for more than ten minutes.
 #
@@ -62,6 +64,7 @@ cargo run --release -q -p bench --bin fig1_cache_footprint
 cargo run --release -q -p bench --bin fig2_orc_attack
 cargo run --release -q -p bench --bin table2
 cargo run --release -q -p bench --bin engine -- --threads 1 pmp-lock cache-footprint
+cargo run --release -q -p bench --bin debug_alert
 
 echo "==> fault-injection differential (--features faults, release)"
 # Deterministic faults (forced budget exhaustion, spurious cancellation,

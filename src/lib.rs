@@ -4,7 +4,7 @@
 //! repository-level examples and integration tests can refer to every
 //! subsystem through a single dependency. The actual functionality lives in:
 //!
-//! * [`obs`] — query-level telemetry: spans, counters and trace sinks,
+//! * [`obs`] — query-level telemetry: spans and trace sinks,
 //! * [`rtl`] — word-level RTL intermediate representation,
 //! * [`sat`] — CDCL SAT solver,
 //! * [`sim`] — cycle-accurate simulator,
