@@ -1,15 +1,20 @@
-//! Diagnostic helper: reproduce a UPEC counterexample and dump the values of
-//! every miter register pair and the key control signals frame by frame.
-//! Used while tuning the side constraints; kept because it is genuinely
-//! useful when extending the SoC.
+//! Diagnostic helper: reproduce a UPEC L-alert and dump the values of every
+//! differing miter register pair and the key control signals frame by
+//! frame. Used while tuning the side constraints; kept because it is
+//! genuinely useful when extending the SoC.
+//!
+//! The query is the scenario's miter at one window under the architectural
+//! commitment, posed on a proof-logging session. The dump replays the
+//! query's checked witness certificate on the simulator, which computes
+//! every signal. Exits 0 on an L-alert whose witness certificate checks and
+//! 1 otherwise (the window is proven, or the witness is rejected).
 //!
 //! ```text
-//! cargo run --release -p bench --bin debug_alert [variant] [window]
+//! cargo run --release -p bench --bin debug_alert [scenario] [window]
 //! ```
 
-use bmc::{UnrollOptions, Unrolling};
-use sat::SatResult;
-use upec::{scenarios, StateClass};
+use bmc::UnrollOptions;
+use upec::{architectural_commitment, scenarios, IncrementalSession, VerdictCertificate};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -28,33 +33,30 @@ fn main() {
         }
         std::process::exit(1);
     });
-    let variant = scenario.variant;
     let window: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2);
 
     let model = scenario.build_model();
-    // Compiling the full netlist (rather than the model's proof cone) keeps
-    // every control signal below in the schedule.
-    let mut unrolling = Unrolling::with_frame0_aliases(
-        model.netlist(),
-        UnrollOptions::default(),
-        &model.frame0_aliases(),
-    );
-    unrolling.extend_to(window);
-    for c in model.initial_constraints() {
-        unrolling.assume_signal_true(0, c.signal).unwrap();
+    let mut session =
+        IncrementalSession::with_options(&model, UnrollOptions::default().with_proof_log());
+    let (_, certificate) = session
+        .try_check_bound(window, &architectural_commitment(&model))
+        .expect("the architectural commitment is well formed");
+    // The session is unbudgeted, so the query decides: without a witness,
+    // the window is proven.
+    let Some(VerdictCertificate::Witness(witness)) = certificate else {
+        println!("no architectural difference reachable at window {window}");
+        std::process::exit(1);
+    };
+    let trace = witness.trace.clone();
+    if let Err(e) = VerdictCertificate::Witness(witness).check(&model) {
+        eprintln!("witness certificate rejected: {e}");
+        std::process::exit(1);
     }
-    for c in model.window_constraints() {
-        for f in 0..=window {
-            unrolling.assume_signal_true(f, c.signal).unwrap();
-        }
-    }
-    // Ask for an architectural difference at the final frame.
-    let arch_lits: Vec<_> = model
-        .pairs_of_class(StateClass::Architectural)
-        .map(|p| unrolling.bit_lit(window, p.equal).unwrap())
-        .collect();
-    unrolling.add_clause(arch_lits.iter().map(|&l| !l));
 
+    println!(
+        "L-alert counterexample at window {window} ({:?}):\n",
+        scenario.variant
+    );
     let (soc1, soc2) = (model.soc1(), model.soc2());
     let controls = [
         ("pc", soc1.pc, soc2.pc),
@@ -74,37 +76,18 @@ fn main() {
         ("ex_mem_blocked", soc1.ex_mem_blocked, soc2.ex_mem_blocked),
         ("mem_wb_blocked", soc1.mem_wb_blocked, soc2.mem_wb_blocked),
     ];
-    // The encoding only gives literals to signals a query reaches, so
-    // request every dumped signal in every frame before solving.
-    let pairs = model.pairs().iter().map(|p| (p.signal1, p.signal2));
-    let dumped: Vec<_> = pairs
-        .chain(controls.iter().map(|&(_, s1, s2)| (s1, s2)))
-        .collect();
-    for frame in 0..=window {
-        for &(s1, s2) in &dumped {
-            unrolling.lits(frame, s1).unwrap();
-            unrolling.lits(frame, s2).unwrap();
-        }
-    }
-
-    match unrolling.solve(&[]) {
-        SatResult::Unsat => println!("no architectural difference reachable at window {window}"),
-        SatResult::Unknown => println!("unknown"),
-        SatResult::Sat(m) => {
-            println!("L-alert counterexample at window {window} ({variant:?}):\n");
-            let value = |frame, signal| unrolling.value_in_model(&m, frame, signal).unwrap();
-            for frame in 0..=window {
-                println!("--- frame {frame} ---");
-                for pair in model.pairs() {
-                    let (v1, v2) = (value(frame, pair.signal1), value(frame, pair.signal2));
-                    if v1 != v2 {
-                        println!("  DIFF {:<28} {v1} vs {v2}  [{:?}]", pair.name, pair.class);
-                    }
-                }
-                for &(label, s1, s2) in &controls {
-                    println!("  {label:<28} {} | {}", value(frame, s1), value(frame, s2));
+    trace
+        .replay(model.netlist().clone(), |frame, sim| {
+            println!("--- frame {frame} ---");
+            for pair in model.pairs() {
+                let (v1, v2) = (sim.peek(pair.signal1), sim.peek(pair.signal2));
+                if v1 != v2 {
+                    println!("  DIFF {:<28} {v1} vs {v2}  [{:?}]", pair.name, pair.class);
                 }
             }
-        }
-    }
+            for &(label, s1, s2) in &controls {
+                println!("  {label:<28} {} | {}", sim.peek(s1), sim.peek(s2));
+            }
+        })
+        .expect("a checked witness replays");
 }

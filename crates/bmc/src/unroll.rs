@@ -230,48 +230,36 @@ impl std::fmt::Display for UnrollError {
 impl std::error::Error for UnrollError {}
 
 impl<'n> Unrolling<'n> {
-    /// Creates an unrolling with frame 0 built.
+    /// Creates an unrolling with frame 0 built, compiling the full netlist on
+    /// the spot. Flows that open many unrollings of the same design should
+    /// compile once and share the schedule through
+    /// [`Unrolling::with_compiled`].
     ///
     /// # Panics
     ///
     /// Panics if the netlist fails [`Netlist::validate`].
     pub fn new(netlist: &'n Netlist, options: UnrollOptions) -> Self {
-        Self::with_frame0_aliases(netlist, options, &[])
+        let transition = Arc::new(CompiledTransition::compile(netlist));
+        Self::with_compiled(netlist, transition, options, &[])
     }
 
-    /// Creates an unrolling in which, for every `(register, source)` pair in
-    /// `aliases`, the frame-0 value of `register` reuses the literals of
-    /// `source` (both must be register-value signals of equal width).
+    /// Creates an unrolling over a pre-compiled transition relation
+    /// (compile once, clone per frame — and per session) in which, for every
+    /// `(register, source)` pair in `aliases`, the frame-0 value of
+    /// `register` reuses the literals of `source` (both must be
+    /// register-value signals of equal width).
     ///
-    /// This expresses "these two registers start out equal" *structurally*,
-    /// which — combined with the gate-level structural hashing — lets the two
-    /// halves of a miter collapse onto shared variables wherever they have
-    /// not yet diverged. The UPEC checks use it for the `micro_soc_state1 =
-    /// micro_soc_state2` assumption of the paper's Fig. 4.
-    ///
-    /// This constructor compiles the full netlist on the spot. Flows that
-    /// open many unrollings of the same design should compile once and share
-    /// the schedule through [`Unrolling::with_compiled`].
+    /// An alias expresses "these two registers start out equal"
+    /// *structurally*, which — combined with the gate-level structural
+    /// hashing — lets the two halves of a miter collapse onto shared
+    /// variables wherever they have not yet diverged. The UPEC checks use it
+    /// for the `micro_soc_state1 = micro_soc_state2` assumption of the
+    /// paper's Fig. 4.
     ///
     /// # Panics
     ///
     /// Panics if the netlist is invalid or an alias pair has mismatched
     /// widths or refers to non-register signals.
-    pub fn with_frame0_aliases(
-        netlist: &'n Netlist,
-        options: UnrollOptions,
-        aliases: &[(SignalId, SignalId)],
-    ) -> Self {
-        let transition = Arc::new(CompiledTransition::compile(netlist));
-        Self::with_compiled(netlist, transition, options, aliases)
-    }
-
-    /// Creates an unrolling over a pre-compiled transition relation
-    /// (compile once, clone per frame — and per session).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist is invalid or an alias pair is malformed.
     pub fn with_compiled(
         netlist: &'n Netlist,
         transition: Arc<CompiledTransition>,
@@ -893,11 +881,6 @@ impl<'n> Unrolling<'n> {
         self.options.budget = budget;
     }
 
-    /// The deterministic per-call resource budget currently in force.
-    pub fn budget(&self) -> sat::Budget {
-        self.options.budget
-    }
-
     /// Installs (or removes) a cooperative [`sat::CancelToken`] on the
     /// underlying solver; raising it makes an in-flight
     /// [`Unrolling::solve`] return [`SatResult::Unknown`] at the next
@@ -1389,8 +1372,9 @@ mod tests {
         let differ = n.ne(r1.value(), r2.value());
         n.output("differ", differ);
 
-        let mut u = Unrolling::with_frame0_aliases(
+        let mut u = Unrolling::with_compiled(
             &n,
+            Arc::new(CompiledTransition::compile(&n)),
             UnrollOptions::default(),
             &[(r2.value(), r1.value())],
         );

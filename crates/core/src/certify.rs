@@ -14,11 +14,12 @@
 //!   that the trace is a run of the constrained miter and that the
 //!   committed register pairs really diverge as the alert claims.
 //!
-//! Certificates are produced by
-//! [`IncrementalSession::check_bound_certified`](crate::engine::IncrementalSession::check_bound_certified)
-//! and [`UpecEngine::check_certified`](crate::UpecEngine::check_certified);
-//! the format and its soundness argument are documented in
-//! `docs/certificates.md` at the repository root.
+//! Certificates are produced by every decided query of a session opened
+//! with a proof log
+//! ([`IncrementalSession::try_check_bound`](crate::engine::IncrementalSession::try_check_bound)),
+//! which is how [`UpecEngine::check_certified`](crate::UpecEngine::check_certified)
+//! certifies its walk; the format and its soundness argument are documented
+//! in `docs/certificates.md` at the repository root.
 
 use crate::{StateClass, UpecModel};
 use rtl::BitVec;

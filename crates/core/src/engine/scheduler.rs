@@ -57,13 +57,6 @@ pub enum BoundStatus {
     PAlert,
     /// An L-alert: a covert channel is proven at this bound.
     LAlert,
-    /// The query stopped on an exhausted [`sat::Budget`]. The engine's
-    /// queries run unbudgeted, so its scans never record this status.
-    Unknown,
-    /// The query stopped on a cancellation ([`sat::StopCause::Cancelled`]).
-    /// The engine installs no [`sat::CancelToken`], so its scans never
-    /// record this status.
-    Cancelled,
 }
 
 /// Per-bound record of a scenario scan.
@@ -106,7 +99,7 @@ pub enum ScanVerdict {
     /// At least one L-alert: the design leaks.
     Insecure,
     /// No verdict: no bound was checked (the engine's window cap lies
-    /// below the scenario's start window), or a bound stopped undecided.
+    /// below the scenario's start window).
     Inconclusive,
 }
 
@@ -180,7 +173,6 @@ impl UpecEngine {
         miter_span.attr_str("members", &ids.join(","));
         let model = members[0].build_model();
         let mut session = IncrementalSession::with_options(&model, options);
-        let certify = session.proof_log().is_some();
         let mut scans: Vec<MemberScan> = members
             .iter()
             .map(|&instance| MemberScan {
@@ -195,7 +187,6 @@ impl UpecEngine {
                     conflicts: 0,
                     propagations: 0,
                     budget_exhaustions: 0,
-                    cancellations: 0,
                 },
             })
             .collect();
@@ -213,13 +204,12 @@ impl UpecEngine {
                 }
                 let before = session.solver_stats();
                 let (outcome, certificate) = session
-                    .check_bound_inner(k, &scan.commitment, certify)
+                    .try_check_bound(k, &scan.commitment)
                     .unwrap_or_else(|e| panic!("{}: {e}", result.instance.id()));
                 let spent = session.solver_stats().delta_since(&before);
                 result.conflicts += spent.conflicts;
                 result.propagations += spent.propagations;
                 result.budget_exhaustions += spent.budget_exhaustions;
-                result.cancellations += spent.cancellations;
                 result.bounds.push(BoundSummary::new(
                     k,
                     bound_status(&outcome),
@@ -277,8 +267,6 @@ fn verdict_from_bounds(bounds: &[BoundSummary]) -> ScanVerdict {
         ScanVerdict::Inconclusive
     } else if has(BoundStatus::LAlert) {
         ScanVerdict::Insecure
-    } else if has(BoundStatus::Unknown) || has(BoundStatus::Cancelled) {
-        ScanVerdict::Inconclusive
     } else if has(BoundStatus::PAlert) {
         ScanVerdict::PAlertsOnly
     } else {
@@ -316,8 +304,6 @@ pub struct InstanceResult {
     /// is worth simplifying (see [`bmc::Unrolling::solve`]), since the
     /// engine's queries themselves run unbudgeted.
     pub budget_exhaustions: u64,
-    /// Solver episodes stopped by cancellation during the scan.
-    pub cancellations: u64,
 }
 
 impl InstanceResult {

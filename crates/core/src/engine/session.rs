@@ -1,4 +1,7 @@
-//! A persistent, incremental UPEC solving session.
+//! A persistent, incremental UPEC solving session: the one way to pose a
+//! query. [`IncrementalSession::try_check_bound`] is the query core, and it
+//! certifies every decided query exactly when the session was opened with a
+//! proof log; [`IncrementalSession::check_bound`] is its panicking form.
 
 use crate::certify::{UnsatCertificate, VerdictCertificate, WitnessCertificate};
 use crate::engine::EngineError;
@@ -9,6 +12,12 @@ use sat::SatResult;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Why encoding a model's constraint or obligation signal cannot fail: a
+/// [`UpecModel`] only comes from [`UpecModel::new`], which makes every such
+/// signal a single-bit root of the model's compiled cone.
+const SINGLE_BIT_ROOT: &str =
+    "every constraint and obligation signal of a UpecModel is a single-bit root of its compiled cone";
 
 /// An incremental UPEC checking session: one persistent solver shared by
 /// every bound and commitment queried against the same miter.
@@ -61,29 +70,10 @@ impl<'m> IncrementalSession<'m> {
 
     /// Opens a session with explicit [`UnrollOptions`]: a per-query
     /// [`sat::Budget`], the simplification trial cap, DRAT proof logging
-    /// (needed by [`IncrementalSession::check_bound_certified`]), or
-    /// reset-state initial values (ablation only; real UPEC runs start from a
-    /// symbolic state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a model constraint cannot be encoded; see
-    /// [`IncrementalSession::try_with_options`] for the non-panicking form.
+    /// (with which every decided query also returns its certificate; see
+    /// [`IncrementalSession::try_check_bound`]), or reset-state initial
+    /// values (ablation only; real UPEC runs start from a symbolic state).
     pub fn with_options(model: &'m UpecModel, options: UnrollOptions) -> Self {
-        Self::try_with_options(model, options).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`IncrementalSession::with_options`], but reports malformed
-    /// model constraints as a typed [`EngineError`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::MalformedConstraint`] when an initial or window
-    /// constraint of the model cannot be encoded on the unrolled miter.
-    pub fn try_with_options(
-        model: &'m UpecModel,
-        options: UnrollOptions,
-    ) -> Result<Self, EngineError> {
         // Reset-state ablation runs need no aliases: the initial values
         // already coincide.
         let aliases = if options.use_initial_values {
@@ -106,38 +96,23 @@ impl<'m> IncrementalSession<'m> {
         {
             unrolling
                 .assume_signal_true(0, constraint.signal)
-                .map_err(|e| EngineError::MalformedConstraint {
-                    label: constraint.label.to_string(),
-                    reason: e.to_string(),
-                })?;
+                .expect(SINGLE_BIT_ROOT);
         }
-        Ok(Self {
+        Self {
             model,
             unrolling,
             constrained_through: 0,
-        })
-    }
-
-    /// The miter this session is solving.
-    pub fn model(&self) -> &'m UpecModel {
-        self.model
+        }
     }
 
     /// Replaces the deterministic per-query conflict budget (see
-    /// [`sat::Budget`]). The budget covers each subsequent
-    /// [`IncrementalSession::check_bound`] call as a whole; an exhausted
-    /// query answers [`UpecOutcome::Unknown`] with
-    /// [`IncrementalSession::last_stop`] reporting
-    /// [`sat::StopCause::BudgetExhausted`], and the session stays resumable —
-    /// re-checking the same bound under a larger budget continues from the
-    /// accumulated solver state.
+    /// [`sat::Budget`]). The budget covers each subsequent query as a whole;
+    /// an exhausted query answers [`UpecOutcome::Unknown`] with
+    /// [`UpecStats::stop`] reporting [`sat::StopCause::BudgetExhausted`],
+    /// and the session stays resumable — re-checking the same bound under a
+    /// larger budget continues from the accumulated solver state.
     pub fn set_budget(&mut self, budget: sat::Budget) {
         self.unrolling.set_budget(budget);
-    }
-
-    /// The deterministic per-query conflict budget currently in force.
-    pub fn budget(&self) -> sat::Budget {
-        self.unrolling.budget()
     }
 
     /// Installs (or removes) a cooperative [`sat::CancelToken`]: raising it
@@ -146,12 +121,6 @@ impl<'m> IncrementalSession<'m> {
     /// poisoning the session.
     pub fn set_cancel_token(&mut self, token: Option<sat::CancelToken>) {
         self.unrolling.set_cancel_token(token);
-    }
-
-    /// Why the most recent query's final solver episode stopped early
-    /// (`None` after a decided query). See [`sat::Solver::last_stop`].
-    pub fn last_stop(&self) -> Option<sat::StopCause> {
-        self.unrolling.last_stop()
     }
 
     /// Arms a one-shot deterministic fault on the session's solver (see
@@ -168,12 +137,6 @@ impl<'m> IncrementalSession<'m> {
         self.unrolling.solver_stats()
     }
 
-    /// Encoding statistics of the session's unrolling: schedule size,
-    /// encoded slot instances and CNF size (see [`bmc::EncodeStats`]).
-    pub fn encode_stats(&self) -> bmc::EncodeStats {
-        self.unrolling.encode_stats()
-    }
-
     /// Counters of the CNF simplification pipeline (variables eliminated,
     /// clauses subsumed, …; all zero until a query exhausted its
     /// [`UnrollOptions::simplify_trial_conflicts`] trial). See
@@ -182,13 +145,17 @@ impl<'m> IncrementalSession<'m> {
         self.unrolling.simplify_stats()
     }
 
-    /// The session's accumulated DRAT proof log, when the session was opened
-    /// with [`UnrollOptions::with_proof_log`]. The log spans the whole
-    /// session (all frames, all queries); per-query certificates are the
-    /// trimmed views returned by
-    /// [`IncrementalSession::check_bound_certified`].
-    pub fn proof_log(&self) -> Option<&sat::ProofLog> {
-        self.unrolling.proof_log()
+    /// The panicking form of [`IncrementalSession::try_check_bound`]: the
+    /// same query, returning only its outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the commitment is empty or names an unknown register.
+    pub fn check_bound(&mut self, k: usize, commitment: &BTreeSet<String>) -> UpecOutcome {
+        match self.try_check_bound(k, commitment) {
+            Ok((outcome, _)) => outcome,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Checks the UPEC interval property (paper Fig. 4) at bound `k` with
@@ -199,6 +166,23 @@ impl<'m> IncrementalSession<'m> {
     /// counterexample is an L-alert when an architectural register differs,
     /// a P-alert otherwise.
     ///
+    /// On a session opened with [`UnrollOptions::with_proof_log`], a decided
+    /// query also returns its independently checkable
+    /// [`VerdictCertificate`]:
+    ///
+    /// * [`UpecOutcome::Proven`] ⇒ the session's DRAT proof log, trimmed to
+    ///   the lemmas this query's refutation actually uses, keyed by the
+    ///   query's activation-literal assumption;
+    /// * [`UpecOutcome::Violated`] ⇒ the SAT witness decoded into a concrete
+    ///   per-cycle [`sim::WitnessTrace`] plus the divergences it must
+    ///   reproduce.
+    ///
+    /// An undecided query — budget exhausted or cancelled — answers
+    /// [`UpecOutcome::Unknown`] with its stop cause in [`UpecStats::stop`]
+    /// and never carries a certificate; the session stays valid and the
+    /// bound may be re-checked under a larger budget. Without a proof log,
+    /// no query carries a certificate.
+    ///
     /// Precondition: `k` never decreases over a session's queries. The
     /// model's window constraints are asserted as permanent units on frames
     /// `1..=k` the first time a query reaches `k`, so they are exactly the
@@ -208,83 +192,29 @@ impl<'m> IncrementalSession<'m> {
     /// fine, and [`crate::UpecEngine::run_instances`] walks each miter's
     /// instances with `k` non-decreasing.
     ///
-    /// # Panics
-    ///
-    /// Panics if the commitment is empty or names an unknown register; see
-    /// [`IncrementalSession::try_check_bound`] for the non-panicking form.
-    pub fn check_bound(&mut self, k: usize, commitment: &BTreeSet<String>) -> UpecOutcome {
-        self.try_check_bound(k, commitment)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`IncrementalSession::check_bound`], but reports malformed
-    /// queries as a typed [`EngineError`] instead of panicking.
-    ///
     /// # Errors
     ///
-    /// [`EngineError::EmptyCommitment`] /
-    /// [`EngineError::UnknownRegister`] for malformed commitments,
-    /// [`EngineError::MalformedConstraint`] when a window constraint or
-    /// obligation signal cannot be encoded.
+    /// [`EngineError::UnknownRegister`] / [`EngineError::EmptyCommitment`]
+    /// for a malformed commitment. It is rejected before anything is
+    /// encoded, so the session stays as it was.
     pub fn try_check_bound(
         &mut self,
         k: usize,
         commitment: &BTreeSet<String>,
-    ) -> Result<UpecOutcome, EngineError> {
-        Ok(self.check_bound_inner(k, commitment, false)?.0)
-    }
-
-    /// Like [`IncrementalSession::check_bound`], but also packages the
-    /// verdict as an independently checkable [`VerdictCertificate`]:
-    ///
-    /// * [`UpecOutcome::Proven`] ⇒ the session's DRAT proof log, trimmed to
-    ///   the lemmas this query's refutation actually uses, keyed by the
-    ///   query's activation-literal assumption;
-    /// * [`UpecOutcome::Violated`] ⇒ the SAT witness decoded into a concrete
-    ///   per-cycle [`sim::WitnessTrace`] plus the divergences it must
-    ///   reproduce.
-    ///
-    /// # Errors
-    ///
-    /// * [`EngineError::CertificationUnavailable`] if the session was not
-    ///   opened with [`UnrollOptions::with_proof_log`] (proven bounds need
-    ///   the proof log recording from the first clause on);
-    /// * [`EngineError::UncertifiableVerdict`] when the query stops without
-    ///   a verdict (budget exhausted or cancelled) — an undecided query must
-    ///   never emit a certificate. The error carries the effort spent and
-    ///   the stop cause; the session stays valid and the bound may be
-    ///   re-checked under a larger budget;
-    /// * the [`IncrementalSession::try_check_bound`] errors for malformed
-    ///   commitments.
-    pub fn check_bound_certified(
-        &mut self,
-        k: usize,
-        commitment: &BTreeSet<String>,
     ) -> Result<(UpecOutcome, Option<VerdictCertificate>), EngineError> {
-        if self.unrolling.proof_log().is_none() {
-            return Err(EngineError::CertificationUnavailable);
+        if let Some(name) = commitment.iter().find(|n| self.model.pair(n).is_none()) {
+            return Err(EngineError::UnknownRegister { name: name.clone() });
         }
-        let (outcome, certificate) = self.check_bound_inner(k, commitment, true)?;
-        if let UpecOutcome::Unknown(stats) = &outcome {
-            debug_assert!(certificate.is_none(), "an undecided query has no verdict");
-            return Err(EngineError::UncertifiableVerdict {
-                window: k,
-                stats: *stats,
-                stop: self.unrolling.last_stop(),
-            });
+        let committed: Vec<&RegisterPair> = self
+            .model
+            .pairs()
+            .iter()
+            .filter(|p| p.class != StateClass::Memory && commitment.contains(&p.name))
+            .collect();
+        if committed.is_empty() {
+            return Err(EngineError::EmptyCommitment);
         }
-        Ok((outcome, certificate))
-    }
 
-    /// The query behind every `check_bound` form: with `certify` on (which
-    /// needs the proof log), a decided verdict also carries its
-    /// certificate.
-    pub(super) fn check_bound_inner(
-        &mut self,
-        k: usize,
-        commitment: &BTreeSet<String>,
-        certify: bool,
-    ) -> Result<(UpecOutcome, Option<VerdictCertificate>), EngineError> {
         let start = Instant::now();
         let mut query_span = obs::span("upec.check_bound");
         query_span.attr_u64("window", k as u64);
@@ -298,43 +228,16 @@ impl<'m> IncrementalSession<'m> {
             for constraint in self.model.window_constraints() {
                 self.unrolling
                     .assume_signal_true(frame, constraint.signal)
-                    .map_err(|e| EngineError::MalformedConstraint {
-                        label: constraint.label.to_string(),
-                        reason: e.to_string(),
-                    })?;
+                    .expect(SINGLE_BIT_ROOT);
             }
         }
-
-        for name in commitment {
-            if self.model.pair(name).is_none() {
-                return Err(EngineError::UnknownRegister { name: name.clone() });
-            }
-        }
-        let committed: Vec<&RegisterPair> = self
-            .model
-            .pairs()
+        let obligation: Vec<sat::Lit> = committed
             .iter()
-            .filter(|p| p.class != StateClass::Memory && commitment.contains(&p.name))
+            .map(|p| self.unrolling.bit_lit(k, p.equal).expect(SINGLE_BIT_ROOT))
             .collect();
-        if committed.is_empty() {
-            return Err(EngineError::EmptyCommitment);
-        }
-
-        let obligation_lits: Vec<(String, sat::Lit)> = committed
-            .iter()
-            .map(|p| {
-                let lit = self.unrolling.bit_lit(k, p.equal).map_err(|e| {
-                    EngineError::MalformedConstraint {
-                        label: format!("equality signal of `{}`", p.name),
-                        reason: e.to_string(),
-                    }
-                })?;
-                Ok((p.name.clone(), lit))
-            })
-            .collect::<Result<_, EngineError>>()?;
         let activation = self.unrolling.fresh_lit();
         self.unrolling
-            .add_clause_activated(activation, obligation_lits.iter().map(|(_, l)| !*l));
+            .add_clause_activated(activation, obligation.iter().map(|&l| !l));
         let encoded_slots = self.unrolling.encode_stats().encoded_slots - slots_before;
         encode_span.attr_u64("encoded_slots", encoded_slots as u64);
         drop(encode_span);
@@ -353,35 +256,29 @@ impl<'m> IncrementalSession<'m> {
             stop: self.unrolling.last_stop(),
         };
 
-        let mut certificate: Option<VerdictCertificate> = None;
-        let outcome = match result {
+        let (outcome, certificate) = match result {
             SatResult::Unsat => {
-                if certify {
-                    // Snapshot and trim *before* the activation literal is
-                    // retired: the retirement unit `!activation` would join
-                    // the axiom set and trivialize the refutation of a query
-                    // that assumes `activation`.
-                    let log = self
-                        .unrolling
-                        .proof_log()
-                        .expect("certified queries run on a proof-logging session");
-                    // Trimming runs after `stats.runtime` was taken: its time
-                    // is inside this query's span but outside `UpecStats`.
+                // Snapshot and trim *before* the activation literal is
+                // retired: the retirement unit `!activation` would join the
+                // axiom set and trivialize the refutation of a query that
+                // assumes `activation`. Trimming runs after `stats.runtime`
+                // was taken: its time is inside this query's span but
+                // outside `UpecStats`.
+                let certificate = self.unrolling.proof_log().map(|log| {
                     let mut trim_span = obs::span("cert.trim");
                     trim_span.attr_u64("events", log.num_events() as u64);
                     let (proof, _) = sat::drat::trim(log, &[activation])
                         .expect("an unsat verdict must replay through the DRAT checker");
                     trim_span.attr_u64("kept_events", proof.num_events() as u64);
-                    drop(trim_span);
-                    certificate = Some(VerdictCertificate::Proof(UnsatCertificate {
+                    VerdictCertificate::Proof(UnsatCertificate {
                         window: k,
                         proof,
                         assumptions: vec![activation],
-                    }));
-                }
-                UpecOutcome::Proven(stats)
+                    })
+                });
+                (UpecOutcome::Proven(stats), certificate)
             }
-            SatResult::Unknown => UpecOutcome::Unknown(stats),
+            SatResult::Unknown => (UpecOutcome::Unknown(stats), None),
             SatResult::Sat(sat_model) => {
                 let mut arch = Vec::new();
                 let mut micro = Vec::new();
@@ -409,23 +306,21 @@ impl<'m> IncrementalSession<'m> {
                 } else {
                     AlertKind::LAlert
                 };
-                if certify {
-                    certificate = Some(VerdictCertificate::Witness(WitnessCertificate {
+                let certificate = self.unrolling.proof_log().is_some().then(|| {
+                    VerdictCertificate::Witness(WitnessCertificate {
                         window: k,
                         trace: self.decode_witness(&sat_model, k),
                         expected_divergences: values.clone(),
-                    }));
-                }
-                UpecOutcome::Violated(
-                    Alert {
-                        kind,
-                        window: k,
-                        architectural_differences: arch,
-                        microarchitectural_differences: micro,
-                        differing_values: values,
-                    },
-                    stats,
-                )
+                    })
+                });
+                let alert = Alert {
+                    kind,
+                    window: k,
+                    architectural_differences: arch,
+                    microarchitectural_differences: micro,
+                    differing_values: values,
+                };
+                (UpecOutcome::Violated(alert, stats), certificate)
             }
         };
         self.unrolling.retire_activation(activation);

@@ -39,11 +39,12 @@
 //!   the reproduction checks, with paper references, geometries and expected
 //!   verdicts, shared by the engine, the bench binaries, the examples and
 //!   the tests;
-//! * **checkable verdicts** — every query can be packaged as a
-//!   [`VerdictCertificate`]: proven bounds carry a trimmed DRAT refutation
-//!   replayed by the independent checker in [`sat::drat`], violated bounds
-//!   carry a concrete witness trace replayed on the [`sim`] golden model
-//!   (see `docs/certificates.md`).
+//! * **checkable verdicts** — every decided query on a session that logs a
+//!   proof returns a [`VerdictCertificate`]
+//!   ([`IncrementalSession::try_check_bound`]): proven bounds carry a
+//!   trimmed DRAT refutation replayed by the independent checker in
+//!   [`sat::drat`], violated bounds carry a concrete witness trace replayed
+//!   on the [`sim`] golden model (see `docs/certificates.md`).
 //!
 //! # Example
 //!

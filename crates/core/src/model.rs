@@ -382,7 +382,7 @@ impl UpecModel {
     /// Frame-0 alias pairs `(instance-2 register, instance-1 register)` for
     /// every non-memory pair: the `micro_soc_state1 = micro_soc_state2`
     /// assumption of the paper's Fig. 4, stated structurally (see
-    /// [`bmc::Unrolling::with_frame0_aliases`]).
+    /// [`bmc::Unrolling::with_compiled`]).
     pub fn frame0_aliases(&self) -> Vec<(SignalId, SignalId)> {
         self.pairs
             .iter()

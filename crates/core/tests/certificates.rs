@@ -15,9 +15,9 @@ use sim::WitnessTrace;
 use soc::SocVariant;
 use upec::scenarios::{self, Expectation, Geometry};
 use upec::{
-    BoundStatus, CertificateCheck, CertificateError, CertifiedResult, EngineError, EngineOptions,
-    IncrementalSession, SecretScenario, StateClass, UpecEngine, UpecModel, VerdictCertificate,
-    WitnessCertificate,
+    BoundStatus, CertificateCheck, CertificateError, CertifiedResult, EngineOptions,
+    IncrementalSession, SecretScenario, StateClass, UpecEngine, UpecModel, UpecOutcome,
+    VerdictCertificate, WitnessCertificate,
 };
 
 /// Certifies one instance end to end and checks every certificate against a
@@ -261,8 +261,8 @@ fn bve_eliminated_variables_decode_into_replayable_witnesses() {
     let mut witnessed = 0;
     for k in 1..=3 {
         let (outcome, certificate) = session
-            .check_bound_certified(k, &commitment)
-            .expect("certified query on a logging session");
+            .try_check_bound(k, &commitment)
+            .expect("a well-formed query");
         if outcome.alert().is_none() {
             continue;
         }
@@ -292,10 +292,10 @@ fn bve_eliminated_variables_decode_into_replayable_witnesses() {
     );
 }
 
-/// An undecided query must never emit a certificate: a budget-exhausted
-/// certified query is rejected with a typed error — carrying the effort
-/// spent and the stop cause — and the session stays valid, so re-checking
-/// the same bound under a real budget certifies normally.
+/// An undecided query must never emit a certificate: a budget-stopped query
+/// on a proof-logging session answers `Unknown` with its stop cause and no
+/// certificate, and the session stays valid, so re-checking the same bound
+/// under an unlimited budget decides and certifies normally.
 #[test]
 fn budget_exhausted_queries_are_rejected_for_certification() {
     let config = Geometry::formal_default().apply(SocVariant::Secure);
@@ -307,52 +307,26 @@ fn budget_exhausted_queries_are_rejected_for_certification() {
         .with_proof_log()
         .with_budget(sat::Budget::conflicts(0));
     let mut session = IncrementalSession::with_options(&model, options);
-    let err = session
-        .check_bound_certified(2, &commitment)
-        .expect_err("an exhausted query must not certify");
-    match err {
-        EngineError::UncertifiableVerdict {
-            window,
-            stats,
-            stop,
-        } => {
-            assert_eq!(window, 2);
-            assert_eq!(stop, Some(sat::StopCause::BudgetExhausted));
-            assert_eq!(stats.stop, Some(sat::StopCause::BudgetExhausted));
-        }
-        other => panic!("wrong rejection: {other}"),
-    }
+    let (outcome, certificate) = session
+        .try_check_bound(2, &commitment)
+        .expect("a well-formed query");
+    assert!(matches!(outcome, UpecOutcome::Unknown(_)), "{outcome:?}");
+    assert_eq!(outcome.stats().stop, Some(sat::StopCause::BudgetExhausted));
+    assert!(certificate.is_none(), "an exhausted query must not certify");
     // The session resumes: the same bound decides and certifies under an
     // unlimited budget.
     session.set_budget(sat::Budget::unlimited());
     let (outcome, certificate) = session
-        .check_bound_certified(2, &commitment)
-        .expect("the resumed query decides");
+        .try_check_bound(2, &commitment)
+        .expect("a well-formed query");
     assert!(
-        !matches!(outcome, upec::UpecOutcome::Unknown(_)),
+        !matches!(outcome, UpecOutcome::Unknown(_)),
         "unlimited budget must decide: {outcome:?}"
     );
     let certificate = certificate.expect("decided verdicts carry a certificate");
     certificate
         .check(&model)
         .expect("the resumed verdict's certificate must re-check");
-}
-
-/// Sessions opened without proof logging reject certified queries with a
-/// clear typed error instead of asserting.
-#[test]
-fn sessions_without_proof_logging_reject_certified_queries() {
-    let config = Geometry::formal_default().apply(SocVariant::Secure);
-    let model = UpecModel::new(&config, SecretScenario::NotInCache);
-    let commitment = upec::full_commitment(&model);
-    let mut session = IncrementalSession::new(&model);
-    let err = session
-        .check_bound_certified(1, &commitment)
-        .expect_err("no proof log, no certificates");
-    assert!(
-        matches!(err, EngineError::CertificationUnavailable),
-        "{err}"
-    );
 }
 
 /// Full differential sweep: every instance in the registry, at its pinned

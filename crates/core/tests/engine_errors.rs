@@ -1,8 +1,7 @@
-//! Regression suite for the typed engine error path: malformed queries on
-//! the engine query path surface as [`EngineError`] values from the `try_`
-//! APIs instead of panics, and a failed query never poisons the session.
+//! Regression suite for the typed engine error path: malformed commitments
+//! surface as [`EngineError`] values from `try_check_bound` instead of
+//! panics, and a rejected query leaves the session as it found it.
 
-use bmc::UnrollOptions;
 use soc::SocVariant;
 use upec::scenarios::Geometry;
 use upec::{EngineError, IncrementalSession, SecretScenario, UpecModel};
@@ -36,25 +35,21 @@ fn empty_commitments_are_a_typed_error() {
     assert!(matches!(err, EngineError::EmptyCommitment), "{err}");
 }
 
+/// A query rejected at k=3 encodes nothing: the next k=1 query on the same
+/// session runs on exactly the CNF of a fresh session's k=1 query, with no
+/// frames or window constraints it never asked for.
 #[test]
 fn a_rejected_query_does_not_poison_the_session() {
     let model = tiny_model();
+    let commitment = upec::full_commitment(&model);
     let mut session = IncrementalSession::new(&model);
     let bogus = ["no_such_register".to_string()].into_iter().collect();
-    assert!(session.try_check_bound(1, &bogus).is_err());
-    // The same session then answers a well-formed query normally.
-    let outcome = session
-        .try_check_bound(1, &upec::full_commitment(&model))
-        .expect("a well-formed query succeeds after a rejected one");
+    assert!(session.try_check_bound(3, &bogus).is_err());
+    let outcome = session.check_bound(1, &commitment);
     assert!(outcome.is_proven(), "outcome: {outcome:?}");
-}
-
-#[test]
-fn try_with_options_accepts_every_registry_model() {
-    // The non-panicking constructor is equivalent to the panicking one on
-    // well-formed models (the registry has no malformed constraints).
-    let model = tiny_model();
-    assert!(IncrementalSession::try_with_options(&model, UnrollOptions::default()).is_ok());
+    let fresh = IncrementalSession::new(&model).check_bound(1, &commitment);
+    let size = |stats: upec::UpecStats| (stats.variables, stats.clauses);
+    assert_eq!(size(outcome.stats()), size(fresh.stats()));
 }
 
 #[test]
@@ -71,9 +66,5 @@ fn engine_errors_render_stable_messages() {
         }
         .to_string(),
         "commitment refers to unknown register `x`"
-    );
-    assert_eq!(
-        EngineError::CertificationUnavailable.to_string(),
-        "certified queries need a session opened with UnrollOptions::with_proof_log()"
     );
 }

@@ -154,47 +154,6 @@ impl ProofLog {
             (h.step, lits)
         })
     }
-
-    /// Renders the axiom events as a DIMACS CNF document.
-    pub fn to_dimacs(&self) -> String {
-        let mut max_var = 0i64;
-        for (step, lits) in self.events() {
-            if step == ProofStep::Axiom {
-                for l in lits {
-                    max_var = max_var.max(l.to_dimacs().abs());
-                }
-            }
-        }
-        let mut out = format!("p cnf {} {}\n", max_var, self.axioms);
-        for (step, lits) in self.events() {
-            if step == ProofStep::Axiom {
-                for l in lits {
-                    out.push_str(&l.to_dimacs().to_string());
-                    out.push(' ');
-                }
-                out.push_str("0\n");
-            }
-        }
-        out
-    }
-
-    /// Renders the lemma and deletion events in textual DRAT format.
-    pub fn to_drat(&self) -> String {
-        let mut out = String::new();
-        for (step, lits) in self.events() {
-            match step {
-                ProofStep::Axiom => continue,
-                ProofStep::Add => {}
-                ProofStep::Delete => out.push_str("d "),
-            }
-            for l in lits {
-                out.push_str(&l.to_dimacs().to_string());
-                out.push(' ');
-            }
-            out.push_str("0\n");
-        }
-        out
-    }
 }
 
 /// Statistics from a successful proof check.
@@ -1133,22 +1092,6 @@ mod tests {
         let (trimmed, _) = trim(&log, &[]).unwrap();
         let report2 = check(&trimmed, &[]).unwrap();
         assert!(report2.lemmas_checked <= report.lemmas_checked);
-    }
-
-    #[test]
-    fn to_dimacs_and_drat_render() {
-        let x = lit(0, true);
-        let y = lit(1, false);
-        let mut log = ProofLog::new();
-        log.push(ProofStep::Axiom, &[x, y]);
-        log.push(ProofStep::Add, &[x]);
-        log.push(ProofStep::Delete, &[x, y]);
-        let dimacs = log.to_dimacs();
-        assert!(dimacs.contains("p cnf 2 1"));
-        assert!(dimacs.contains("1 -2 0"));
-        let drat = log.to_drat();
-        assert!(drat.contains("1 0"));
-        assert!(drat.contains("d 1 -2 0"));
     }
 
     #[test]

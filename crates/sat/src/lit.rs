@@ -67,8 +67,6 @@ impl fmt::Display for Var {
 /// let l = Lit::new(Var::from_index(2), true);
 /// assert!(l.is_positive());
 /// assert!(!(!l).is_positive());
-/// assert_eq!(l.to_dimacs(), 3);
-/// assert_eq!((!l).to_dimacs(), -3);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Lit(pub(crate) u32);
@@ -97,16 +95,6 @@ impl Lit {
     /// Reconstructs a literal from its dense code.
     pub fn from_code(code: usize) -> Self {
         Lit(u32::try_from(code).expect("literal code exceeds u32 range"))
-    }
-
-    /// Converts the literal to its DIMACS signed-integer form (1-based).
-    pub fn to_dimacs(self) -> i64 {
-        let v = i64::from(self.var().0) + 1;
-        if self.is_positive() {
-            v
-        } else {
-            -v
-        }
     }
 }
 
@@ -196,12 +184,6 @@ mod tests {
         assert_eq!(!p, n);
         assert_eq!(!!p, p);
         assert_eq!(Lit::from_code(p.code()), p);
-    }
-
-    #[test]
-    fn dimacs_conversion() {
-        assert_eq!(Var::from_index(2).positive().to_dimacs(), 3);
-        assert_eq!(Var::from_index(0).negative().to_dimacs(), -1);
     }
 
     #[test]

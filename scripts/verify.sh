@@ -12,15 +12,17 @@
 # every distinct registry miter checked against the word-level simulator,
 # fresh and after CNF simplification, and the default session agreeing with
 # a plain solve (UnrollOptions::with_simplify_trial(u64::MAX), a trial cap
-# no query reaches) on pinned k=1 verdicts (tests/cross_layer.rs).
+# no query reaches) on pinned k=1 verdicts (tests/cross_layer.rs). The
+# release workspace stage runs the same encoding oracle at k=3.
 #
 # The driver stage runs every paper-artifact driver that finishes within
 # seconds, so none can rot unnoticed: the quickstart example, Fig. 1 and
 # Fig. 2 (simulation), Table II, the engine on `pmp-lock` (Sec. VII-C) and
 # `cache-footprint` (Fig. 1 as a UPEC check), and the alert debugger
-# (`debug_alert`, which poses its own query straight on `bmc::Unrolling`
-# and dumps the `orc` L-alert at window 2); the engine exits 1 when a
-# verdict misses its registered expectation. `table1` stays ungated: both of
+# (`debug_alert`, which poses the `orc` query at window 2 on a
+# proof-logging session and dumps the L-alert from its checked witness
+# certificate). The engine exits 1 when a verdict misses its registered
+# expectation, and `debug_alert` exits 1 when the L-alert is lost. `table1` stays ungated: both of
 # its columns run for more than ten minutes.
 #
 # --full additionally runs the slow drivers (the methodology_flow example,
