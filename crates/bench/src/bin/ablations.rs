@@ -1,57 +1,28 @@
-//! Ablation studies for three design decisions of the reproduction:
+//! Ablation studies for two scaling questions of the reproduction:
 //!
-//! * **symbolic initial state (IPC) vs. reset-state BMC** — reset-state BMC
-//!   misses the Orc vulnerability at windows where IPC finds it, because the
-//!   attack state (pending write + transient load) takes many cycles to set
-//!   up from reset;
 //! * **window length scaling** — CNF size and solver effort as a function of
 //!   the unrolling depth (capped at k=3: the secure design's k=4 proof runs
 //!   for more than ten minutes);
 //! * **design size scaling** — proof cost as a function of cache lines and
 //!   register count.
 //!
+//! There is no reset-state ablation. A UPEC query is posed from a symbolic
+//! state under premises (`secret_data_protected`, the secret's cache line
+//! present or absent, the side constraints of Fig. 4) that cannot hold at
+//! reset — the PMP registers alone reset to zero — so a reset-state query
+//! is vacuous: it would answer "no alert" for any design.
+//!
 //! ```text
 //! cargo run --release -p bench --bin ablations
 //! ```
 
 use bench::secs;
-use bmc::UnrollOptions;
 use soc::SocVariant;
 use upec::scenarios::{self, Geometry};
 use upec::{architectural_commitment, IncrementalSession, SecretScenario, UpecModel};
 
 fn main() {
-    println!("Ablation 1 — symbolic initial state (IPC) vs reset-state BMC, Orc variant");
-    println!(
-        "{:>8} {:>18} {:>18}",
-        "window", "IPC (any state)", "BMC (from reset)"
-    );
-    let model = scenarios::by_id("orc")
-        .expect("registered scenario")
-        .build_model();
-    let commitment = architectural_commitment(&model);
-    // Only the verdicts are printed, so each column walks one session.
-    let mut ipc_session = IncrementalSession::new(&model);
-    let mut bmc_session =
-        IncrementalSession::with_options(&model, UnrollOptions::from_reset_state());
-    for k in 1..=6 {
-        let ipc = ipc_session.check_bound(k, &commitment);
-        let bmc = bmc_session.check_bound(k, &commitment);
-        let describe = |o: &upec::UpecOutcome| {
-            if o.alert().is_some() {
-                "L-alert".to_string()
-            } else if o.is_proven() {
-                "no alert".to_string()
-            } else {
-                "unknown".to_string()
-            }
-        };
-        println!("{k:>8} {:>18} {:>18}", describe(&ipc), describe(&bmc));
-    }
-    println!("(From reset the cache is empty and the secret cannot be cached, so the bounded");
-    println!("reset-state check never observes the covert channel at these depths.)\n");
-
-    println!("Ablation 2 — proof effort vs window length, secure design, D in cache");
+    println!("Ablation 1 — proof effort vs window length, secure design, D in cache");
     println!("(k <= 3: the k=4 proof runs for more than ten minutes)");
     println!(
         "{:>8} {:>12} {:>12} {:>12} {:>12}",
@@ -75,7 +46,7 @@ fn main() {
     }
     println!();
 
-    println!("Ablation 3 — proof effort vs design size (window 2, secure design)");
+    println!("Ablation 2 — proof effort vs design size (window 2, secure design)");
     println!(
         "{:>22} {:>12} {:>12} {:>12}",
         "configuration", "variables", "clauses", "runtime"
@@ -100,5 +71,5 @@ fn main() {
         );
     }
     println!("\n(The paper's scalability discussion — 'feasible k' and future compositional");
-    println!("UPEC — corresponds to the growth visible in ablations 2 and 3.)");
+    println!("UPEC — corresponds to the growth visible in both ablations.)");
 }

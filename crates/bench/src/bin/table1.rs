@@ -30,7 +30,7 @@ fn main() {
         let options = UnrollOptions::default().with_budget(Budget::conflicts(CONFLICT_BUDGET));
         let report = run_methodology(&model, d_mem, options);
         let closure = if report.verdict == Verdict::Secure && !report.p_alert_registers.is_empty() {
-            Some(prove_alert_closure(&model, &report.p_alert_registers))
+            Some(prove_alert_closure(&model, &report.p_alert_registers).1)
         } else {
             None
         };

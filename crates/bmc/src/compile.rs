@@ -7,9 +7,12 @@
 //!
 //! 1. **Compile** ([`CompiledTransition::compile`]): one pass over the
 //!    netlist produces a dense, topologically ordered *schedule* of
-//!    [`CompiledOp`]s. During the pass the compiler
-//!    * drops every node outside the [cone of influence](rtl::Coi) of the
-//!      declared roots (property signals, constraints, miter outputs),
+//!    `CompiledOp`s. During the pass the compiler
+//!    * drops every node outside the cone of influence of the declared roots
+//!      (property signals, constraints, miter outputs): the smallest set of
+//!      signals closed under operands and under every in-cone register's
+//!      next-state expression, so nothing outside it can reach a root in
+//!      any number of cycles,
 //!    * **hash-conses** structurally identical nodes (same operator, same
 //!      operand slots) onto one slot, so duplicated subterms — ubiquitous in
 //!      a two-instance UPEC miter — are encoded once per frame, and
@@ -27,13 +30,13 @@
 //! final frame of a bounded proof never pays for next-state logic that no
 //! deeper frame consumes.
 
-use rtl::{BinaryOp, BitVec, Coi, CoiStats, Netlist, Node, RegisterId, SignalId, UnaryOp};
+use rtl::{BinaryOp, BitVec, Netlist, Node, RegisterId, SignalId, UnaryOp};
 use std::collections::HashMap;
 
 /// A scheduled operation. Operands are dense *slot* indices into the
 /// schedule, not netlist signal ids; every operand slot precedes its user.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompiledOp {
+pub(crate) enum CompiledOp {
     /// Free primary input: fresh literals in every frame.
     Input {
         /// Bit width.
@@ -41,8 +44,8 @@ pub enum CompiledOp {
     },
     /// Compile-time constant (folded nodes land here too).
     Const(BitVec),
-    /// Current-state value of a register. Frame 0 is symbolic / initial /
-    /// aliased; frame `t+1` clones the literals of the register's next-state
+    /// Current-state value of a register. Frame 0 is symbolic or aliased;
+    /// frame `t+1` clones the literals of the register's next-state
     /// slot in frame `t`.
     Register {
         /// Register table index.
@@ -105,23 +108,6 @@ enum OpKey {
     Concat(u32, u32),
 }
 
-/// Counters describing what one [`CompiledTransition::compile`] run did.
-#[derive(Debug, Clone, Copy)]
-pub struct CompileStats {
-    /// Signals in the source netlist.
-    pub netlist_signals: usize,
-    /// Ops in the compiled schedule (what a frame encodes at most).
-    pub scheduled_slots: usize,
-    /// Signals dropped because they lie outside the cone of influence.
-    pub pruned_signals: usize,
-    /// Signals merged onto an existing slot by structural hashing.
-    pub hashed_signals: usize,
-    /// Signals eliminated by constant folding / word-level identities.
-    pub folded_signals: usize,
-    /// The underlying cone-of-influence analysis.
-    pub coi: CoiStats,
-}
-
 /// A netlist compiled into a dense transition-relation schedule.
 ///
 /// The compiled form is immutable and self-contained (it holds no borrow of
@@ -131,11 +117,11 @@ pub struct CompileStats {
 /// # Examples
 ///
 /// ```
-/// use rtl::{BitVec, Netlist};
+/// use rtl::Netlist;
 /// use bmc::CompiledTransition;
 ///
 /// let mut n = Netlist::new("cnt");
-/// let c = n.register_init("c", 4, BitVec::zero(4));
+/// let c = n.register("c", 4);
 /// let one = n.lit(1, 4);
 /// let next = n.add(c.value(), one);
 /// n.set_next(c, next);
@@ -146,20 +132,15 @@ pub struct CompileStats {
 ///
 /// let ct = CompiledTransition::compile(&n);
 /// assert_eq!(ct.slot_of(next), ct.slot_of(dup));
-/// assert!(ct.stats().hashed_signals >= 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledTransition {
     ops: Vec<CompiledOp>,
-    widths: Vec<u32>,
     /// Signal index → slot (`None` when pruned by COI).
     slot_of: Vec<Option<u32>>,
     /// Register index → slot of its next-state expression (`None` when the
     /// register is outside the cone or has no next-state attached).
     reg_next_slot: Vec<Option<u32>>,
-    /// Register index → initial value, if declared.
-    reg_init: Vec<Option<BitVec>>,
-    stats: CompileStats,
 }
 
 impl CompiledTransition {
@@ -167,7 +148,7 @@ impl CompiledTransition {
     ///
     /// Lazy per-frame encoding still prunes dynamically at solve time; use
     /// [`CompiledTransition::compile_with_roots`] to additionally shrink the
-    /// static schedule and get meaningful COI statistics.
+    /// static schedule to the roots' cone of influence.
     pub fn compile(netlist: &Netlist) -> Self {
         Self::build(netlist, None)
     }
@@ -186,9 +167,9 @@ impl CompiledTransition {
         netlist
             .validate()
             .expect("netlist must be valid before compilation");
-        let coi = match roots {
-            Some(roots) => Coi::of(netlist, roots.iter().copied()),
-            None => Coi::of(netlist, netlist.signals()),
+        let in_cone = match roots {
+            Some(roots) => cone_of_influence(netlist, roots),
+            None => vec![true; netlist.len()],
         };
 
         let mut ops: Vec<CompiledOp> = Vec::new();
@@ -207,7 +188,7 @@ impl CompiledTransition {
         };
 
         for id in netlist.signals() {
-            if !coi.contains(id) {
+            if !in_cone[id.index()] {
                 pruned_signals += 1;
                 continue;
             }
@@ -445,9 +426,7 @@ impl CompiledTransition {
         }
 
         let mut reg_next_slot = vec![None; netlist.register_count()];
-        let mut reg_init = vec![None; netlist.register_count()];
         for (index, info) in netlist.registers().iter().enumerate() {
-            reg_init[index] = info.init;
             if slot_of[info.signal.index()].is_some() {
                 // The cone closure pulled in the next-state expression of
                 // every in-cone register, so its slot exists.
@@ -457,31 +436,20 @@ impl CompiledTransition {
             }
         }
 
-        let stats = CompileStats {
-            netlist_signals: netlist.len(),
-            scheduled_slots: ops.len(),
-            pruned_signals,
-            hashed_signals,
-            folded_signals,
-            coi: coi.stats(),
-        };
-        span.attr_u64("netlist_signals", stats.netlist_signals as u64);
-        span.attr_u64("scheduled_slots", stats.scheduled_slots as u64);
-        span.attr_u64("pruned_signals", stats.pruned_signals as u64);
-        span.attr_u64("hashed_signals", stats.hashed_signals as u64);
-        span.attr_u64("folded_signals", stats.folded_signals as u64);
+        span.attr_u64("netlist_signals", netlist.len() as u64);
+        span.attr_u64("scheduled_slots", ops.len() as u64);
+        span.attr_u64("pruned_signals", pruned_signals as u64);
+        span.attr_u64("hashed_signals", hashed_signals as u64);
+        span.attr_u64("folded_signals", folded_signals as u64);
         Self {
             ops,
-            widths,
             slot_of,
             reg_next_slot,
-            reg_init,
-            stats,
         }
     }
 
     /// The scheduled operations, in dependency order.
-    pub fn ops(&self) -> &[CompiledOp] {
+    pub(crate) fn ops(&self) -> &[CompiledOp] {
         &self.ops
     }
 
@@ -495,31 +463,46 @@ impl CompiledTransition {
         self.ops.is_empty()
     }
 
-    /// Result width of a slot.
-    pub fn width(&self, slot: u32) -> u32 {
-        self.widths[slot as usize]
-    }
-
     /// The slot a netlist signal was compiled to, or `None` when the signal
-    /// was pruned by the cone-of-influence analysis.
+    /// lies outside the cone of influence of the compiled roots.
     pub fn slot_of(&self, signal: SignalId) -> Option<u32> {
         self.slot_of[signal.index()]
     }
 
     /// Slot of a register's next-state expression.
-    pub fn next_slot(&self, register: RegisterId) -> Option<u32> {
+    pub(crate) fn next_slot(&self, register: RegisterId) -> Option<u32> {
         self.reg_next_slot[register.index()]
     }
+}
 
-    /// Declared initial value of a register.
-    pub fn init_value(&self, register: RegisterId) -> Option<BitVec> {
-        self.reg_init[register.index()]
+/// The cone of influence of `roots` as a per-signal membership mask: the
+/// closure under combinational operands that also follows every in-cone
+/// register to its next-state expression. Signals that never reach a root,
+/// including whole registers and their feedback logic, stay outside.
+fn cone_of_influence(netlist: &Netlist, roots: &[SignalId]) -> Vec<bool> {
+    let mut in_cone = vec![false; netlist.len()];
+    let mut stack: Vec<SignalId> = Vec::new();
+    let mut visit = |id: SignalId, stack: &mut Vec<SignalId>| {
+        if !in_cone[id.index()] {
+            in_cone[id.index()] = true;
+            stack.push(id);
+        }
+    };
+    for &root in roots {
+        visit(root, &mut stack);
     }
-
-    /// Compilation counters.
-    pub fn stats(&self) -> CompileStats {
-        self.stats
+    while let Some(id) = stack.pop() {
+        let node = netlist.node(id);
+        for operand in node.operands() {
+            visit(operand, &mut stack);
+        }
+        if let Node::Register { register, .. } = node {
+            if let Some(next) = netlist.registers()[register.index()].next {
+                visit(next, &mut stack);
+            }
+        }
     }
+    in_cone
 }
 
 enum FoldResult {
@@ -598,15 +581,53 @@ mod tests {
         let b = n.input("b", 8);
         let live = n.add(a, b);
         let dead = n.sub(a, b); // never reaches the root
-        let _dead2 = n.xor(dead, b);
+        let dead2 = n.xor(dead, b);
         n.output("live", live);
 
         let full = CompiledTransition::compile(&n);
         let pruned = CompiledTransition::compile_with_roots(&n, &[live]);
-        assert!(pruned.len() < full.len());
+        assert_eq!((full.len(), pruned.len()), (5, 3));
         assert!(pruned.slot_of(dead).is_none());
+        assert!(pruned.slot_of(dead2).is_none());
         assert!(pruned.slot_of(live).is_some());
-        assert_eq!(pruned.stats().pruned_signals, 2);
+    }
+
+    /// A live counter (the root), a dead counter, and a register that feeds
+    /// the live one only through its next-state expression.
+    fn layered() -> (Netlist, SignalId, SignalId, SignalId) {
+        let mut n = Netlist::new("layered");
+        let seed = n.register("seed", 4);
+        let live = n.register("live", 4);
+        let dead = n.register("dead", 4);
+        let live_next = n.add(live.value(), seed.value());
+        let one = n.lit(1, 4);
+        let dead_next = n.add(dead.value(), one);
+        let seed_next = n.xor(seed.value(), one);
+        n.set_next(live, live_next);
+        n.set_next(dead, dead_next);
+        n.set_next(seed, seed_next);
+        n.output("live", live.value());
+        (n, live.value(), dead.value(), seed.value())
+    }
+
+    #[test]
+    fn cone_follows_register_feedback() {
+        let (n, live, dead, seed) = layered();
+        let ct = CompiledTransition::compile_with_roots(&n, &[live]);
+        assert!(ct.slot_of(live).is_some());
+        // `seed` only matters through `live`'s next-state function, which the
+        // sequential closure must pull in.
+        assert!(ct.slot_of(seed).is_some());
+        assert!(ct.slot_of(dead).is_none());
+    }
+
+    #[test]
+    fn empty_roots_empty_schedule_and_full_roots_every_signal() {
+        let (n, live, dead, seed) = layered();
+        assert!(CompiledTransition::compile_with_roots(&n, &[]).is_empty());
+        // Every signal of this design feeds one of the three registers.
+        let full = CompiledTransition::compile_with_roots(&n, &[live, dead, seed]);
+        assert!(n.signals().all(|s| full.slot_of(s).is_some()));
     }
 
     #[test]
@@ -623,7 +644,7 @@ mod tests {
         let ct = CompiledTransition::compile(&n);
         assert_eq!(ct.slot_of(x), ct.slot_of(y));
         assert_eq!(ct.slot_of(x), ct.slot_of(z));
-        assert_eq!(ct.stats().hashed_signals, 2);
+        assert_eq!(ct.len(), 3, "a, b and one adder");
     }
 
     #[test]
@@ -644,13 +665,18 @@ mod tests {
             CompiledOp::Const(BitVec::new(7, 8))
         );
         assert_eq!(ct.slot_of(same), ct.slot_of(seven));
-        assert!(ct.stats().folded_signals >= 3);
+        let slot = ct.slot_of(cond).unwrap();
+        assert_eq!(
+            ct.ops()[slot as usize],
+            CompiledOp::Const(BitVec::bit(true))
+        );
+        assert_eq!(ct.len(), 5, "the constants 3, 4, 7 and 1, and a");
     }
 
     #[test]
     fn register_feedback_is_scheduled() {
         let mut n = Netlist::new("cnt");
-        let c = n.register_init("c", 4, BitVec::zero(4));
+        let c = n.register("c", 4);
         let one = n.lit(1, 4);
         let next = n.add(c.value(), one);
         n.set_next(c, next);
@@ -661,6 +687,5 @@ mod tests {
             _ => unreachable!(),
         };
         assert_eq!(ct.next_slot(reg), ct.slot_of(next));
-        assert_eq!(ct.init_value(reg), Some(BitVec::zero(4)));
     }
 }

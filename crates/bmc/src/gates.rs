@@ -31,7 +31,7 @@ impl GateKey {
 /// identical SoC instances of a UPEC miter largely collapse onto the same
 /// variables wherever their inputs are shared.
 #[derive(Debug)]
-pub struct GateBuilder {
+pub(crate) struct GateBuilder {
     solver: Solver,
     true_lit: Lit,
     structural: HashMap<GateKey, Lit>,
@@ -264,12 +264,6 @@ impl GateBuilder {
     /// Read-only access to the underlying solver.
     pub fn solver(&self) -> &Solver {
         &self.solver
-    }
-}
-
-impl Default for GateBuilder {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -7,14 +7,22 @@
 //!
 //! [`Unrolling`] is the one query layer: per-frame literals for every
 //! signal, hard constraints, assumption-based queries and model/value
-//! extraction. By default every register starts fully *symbolic* in frame 0
-//! (the "any-state proof" of interval property checking), which is how the
-//! UPEC miter proofs in the `upec` crate drive it. [`CompiledTransition`]
-//! prunes, hashes and folds the netlist once so every frame instantiates the
-//! same dense schedule lazily. [`UnrollOptions`] holds all of a query's
-//! settings: symbolic or reset initial state, a per-call [`sat::Budget`],
-//! the trial cap that gates CNF simplification, and proof logging; the
-//! solver underneath has no feature switches.
+//! extraction. Every register starts fully *symbolic* in frame 0 (the
+//! "any-state proof" of interval property checking), which is how the UPEC
+//! miter proofs in the `upec` crate drive it; a caller that wants a concrete
+//! start pins frame-0 registers with
+//! [`Unrolling::assume_signal_equals_const`]. [`CompiledTransition`] prunes
+//! the netlist to the cone of influence of its roots, hashes and folds it
+//! once, so every frame instantiates the same dense schedule lazily.
+//! [`UnrollOptions`] holds all of a query's settings: a per-call
+//! [`sat::Budget`], the trial cap that gates CNF simplification, and proof
+//! logging; the solver underneath has no feature switches, and
+//! [`Unrolling::solver`] reads its counters.
+//!
+//! Two spans come from this crate: `bmc.compile` (one per compilation, with
+//! the schedule's size and what pruning, hashing and folding removed) and
+//! `bmc.trial_solve` (the capped solve that gates simplification). The
+//! `upec` session records its encoding as `bmc.encode`.
 //!
 //! # Example
 //!
@@ -51,6 +59,5 @@ mod compile;
 mod gates;
 mod unroll;
 
-pub use compile::{CompileStats, CompiledOp, CompiledTransition};
-pub use gates::GateBuilder;
-pub use unroll::{EncodeStats, UnrollError, UnrollOptions, Unrolling};
+pub use compile::CompiledTransition;
+pub use unroll::{UnrollError, UnrollOptions, Unrolling};

@@ -13,20 +13,21 @@
 //! simplifier: the workspace's cross-layer tests pin every distinct registry
 //! miter to it, both as encoded and after simplification.
 
-use crate::{CompiledOp, CompiledTransition, GateBuilder};
+use crate::compile::{CompiledOp, CompiledTransition};
+use crate::gates::GateBuilder;
 use rtl::{BinaryOp, BitVec, Netlist, SignalId, UnaryOp};
 use sat::{Lit, Model, SatResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Options controlling how a netlist is unrolled.
+/// Options controlling how an unrolling solves. Every register starts fully
+/// *symbolic* in frame 0, the "any-state proof" setting of interval property
+/// checking (IPC) and of every UPEC proof; there is no reset-state mode
+/// (declared register initial values drive only the simulator). A caller
+/// that needs a concrete start pins frame-0 registers with
+/// [`Unrolling::assume_signal_equals_const`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnrollOptions {
-    /// When `true`, registers that declare an initial value start there in
-    /// frame 0. When `false` every register starts fully *symbolic*, which is
-    /// the "any-state proof" setting used by interval property checking
-    /// (IPC) and by all UPEC proofs.
-    pub use_initial_values: bool,
     /// Deterministic conflict budget for each [`Unrolling::solve`] call
     /// (see [`sat::Budget`]). The budget covers the whole call including the
     /// trial solve and the post-simplification full solve: the remainder is
@@ -56,7 +57,6 @@ pub struct UnrollOptions {
 impl Default for UnrollOptions {
     fn default() -> Self {
         Self {
-            use_initial_values: false,
             budget: sat::Budget::unlimited(),
             simplify_trial_conflicts: 4000,
             proof_log: false,
@@ -65,14 +65,6 @@ impl Default for UnrollOptions {
 }
 
 impl UnrollOptions {
-    /// Reset-state bounded model checking (used by the ablation experiments).
-    pub fn from_reset_state() -> Self {
-        Self {
-            use_initial_values: true,
-            ..Self::default()
-        }
-    }
-
     /// Sets the deterministic per-call resource budget (see
     /// [`UnrollOptions::budget`]).
     pub fn with_budget(mut self, budget: sat::Budget) -> Self {
@@ -96,19 +88,6 @@ impl UnrollOptions {
     }
 }
 
-/// Aggregate description of what an unrolling has encoded so far.
-#[derive(Debug, Clone, Copy)]
-pub struct EncodeStats {
-    /// Slots in the compiled schedule.
-    pub scheduled_slots: usize,
-    /// Slot instances actually Tseitin-encoded, summed over all frames.
-    pub encoded_slots: usize,
-    /// CNF variables allocated.
-    pub variables: usize,
-    /// CNF problem clauses added.
-    pub clauses: usize,
-}
-
 /// A netlist unrolled over `k+1` time frames and bit-blasted into CNF.
 ///
 /// Frame `t` describes the state *at* clock cycle `t`; the register values of
@@ -120,22 +99,23 @@ pub struct EncodeStats {
 /// # Examples
 ///
 /// ```
-/// use rtl::{Netlist, BitVec};
+/// use rtl::Netlist;
 /// use bmc::{Unrolling, UnrollOptions};
 ///
 /// let mut n = Netlist::new("counter");
-/// let c = n.register_init("c", 4, BitVec::zero(4));
+/// let c = n.register("c", 4);
 /// let one = n.lit(1, 4);
 /// let next = n.add(c.value(), one);
 /// n.set_next(c, next);
 /// n.output("c", c.value());
 ///
-/// let mut unrolling = Unrolling::new(&n, UnrollOptions::from_reset_state());
+/// let mut unrolling = Unrolling::new(&n, UnrollOptions::default());
 /// unrolling.extend_to(3);
-/// // After 3 cycles from reset the counter must hold 3.
-/// let must_be_three = unrolling.assume_signal_equals_const(3, c.value(), 3);
-/// assert!(must_be_three.is_ok());
-/// assert!(unrolling.solve(&[]).is_sat());
+/// // Pin the start to 0: three cycles later the counter must hold 3.
+/// unrolling.assume_signal_equals_const(0, c.value(), 0).unwrap();
+/// let c3 = unrolling.lits(3, c.value()).unwrap();
+/// assert!(unrolling.solve(&[c3[0], c3[1]]).is_sat());
+/// assert!(unrolling.solve(&[!c3[0]]).is_unsat());
 /// ```
 #[derive(Debug)]
 pub struct Unrolling<'n> {
@@ -307,34 +287,28 @@ impl<'n> Unrolling<'n> {
         unrolling
     }
 
-    /// The unrolled netlist.
-    pub fn netlist(&self) -> &Netlist {
-        self.netlist
-    }
-
     /// Number of frames built so far (at least 1).
     pub fn frame_count(&self) -> usize {
         self.frames.len()
     }
 
-    /// Number of CNF variables allocated so far.
-    pub fn num_vars(&self) -> usize {
-        self.gates.solver().num_vars()
+    /// Slot instances Tseitin-encoded so far, summed over all frames (at
+    /// most [`CompiledTransition::len`] per frame).
+    pub fn encoded_slots(&self) -> usize {
+        self.encoded_slots
     }
 
-    /// Number of problem clauses generated so far.
-    pub fn num_clauses(&self) -> usize {
-        self.gates.solver().num_clauses()
-    }
-
-    /// What has been encoded so far.
-    pub fn encode_stats(&self) -> EncodeStats {
-        EncodeStats {
-            scheduled_slots: self.transition.len(),
-            encoded_slots: self.encoded_slots,
-            variables: self.num_vars(),
-            clauses: self.num_clauses(),
-        }
+    /// The underlying solver, read-only: its size
+    /// ([`sat::Solver::num_vars`], [`sat::Solver::num_clauses`]), counters
+    /// ([`sat::Solver::stats`], [`sat::Solver::simplify_stats`]), last stop
+    /// cause ([`sat::Solver::last_stop`]) and, with
+    /// [`UnrollOptions::proof_log`], the DRAT proof log
+    /// ([`sat::Solver::proof_log`]) that an unsat certificate is trimmed
+    /// from. Clauses, budgets and cancellation go through the unrolling,
+    /// which keeps the gate encoder's structural hash consistent with the
+    /// CNF.
+    pub fn solver(&self) -> &sat::Solver {
+        self.gates.solver()
     }
 
     /// Ensures frames `0..=k` exist.
@@ -352,17 +326,18 @@ impl<'n> Unrolling<'n> {
     /// demand when queries reach them.
     ///
     /// ```
-    /// use rtl::{Netlist, BitVec};
+    /// use rtl::Netlist;
     /// use bmc::{Unrolling, UnrollOptions};
     ///
     /// let mut n = Netlist::new("counter");
-    /// let c = n.register_init("c", 8, BitVec::zero(8));
+    /// let c = n.register("c", 8);
     /// let one = n.lit(1, 8);
     /// let next = n.add(c.value(), one);
     /// n.set_next(c, next);
     /// n.output("c", c.value());
     ///
-    /// let mut u = Unrolling::new(&n, UnrollOptions::from_reset_state());
+    /// let mut u = Unrolling::new(&n, UnrollOptions::default());
+    /// u.assume_signal_equals_const(0, c.value(), 0).unwrap();
     /// for k in 1..=4 {
     ///     u.extend_to(k); // appends only the new frame each iteration
     ///     let act = u.fresh_lit();
@@ -470,17 +445,13 @@ impl<'n> Unrolling<'n> {
             CompiledOp::Register { register, width } => {
                 if frame == 0 {
                     let info = &self.netlist.registers()[register.index()];
-                    if let Some(&source) = self.frame0_aliases.get(&info.signal.index()) {
-                        let source_slot =
-                            transition.slot_of(source).expect("alias source scheduled");
-                        return word(self, 0, source_slot);
-                    }
-                    match (
-                        self.options.use_initial_values,
-                        transition.init_value(*register),
-                    ) {
-                        (true, Some(init)) => self.const_word(init),
-                        _ => self.fresh_word(*width),
+                    match self.frame0_aliases.get(&info.signal.index()) {
+                        Some(&source) => {
+                            let source_slot =
+                                transition.slot_of(source).expect("alias source scheduled");
+                            word(self, 0, source_slot)
+                        }
+                        None => self.fresh_word(*width),
                     }
                 } else {
                     let next = transition
@@ -884,16 +855,10 @@ impl<'n> Unrolling<'n> {
     /// Installs (or removes) a cooperative [`sat::CancelToken`] on the
     /// underlying solver; raising it makes an in-flight
     /// [`Unrolling::solve`] return [`SatResult::Unknown`] at the next
-    /// restart boundary, with [`Unrolling::last_stop`] reporting
+    /// restart boundary, with [`sat::Solver::last_stop`] reporting
     /// [`sat::StopCause::Cancelled`].
     pub fn set_cancel_token(&mut self, token: Option<sat::CancelToken>) {
         self.gates.solver_mut().set_cancel_token(token);
-    }
-
-    /// Why the most recent solver episode stopped early (`None` after a
-    /// definitive sat/unsat answer). See [`sat::Solver::last_stop`].
-    pub fn last_stop(&self) -> Option<sat::StopCause> {
-        self.gates.solver().last_stop()
     }
 
     /// Arms a one-shot deterministic fault on the underlying solver (see
@@ -987,39 +952,6 @@ impl<'n> Unrolling<'n> {
     /// to force frequent database reductions and arena collections.
     pub fn set_learnt_budget(&mut self, budget: usize) {
         self.gates.solver_mut().set_learnt_budget(budget);
-    }
-
-    /// Fraction of the solver's clause-literal arena occupied by tombstoned
-    /// holes (see [`sat::Solver::arena_wasted_ratio`]).
-    pub fn arena_wasted_ratio(&self) -> f64 {
-        self.gates.solver().arena_wasted_ratio()
-    }
-
-    /// Exhaustive watch-list/reason invariant check of the underlying solver
-    /// (see [`sat::Solver::debug_validate`]); used by the arena-GC test
-    /// suites.
-    pub fn debug_validate(&self) -> Result<(), String> {
-        self.gates.solver().debug_validate()
-    }
-
-    /// Conflict statistics of the underlying solver.
-    pub fn solver_stats(&self) -> sat::SolverStats {
-        self.gates.solver().stats()
-    }
-
-    /// Counters of the CNF simplification pipeline (all zero until a query
-    /// exhausted its [`UnrollOptions::simplify_trial_conflicts`] trial).
-    pub fn simplify_stats(&self) -> sat::SimplifyStats {
-        self.gates.solver().simplify_stats()
-    }
-
-    /// The DRAT proof log accumulated so far, when
-    /// [`UnrollOptions::proof_log`] is on. The log covers every clause of the
-    /// unrolled frame CNF (as axioms) plus all derived clauses and deletions;
-    /// snapshot it with `.clone()` to package an unsat certificate for a
-    /// particular query.
-    pub fn proof_log(&self) -> Option<&sat::ProofLog> {
-        self.gates.solver().proof_log()
     }
 
     /// Propagation budget of the vivification pass run after each
@@ -1159,7 +1091,7 @@ mod tests {
 
     fn counter_netlist() -> (Netlist, rtl::RegisterHandle) {
         let mut n = Netlist::new("counter");
-        let c = n.register_init("c", 4, BitVec::zero(4));
+        let c = n.register("c", 4);
         let one = n.lit(1, 4);
         let next = n.add(c.value(), one);
         n.set_next(c, next);
@@ -1169,9 +1101,10 @@ mod tests {
     #[test]
     fn sequential_unrolling_from_reset_matches_counting() {
         let (n, c) = counter_netlist();
-        let mut u = Unrolling::new(&n, UnrollOptions::from_reset_state());
+        let mut u = Unrolling::new(&n, UnrollOptions::default());
         u.extend_to(5);
         assert_eq!(u.frame_count(), 6);
+        u.assume_signal_equals_const(0, c.value(), 0).unwrap();
         // The counter value at frame 5 must be 5; asserting anything else is
         // unsatisfiable.
         u.assume_signal_equals_const(5, c.value(), 5).unwrap();
@@ -1186,7 +1119,7 @@ mod tests {
         let mut u = Unrolling::new(&n, UnrollOptions::default());
         u.extend_to(2);
         // From a symbolic initial state the counter can reach 9 at frame 2
-        // (by starting at 7), which is impossible from reset.
+        // (by starting at 7), which is impossible from 0.
         u.assume_signal_equals_const(2, c.value(), 9).unwrap();
         let result = u.solve(&[]);
         let model = result.model().expect("sat");
@@ -1269,11 +1202,14 @@ mod tests {
             "the miter must be big enough to trigger a trial"
         );
         assert_eq!(u.solve(&[!equal]), SatResult::Unknown);
-        assert_eq!(u.last_stop(), Some(sat::StopCause::BudgetExhausted));
-        assert_eq!(u.simplify_stats(), sat::SimplifyStats::default());
+        assert_eq!(
+            u.solver().last_stop(),
+            Some(sat::StopCause::BudgetExhausted)
+        );
+        assert_eq!(u.solver().simplify_stats(), sat::SimplifyStats::default());
         u.set_budget(sat::Budget::unlimited());
         assert!(u.solve(&[!equal]).is_unsat());
-        assert_eq!(u.last_stop(), None);
+        assert_eq!(u.solver().last_stop(), None);
     }
 
     /// A stop at the trial cap with budget left over runs the pipeline and
@@ -1284,9 +1220,13 @@ mod tests {
         let mut u = Unrolling::new(&n, UnrollOptions::default().with_simplify_trial(0));
         let equal = u.equality_lit(0, p, q).unwrap();
         assert!(u.solve(&[!equal]).is_unsat());
-        assert_eq!(u.last_stop(), None);
-        assert_eq!(u.simplify_stats().rounds, 1);
-        assert_eq!(u.solver_stats().budget_exhaustions, 1, "the trial-cap stop");
+        assert_eq!(u.solver().last_stop(), None);
+        assert_eq!(u.solver().simplify_stats().rounds, 1);
+        assert_eq!(
+            u.solver().stats().budget_exhaustions,
+            1,
+            "the trial-cap stop"
+        );
     }
 
     /// A design with provably dead logic and a duplicated subterm: the
@@ -1330,8 +1270,7 @@ mod tests {
         }
         // cmp, live and b in frame 2; live_next, live and a in frames 1
         // and 0 — nine of the 3 x 9 scheduled slot instances.
-        let stats = u.encode_stats();
-        assert_eq!((stats.scheduled_slots, stats.encoded_slots), (9, 9));
+        assert_eq!((u.transition.len(), u.encoded_slots()), (9, 9));
     }
 
     /// The final frame of an unrolling never encodes next-state logic (no
@@ -1355,7 +1294,7 @@ mod tests {
             })
         );
         // c in frame 1; the adder, c and the constant in frame 0.
-        assert_eq!(u.encode_stats().encoded_slots, 4);
+        assert_eq!(u.encoded_slots(), 4);
     }
 
     /// Frame-0 register aliases make two registers start on shared literals.

@@ -62,16 +62,18 @@ fn incremental_walk_keeps_waste_ratio_bounded() {
         );
         u.retire_activation(act);
 
+        let solver = u.solver();
         assert!(
-            u.arena_wasted_ratio() < 0.25,
+            solver.arena_wasted_ratio() < 0.25,
             "k={k}: wasted-hole ratio {} exceeds the documented bound",
-            u.arena_wasted_ratio()
+            solver.arena_wasted_ratio()
         );
-        u.debug_validate()
+        solver
+            .debug_validate()
             .unwrap_or_else(|e| panic!("k={k}: solver invariant violated: {e}"));
     }
 
-    let stats = u.solver_stats();
+    let stats = u.solver().stats();
     assert!(
         stats.deleted_clauses > 0,
         "the walk must trigger database reductions (got {} conflicts)",

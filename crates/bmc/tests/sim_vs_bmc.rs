@@ -1,15 +1,17 @@
 //! Cross-validation of the two engines that consume the RTL representation:
 //! for random sequential designs and random stimuli, the bit-blasted
-//! reset-state unrolling must agree cycle by cycle with the word-level
-//! simulator. Cases come from the deterministic [`rtl::SplitMix64`].
+//! unrolling, with its frame-0 registers pinned to the simulator's reset
+//! values, must agree cycle by cycle with the word-level simulator. Cases
+//! come from the deterministic [`rtl::SplitMix64`].
 
 use bmc::{UnrollOptions, Unrolling};
 use rtl::{BitVec, Netlist, SignalId, SplitMix64};
 use sim::Simulator;
 
 /// A small parameterized sequential design: an accumulator, a shift register
-/// and a comparator, wired from two inputs.
-fn build_design(width: u32) -> (Netlist, Vec<SignalId>, Vec<SignalId>) {
+/// and a comparator, wired from two inputs. Returns the netlist, its inputs,
+/// its registers and the observed signals.
+fn build_design(width: u32) -> (Netlist, Vec<SignalId>, Vec<SignalId>, Vec<SignalId>) {
     let mut n = Netlist::new("random_seq");
     let a = n.input("a", width);
     let b = n.input("b", width);
@@ -32,7 +34,7 @@ fn build_design(width: u32) -> (Netlist, Vec<SignalId>, Vec<SignalId>) {
     n.output("shift", shift.value());
     n.output("equal", equal);
     let observed = vec![acc.value(), shift.value(), equal];
-    (n, vec![a, b], observed)
+    (n, vec![a, b], vec![acc.value(), shift.value()], observed)
 }
 
 #[test]
@@ -43,7 +45,7 @@ fn unrolling_matches_simulator() {
         let len = rng.gen_range(1..6) as usize;
         let stimulus: Vec<(u64, u64)> =
             (0..len).map(|_| (rng.next_u64(), rng.next_u64())).collect();
-        let (netlist, inputs, observed) = build_design(width);
+        let (netlist, inputs, registers, observed) = build_design(width);
 
         // Simulator run.
         let mut simulator = Simulator::new(netlist.clone());
@@ -55,10 +57,16 @@ fn unrolling_matches_simulator() {
             simulator.step();
         }
 
-        // Reset-state unrolling with the same stimulus forced through
-        // constraints on the input words.
-        let mut unrolling = Unrolling::new(&netlist, UnrollOptions::from_reset_state());
+        // The unrolling starts symbolic: pin the registers to the
+        // simulator's reset value (zero) at frame 0, and force the same
+        // stimulus through constraints on the input words.
+        let mut unrolling = Unrolling::new(&netlist, UnrollOptions::default());
         unrolling.extend_to(stimulus.len());
+        for &register in &registers {
+            unrolling
+                .assume_signal_equals_const(0, register, 0)
+                .unwrap();
+        }
         // Materialize the observed signals in every frame: the lazy encoding
         // only encodes what queries reach.
         for frame in 0..=stimulus.len() {

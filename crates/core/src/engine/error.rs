@@ -1,8 +1,9 @@
 //! Typed errors of the engine query path.
 //!
-//! A commitment — the register pairs a query's obligation keeps equal — is
-//! the one caller input a query can get wrong.
-//! [`IncrementalSession::try_check_bound`] rejects a malformed one with an
+//! A query's caller inputs are its commitment — the register pairs its
+//! obligation keeps equal — and its window. A commitment can be malformed,
+//! and a window can go below the deepest one the session has constrained.
+//! [`IncrementalSession::try_check_bound`] rejects either with an
 //! [`EngineError`] before it encodes anything, so the session stays as it
 //! was; [`IncrementalSession::check_bound`] panics on it instead. A query
 //! that stops without a verdict is not an error: it answers
@@ -16,7 +17,8 @@
 
 use std::fmt;
 
-/// A malformed commitment, rejected by the engine query path.
+/// A malformed commitment or an out-of-order window, rejected by the engine
+/// query path.
 #[derive(Debug, Clone)]
 pub enum EngineError {
     /// The commitment names a register pair the model does not have.
@@ -27,6 +29,15 @@ pub enum EngineError {
     /// The commitment restricts the obligation to nothing — a vacuous query
     /// that would "prove" any design secure.
     EmptyCommitment,
+    /// The window is below the deepest one the session has constrained: the
+    /// deeper frames' window constraints are permanent, so the query would
+    /// be posed under premises on frames it never asked for.
+    WindowBelowSession {
+        /// The rejected window.
+        window: usize,
+        /// The deepest window the session has constrained.
+        deepest: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -36,6 +47,10 @@ impl fmt::Display for EngineError {
                 write!(f, "commitment refers to unknown register `{name}`")
             }
             EngineError::EmptyCommitment => write!(f, "commitment must not be empty"),
+            EngineError::WindowBelowSession { window, deepest } => write!(
+                f,
+                "window {window} is below window {deepest}, the deepest this session has constrained"
+            ),
         }
     }
 }

@@ -69,25 +69,21 @@ impl<'m> IncrementalSession<'m> {
     }
 
     /// Opens a session with explicit [`UnrollOptions`]: a per-query
-    /// [`sat::Budget`], the simplification trial cap, DRAT proof logging
+    /// [`sat::Budget`], the simplification trial cap, or DRAT proof logging
     /// (with which every decided query also returns its certificate; see
-    /// [`IncrementalSession::try_check_bound`]), or reset-state initial
-    /// values (ablation only; real UPEC runs start from a symbolic state).
+    /// [`IncrementalSession::try_check_bound`]). Every session starts from
+    /// the symbolic state of paper Fig. 4: the two instances' non-memory
+    /// registers share their frame-0 literals
+    /// ([`UpecModel::frame0_aliases`]), and the model's initial and window
+    /// constraints hold at frame 0.
     pub fn with_options(model: &'m UpecModel, options: UnrollOptions) -> Self {
-        // Reset-state ablation runs need no aliases: the initial values
-        // already coincide.
-        let aliases = if options.use_initial_values {
-            Vec::new()
-        } else {
-            model.frame0_aliases()
-        };
         // Compile once per miter, clone per frame: every session shares the
         // model's pruned-and-hashed schedule.
         let mut unrolling = Unrolling::with_compiled(
             model.netlist(),
             Arc::clone(model.compiled_transition()),
             options,
-            &aliases,
+            &model.frame0_aliases(),
         );
         for constraint in model
             .initial_constraints()
@@ -134,7 +130,7 @@ impl<'m> IncrementalSession<'m> {
     /// Lifetime solver statistics of the session (counters accumulate over
     /// every query; see [`sat::SolverStats::delta_since`]).
     pub fn solver_stats(&self) -> sat::SolverStats {
-        self.unrolling.solver_stats()
+        self.unrolling.solver().stats()
     }
 
     /// Counters of the CNF simplification pipeline (variables eliminated,
@@ -142,7 +138,7 @@ impl<'m> IncrementalSession<'m> {
     /// [`UnrollOptions::simplify_trial_conflicts`] trial). See
     /// [`sat::SimplifyStats`].
     pub fn simplify_stats(&self) -> sat::SimplifyStats {
-        self.unrolling.simplify_stats()
+        self.unrolling.solver().simplify_stats()
     }
 
     /// The panicking form of [`IncrementalSession::try_check_bound`]: the
@@ -150,7 +146,9 @@ impl<'m> IncrementalSession<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if the commitment is empty or names an unknown register.
+    /// Panics where [`IncrementalSession::try_check_bound`] returns an
+    /// error: a malformed commitment, or a window below the session's
+    /// deepest.
     pub fn check_bound(&mut self, k: usize, commitment: &BTreeSet<String>) -> UpecOutcome {
         match self.try_check_bound(k, commitment) {
             Ok((outcome, _)) => outcome,
@@ -183,25 +181,34 @@ impl<'m> IncrementalSession<'m> {
     /// bound may be re-checked under a larger budget. Without a proof log,
     /// no query carries a certificate.
     ///
-    /// Precondition: `k` never decreases over a session's queries. The
-    /// model's window constraints are asserted as permanent units on frames
-    /// `1..=k` the first time a query reaches `k`, so they are exactly the
-    /// constraints a query at the session's deepest bound needs; a later
-    /// query at a smaller bound would still be constrained on the deeper
-    /// frames. Repeating a bound (another commitment, a larger budget) is
-    /// fine, and [`crate::UpecEngine::run_instances`] walks each miter's
-    /// instances with `k` non-decreasing.
+    /// `k` must not decrease over a session's queries. The model's window
+    /// constraints are asserted as permanent units on frames `1..=k` the
+    /// first time a query reaches `k`, so they are exactly the constraints a
+    /// query at the session's deepest bound needs; a later query at a
+    /// smaller bound would be posed under constraints on frames it never
+    /// asked for, which can only hide counterexamples. Repeating a bound
+    /// (another commitment, a larger budget) is fine, and
+    /// [`crate::UpecEngine::run_instances`] walks each miter's instances
+    /// with `k` non-decreasing.
     ///
     /// # Errors
     ///
     /// [`EngineError::UnknownRegister`] / [`EngineError::EmptyCommitment`]
-    /// for a malformed commitment. It is rejected before anything is
-    /// encoded, so the session stays as it was.
+    /// for a malformed commitment, and [`EngineError::WindowBelowSession`]
+    /// for a `k` below the deepest window the session has constrained. Both
+    /// are rejected before anything is encoded, so the session stays as it
+    /// was.
     pub fn try_check_bound(
         &mut self,
         k: usize,
         commitment: &BTreeSet<String>,
     ) -> Result<(UpecOutcome, Option<VerdictCertificate>), EngineError> {
+        if k < self.constrained_through {
+            return Err(EngineError::WindowBelowSession {
+                window: k,
+                deepest: self.constrained_through,
+            });
+        }
         if let Some(name) = commitment.iter().find(|n| self.model.pair(n).is_none()) {
             return Err(EngineError::UnknownRegister { name: name.clone() });
         }
@@ -218,9 +225,9 @@ impl<'m> IncrementalSession<'m> {
         let start = Instant::now();
         let mut query_span = obs::span("upec.check_bound");
         query_span.attr_u64("window", k as u64);
-        let stats_before = self.unrolling.solver_stats();
+        let stats_before = self.unrolling.solver().stats();
         let mut encode_span = obs::span("bmc.encode");
-        let slots_before = self.unrolling.encode_stats().encoded_slots;
+        let slots_before = self.unrolling.encoded_slots();
         self.unrolling.extend_to(k);
         while self.constrained_through < k {
             self.constrained_through += 1;
@@ -238,22 +245,23 @@ impl<'m> IncrementalSession<'m> {
         let activation = self.unrolling.fresh_lit();
         self.unrolling
             .add_clause_activated(activation, obligation.iter().map(|&l| !l));
-        let encoded_slots = self.unrolling.encode_stats().encoded_slots - slots_before;
+        let encoded_slots = self.unrolling.encoded_slots() - slots_before;
         encode_span.attr_u64("encoded_slots", encoded_slots as u64);
         drop(encode_span);
 
         let result = self.unrolling.solve(&[activation]);
-        let delta = self.unrolling.solver_stats().delta_since(&stats_before);
+        let solver = self.unrolling.solver();
+        let delta = solver.stats().delta_since(&stats_before);
         let stats = UpecStats {
-            variables: self.unrolling.num_vars(),
-            clauses: self.unrolling.num_clauses(),
+            variables: solver.num_vars(),
+            clauses: solver.num_clauses(),
             conflicts: delta.conflicts,
             propagations: delta.propagations,
             restarts: delta.restarts,
             arena_collections: delta.arena_collections,
             runtime: start.elapsed(),
             window: k,
-            stop: self.unrolling.last_stop(),
+            stop: solver.last_stop(),
         };
 
         let (outcome, certificate) = match result {
@@ -264,7 +272,7 @@ impl<'m> IncrementalSession<'m> {
                 // assumes `activation`. Trimming runs after `stats.runtime`
                 // was taken: its time is inside this query's span but
                 // outside `UpecStats`.
-                let certificate = self.unrolling.proof_log().map(|log| {
+                let certificate = self.unrolling.solver().proof_log().map(|log| {
                     let mut trim_span = obs::span("cert.trim");
                     trim_span.attr_u64("events", log.num_events() as u64);
                     let (proof, _) = sat::drat::trim(log, &[activation])
@@ -306,7 +314,7 @@ impl<'m> IncrementalSession<'m> {
                 } else {
                     AlertKind::LAlert
                 };
-                let certificate = self.unrolling.proof_log().is_some().then(|| {
+                let certificate = self.unrolling.solver().proof_log().is_some().then(|| {
                     VerdictCertificate::Witness(WitnessCertificate {
                         window: k,
                         trace: self.decode_witness(&sat_model, k),

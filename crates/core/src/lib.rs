@@ -23,8 +23,9 @@
 //!    registers are removed from the proof obligation until the design is
 //!    proven or an L-alert demonstrates a covert channel.
 //! 4. [`prove_alert_closure`] completes the argument for secure designs with
-//!    the inductive proof of Sec. VI: differences confined to the P-alerting
-//!    registers can never reach architectural state.
+//!    the inductive proof of Sec. VI: it grows the P-alerting registers to
+//!    their inductive closure and proves that differences confined to them
+//!    can never reach architectural state.
 //!
 //! Beyond the paper, these subsystems make the flow scale:
 //!
@@ -81,7 +82,6 @@ pub use engine::{
     IncrementalSession, InstanceResult, ScanVerdict, UpecEngine,
 };
 pub use methodology::{
-    close_alert_set, prove_alert_closure, run_methodology, ClosureOutcome, MethodologyReport,
-    Verdict,
+    prove_alert_closure, run_methodology, ClosureOutcome, MethodologyReport, Verdict,
 };
 pub use model::{NamedConstraint, RegisterPair, SecretScenario, StateClass, UpecModel};

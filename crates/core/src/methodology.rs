@@ -137,10 +137,13 @@ pub enum ClosureOutcome {
         /// Wall-clock time of the proof.
         runtime: Duration,
     },
-    /// The induction step failed; the differing set can grow beyond the
-    /// alerted registers (either a deeper analysis or a real leak).
+    /// The fixpoint stopped without closing: in the last induction step a
+    /// difference escaped to a register that cannot join the set (an
+    /// architectural one, memory, or one without a blocking condition), or
+    /// every escapee already was in the set. Either a deeper analysis or a
+    /// real leak.
     NotClosed {
-        /// Registers that newly differed in the failing step.
+        /// Obligations that failed in the last induction step.
         escaping_registers: Vec<String>,
         /// Wall-clock time of the proof.
         runtime: Duration,
@@ -154,7 +157,53 @@ impl ClosureOutcome {
     }
 }
 
-/// Inductive closure proof for a set of P-alerting registers (paper Sec. VI).
+/// Grows a set of P-alerting registers to its inductive closure and proves
+/// it closed (paper Sec. VI).
+///
+/// The registers named by the bounded methodology's P-alerts are a *seed*:
+/// a difference confined to them may, one cycle later, surface in a
+/// neighbouring pipeline register that no bounded counterexample happened to
+/// name. Each induction step reports such registers as *escaping*; as long
+/// as every escapee is microarchitectural and has a blocking condition (so
+/// the weaker equal-or-blocked invariant applies to it), it is sound to add
+/// it to the set and retry. The set only grows and is bounded by the model's
+/// register pairs, so the loop ends without a cap.
+///
+/// Returns the final register set together with the outcome:
+/// [`ClosureOutcome::Closed`] when an induction step holds, or
+/// [`ClosureOutcome::NotClosed`] with the last step's escapees when one of
+/// them is architectural or unblockable (a genuine leak candidate) or the
+/// set stops growing. The runtime covers every step.
+pub fn prove_alert_closure(
+    model: &UpecModel,
+    alert_registers: &BTreeSet<String>,
+) -> (BTreeSet<String>, ClosureOutcome) {
+    let start = Instant::now();
+    let blockable = |name: &String| {
+        model.pair(name).is_some_and(|pair| {
+            pair.class == StateClass::Microarchitectural && pair.equal_or_blocked != pair.equal
+        })
+    };
+    let mut set = alert_registers.clone();
+    loop {
+        let Some(escaping) = closure_step(model, &set) else {
+            let runtime = start.elapsed();
+            return (set, ClosureOutcome::Closed { runtime });
+        };
+        // Decide about every escapee before growing the set, so a failure
+        // returns exactly the set its step was proven against.
+        if !escaping.iter().all(blockable) || escaping.iter().all(|name| set.contains(name)) {
+            let outcome = ClosureOutcome::NotClosed {
+                escaping_registers: escaping,
+                runtime: start.elapsed(),
+            };
+            return (set, outcome);
+        }
+        set.extend(escaping);
+    }
+}
+
+/// One induction step of the closure proof.
 ///
 /// The inductive invariant is:
 ///
@@ -165,15 +214,12 @@ impl ClosureOutcome {
 ///   identified during P-alert diagnosis),
 /// * the cache data arrays are equal except for the secret's line.
 ///
-/// The proof assumes the invariant (and the UPEC side constraints) at an
-/// arbitrary time point and shows it still holds one clock cycle later. If it
-/// does, no sequence of P-alerts can ever grow into an L-alert, completing
-/// the security argument for the bounded methodology run.
-pub fn prove_alert_closure(
-    model: &UpecModel,
-    alert_registers: &BTreeSet<String>,
-) -> ClosureOutcome {
-    let start = Instant::now();
+/// The step assumes the invariant (and the UPEC side constraints) at an
+/// arbitrary time point and checks that it still holds one clock cycle
+/// later. Returns `None` when it does — no sequence of P-alerts can then
+/// ever grow into an L-alert — and otherwise the names of the obligations
+/// that fail one cycle later.
+fn closure_step(model: &UpecModel, alert_registers: &BTreeSet<String>) -> Option<Vec<String>> {
     // Pairs outside the alert set start structurally equal; alerted pairs
     // keep independent frame-0 variables because the invariant only requires
     // them to be equal-or-blocked.
@@ -245,82 +291,16 @@ pub fn prove_alert_closure(
     unrolling.add_clause(obligation.iter().map(|(_, l)| !*l));
 
     match unrolling.solve(&[]) {
-        SatResult::Unsat => ClosureOutcome::Closed {
-            runtime: start.elapsed(),
-        },
+        SatResult::Unsat => None,
         SatResult::Unknown => unreachable!("an unbudgeted, uncancellable solve always decides"),
-        SatResult::Sat(sat_model) => {
-            let escaping = obligation
+        SatResult::Sat(sat_model) => Some(
+            obligation
                 .iter()
                 .filter(|(_, l)| !sat_model.lit_is_true(*l))
                 .map(|(name, _)| name.clone())
-                .collect();
-            ClosureOutcome::NotClosed {
-                escaping_registers: escaping,
-                runtime: start.elapsed(),
-            }
-        }
+                .collect(),
+        ),
     }
-}
-
-/// Grows a P-alert set to its inductive closure (paper Sec. VI).
-///
-/// The registers named by the bounded methodology's P-alerts are a *seed*:
-/// a difference confined to them may, one cycle later, surface in a
-/// neighbouring pipeline register that no bounded counterexample happened to
-/// name. [`prove_alert_closure`] reports such registers as *escaping*; as
-/// long as every escapee is microarchitectural and has a blocking condition
-/// (so the weaker equal-or-blocked invariant applies to it), it is sound to
-/// add it to the alert set and retry. The iteration reaches a fixpoint
-/// because the candidate set is finite and grows monotonically.
-///
-/// Returns the final register set together with the final outcome:
-/// [`ClosureOutcome::Closed`] on success, or the outcome of the last attempt
-/// when an escapee is architectural or unblockable (a genuine leak
-/// candidate), when the set stops growing, or when `max_iterations` is
-/// exhausted.
-pub fn close_alert_set(
-    model: &UpecModel,
-    alert_registers: &BTreeSet<String>,
-    max_iterations: usize,
-) -> (BTreeSet<String>, ClosureOutcome) {
-    let mut set = alert_registers.clone();
-    let mut outcome = prove_alert_closure(model, &set);
-    for _ in 1..max_iterations.max(1) {
-        let ClosureOutcome::NotClosed {
-            escaping_registers, ..
-        } = &outcome
-        else {
-            break;
-        };
-        // Decide about every escapee before mutating the set, so a mixed
-        // escape (blockable + architectural) returns the set the reported
-        // outcome was actually proven against.
-        let mut additions: Vec<String> = Vec::new();
-        for name in escaping_registers {
-            match model.pair(name) {
-                Some(pair)
-                    if pair.class == StateClass::Microarchitectural
-                        && pair.equal_or_blocked != pair.equal =>
-                {
-                    additions.push(name.clone());
-                }
-                // An architectural or unblockable escapee cannot soundly be
-                // tolerated — report the failure as is (`set` is untouched,
-                // so it is exactly the set this outcome was proven against).
-                _ => return (set, outcome.clone()),
-            }
-        }
-        let mut grew = false;
-        for name in additions {
-            grew |= set.insert(name);
-        }
-        if !grew {
-            break;
-        }
-        outcome = prove_alert_closure(model, &set);
-    }
-    (set, outcome)
 }
 
 #[cfg(test)]
@@ -387,7 +367,7 @@ mod tests {
         assert_eq!(report.verdict, Verdict::Secure);
         // The bounded P-alerts seed the set; the fixpoint iteration may pull
         // in neighbouring blockable pipeline registers before it closes.
-        let (closed_set, closure) = close_alert_set(&model, &report.p_alert_registers, 8);
+        let (closed_set, closure) = prove_alert_closure(&model, &report.p_alert_registers);
         assert!(closure.is_closed(), "closure: {closure:?}");
         assert!(closed_set.is_superset(&report.p_alert_registers));
     }

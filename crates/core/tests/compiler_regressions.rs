@@ -7,30 +7,28 @@ use upec::scenarios;
 use upec::{AlertKind, UpecOutcome};
 
 /// The compiled miter schedule must be strictly smaller than the raw
-/// netlist: the cone-of-influence pruning, the structural hashing and the
-/// constant folding all fire on the two-instance miter.
+/// netlist: structural hashing (and, where it fires, constant folding) maps
+/// several signals of the two-instance miter onto one slot.
 #[test]
 fn miter_schedule_is_smaller_than_the_netlist() {
     let scenario = scenarios::by_id("secure-cached").expect("registered");
     let model = scenario.build_model();
-    let stats = model.compiled_transition().stats();
+    let ct = model.compiled_transition();
+    let netlist = model.netlist();
     assert!(
-        stats.scheduled_slots < stats.netlist_signals,
+        ct.len() < netlist.len(),
         "schedule {} must be smaller than the netlist {}",
-        stats.scheduled_slots,
-        stats.netlist_signals
+        ct.len(),
+        netlist.len()
     );
+    // Distinct slots among the scheduled signals: fewer than the scheduled
+    // signals themselves, because the miter is full of shared subterms.
+    let slots: Vec<u32> = netlist.signals().filter_map(|s| ct.slot_of(s)).collect();
+    let distinct: std::collections::BTreeSet<u32> = slots.iter().copied().collect();
     assert!(
-        stats.hashed_signals > 0,
+        distinct.len() < slots.len(),
         "miters are full of shared subterms"
     );
-    // Word-level constant folding rarely fires on the hand-built SoC (the
-    // generator already folds by construction), so only sanity-check it.
-    assert!(stats.folded_signals + stats.hashed_signals > 0);
-    assert!(stats.coi.cone_signals <= stats.coi.total_signals);
-    // The roots cover every queryable signal, so dropped registers must be
-    // rare-to-none — but scheduled slots still shrink via hashing/folding.
-    assert_eq!(stats.netlist_signals, stats.coi.total_signals);
 }
 
 /// Every registered scenario's miter compiles, and the schedule stays

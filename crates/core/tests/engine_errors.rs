@@ -1,6 +1,7 @@
 //! Regression suite for the typed engine error path: malformed commitments
-//! surface as [`EngineError`] values from `try_check_bound` instead of
-//! panics, and a rejected query leaves the session as it found it.
+//! and out-of-order windows surface as [`EngineError`] values from
+//! `try_check_bound` instead of panics, and a rejected query leaves the
+//! session as it found it.
 
 use soc::SocVariant;
 use upec::scenarios::Geometry;
@@ -52,6 +53,34 @@ fn a_rejected_query_does_not_poison_the_session() {
     assert_eq!(size(outcome.stats()), size(fresh.stats()));
 }
 
+/// Once a query has constrained frames `1..=2`, a k=1 query would be posed
+/// under window constraints on frame 2 it never asked for: it is rejected,
+/// and the session still answers k=2 exactly as a fresh session does.
+#[test]
+fn a_window_below_the_session_is_a_typed_error() {
+    let model = tiny_model();
+    let commitment = upec::full_commitment(&model);
+    let mut session = IncrementalSession::new(&model);
+    assert!(session.check_bound(2, &commitment).is_proven());
+    let err = session
+        .try_check_bound(1, &commitment)
+        .expect_err("a window below the session's deepest must be rejected");
+    assert!(
+        matches!(
+            err,
+            EngineError::WindowBelowSession {
+                window: 1,
+                deepest: 2
+            }
+        ),
+        "{err}"
+    );
+    let repeated = session.check_bound(2, &commitment);
+    let fresh = IncrementalSession::new(&model).check_bound(2, &commitment);
+    assert_eq!(repeated.verdict_name(), fresh.verdict_name());
+    assert!(repeated.is_proven(), "outcome: {repeated:?}");
+}
+
 #[test]
 fn engine_errors_render_stable_messages() {
     // The Display strings are part of the API surface (bench binaries and
@@ -66,5 +95,13 @@ fn engine_errors_render_stable_messages() {
         }
         .to_string(),
         "commitment refers to unknown register `x`"
+    );
+    assert_eq!(
+        EngineError::WindowBelowSession {
+            window: 1,
+            deepest: 2
+        }
+        .to_string(),
+        "window 1 is below window 2, the deepest this session has constrained"
     );
 }

@@ -1,11 +1,13 @@
 //! # `obs` — query-level telemetry for the UPEC pipeline
 //!
-//! Zero-dependency hierarchical spans and pluggable trace sinks. Every layer
-//! of the verification stack (`rtl`, `sat`, `bmc`, `upec`, `bench`) records
-//! what it spends time on through this crate, so a single UPEC query can be
-//! attributed phase by phase: cone-of-influence
-//! analysis, transition compilation, Tseitin encoding, the CNF
-//! simplification pipeline (pass by pass), trial solves and CDCL search.
+//! Zero-dependency hierarchical spans and pluggable trace sinks. The layers
+//! that do a query's work record it through this crate: `sat` (CDCL search,
+//! vivification, proof logging and the CNF simplification pipeline, pass by
+//! pass), `bmc` (transition compilation, with its cone-of-influence pass,
+//! and trial solves), `upec` (the query root, Tseitin encoding, certificate
+//! trimming and checking, miter walks) and `soc`'s fuzz miner; `rtl` and
+//! `sim` record nothing. So a single UPEC query can be attributed phase by
+//! phase, and its counts are span attributes.
 //!
 //! # Design
 //!

@@ -53,14 +53,12 @@
 
 #![warn(missing_docs)]
 
-mod coi;
 mod error;
 mod netlist;
 mod node;
 mod rng;
 mod value;
 
-pub use coi::{Coi, CoiStats};
 pub use error::RtlError;
 pub use netlist::{Netlist, OutputPort, RegisterHandle, RegisterInfo};
 pub use node::{BinaryOp, Node, RegisterId, SignalId, UnaryOp};

@@ -58,8 +58,9 @@ fn main() {
         report.p_alert_registers
     );
     println!("running the inductive closure proof (Sec. VI) ...");
-    let closure = prove_alert_closure(&model, &report.p_alert_registers);
+    let (closed_set, closure) = prove_alert_closure(&model, &report.p_alert_registers);
     println!("closure proof: {closure:?}");
+    println!("closed alert set: {closed_set:?}");
     assert!(closure.is_closed());
     println!("\nThe propagated secret can never reach architectural state:");
     println!("the design is secure against covert channel attacks.");

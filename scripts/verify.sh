@@ -3,6 +3,11 @@
 # the release-mode workspace test suites, the fast paper-artifact drivers,
 # the fast fault-injection differential and the benchmark's contract tests.
 #
+# Clippy and rustdoc run twice: with default features, which lints the
+# `cfg(not(feature = "faults"))` paths, and with `--all-features`, which
+# lints and doc-checks the fault-injection hooks (`Unrolling::inject_fault`,
+# `IncrementalSession::inject_fault`) and `crates/core/tests/fault_injection.rs`.
+#
 # Usage: scripts/verify.sh [--full]
 #
 # Keep this script in sync with the README's "Tests and verification"
@@ -10,10 +15,12 @@
 #   cargo build --release && cargo test -q
 # Its umbrella tests include the encoding oracle: the compiled unrolling of
 # every distinct registry miter checked against the word-level simulator,
-# fresh and after CNF simplification, and the default session agreeing with
-# a plain solve (UnrollOptions::with_simplify_trial(u64::MAX), a trial cap
-# no query reaches) on pinned k=1 verdicts (tests/cross_layer.rs). The
-# release workspace stage runs the same encoding oracle at k=3.
+# fresh and after CNF simplification, the non-vacuity gate (every distinct
+# registry miter's premises are satisfiable), and the default session
+# agreeing with a plain solve (UnrollOptions::with_simplify_trial(u64::MAX),
+# a trial cap no query reaches) on pinned k=1 verdicts (tests/cross_layer.rs).
+# The release workspace stage runs the same encoding oracle at k=3 and the
+# non-vacuity gate at each miter's deepest registered window.
 #
 # The driver stage runs every paper-artifact driver that finishes within
 # seconds, so none can rot unnoticed: the quickstart example, Fig. 1 and
@@ -47,11 +54,13 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy -D warnings"
+echo "==> cargo clippy -D warnings (default features, then all features)"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 
-echo "==> cargo doc -D warnings (broken intra-doc links fail here)"
+echo "==> cargo doc -D warnings (broken intra-doc links fail here; default features, then all features)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --all-features --quiet
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release

@@ -1,10 +1,12 @@
 //! Cross-layer checks of the UPEC query path — `IncrementalSession` over
 //! `bmc::Unrolling` over `sat::Solver` — cheap enough for the default test
 //! run: the compiled encoding of every distinct registry miter agrees with
-//! the word-level simulator (at k=1 in debug builds, k=3 in release), and at
-//! k=1 the solve paths agree on every verdict, every verdict carries a
-//! certificate that checks, and a budget-stopped or cancelled query resumes
-//! to the clean verdict.
+//! the word-level simulator (at k=1 in debug builds, k=3 in release), every
+//! distinct registry miter's premises are satisfiable (at k=1 in debug
+//! builds, its deepest registered window in release), and at k=1 the solve
+//! paths agree on every verdict, every verdict carries a certificate that
+//! checks, and a budget-stopped or cancelled query resumes to the clean
+//! verdict.
 
 use bmc::{UnrollOptions, Unrolling};
 use rtl::{BitVec, SignalId, SplitMix64};
@@ -209,10 +211,68 @@ fn check_random_run(
     }
 }
 
+/// The distinct registry miters (SoC configuration plus secret: the
+/// instances collapse to 13), each with its first instance's id and the
+/// deepest `max_window` among its instances.
+fn distinct_miters() -> Vec<(String, SocConfig, SecretScenario, usize)> {
+    let mut miters: Vec<(String, SocConfig, SecretScenario, usize)> = Vec::new();
+    for instance in scenarios::instances() {
+        let (config, secret) = (instance.config(), instance.secret);
+        match miters
+            .iter_mut()
+            .find(|(_, c, s, _)| *c == config && *s == secret)
+        {
+            Some(miter) => miter.3 = miter.3.max(instance.max_window),
+            None => miters.push((instance.id(), config, secret, instance.max_window)),
+        }
+    }
+    assert_eq!(miters.len(), 13, "distinct registry miters");
+    miters
+}
+
+/// The non-vacuity gate. A refutation of a query whose premises are already
+/// unsatisfiable checks like any other, so no certificate can see vacuity.
+/// For every distinct registry miter, the premises each of its queries is
+/// posed under — the two instances' shared frame-0 state, the initial
+/// constraints at frame 0 and the window constraints at frames `0..=k` —
+/// must hold together. Debug builds (the tier-1 run) check k=1; release
+/// builds check the miter's deepest registered window.
+#[test]
+fn registry_premises_are_satisfiable() {
+    for (name, config, secret, max_window) in distinct_miters() {
+        let k = if cfg!(debug_assertions) {
+            1
+        } else {
+            max_window
+        };
+        let model = UpecModel::new(&config, secret);
+        let mut unrolling = Unrolling::with_compiled(
+            model.netlist(),
+            Arc::clone(model.compiled_transition()),
+            UnrollOptions::default(),
+            &model.frame0_aliases(),
+        );
+        unrolling.extend_to(k);
+        for constraint in model.initial_constraints() {
+            unrolling.assume_signal_true(0, constraint.signal).unwrap();
+        }
+        for frame in 0..=k {
+            for constraint in model.window_constraints() {
+                unrolling
+                    .assume_signal_true(frame, constraint.signal)
+                    .unwrap();
+            }
+        }
+        assert!(
+            unrolling.solve(&[]).is_sat(),
+            "{name}: premises unsatisfiable at k={k}"
+        );
+    }
+}
+
 /// The encoding oracle. A certificate shows that a CNF is unsat or that a
 /// witness replays; only an independent reference shows that the CNF is the
-/// miter. For every distinct registry miter (SoC configuration plus secret:
-/// the instances collapse to 13), the compiled, frame-0-aliased unrolling a
+/// miter. For every distinct registry miter, the compiled, frame-0-aliased unrolling a
 /// session solves must agree with the word-level simulator — which shares
 /// no code with the bit-blaster, the compiler or the simplifier — on every
 /// scheduled signal of every frame of a random run at window `k`: first as
@@ -223,16 +283,8 @@ fn check_random_run(
 #[test]
 fn compiled_unrolling_matches_the_simulator_on_every_registry_miter() {
     let k = if cfg!(debug_assertions) { 1 } else { 3 };
-    let mut miters: Vec<(String, SocConfig, SecretScenario)> = Vec::new();
-    for instance in scenarios::instances() {
-        let (config, secret) = (instance.config(), instance.secret);
-        if !miters.iter().any(|(_, c, s)| *c == config && *s == secret) {
-            miters.push((instance.id(), config, secret));
-        }
-    }
-    assert_eq!(miters.len(), 13, "distinct registry miters");
     let mut rng = SplitMix64::new(0x0e4c);
-    for (name, config, secret) in &miters {
+    for (name, config, secret, _) in &distinct_miters() {
         let model = UpecModel::new(config, *secret);
         let transition = model.compiled_transition();
         let scheduled: Vec<SignalId> = model
@@ -254,7 +306,8 @@ fn compiled_unrolling_matches_the_simulator_on_every_registry_miter() {
         }
 
         check_random_run(name, &model, &mut unrolling, k, &scheduled, &mut rng);
-        assert_eq!(unrolling.simplify_stats().rounds, 0, "{name}: fresh CNF");
+        let fresh = unrolling.solver().simplify_stats();
+        assert_eq!(fresh.rounds, 0, "{name}: fresh CNF");
 
         // A query guarding `x` and `!x` conflicts at once, so the trial-0
         // cap hands it to the simplifier, which rewrites the whole miter CNF.
@@ -264,11 +317,8 @@ fn compiled_unrolling_matches_the_simulator_on_every_registry_miter() {
         unrolling.add_clause_activated(contradiction, [!x]);
         assert!(unrolling.solve(&[contradiction]).is_unsat(), "{name}");
         unrolling.retire_activation(contradiction);
-        assert!(
-            unrolling.simplify_stats().eliminated_vars > 0,
-            "{name}: {:?}",
-            unrolling.simplify_stats()
-        );
+        let simplified = unrolling.solver().simplify_stats();
+        assert!(simplified.eliminated_vars > 0, "{name}: {simplified:?}");
 
         check_random_run(name, &model, &mut unrolling, k, &scheduled, &mut rng);
     }

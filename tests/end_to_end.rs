@@ -6,7 +6,7 @@ use soc::fuzz::{cosim_check, FuzzOptions, ProgramGen};
 use soc::{SocConfig, SocSim, SocVariant};
 use upec::scenarios::{self, Geometry};
 use upec::{
-    close_alert_set, run_methodology, AlertKind, IncrementalSession, SecretScenario, UpecModel,
+    prove_alert_closure, run_methodology, AlertKind, IncrementalSession, SecretScenario, UpecModel,
     Verdict,
 };
 
@@ -117,7 +117,7 @@ fn upec_methodology_classifies_all_design_variants() {
     let report = run_methodology(&model, 2, UnrollOptions::default());
     assert_eq!(report.verdict, Verdict::Secure, "{}", report.summary());
     assert!(report.p_alert_count() >= 1);
-    let (_, closure) = close_alert_set(&model, &report.p_alert_registers, 8);
+    let (_, closure) = prove_alert_closure(&model, &report.p_alert_registers);
     assert!(closure.is_closed(), "closure: {closure:?}");
 
     // Orc variant: insecure.
