@@ -17,8 +17,8 @@
 //! ```
 
 use bench::secs;
-use soc::SocVariant;
-use upec::scenarios::{self, Geometry};
+use soc::{SocConfig, SocVariant};
+use upec::scenarios;
 use upec::{architectural_commitment, IncrementalSession, SecretScenario, UpecModel};
 
 fn main() {
@@ -52,12 +52,9 @@ fn main() {
         "configuration", "variables", "clauses", "runtime"
     );
     for (regs, lines) in [(4u32, 2u32), (4, 4), (8, 4), (8, 8)] {
-        let geometry = Geometry {
-            registers: regs,
-            cache_lines: lines,
-            ..Geometry::formal_default()
-        };
-        let config = geometry.apply(SocVariant::Secure);
+        let config = SocConfig::formal(SocVariant::Secure)
+            .with_registers(regs)
+            .with_cache_lines(lines);
         let model = UpecModel::new(&config, SecretScenario::InCache);
         let outcome =
             IncrementalSession::new(&model).check_bound(2, &architectural_commitment(&model));

@@ -6,34 +6,42 @@
 //! The query is the scenario's miter at one window under the architectural
 //! commitment, posed on a proof-logging session. The dump replays the
 //! query's checked witness certificate on the simulator, which computes
-//! every signal. Exits 0 on an L-alert whose witness certificate checks and
-//! 1 otherwise (the window is proven, or the witness is rejected).
+//! every signal. Exits 0 on an L-alert whose witness certificate checks,
+//! 1 otherwise (the window is proven, or the witness is rejected), and 2 on
+//! a malformed command line (an unknown scenario, a window that does not
+//! parse, or a third argument), which is rejected before any model is
+//! built.
 //!
 //! ```text
 //! cargo run --release -p bench --bin debug_alert [scenario] [window]
 //! ```
 
+use bench::{scenario_or_exit, usage_error};
 use bmc::UnrollOptions;
-use upec::{architectural_commitment, scenarios, IncrementalSession, VerdictCertificate};
+use upec::{architectural_commitment, IncrementalSession, VerdictCertificate};
+
+const USAGE: &str = "debug_alert [scenario] [window]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > 2 {
+        usage_error(USAGE, &format!("unexpected argument `{}`", args[2]));
+    }
     // Accept either a registry scenario id or the legacy variant shorthand.
-    let id = match args.get(1).map(String::as_str) {
+    let id = match args.first().map(String::as_str) {
         Some("orc") | None => "orc",
         Some("meltdown") => "meltdown",
         Some("pmp") => "pmp-lock",
         Some("secure") => "secure-cached",
         Some(other) => other,
     };
-    let scenario = scenarios::by_id(id).unwrap_or_else(|| {
-        eprintln!("unknown scenario `{id}`; registered ids:");
-        for s in scenarios::registry() {
-            eprintln!("  {:<18} {}", s.name, s.title);
-        }
-        std::process::exit(1);
-    });
-    let window: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2);
+    let window: usize = match args.get(1) {
+        None => 2,
+        Some(w) => w.parse().unwrap_or_else(|_| {
+            usage_error(USAGE, &format!("the window is a cycle count, not `{w}`"))
+        }),
+    };
+    let scenario = scenario_or_exit(id, USAGE);
 
     let model = scenario.build_model();
     let mut session =
@@ -55,7 +63,7 @@ fn main() {
 
     println!(
         "L-alert counterexample at window {window} ({:?}):\n",
-        scenario.variant
+        scenario.config.variant()
     );
     let (soc1, soc2) = (model.soc1(), model.soc2());
     let controls = [

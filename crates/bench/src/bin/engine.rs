@@ -9,11 +9,16 @@
 //! (e.g. `orc pmp-lock`) restrict the sweep; `pmp-lock` (the PMP leak of
 //! Sec. VII-C) and `cache-footprint` (Fig. 1 as a UPEC check) have this
 //! binary as their driver. The exit code is 1 when a verdict misses its
-//! registered expectation.
+//! registered expectation, and 2 on a malformed command line (a thread
+//! count that does not parse, or an unknown id), which is rejected before
+//! any model is built.
 
+use bench::{scenario_or_exit, usage_error};
 use std::time::Instant;
 use upec::scenarios::{self, ScenarioInstance};
 use upec::{EngineOptions, UpecEngine};
+
+const USAGE: &str = "engine [--threads N] [id ...]";
 
 fn main() {
     let mut threads: Option<usize> = None;
@@ -21,7 +26,11 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
+            "--threads" => {
+                let count = args.next().and_then(|v| v.parse().ok());
+                threads =
+                    Some(count.unwrap_or_else(|| usage_error(USAGE, "--threads takes a count")));
+            }
             other => ids.push(other.to_string()),
         }
     }
@@ -29,17 +38,7 @@ fn main() {
     let instances: Vec<ScenarioInstance> = if ids.is_empty() {
         scenarios::registry()
     } else {
-        ids.iter()
-            .map(|id| {
-                scenarios::by_id(id).unwrap_or_else(|| {
-                    eprintln!("unknown scenario `{id}`; registered ids:");
-                    for s in scenarios::registry() {
-                        eprintln!("  {:<18} {}", s.name, s.title);
-                    }
-                    std::process::exit(1);
-                })
-            })
-            .collect()
+        ids.iter().map(|id| scenario_or_exit(id, USAGE)).collect()
     };
 
     let mut options = EngineOptions::new();

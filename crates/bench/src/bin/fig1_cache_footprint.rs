@@ -15,7 +15,7 @@ fn footprint(variant: SocVariant, secret: u32) -> Vec<u64> {
     let program = scenario
         .demo_program(&config)
         .expect("the footprint scenario ships a demo program");
-    let mut sim = SocSim::new(config.clone(), program);
+    let mut sim = SocSim::new(config, program);
     sim.protect_secret_region();
     sim.preload_secret_in_cache(secret);
     sim.store_word(secret, 0x1234_5678);

@@ -10,9 +10,8 @@ use soc::{SocConfig, SocSim, SocVariant};
 use upec::scenarios;
 
 fn measure(variant: SocVariant, secret: u32, guess: u32) -> u64 {
-    let config = SocConfig::new(variant);
-    let program = scenarios::orc_attack_program(&config, guess);
-    let mut sim = SocSim::new(config.clone(), program);
+    let program = scenarios::orc_attack_program(guess);
+    let mut sim = SocSim::new(SocConfig::new(variant), program);
     sim.protect_secret_region();
     sim.preload_secret_in_cache(secret);
     sim.run_until_trap(500)
@@ -27,7 +26,7 @@ fn main() {
     // The guess equal to the protected address's own cache index always
     // stalls (the attacker's probe load conflicts with its own store); a real
     // attacker calibrates this known effect away.
-    let known_conflict = (config.secret_addr >> 2) % lines;
+    let known_conflict = (soc::SECRET_ADDR >> 2) % lines;
     println!("Fig. 2 — Orc attack timing sweep ({lines} cache-index guesses)");
     println!("series: cycles from attack start until the exception is taken");
     println!(

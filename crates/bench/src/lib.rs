@@ -20,3 +20,28 @@ pub mod json;
 pub fn secs(d: std::time::Duration) -> String {
     format!("{:.2}s", d.as_secs_f64())
 }
+
+/// Prints `problem` and the binary's `usage` line on stderr and exits with
+/// status 2, the status of a malformed command line.
+pub fn usage_error(usage: &str, problem: &str) -> ! {
+    eprintln!("{problem}\nusage: {usage}");
+    std::process::exit(2)
+}
+
+/// The base registry scenario named `id`; an unknown id lists the registered
+/// ones and exits through [`usage_error`].
+pub fn scenario_or_exit(id: &str, usage: &str) -> upec::scenarios::ScenarioInstance {
+    upec::scenarios::by_id(id).unwrap_or_else(|| {
+        let known: Vec<String> = upec::scenarios::registry()
+            .iter()
+            .map(|s| format!("  {:<18} {}", s.name, s.title))
+            .collect();
+        usage_error(
+            usage,
+            &format!(
+                "unknown scenario `{id}`; registered ids:\n{}",
+                known.join("\n")
+            ),
+        )
+    })
+}

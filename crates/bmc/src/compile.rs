@@ -130,7 +130,7 @@ enum OpKey {
 /// n.output("c", c.value());
 /// n.output("dup", dup);
 ///
-/// let ct = CompiledTransition::compile(&n);
+/// let ct = CompiledTransition::compile(&n, &[c.value(), dup]);
 /// assert_eq!(ct.slot_of(next), ct.slot_of(dup));
 /// ```
 #[derive(Debug, Clone)]
@@ -144,33 +144,21 @@ pub struct CompiledTransition {
 }
 
 impl CompiledTransition {
-    /// Compiles the full netlist (every signal is treated as a root).
-    ///
-    /// Lazy per-frame encoding still prunes dynamically at solve time; use
-    /// [`CompiledTransition::compile_with_roots`] to additionally shrink the
-    /// static schedule to the roots' cone of influence.
-    pub fn compile(netlist: &Netlist) -> Self {
-        Self::build(netlist, None)
-    }
-
-    /// Compiles only the cone of influence of `roots`.
+    /// Compiles the cone of influence of `roots`.
     ///
     /// Queries against slots outside the cone fail with
     /// [`crate::UnrollError::NotInSchedule`]; declare every signal a proof
     /// may constrain, commit to or extract.
-    pub fn compile_with_roots(netlist: &Netlist, roots: &[SignalId]) -> Self {
-        Self::build(netlist, Some(roots))
-    }
-
-    fn build(netlist: &Netlist, roots: Option<&[SignalId]>) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist fails [`Netlist::validate`].
+    pub fn compile(netlist: &Netlist, roots: &[SignalId]) -> Self {
         let mut span = obs::span("bmc.compile");
         netlist
             .validate()
             .expect("netlist must be valid before compilation");
-        let in_cone = match roots {
-            Some(roots) => cone_of_influence(netlist, roots),
-            None => vec![true; netlist.len()],
-        };
+        let in_cone = cone_of_influence(netlist, roots);
 
         let mut ops: Vec<CompiledOp> = Vec::new();
         let mut widths: Vec<u32> = Vec::new();
@@ -584,8 +572,8 @@ mod tests {
         let dead2 = n.xor(dead, b);
         n.output("live", live);
 
-        let full = CompiledTransition::compile(&n);
-        let pruned = CompiledTransition::compile_with_roots(&n, &[live]);
+        let full = CompiledTransition::compile(&n, &[live, dead2]);
+        let pruned = CompiledTransition::compile(&n, &[live]);
         assert_eq!((full.len(), pruned.len()), (5, 3));
         assert!(pruned.slot_of(dead).is_none());
         assert!(pruned.slot_of(dead2).is_none());
@@ -613,7 +601,7 @@ mod tests {
     #[test]
     fn cone_follows_register_feedback() {
         let (n, live, dead, seed) = layered();
-        let ct = CompiledTransition::compile_with_roots(&n, &[live]);
+        let ct = CompiledTransition::compile(&n, &[live]);
         assert!(ct.slot_of(live).is_some());
         // `seed` only matters through `live`'s next-state function, which the
         // sequential closure must pull in.
@@ -624,9 +612,9 @@ mod tests {
     #[test]
     fn empty_roots_empty_schedule_and_full_roots_every_signal() {
         let (n, live, dead, seed) = layered();
-        assert!(CompiledTransition::compile_with_roots(&n, &[]).is_empty());
+        assert!(CompiledTransition::compile(&n, &[]).is_empty());
         // Every signal of this design feeds one of the three registers.
-        let full = CompiledTransition::compile_with_roots(&n, &[live, dead, seed]);
+        let full = CompiledTransition::compile(&n, &[live, dead, seed]);
         assert!(n.signals().all(|s| full.slot_of(s).is_some()));
     }
 
@@ -641,7 +629,7 @@ mod tests {
         n.output("x", x);
         n.output("y", y);
         n.output("z", z);
-        let ct = CompiledTransition::compile(&n);
+        let ct = CompiledTransition::compile(&n, &[x, y, z]);
         assert_eq!(ct.slot_of(x), ct.slot_of(y));
         assert_eq!(ct.slot_of(x), ct.slot_of(z));
         assert_eq!(ct.len(), 3, "a, b and one adder");
@@ -658,7 +646,7 @@ mod tests {
         let same = n.mux(cond, seven, a); // constant select folds to 7
         n.output("seven", seven);
         n.output("same", same);
-        let ct = CompiledTransition::compile(&n);
+        let ct = CompiledTransition::compile(&n, &[seven, same, cond]);
         let slot = ct.slot_of(seven).unwrap();
         assert_eq!(
             ct.ops()[slot as usize],
@@ -681,7 +669,7 @@ mod tests {
         let next = n.add(c.value(), one);
         n.set_next(c, next);
         n.output("c", c.value());
-        let ct = CompiledTransition::compile_with_roots(&n, &[c.value()]);
+        let ct = CompiledTransition::compile(&n, &[c.value()]);
         let reg = match n.node(c.value()) {
             Node::Register { register, .. } => *register,
             _ => unreachable!(),

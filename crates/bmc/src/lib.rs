@@ -27,8 +27,9 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
 //! use rtl::Netlist;
-//! use bmc::{UnrollOptions, Unrolling};
+//! use bmc::{CompiledTransition, UnrollOptions, Unrolling};
 //!
 //! // Prove that a two-entry shift register delivers its input after two
 //! // cycles, for every possible starting state.
@@ -44,7 +45,8 @@
 //! n.output("in_is_9", in_is_9);
 //! n.output("out_is_9", out_is_9);
 //!
-//! let mut unrolling = Unrolling::new(&n, UnrollOptions::default());
+//! let compiled = Arc::new(CompiledTransition::compile(&n, &[in_is_9, out_is_9]));
+//! let mut unrolling = Unrolling::with_compiled(&n, compiled, UnrollOptions::default(), &[]);
 //! unrolling.extend_to(2);
 //! // Assume the input is 9 at cycle 0 and ask for an output other than 9
 //! // at cycle 2: no assignment exists, so the property holds.

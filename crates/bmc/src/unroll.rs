@@ -99,8 +99,9 @@ impl UnrollOptions {
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use rtl::Netlist;
-/// use bmc::{Unrolling, UnrollOptions};
+/// use bmc::{CompiledTransition, UnrollOptions, Unrolling};
 ///
 /// let mut n = Netlist::new("counter");
 /// let c = n.register("c", 4);
@@ -109,7 +110,8 @@ impl UnrollOptions {
 /// n.set_next(c, next);
 /// n.output("c", c.value());
 ///
-/// let mut unrolling = Unrolling::new(&n, UnrollOptions::default());
+/// let compiled = Arc::new(CompiledTransition::compile(&n, &[c.value()]));
+/// let mut unrolling = Unrolling::with_compiled(&n, compiled, UnrollOptions::default(), &[]);
 /// unrolling.extend_to(3);
 /// // Pin the start to 0: three cycles later the counter must hold 3.
 /// unrolling.assume_signal_equals_const(0, c.value(), 0).unwrap();
@@ -210,24 +212,11 @@ impl std::fmt::Display for UnrollError {
 impl std::error::Error for UnrollError {}
 
 impl<'n> Unrolling<'n> {
-    /// Creates an unrolling with frame 0 built, compiling the full netlist on
-    /// the spot. Flows that open many unrollings of the same design should
-    /// compile once and share the schedule through
-    /// [`Unrolling::with_compiled`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist fails [`Netlist::validate`].
-    pub fn new(netlist: &'n Netlist, options: UnrollOptions) -> Self {
-        let transition = Arc::new(CompiledTransition::compile(netlist));
-        Self::with_compiled(netlist, transition, options, &[])
-    }
-
-    /// Creates an unrolling over a pre-compiled transition relation
-    /// (compile once, clone per frame — and per session) in which, for every
-    /// `(register, source)` pair in `aliases`, the frame-0 value of
-    /// `register` reuses the literals of `source` (both must be
-    /// register-value signals of equal width).
+    /// Creates an unrolling with frame 0 built over a pre-compiled
+    /// transition relation (compile once, clone per frame — and per
+    /// session) in which, for every `(register, source)` pair in `aliases`,
+    /// the frame-0 value of `register` reuses the literals of `source` (both
+    /// must be register-value signals of equal width).
     ///
     /// An alias expresses "these two registers start out equal"
     /// *structurally*, which — combined with the gate-level structural
@@ -326,8 +315,9 @@ impl<'n> Unrolling<'n> {
     /// demand when queries reach them.
     ///
     /// ```
+    /// use std::sync::Arc;
     /// use rtl::Netlist;
-    /// use bmc::{Unrolling, UnrollOptions};
+    /// use bmc::{CompiledTransition, UnrollOptions, Unrolling};
     ///
     /// let mut n = Netlist::new("counter");
     /// let c = n.register("c", 8);
@@ -336,7 +326,8 @@ impl<'n> Unrolling<'n> {
     /// n.set_next(c, next);
     /// n.output("c", c.value());
     ///
-    /// let mut u = Unrolling::new(&n, UnrollOptions::default());
+    /// let compiled = Arc::new(CompiledTransition::compile(&n, &[c.value()]));
+    /// let mut u = Unrolling::with_compiled(&n, compiled, UnrollOptions::default(), &[]);
     /// u.assume_signal_equals_const(0, c.value(), 0).unwrap();
     /// for k in 1..=4 {
     ///     u.extend_to(k); // appends only the new frame each iteration
@@ -986,6 +977,14 @@ mod tests {
     use super::*;
     use rtl::SplitMix64;
 
+    /// An unrolling that schedules every signal of `n`, so what stays
+    /// unencoded is left out by the lazy encoding alone.
+    fn unroll(n: &Netlist, options: UnrollOptions) -> Unrolling<'_> {
+        let roots: Vec<SignalId> = n.signals().collect();
+        let compiled = Arc::new(CompiledTransition::compile(n, &roots));
+        Unrolling::with_compiled(n, compiled, options, &[])
+    }
+
     /// Builds a small combinational netlist exercising every operator, then
     /// cross-checks the bit-blasted encoding against the word-level
     /// simulator semantics for random inputs.
@@ -1067,7 +1066,7 @@ mod tests {
                 })
                 .collect();
 
-            let mut u = Unrolling::new(&n, UnrollOptions::default());
+            let mut u = unroll(&n, UnrollOptions::default());
             u.assume_signal_equals_const(0, a, av).unwrap();
             u.assume_signal_equals_const(0, b, bv).unwrap();
             u.assume_signal_equals_const(0, shift_amount, sh).unwrap();
@@ -1101,7 +1100,7 @@ mod tests {
     #[test]
     fn sequential_unrolling_from_reset_matches_counting() {
         let (n, c) = counter_netlist();
-        let mut u = Unrolling::new(&n, UnrollOptions::default());
+        let mut u = unroll(&n, UnrollOptions::default());
         u.extend_to(5);
         assert_eq!(u.frame_count(), 6);
         u.assume_signal_equals_const(0, c.value(), 0).unwrap();
@@ -1116,7 +1115,7 @@ mod tests {
     #[test]
     fn symbolic_initial_state_allows_any_start() {
         let (n, c) = counter_netlist();
-        let mut u = Unrolling::new(&n, UnrollOptions::default());
+        let mut u = unroll(&n, UnrollOptions::default());
         u.extend_to(2);
         // From a symbolic initial state the counter can reach 9 at frame 2
         // (by starting at 7), which is impossible from 0.
@@ -1133,7 +1132,7 @@ mod tests {
         let a = n.input("a", 4);
         let b = n.input("b", 4);
         n.output("a", a);
-        let mut u = Unrolling::new(&n, UnrollOptions::default());
+        let mut u = unroll(&n, UnrollOptions::default());
         let eq = u.equality_lit(0, a, b).unwrap();
         // Force inequality and equality through assumptions.
         assert!(u.solve(&[eq]).is_sat());
@@ -1148,7 +1147,7 @@ mod tests {
         let a = n.input("a", 4);
         let b = n.input("b", 2);
         n.output("a", a);
-        let mut u = Unrolling::new(&n, UnrollOptions::default());
+        let mut u = unroll(&n, UnrollOptions::default());
         assert!(matches!(u.bit_lit(0, a), Err(UnrollError::NotABit { .. })));
         assert!(matches!(
             u.assume_signals_equal(0, a, b),
@@ -1192,7 +1191,7 @@ mod tests {
     #[test]
     fn caller_budget_below_the_trial_cap_skips_simplification() {
         let (n, p, q) = multiplier_miter(6);
-        let mut u = Unrolling::new(
+        let mut u = unroll(
             &n,
             UnrollOptions::default().with_budget(sat::Budget::conflicts(5)),
         );
@@ -1217,7 +1216,7 @@ mod tests {
     #[test]
     fn trial_cap_stop_simplifies_and_decides() {
         let (n, p, q) = multiplier_miter(6);
-        let mut u = Unrolling::new(&n, UnrollOptions::default().with_simplify_trial(0));
+        let mut u = unroll(&n, UnrollOptions::default().with_simplify_trial(0));
         let equal = u.equality_lit(0, p, q).unwrap();
         assert!(u.solve(&[!equal]).is_unsat());
         assert_eq!(u.solver().last_stop(), None);
@@ -1253,7 +1252,7 @@ mod tests {
         n.output("cmp1", cmp1);
         n.output("cmp2", cmp2);
 
-        let mut u = Unrolling::new(&n, UnrollOptions::default());
+        let mut u = unroll(&n, UnrollOptions::default());
         u.extend_to(2);
         u.assume_signal_true(2, cmp1).unwrap();
         u.assume_signal_true(2, cmp2).unwrap();
@@ -1280,7 +1279,7 @@ mod tests {
     fn final_frame_skips_next_state_logic() {
         let (n, c) = counter_netlist();
         let next = n.registers()[0].next.expect("counter has a next-state");
-        let mut u = Unrolling::new(&n, UnrollOptions::default());
+        let mut u = unroll(&n, UnrollOptions::default());
         u.extend_to(1);
         u.assume_signal_equals_const(1, c.value(), 3).unwrap();
         let result = u.solve(&[]);
@@ -1313,7 +1312,7 @@ mod tests {
 
         let mut u = Unrolling::with_compiled(
             &n,
-            Arc::new(CompiledTransition::compile(&n)),
+            Arc::new(CompiledTransition::compile(&n, &[differ])),
             UnrollOptions::default(),
             &[(r2.value(), r1.value())],
         );

@@ -8,8 +8,9 @@
 //! verdicts stay correct. A deliberately tiny learnt budget makes reduction
 //! constant instead of rare, so the walk exercises many collections.
 
-use bmc::{UnrollOptions, Unrolling};
+use bmc::{CompiledTransition, UnrollOptions, Unrolling};
 use rtl::{Netlist, SignalId};
+use std::sync::Arc;
 
 /// Two identical nonlinear mixing registers, constrained equal at frame 0
 /// through *clauses* (not frame-0 aliases), so the equivalence proof at
@@ -42,7 +43,8 @@ fn mixer_pair() -> (Netlist, SignalId, SignalId, SignalId) {
 fn incremental_walk_keeps_waste_ratio_bounded() {
     let (netlist, r1, r2, differ) = mixer_pair();
 
-    let mut u = Unrolling::new(&netlist, UnrollOptions::default());
+    let compiled = Arc::new(CompiledTransition::compile(&netlist, &[differ]));
+    let mut u = Unrolling::with_compiled(&netlist, compiled, UnrollOptions::default(), &[]);
     u.set_learnt_budget(16);
     u.assume_signals_equal(0, r1, r2).expect("equal widths");
 

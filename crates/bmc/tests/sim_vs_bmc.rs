@@ -4,9 +4,10 @@
 //! values, must agree cycle by cycle with the word-level simulator. Cases
 //! come from the deterministic [`rtl::SplitMix64`].
 
-use bmc::{UnrollOptions, Unrolling};
+use bmc::{CompiledTransition, UnrollOptions, Unrolling};
 use rtl::{BitVec, Netlist, SignalId, SplitMix64};
 use sim::Simulator;
+use std::sync::Arc;
 
 /// A small parameterized sequential design: an accumulator, a shift register
 /// and a comparator, wired from two inputs. Returns the netlist, its inputs,
@@ -59,8 +60,12 @@ fn unrolling_matches_simulator() {
 
         // The unrolling starts symbolic: pin the registers to the
         // simulator's reset value (zero) at frame 0, and force the same
-        // stimulus through constraints on the input words.
-        let mut unrolling = Unrolling::new(&netlist, UnrollOptions::default());
+        // stimulus through constraints on the input words. Both inputs feed
+        // the accumulator, so the observed signals' cone holds every signal
+        // the test constrains.
+        let compiled = Arc::new(CompiledTransition::compile(&netlist, &observed));
+        let mut unrolling =
+            Unrolling::with_compiled(&netlist, compiled, UnrollOptions::default(), &[]);
         unrolling.extend_to(stimulus.len());
         for &register in &registers {
             unrolling

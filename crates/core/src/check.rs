@@ -133,14 +133,13 @@ pub fn architectural_commitment(model: &UpecModel) -> BTreeSet<String> {
 mod tests {
     use super::*;
     use crate::engine::IncrementalSession;
-    use crate::scenarios::Geometry;
     use crate::SecretScenario;
-    use soc::SocVariant;
+    use soc::{SocConfig, SocVariant};
 
     #[test]
     fn secret_not_in_cache_produces_no_alert_at_window_one() {
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::NotInCache,
         );
         let outcome = IncrementalSession::new(&model).check_bound(1, &full_commitment(&model));
@@ -150,7 +149,7 @@ mod tests {
     #[test]
     fn secret_in_cache_produces_a_p_alert_on_the_secure_design() {
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         );
         let outcome = IncrementalSession::new(&model).check_bound(2, &full_commitment(&model));
@@ -162,7 +161,7 @@ mod tests {
     #[test]
     fn secure_design_has_no_l_alert_at_small_windows() {
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         );
         let commitment = architectural_commitment(&model);
@@ -179,10 +178,7 @@ mod tests {
 
     #[test]
     fn orc_variant_produces_an_l_alert() {
-        let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Orc),
-            SecretScenario::InCache,
-        );
+        let model = UpecModel::new(&SocConfig::formal(SocVariant::Orc), SecretScenario::InCache);
         let commitment = architectural_commitment(&model);
         let mut session = IncrementalSession::new(&model);
         let (k, alert) = (1..=5)
@@ -195,7 +191,7 @@ mod tests {
     #[test]
     fn unknown_is_reported_when_the_budget_is_tiny() {
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         );
         let options = bmc::UnrollOptions::default().with_budget(sat::Budget::conflicts(1));

@@ -400,7 +400,7 @@ impl UpecEngine {
         // One job per miter: its instances' submission indices, in order.
         let mut miters: Vec<(SocConfig, SecretScenario, Vec<usize>)> = Vec::new();
         for (index, instance) in instances.iter().enumerate() {
-            let (config, secret) = (instance.config(), instance.secret);
+            let (config, secret) = (instance.config, instance.secret);
             match miters.iter_mut().find(|m| m.0 == config && m.1 == secret) {
                 Some(miter) => miter.2.push(index),
                 None => miters.push((config, secret, vec![index])),
@@ -474,8 +474,8 @@ mod tests {
     #[test]
     fn engine_matches_expectations_on_a_fast_subset() {
         // A cheap subset keeps the default suite fast on small machines; the
-        // `#[ignore]`d instance sweep in `tests/scenario_instances.rs` covers
-        // the whole registry.
+        // `#[ignore]`d full-registry walk differential in
+        // `tests/miter_walk_differential.rs` covers the whole registry.
         let instances = ["secure-uncached", "orc"].map(|id| scenarios::by_id(id).unwrap());
         let engine = UpecEngine::new(EngineOptions::new().with_threads(2).with_max_window(2));
         for result in engine.run_instances(instances) {

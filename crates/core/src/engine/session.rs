@@ -41,12 +41,11 @@ const SINGLE_BIT_ROOT: &str =
 /// # Examples
 ///
 /// ```
-/// use soc::SocVariant;
+/// use soc::{SocConfig, SocVariant};
 /// use upec::engine::IncrementalSession;
-/// use upec::scenarios::Geometry;
 /// use upec::{full_commitment, SecretScenario, UpecModel};
 ///
-/// let config = Geometry::formal_default().apply(SocVariant::Secure);
+/// let config = SocConfig::formal(SocVariant::Secure);
 /// let model = UpecModel::new(&config, SecretScenario::NotInCache);
 /// let mut session = IncrementalSession::new(&model);
 /// let commitment = full_commitment(&model);
@@ -394,9 +393,8 @@ impl<'m> IncrementalSession<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::Geometry;
     use crate::{architectural_commitment, full_commitment, SecretScenario};
-    use soc::SocVariant;
+    use soc::{SocConfig, SocVariant};
 
     /// The acceptance check of the incremental engine: walking bounds `1..=k`
     /// through one session must spend measurably fewer conflicts and
@@ -417,7 +415,7 @@ mod tests {
         // bound can reuse. (A walk whose early bounds close by propagation
         // alone would teach the solver nothing and the comparison would tie.)
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::MeltdownStyle),
+            &SocConfig::formal(SocVariant::MeltdownStyle),
             SecretScenario::InCache,
         );
         let commitment = full_commitment(&model);
@@ -462,10 +460,7 @@ mod tests {
     /// verdict here.
     #[test]
     fn simplified_walk_matches_fresh_solves() {
-        let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Orc),
-            SecretScenario::InCache,
-        );
+        let model = UpecModel::new(&SocConfig::formal(SocVariant::Orc), SecretScenario::InCache);
         let commitment = architectural_commitment(&model);
         // Orc with the architectural obligation is proven at k=1 and
         // L-alerts at k=2, covering both outcome paths. A zero trial budget

@@ -37,25 +37,27 @@
 //!   unbudgeted session per miter walks every instance of that miter, and a
 //!   certified scan is the same walk with the proof log on);
 //! * the [`scenarios`] module — the named registry of every attack scenario
-//!   the reproduction checks, with paper references, geometries and expected
-//!   verdicts, shared by the engine, the bench binaries, the examples and
-//!   the tests;
+//!   the reproduction checks, each with its [`soc::SocConfig`] (design
+//!   variant and geometry), paper reference and expected verdict, shared by
+//!   the engine, the bench binaries, the examples and the tests;
 //! * **checkable verdicts** — every decided query on a session that logs a
 //!   proof returns a [`VerdictCertificate`]
 //!   ([`IncrementalSession::try_check_bound`]): proven bounds carry a
 //!   trimmed DRAT refutation replayed by the independent checker in
 //!   [`sat::drat`], violated bounds carry a concrete witness trace replayed
-//!   on the [`sim`] golden model (see `docs/certificates.md`).
+//!   on the word-level simulator, [`sim::Simulator`] (see
+//!   `docs/certificates.md`). The ISA-level golden model is
+//!   [`soc::GoldenModel`]; it checks the RTL by co-simulation, not
+//!   certificates.
 //!
 //! # Example
 //!
 //! ```
-//! use soc::SocVariant;
-//! use upec::scenarios::Geometry;
+//! use soc::{SocConfig, SocVariant};
 //! use upec::{full_commitment, IncrementalSession, SecretScenario, UpecModel};
 //!
 //! // The reduced formal geometry keeps the proof fast for the doc test.
-//! let config = Geometry::formal_default().apply(SocVariant::Secure);
+//! let config = SocConfig::formal(SocVariant::Secure);
 //! let model = UpecModel::new(&config, SecretScenario::NotInCache);
 //! let outcome = IncrementalSession::new(&model).check_bound(1, &full_commitment(&model));
 //! assert!(outcome.is_proven());

@@ -306,13 +306,12 @@ fn closure_step(model: &UpecModel, alert_registers: &BTreeSet<String>) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::Geometry;
-    use soc::SocVariant;
+    use soc::{SocConfig, SocVariant};
 
     #[test]
     fn methodology_proves_the_uncached_case_secure_without_alerts() {
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::NotInCache,
         );
         let report = run_methodology(&model, 2, UnrollOptions::default());
@@ -324,7 +323,7 @@ mod tests {
     #[test]
     fn methodology_collects_p_alerts_for_the_secure_cached_case() {
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         );
         let report = run_methodology(&model, 2, UnrollOptions::default());
@@ -347,10 +346,7 @@ mod tests {
     fn methodology_flags_the_orc_variant_as_insecure() {
         // The Orc L-alert is already reachable at window 2; deeper windows
         // only make the queries more expensive without changing the verdict.
-        let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Orc),
-            SecretScenario::InCache,
-        );
+        let model = UpecModel::new(&SocConfig::formal(SocVariant::Orc), SecretScenario::InCache);
         let report = run_methodology(&model, 2, UnrollOptions::default());
         assert_eq!(report.verdict, Verdict::Insecure, "{}", report.summary());
         let last = report.alerts.last().expect("an L-alert terminates the run");
@@ -360,7 +356,7 @@ mod tests {
     #[test]
     fn closure_proof_succeeds_for_the_secure_design() {
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         );
         let report = run_methodology(&model, 2, UnrollOptions::default());

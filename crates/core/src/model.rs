@@ -214,7 +214,7 @@ impl UpecModel {
         let memory_coupling = {
             let both_resp = n.and(soc1.mem_read_resp_now, soc2.mem_read_resp_now);
             let same_addr = n.eq(soc1.mem_read_addr, soc2.mem_read_addr);
-            let secret = n.lit(u64::from(config.secret_addr & !3), 32);
+            let secret = n.lit(u64::from(soc::SECRET_ADDR & !3), 32);
             let addr_word = {
                 let hi = n.slice(soc1.mem_read_addr, 31, 2);
                 let lo = n.lit(0, 2);
@@ -316,11 +316,11 @@ impl UpecModel {
                 pair.equal_or_blocked,
             ]);
         }
-        let compiled = Arc::new(CompiledTransition::compile_with_roots(&n, &roots));
+        let compiled = Arc::new(CompiledTransition::compile(&n, &roots));
 
         Self {
             netlist: n,
-            config: config.clone(),
+            config: *config,
             scenario,
             soc1,
             soc2,
@@ -417,13 +417,12 @@ impl UpecModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::Geometry;
     use soc::SocVariant;
 
     #[test]
     fn miter_pairs_every_register_once() {
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         );
         let total_regs_one_instance = model.soc1().arch_registers.len()
@@ -442,7 +441,7 @@ mod tests {
     #[test]
     fn classification_covers_arch_micro_and_memory() {
         let model = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         );
         assert!(model.pairs_of_class(StateClass::Architectural).count() >= 10);
@@ -461,7 +460,7 @@ mod tests {
     #[test]
     fn scenarios_add_the_right_initial_constraint() {
         let cached = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         );
         assert!(cached
@@ -469,7 +468,7 @@ mod tests {
             .iter()
             .any(|c| c.label.contains("present")));
         let uncached = UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::NotInCache,
         );
         assert!(uncached

@@ -2,13 +2,14 @@
 //! reproduction can check, shared by the engine, the bench binaries, the
 //! examples and the tests.
 //!
-//! Each [`ScenarioInstance`] bundles a design variant, a secret placement, a
-//! proof-obligation shape, a SoC [`Geometry`] and the window range to scan,
-//! together with the paper figure/table it reproduces and the expected
-//! verdict. [`registry`] holds the base scenarios at the default formal
-//! geometry; [`instances`] adds their geometry families. Everything that
-//! checks or demonstrates a scenario drives off these tables (or [`by_id`]
-//! and [`instance_by_id`]) instead of repeating its setup.
+//! Each [`ScenarioInstance`] bundles a SoC configuration (the design variant
+//! and its geometry), a secret placement, a proof-obligation shape and the
+//! window range to scan, together with the paper figure/table it reproduces
+//! and the expected verdict. [`registry`] holds the base scenarios at the
+//! formal geometry, [`SocConfig::formal`]; [`instances`] adds their geometry
+//! families. Everything that checks or demonstrates a scenario drives off
+//! these tables (or [`by_id`] and [`instance_by_id`]) instead of repeating
+//! its setup.
 //!
 //! # Examples
 //!
@@ -16,13 +17,13 @@
 //! use upec::scenarios;
 //!
 //! let orc = scenarios::by_id("orc").expect("registered");
-//! assert_eq!(orc.variant.name(), "orc");
+//! assert_eq!(orc.config.variant().name(), "orc");
 //! let model = orc.build_model();
 //! assert!(model.pairs().len() > 10);
 //! ```
 
 use crate::{SecretScenario, UpecModel};
-use soc::{Instruction, Program, SocConfig, SocVariant};
+use soc::{Instruction, Program, SocConfig, SocVariant, SECRET_ADDR};
 use std::collections::BTreeSet;
 
 /// Shape of the proof obligation (which register pairs must stay equal at
@@ -55,79 +56,7 @@ pub enum Expectation {
     LAlert,
 }
 
-/// The microarchitectural geometry of one scenario instance: the `SocConfig`
-/// knobs that parameterize a scenario into a *family*.
-///
-/// Every [`registry`] entry is checked at [`Geometry::formal_default`];
-/// [`instances`] additionally sweeps selected scenarios across larger caches
-/// and longer memory latencies, because the paper's central claim — UPEC
-/// needs no prior knowledge of the attack — should survive a resized
-/// microarchitecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Geometry {
-    /// Number of architectural registers (power of two in `2..=32`).
-    pub registers: u32,
-    /// Number of direct-mapped cache lines (power of two, `>= 2`).
-    pub cache_lines: u32,
-    /// Cache-miss refill latency in cycles.
-    pub miss_latency: u32,
-    /// Pending-store drain latency in cycles.
-    pub store_latency: u32,
-}
-
-impl Geometry {
-    /// The reduced default geometry every formal proof runs at.
-    pub const fn formal_default() -> Self {
-        Self {
-            registers: 4,
-            cache_lines: 2,
-            miss_latency: 1,
-            store_latency: 1,
-        }
-    }
-
-    /// Applies the geometry to a design variant.
-    pub fn apply(&self, variant: SocVariant) -> SocConfig {
-        SocConfig::new(variant)
-            .with_registers(self.registers)
-            .with_cache_lines(self.cache_lines)
-            .with_miss_latency(self.miss_latency)
-            .with_store_latency(self.store_latency)
-    }
-
-    /// Compact label (`r4c2m1s1` style) used in instance identifiers.
-    pub fn label(&self) -> String {
-        format!(
-            "r{}c{}m{}s{}",
-            self.registers, self.cache_lines, self.miss_latency, self.store_latency
-        )
-    }
-
-    /// Whether this is the default formal geometry.
-    pub fn is_default(&self) -> bool {
-        *self == Self::formal_default()
-    }
-
-    /// The default geometry with a resized cache (builder style).
-    pub fn with_cache_lines(mut self, lines: u32) -> Self {
-        self.cache_lines = lines;
-        self
-    }
-
-    /// The geometry with a different miss latency (builder style).
-    pub fn with_miss_latency(mut self, cycles: u32) -> Self {
-        self.miss_latency = cycles;
-        self
-    }
-
-    /// The geometry with a different store latency (builder style).
-    pub fn with_store_latency(mut self, cycles: u32) -> Self {
-        self.store_latency = cycles;
-        self
-    }
-}
-
-/// A named, self-contained attack scenario pinned to a SoC [`Geometry`],
+/// A named, self-contained attack scenario pinned to one SoC configuration,
 /// with the window range and expected verdict *for that geometry* (resizing
 /// the cache or stretching a latency moves the window at which an alert
 /// first appears).
@@ -140,14 +69,12 @@ pub struct ScenarioInstance {
     pub title: &'static str,
     /// Paper figure/table/section this scenario reproduces.
     pub paper_ref: &'static str,
-    /// Design variant under verification.
-    pub variant: SocVariant,
+    /// The design under verification: its variant and geometry.
+    pub config: SocConfig,
     /// Secret placement at the symbolic starting time point.
     pub secret: SecretScenario,
     /// Proof-obligation shape.
     pub commitment: CommitmentKind,
-    /// The SoC geometry of this instance.
-    pub geometry: Geometry,
     /// First window length worth checking (skipping windows that are too
     /// short for the attack to complete keeps scans cheap; cf. the PMP
     /// scenario, whose shortest leak needs seven cycles).
@@ -162,28 +89,36 @@ pub struct ScenarioInstance {
 
 impl ScenarioInstance {
     /// Stable identifier: the base name, suffixed with the geometry label for
-    /// non-default geometries (`cache-footprint@r4c4m1s1`).
+    /// geometries other than [`SocConfig::formal`] (`cache-footprint@r4c4m1s1`).
     pub fn id(&self) -> String {
-        if self.geometry.is_default() {
+        if self.at_formal_geometry() {
             self.name.to_string()
         } else {
-            format!("{}@{}", self.name, self.geometry.label())
+            format!("{}@{}", self.name, self.geometry_label())
         }
     }
 
-    /// The SoC configuration of this instance.
-    pub fn config(&self) -> SocConfig {
-        self.geometry.apply(self.variant)
+    fn at_formal_geometry(&self) -> bool {
+        self.config == SocConfig::formal(self.config.variant())
+    }
+
+    /// Compact geometry label (`r4c2m1s1` style) used in instance ids.
+    fn geometry_label(&self) -> String {
+        let c = &self.config;
+        format!(
+            "r{}c{}m{}s{}",
+            c.num_registers, c.cache_lines, c.miss_latency, c.store_latency
+        )
     }
 
     /// The full-size geometry used for the simulation-based figures.
     pub fn sim_config(&self) -> SocConfig {
-        SocConfig::new(self.variant)
+        SocConfig::new(self.config.variant())
     }
 
     /// Builds the two-instance UPEC miter for this instance's geometry.
     pub fn build_model(&self) -> UpecModel {
-        UpecModel::new(&self.config(), self.secret)
+        UpecModel::new(&self.config, self.secret)
     }
 
     /// The commitment set for this instance's obligation shape.
@@ -201,11 +136,12 @@ impl ScenarioInstance {
     }
 
     /// The attacker program demonstrating this scenario on the simulator
-    /// (`None` for purely formal scenarios).
-    pub fn demo_program(&self, config: &SocConfig) -> Option<Program> {
+    /// (`None` for purely formal scenarios). The programs address only the
+    /// fixed memory map, so no SoC configuration changes them.
+    pub fn demo_program(&self, _config: &SocConfig) -> Option<Program> {
         match self.name {
-            "orc" => Some(orc_attack_program(config, 3)),
-            "meltdown" | "meltdown-timing" | "cache-footprint" => Some(transient_program(config)),
+            "orc" => Some(orc_attack_program(3)),
+            "meltdown" | "meltdown-timing" | "cache-footprint" => Some(transient_program()),
             "fuzz-meltdown-footprint" | "fuzz-orc-footprint" => Some(fuzz_footprint_witness()),
             "fuzz-orc-timing" => Some(fuzz_timing_witness()),
             _ => None,
@@ -215,13 +151,13 @@ impl ScenarioInstance {
 
 /// One iteration of the Orc attack (paper Fig. 2) for a given guess of the
 /// secret's cache index.
-pub fn orc_attack_program(config: &SocConfig, guess: u32) -> Program {
+pub fn orc_attack_program(guess: u32) -> Program {
     let accessible = 0x40u32;
     let mut p = Program::new(0);
     p.push(Instruction::Addi {
         rd: 1,
         rs1: 0,
-        imm: config.secret_addr as i32,
+        imm: SECRET_ADDR as i32,
     });
     p.push(Instruction::Addi {
         rd: 2,
@@ -310,12 +246,12 @@ pub fn fuzz_timing_witness() -> Program {
 
 /// The Meltdown-style transient sequence used for the Fig. 1 footprint
 /// experiment.
-pub fn transient_program(config: &SocConfig) -> Program {
+pub fn transient_program() -> Program {
     let mut p = Program::new(0);
     p.push(Instruction::Addi {
         rd: 1,
         rs1: 0,
-        imm: config.secret_addr as i32,
+        imm: SECRET_ADDR as i32,
     });
     p.push(Instruction::Lw {
         rd: 4,
@@ -338,10 +274,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "secure-uncached",
         title: "Secure design, secret only in main memory",
         paper_ref: "Table I, column 'D not in cache'",
-        variant: SocVariant::Secure,
+        config: SocConfig::formal(SocVariant::Secure),
         secret: SecretScenario::NotInCache,
         commitment: CommitmentKind::Full,
-        geometry: Geometry::formal_default(),
         start_window: 1,
         max_window: 2,
         expected: Expectation::Proven,
@@ -351,10 +286,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "secure-cached",
         title: "Secure design, secret cached",
         paper_ref: "Table I, column 'D in cache'",
-        variant: SocVariant::Secure,
+        config: SocConfig::formal(SocVariant::Secure),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::Full,
-        geometry: Geometry::formal_default(),
         start_window: 1,
         max_window: 2,
         expected: Expectation::PAlertsOnly,
@@ -364,10 +298,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "secure-arch-only",
         title: "Secure design, architectural obligation only",
         paper_ref: "Sec. V control experiment",
-        variant: SocVariant::Secure,
+        config: SocConfig::formal(SocVariant::Secure),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::Architectural,
-        geometry: Geometry::formal_default(),
         start_window: 1,
         max_window: 2,
         expected: Expectation::Proven,
@@ -377,10 +310,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "meltdown",
         title: "Meltdown-style uncancelled refill",
         paper_ref: "Sec. VII-B, Table II row 2",
-        variant: SocVariant::MeltdownStyle,
+        config: SocConfig::formal(SocVariant::MeltdownStyle),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::Full,
-        geometry: Geometry::formal_default(),
         start_window: 1,
         max_window: 2,
         expected: Expectation::PAlertsOnly,
@@ -390,10 +322,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "meltdown-timing",
         title: "Meltdown-style refill as a timing channel",
         paper_ref: "new variant (beyond the paper's Table II)",
-        variant: SocVariant::MeltdownStyle,
+        config: SocConfig::formal(SocVariant::MeltdownStyle),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::Architectural,
-        geometry: Geometry::formal_default(),
         start_window: 3,
         max_window: 3,
         expected: Expectation::LAlert,
@@ -403,10 +334,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "cache-footprint",
         title: "Secret-dependent cache footprint",
         paper_ref: "Fig. 1",
-        variant: SocVariant::MeltdownStyle,
+        config: SocConfig::formal(SocVariant::MeltdownStyle),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::CacheState,
-        geometry: Geometry::formal_default(),
         start_window: 1,
         max_window: 5,
         expected: Expectation::PAlertsOnly,
@@ -416,10 +346,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "orc",
         title: "Orc replay-buffer bypass",
         paper_ref: "Fig. 2, Table II row 1",
-        variant: SocVariant::Orc,
+        config: SocConfig::formal(SocVariant::Orc),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::Architectural,
-        geometry: Geometry::formal_default(),
         start_window: 1,
         max_window: 5,
         expected: Expectation::LAlert,
@@ -429,10 +358,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "pmp-lock",
         title: "PMP TOR-lock ISA violation",
         paper_ref: "Sec. VII-C",
-        variant: SocVariant::PmpLockBug,
+        config: SocConfig::formal(SocVariant::PmpLockBug),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::Architectural,
-        geometry: Geometry::formal_default(),
         start_window: 7,
         max_window: 9,
         expected: Expectation::LAlert,
@@ -442,10 +370,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "fuzz-meltdown-footprint",
         title: "Fuzz-mined transient refill footprint",
         paper_ref: "fuzz-mined witness (cf. Fig. 1)",
-        variant: SocVariant::MeltdownStyle,
+        config: SocConfig::formal(SocVariant::MeltdownStyle),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::CacheState,
-        geometry: Geometry::formal_default(),
         start_window: 1,
         max_window: 5,
         expected: Expectation::PAlertsOnly,
@@ -455,10 +382,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "fuzz-orc-footprint",
         title: "Fuzz-mined Orc cache footprint",
         paper_ref: "fuzz-mined witness (beyond Table II)",
-        variant: SocVariant::Orc,
+        config: SocConfig::formal(SocVariant::Orc),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::CacheState,
-        geometry: Geometry::formal_default(),
         start_window: 1,
         max_window: 5,
         expected: Expectation::PAlertsOnly,
@@ -468,10 +394,9 @@ static REGISTRY: [ScenarioInstance; 11] = [
         name: "fuzz-orc-timing",
         title: "Fuzz-mined Orc stall-timing witness",
         paper_ref: "fuzz-mined witness (cf. Fig. 2)",
-        variant: SocVariant::Orc,
+        config: SocConfig::formal(SocVariant::Orc),
         secret: SecretScenario::InCache,
         commitment: CommitmentKind::Architectural,
-        geometry: Geometry::formal_default(),
         start_window: 1,
         max_window: 5,
         expected: Expectation::LAlert,
@@ -479,8 +404,7 @@ static REGISTRY: [ScenarioInstance; 11] = [
     },
 ];
 
-/// The base scenarios at [`Geometry::formal_default`], in presentation
-/// order.
+/// The base scenarios at [`SocConfig::formal`], in presentation order.
 pub fn registry() -> Vec<ScenarioInstance> {
     REGISTRY.to_vec()
 }
@@ -490,70 +414,53 @@ pub fn by_id(id: &str) -> Option<ScenarioInstance> {
     REGISTRY.iter().find(|s| s.name == id).copied()
 }
 
-/// The full instance registry: every scenario at the default formal geometry
-/// plus the geometry families of the cheap-to-check scenarios.
+/// The full instance registry: every scenario at [`SocConfig::formal`] plus
+/// the geometry families of the cheap-to-check scenarios, each member its
+/// base scenario with one knob resized: the paper's central claim — UPEC
+/// needs no prior knowledge of the attack — should survive a resized
+/// microarchitecture.
 ///
-/// Windows and expectations of the non-default instances are pinned from
-/// measurement (the `--ignored` instance sweep re-verifies all of them):
-/// growing the cache or stretching a latency shifts the window at which an
-/// alert first appears, so each instance carries its own range.
+/// Windows and expectations of the resized instances are pinned from
+/// measurement (the `--ignored` full-registry walk differential re-verifies
+/// all of them): growing the cache or stretching a latency shifts the
+/// window at which an alert first appears, so each instance carries its own
+/// range.
 pub fn instances() -> Vec<ScenarioInstance> {
     use Expectation::{LAlert, PAlertsOnly, Proven};
-    let d = Geometry::formal_default();
+    type Resize = fn(SocConfig) -> SocConfig;
+    let cache4: Resize = |c| c.with_cache_lines(4);
+    let miss2: Resize = |c| c.with_miss_latency(2);
+    let store2: Resize = |c| c.with_store_latency(2);
     let families = [
         // Cache-footprint family (Meltdown-style refill marking the cache).
-        ("cache-footprint", d.with_cache_lines(4), 1, 5, PAlertsOnly),
-        ("cache-footprint", d.with_miss_latency(2), 1, 6, PAlertsOnly),
-        (
-            "cache-footprint",
-            d.with_store_latency(2),
-            1,
-            5,
-            PAlertsOnly,
-        ),
+        ("cache-footprint", cache4, 1, 5, PAlertsOnly),
+        ("cache-footprint", miss2, 1, 6, PAlertsOnly),
+        ("cache-footprint", store2, 1, 5, PAlertsOnly),
         // The fuzz-mined footprint witness across the same sweep.
-        (
-            "fuzz-meltdown-footprint",
-            d.with_cache_lines(4),
-            1,
-            5,
-            PAlertsOnly,
-        ),
-        (
-            "fuzz-meltdown-footprint",
-            d.with_miss_latency(2),
-            1,
-            6,
-            PAlertsOnly,
-        ),
-        (
-            "fuzz-meltdown-footprint",
-            d.with_store_latency(2),
-            1,
-            5,
-            PAlertsOnly,
-        ),
+        ("fuzz-meltdown-footprint", cache4, 1, 5, PAlertsOnly),
+        ("fuzz-meltdown-footprint", miss2, 1, 6, PAlertsOnly),
+        ("fuzz-meltdown-footprint", store2, 1, 5, PAlertsOnly),
         // Orc stall-timing family.
-        ("orc", d.with_cache_lines(4), 1, 5, LAlert),
-        ("orc", d.with_miss_latency(2), 1, 5, LAlert),
-        ("orc", d.with_store_latency(2), 1, 5, LAlert),
+        ("orc", cache4, 1, 5, LAlert),
+        ("orc", miss2, 1, 5, LAlert),
+        ("orc", store2, 1, 5, LAlert),
         // The fuzz-mined timing witness across the same sweep.
-        ("fuzz-orc-timing", d.with_cache_lines(4), 1, 5, LAlert),
-        ("fuzz-orc-timing", d.with_miss_latency(2), 1, 5, LAlert),
-        ("fuzz-orc-timing", d.with_store_latency(2), 1, 5, LAlert),
+        ("fuzz-orc-timing", cache4, 1, 5, LAlert),
+        ("fuzz-orc-timing", miss2, 1, 5, LAlert),
+        ("fuzz-orc-timing", store2, 1, 5, LAlert),
         // Secure-control family: the proof must keep closing when the
         // microarchitecture grows.
-        ("secure-arch-only", d.with_cache_lines(4), 1, 2, Proven),
-        ("secure-arch-only", d.with_miss_latency(2), 1, 2, Proven),
+        ("secure-arch-only", cache4, 1, 2, Proven),
+        ("secure-arch-only", miss2, 1, 2, Proven),
     ];
     let mut out = registry();
-    for (name, geometry, start_window, max_window, expected) in families {
+    for (name, resize, start_window, max_window, expected) in families {
         let base = *out
             .iter()
             .find(|s| s.name == name)
             .expect("family of a registered scenario");
         out.push(ScenarioInstance {
-            geometry,
+            config: resize(base.config),
             start_window,
             max_window,
             expected,
@@ -583,20 +490,20 @@ pub fn readme_table() -> String {
          |---|---|---|---|---|---|\n",
     );
     for i in instances() {
-        let description = if i.geometry.is_default() {
+        let description = if i.at_formal_geometry() {
             i.description.to_string()
         } else {
-            format!("`{}` at the {} geometry", i.name, i.geometry.label())
+            format!("`{}` at the {} geometry", i.name, i.geometry_label())
         };
         out.push_str(&format!(
             "| `{}` | {} | `{}` | {}–{} | {} | {} |\n",
             i.id(),
-            if i.geometry.is_default() {
+            if i.at_formal_geometry() {
                 i.paper_ref
             } else {
                 "family sweep"
             },
-            i.geometry.label(),
+            i.geometry_label(),
             i.start_window,
             i.max_window,
             expected(i.expected),
@@ -673,11 +580,10 @@ mod tests {
 
     #[test]
     fn attack_programs_have_the_papers_shape() {
-        let config = SocConfig::new(SocVariant::Orc);
-        let p = orc_attack_program(&config, 3);
+        let p = orc_attack_program(3);
         assert_eq!(p.len(), 8);
         assert!(p.listing().contains("lw x5, 0(x4)"));
-        let t = transient_program(&config);
+        let t = transient_program();
         assert!(t.listing().contains("lw x4, 0(x1)"));
     }
 }

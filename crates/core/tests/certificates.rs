@@ -12,8 +12,8 @@ use std::collections::BTreeSet;
 use bmc::UnrollOptions;
 use rtl::BitVec;
 use sim::WitnessTrace;
-use soc::SocVariant;
-use upec::scenarios::{self, Expectation, Geometry};
+use soc::{SocConfig, SocVariant};
+use upec::scenarios::{self, Expectation};
 use upec::{
     BoundStatus, CertificateCheck, CertificateError, CertifiedResult, EngineOptions,
     IncrementalSession, SecretScenario, StateClass, UpecEngine, UpecModel, UpecOutcome,
@@ -250,7 +250,7 @@ fn bve_eliminated_variables_decode_into_replayable_witnesses() {
     // variable elimination) runs before the violated query, so the SAT model
     // is only complete through the eliminated-variable extension. The decoded
     // trace must still replay with the recorded divergences.
-    let config = Geometry::formal_default().apply(SocVariant::Orc);
+    let config = SocConfig::formal(SocVariant::Orc);
     let model = UpecModel::new(&config, SecretScenario::InCache);
     let commitment: BTreeSet<String> = upec::full_commitment(&model);
     let options = UnrollOptions::default()
@@ -298,7 +298,7 @@ fn bve_eliminated_variables_decode_into_replayable_witnesses() {
 /// under an unlimited budget decides and certifies normally.
 #[test]
 fn budget_exhausted_queries_are_rejected_for_certification() {
-    let config = Geometry::formal_default().apply(SocVariant::Secure);
+    let config = SocConfig::formal(SocVariant::Secure);
     let model = UpecModel::new(&config, SecretScenario::InCache);
     let commitment = upec::full_commitment(&model);
     // A zero-conflict budget stops the query at its first conflict, and

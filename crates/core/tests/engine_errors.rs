@@ -3,12 +3,11 @@
 //! `try_check_bound` instead of panics, and a rejected query leaves the
 //! session as it found it.
 
-use soc::SocVariant;
-use upec::scenarios::Geometry;
+use soc::{SocConfig, SocVariant};
 use upec::{EngineError, IncrementalSession, SecretScenario, UpecModel};
 
 fn tiny_model() -> UpecModel {
-    let config = Geometry::formal_default().apply(SocVariant::Secure);
+    let config = SocConfig::formal(SocVariant::Secure);
     UpecModel::new(&config, SecretScenario::NotInCache)
 }
 

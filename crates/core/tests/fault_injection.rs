@@ -14,8 +14,7 @@
 
 use sat::faults::FaultPlan;
 use sat::StopCause;
-use soc::SocVariant;
-use upec::scenarios::Geometry;
+use soc::{SocConfig, SocVariant};
 use upec::{IncrementalSession, SecretScenario, UpecModel, UpecOutcome};
 
 /// Runs the differential for one (model, bound) pair over `seeds` fault
@@ -62,12 +61,9 @@ fn differential(model: &UpecModel, k: usize, seeds: std::ops::Range<u64>) -> u64
 #[test]
 fn injected_faults_never_flip_engine_verdicts() {
     // One alerting and one proven miter cover both verdict paths.
-    let orc = UpecModel::new(
-        &Geometry::formal_default().apply(SocVariant::Orc),
-        SecretScenario::InCache,
-    );
+    let orc = UpecModel::new(&SocConfig::formal(SocVariant::Orc), SecretScenario::InCache);
     let secure = UpecModel::new(
-        &Geometry::formal_default().apply(SocVariant::Secure),
+        &SocConfig::formal(SocVariant::Secure),
         SecretScenario::NotInCache,
     );
     let fired = differential(&orc, 2, 0..6) + differential(&secure, 1, 6..12);
@@ -83,16 +79,13 @@ fn injected_faults_never_flip_engine_verdicts() {
 #[ignore = "wide fault-injection sweep; run via scripts/verify.sh --full"]
 fn injected_fault_sweep_is_verdict_clean() {
     let models = [
+        UpecModel::new(&SocConfig::formal(SocVariant::Orc), SecretScenario::InCache),
         UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Orc),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         ),
         UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
-            SecretScenario::InCache,
-        ),
-        UpecModel::new(
-            &Geometry::formal_default().apply(SocVariant::Secure),
+            &SocConfig::formal(SocVariant::Secure),
             SecretScenario::NotInCache,
         ),
     ];

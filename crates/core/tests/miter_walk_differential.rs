@@ -5,8 +5,10 @@
 //! statuses, same first alert, same verdict.
 //!
 //! The fast tests run a subset capped at k=2 with two multi-member miters;
-//! the `#[ignore]`d variant scans the full instance registry uncapped and
-//! is wired into `scripts/verify.sh --full`.
+//! the `#[ignore]`d variant scans the full instance registry uncapped,
+//! checks every grouped verdict against its registered expectation (the
+//! registry's acceptance sweep) and is wired into `scripts/verify.sh
+//! --full`.
 
 use upec::scenarios::{self, ScenarioInstance};
 use upec::{EngineOptions, InstanceResult, UpecEngine};
@@ -116,15 +118,27 @@ fn results_do_not_depend_on_the_worker_count() {
     assert_eq!(render(&one), render(&two));
 }
 
-/// The full registry, uncapped (`scenario_instances.rs` checks the grouped
-/// verdicts against their pins). Its Meltdown-style miter has members that
-/// start at different windows: `meltdown` 1..=2, `meltdown-timing` 3..=3,
-/// and `cache-footprint` and `fuzz-meltdown-footprint` 1..=5.
+/// The full registry, uncapped: every pinned `(geometry, window, verdict)`
+/// re-verifies, `pmp-lock` at windows 7-9 included, and each instance
+/// decides alone what it decides grouped. Its Meltdown-style miter has
+/// members that start at different windows: `meltdown` 1..=2,
+/// `meltdown-timing` 3..=3, and `cache-footprint` and
+/// `fuzz-meltdown-footprint` 1..=5.
 #[test]
 #[ignore = "full 25-instance differential; run with --ignored (verify.sh --full)"]
 fn grouped_scan_matches_scanning_each_instance_alone_on_the_full_registry() {
     let instances = scenarios::instances();
     let grouped = assert_grouped_matches_alone(&instances, usize::MAX);
+    let mismatched: Vec<String> = grouped
+        .iter()
+        .filter(|r| !r.matches_expectation())
+        .map(InstanceResult::summary)
+        .collect();
+    assert!(
+        mismatched.is_empty(),
+        "mismatched instances:\n{}",
+        mismatched.join("\n")
+    );
     let windows = |id: &str| -> Vec<usize> {
         let result = grouped
             .iter()

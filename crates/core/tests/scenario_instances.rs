@@ -1,14 +1,14 @@
 //! The parameterized scenario-instance registry and the fuzz-mined
 //! witnesses behind its `fuzz-*` entries.
 //!
-//! Fast checks (structure, lookup, geometry application, one bounded
-//! re-mine, the full default-seed re-mine and one capped formal scan) run
-//! in the default suite. The default-seed re-mine simulates 1,800 SoC runs
-//! (200 programs, three variants, two secrets, co-simulation and oracle)
-//! and pins the whole report, so it also checks that the simulator stays
-//! observationally equivalent across rewrites. The full-registry instance
-//! sweep is `#[ignore]`d; `scripts/verify.sh --full` runs it in release
-//! mode.
+//! Fast checks (structure, lookup, one bounded re-mine, the full
+//! default-seed re-mine and one capped formal scan). The default-seed
+//! re-mine simulates 1,800 SoC runs (200 programs, three variants, two
+//! secrets, co-simulation and oracle) and pins the whole report, so it also
+//! checks that the simulator stays observationally equivalent across
+//! rewrites. Every pinned verdict of the full registry is checked by the
+//! `--ignored` full-registry walk differential in
+//! `miter_walk_differential.rs`.
 
 use soc::fuzz::{self, Channel, FuzzOptions};
 use soc::{SocConfig, SocVariant};
@@ -34,7 +34,7 @@ fn instance_registry_grows_past_24_with_unique_ids() {
 fn every_base_spec_appears_as_a_default_geometry_instance() {
     let defaults: Vec<ScenarioInstance> = scenarios::instances()
         .into_iter()
-        .filter(|i| i.geometry.is_default())
+        .filter(|i| i.config == SocConfig::formal(i.config.variant()))
         .collect();
     assert_eq!(scenarios::registry(), defaults);
 }
@@ -50,18 +50,6 @@ fn instance_lookup_round_trips() {
     assert!(scenarios::instance_by_id("orc@r9c9m9s9").is_none());
 }
 
-#[test]
-fn instance_geometries_apply_their_knobs() {
-    for instance in scenarios::instances() {
-        let config = instance.config();
-        assert_eq!(config.num_registers, instance.geometry.registers);
-        assert_eq!(config.cache_lines, instance.geometry.cache_lines);
-        assert_eq!(config.miss_latency, instance.geometry.miss_latency);
-        assert_eq!(config.store_latency, instance.geometry.store_latency);
-        assert_eq!(config.variant(), instance.variant);
-    }
-}
-
 /// The simulation oracle on the registry's Fig. 1 program: it executes
 /// uniquely on the secure design and leaks through the cache footprint when
 /// the transient refill is not cancelled.
@@ -69,7 +57,7 @@ fn instance_geometries_apply_their_knobs() {
 fn secure_design_executes_the_transient_demo_uniquely() {
     let opts = FuzzOptions::default();
     let config = SocConfig::new(SocVariant::Secure);
-    let program = scenarios::transient_program(&config);
+    let program = scenarios::transient_program();
     assert_eq!(fuzz::divergence(&config, &program, &opts), None);
     let meltdown = SocConfig::new(SocVariant::MeltdownStyle);
     assert_eq!(
@@ -123,23 +111,6 @@ fn fuzz_timing_instance_l_alerts_at_a_capped_window() {
     assert_eq!(alert.kind, AlertKind::LAlert);
     assert_eq!(alert.window, 2);
     assert!(result.matches_expectation(), "{}", result.summary());
-}
-
-/// The acceptance sweep: every pinned `(geometry, window, verdict)` in the
-/// instance registry re-verifies, `pmp-lock` at windows 7-9 included. Under
-/// a minute of SAT in release mode.
-#[test]
-#[ignore = "full instance-registry sweep; under a minute of SAT solving in release — run with --ignored in release mode"]
-fn full_instance_sweep_matches_every_pinned_expectation() {
-    let engine = UpecEngine::new(EngineOptions::new());
-    let results = engine.run_instances(scenarios::instances());
-    let mut failures = String::new();
-    for result in &results {
-        if !result.matches_expectation() {
-            failures.push_str(&result.summary());
-        }
-    }
-    assert!(failures.is_empty(), "mismatched instances:\n{failures}");
 }
 
 /// The full pipeline claim behind the registry's `fuzz-*` rows: re-mining

@@ -10,7 +10,7 @@
 //!   whether an in-flight refill is cancelled when the pipeline is flushed is
 //!   the Meltdown-style design decision of paper Fig. 1.
 
-use crate::SocConfig;
+use crate::{SocConfig, SocVariant};
 use rtl::{BitVec, Netlist, RegisterId, SignalId};
 
 /// Request-side signals the core presents to the cache (all computed in the
@@ -183,10 +183,12 @@ pub fn build_cache(
     let not_raw = n.not(raw_hazard);
     let start_refill = n.and_all([is_load, miss, not_raw, req.allow_refill, no_refill_yet]);
 
-    let cancel_refill = if config.cancel_refill_on_flush {
-        req.flush
-    } else {
+    // A flush cancels the refill in flight, except on the Meltdown-style
+    // variant (paper Fig. 1).
+    let cancel_refill = if config.variant() == SocVariant::MeltdownStyle {
         zero_bit
+    } else {
+        req.flush
     };
 
     // refill_valid' = start ? 1 : (done || cancel) ? 0 : hold
@@ -340,7 +342,6 @@ pub fn build_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SocVariant;
     use sim::Simulator;
 
     struct CacheHarness {
@@ -484,12 +485,11 @@ mod tests {
 
     #[test]
     fn secret_line_presence_tracks_tag_and_valid() {
-        let config = SocConfig::new(SocVariant::Secure);
         let mut h = harness(SocVariant::Secure);
         assert_eq!(h.sim.peek(h.out.secret_line_present).as_u64(), 0);
         // Refill the secret's own address; afterwards the line holds it.
         h.sim.poke(h.mem_rdata, 0xdead_beef);
-        h.drive(1, 0, u64::from(config.secret_addr), 0, 1);
+        h.drive(1, 0, u64::from(crate::SECRET_ADDR), 0, 1);
         let waited = h.sim.step_until(20, |s| s.peek(h.out.busy).is_zero());
         assert!(waited.is_some());
         assert_eq!(h.sim.peek(h.out.secret_line_present).as_u64(), 1);

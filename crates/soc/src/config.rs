@@ -1,4 +1,5 @@
-//! SoC generator configuration: design variants and microarchitectural knobs.
+//! SoC generator configuration: design variants, geometry knobs and the
+//! fixed memory map.
 
 /// The design variants evaluated in the UPEC paper (Sec. VII).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,12 +41,27 @@ impl SocVariant {
     }
 }
 
-/// Configuration of the MiniRV SoC generator.
+/// Word-aligned byte address of the secret datum.
+pub const SECRET_ADDR: u32 = 0x200;
+/// Inclusive base of the PMP-protected region (word aligned).
+pub const PROTECTED_BASE: u32 = 0x200;
+/// Exclusive top of the PMP-protected region (word aligned).
+pub const PROTECTED_TOP: u32 = 0x240;
+/// Machine-mode trap vector address.
+pub const TRAP_VECTOR: u32 = 0x100;
+
+/// Configuration of the MiniRV SoC generator: the design variant and the
+/// four geometry knobs. Everything else is fixed: the generator reads the
+/// variant's weakened mechanism straight from [`SocConfig::variant`], and
+/// the memory map is [`SECRET_ADDR`], [`PROTECTED_BASE`], [`PROTECTED_TOP`]
+/// and [`TRAP_VECTOR`].
 ///
-/// The defaults describe a small but complete system: an in-order 5-stage
-/// RV32-subset core with eight architectural registers, a direct-mapped
-/// write-allocate data cache with a pending-write buffer, physical memory
-/// protection (PMP) with two TOR entries, and a fixed-latency memory.
+/// [`SocConfig::new`] describes a small but complete system: an in-order
+/// 5-stage RV32-subset core with eight architectural registers, a
+/// direct-mapped write-allocate data cache with a pending-write buffer,
+/// physical memory protection (PMP) with two TOR entries, and a
+/// fixed-latency memory. The formal proofs run the reduced
+/// [`SocConfig::formal`] geometry.
 ///
 /// # Examples
 ///
@@ -54,10 +70,10 @@ impl SocVariant {
 ///
 /// let config = SocConfig::new(SocVariant::Orc).with_cache_lines(8);
 /// assert_eq!(config.cache_lines, 8);
-/// assert!(config.replay_buffer_bypass);
 /// assert!(!config.variant().is_secure());
+/// assert_eq!(SocConfig::formal(SocVariant::Orc).cache_lines, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SocConfig {
     variant: SocVariant,
     /// Number of architectural registers implemented (2..=32). Programs must
@@ -70,61 +86,32 @@ pub struct SocConfig {
     pub miss_latency: u32,
     /// Cycles a pending (accepted) store needs before it drains.
     pub store_latency: u32,
-    /// Word-aligned byte address of the secret datum.
-    pub secret_addr: u32,
-    /// Inclusive base of the PMP-protected region (word aligned).
-    pub protected_base: u32,
-    /// Exclusive top of the PMP-protected region (word aligned).
-    pub protected_top: u32,
-    /// Machine-mode trap vector address.
-    pub trap_vector: u32,
-    // --- microarchitectural security knobs (derived from the variant) ---
-    /// Orc knob: bypass the one-cycle replay buffer for loads whose address
-    /// is forwarded from the immediately preceding load.
-    pub replay_buffer_bypass: bool,
-    /// Meltdown knob (part 1): issue cache requests even for instructions
-    /// being killed by a trap flush in the same cycle.
-    pub issue_killed_requests: bool,
-    /// Meltdown knob (part 2): when `false`, an in-flight refill is *not*
-    /// cancelled by a pipeline flush.
-    pub cancel_refill_on_flush: bool,
-    /// PMP bug knob: omit the "TOR lock also locks the preceding address
-    /// register" rule required by the RISC-V privileged specification.
-    pub pmp_tor_lock_bug: bool,
 }
 
 impl SocConfig {
-    /// Creates the configuration for a design variant with default geometry.
-    pub fn new(variant: SocVariant) -> Self {
-        let mut config = Self {
+    /// Creates the configuration for a design variant at the full-size
+    /// geometry of the simulation experiments (`r8c4m3s2`: eight registers,
+    /// four cache lines, miss latency 3, store latency 2).
+    pub const fn new(variant: SocVariant) -> Self {
+        Self {
             variant,
             num_registers: 8,
             cache_lines: 4,
             miss_latency: 3,
             store_latency: 2,
-            secret_addr: 0x200,
-            protected_base: 0x200,
-            protected_top: 0x240,
-            trap_vector: 0x100,
-            replay_buffer_bypass: false,
-            issue_killed_requests: false,
-            cancel_refill_on_flush: true,
-            pmp_tor_lock_bug: false,
-        };
-        match variant {
-            SocVariant::Secure => {}
-            SocVariant::MeltdownStyle => {
-                config.issue_killed_requests = true;
-                config.cancel_refill_on_flush = false;
-            }
-            SocVariant::Orc => {
-                config.replay_buffer_bypass = true;
-            }
-            SocVariant::PmpLockBug => {
-                config.pmp_tor_lock_bug = true;
-            }
         }
-        config
+    }
+
+    /// The reduced geometry every formal proof runs at (`r4c2m1s1`): four
+    /// registers, two cache lines, single-cycle refills and store drains.
+    pub const fn formal(variant: SocVariant) -> Self {
+        Self {
+            variant,
+            num_registers: 4,
+            cache_lines: 2,
+            miss_latency: 1,
+            store_latency: 1,
+        }
     }
 
     /// The design variant this configuration was derived from.
@@ -186,12 +173,12 @@ impl SocConfig {
 
     /// The cache line index the secret address maps to.
     pub fn secret_index(&self) -> u32 {
-        (self.secret_addr >> 2) & (self.cache_lines - 1)
+        (SECRET_ADDR >> 2) & (self.cache_lines - 1)
     }
 
     /// The tag of the secret address.
     pub fn secret_tag(&self) -> u32 {
-        (self.secret_addr >> 2) >> self.index_bits()
+        (SECRET_ADDR >> 2) >> self.index_bits()
     }
 
     /// Memory-transaction depth `d_MEM` of the paper (Sec. V): the number of
@@ -208,35 +195,9 @@ impl SocConfig {
     }
 }
 
-impl Default for SocConfig {
-    fn default() -> Self {
-        Self::new(SocVariant::Secure)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn variants_set_their_knobs() {
-        let secure = SocConfig::new(SocVariant::Secure);
-        assert!(!secure.replay_buffer_bypass);
-        assert!(!secure.issue_killed_requests);
-        assert!(secure.cancel_refill_on_flush);
-        assert!(!secure.pmp_tor_lock_bug);
-
-        let orc = SocConfig::new(SocVariant::Orc);
-        assert!(orc.replay_buffer_bypass);
-        assert!(orc.cancel_refill_on_flush);
-
-        let meltdown = SocConfig::new(SocVariant::MeltdownStyle);
-        assert!(meltdown.issue_killed_requests);
-        assert!(!meltdown.cancel_refill_on_flush);
-
-        let pmp = SocConfig::new(SocVariant::PmpLockBug);
-        assert!(pmp.pmp_tor_lock_bug);
-    }
 
     #[test]
     fn geometry_helpers() {
@@ -245,21 +206,21 @@ mod tests {
             .with_registers(16);
         assert_eq!(c.index_bits(), 3);
         assert_eq!(c.reg_bits(), 4);
-        // secret_addr 0x200 => word 0x80 => index 0 for 8 lines, tag 0x10.
+        // SECRET_ADDR 0x200 => word 0x80 => index 0 for 8 lines, tag 0x10.
         assert_eq!(c.secret_index(), 0);
         assert_eq!(c.secret_tag(), 0x10);
     }
 
     #[test]
     fn d_mem_is_longer_when_secret_is_not_cached() {
-        let c = SocConfig::default();
+        let c = SocConfig::new(SocVariant::Secure);
         assert!(c.d_mem(false) > c.d_mem(true));
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_cache_lines_rejected() {
-        let _ = SocConfig::default().with_cache_lines(3);
+        let _ = SocConfig::new(SocVariant::Secure).with_cache_lines(3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! exceptions taken when the faulting instruction reaches WB.
 
 use crate::cache::{build_cache, CacheRequest};
-use crate::{isa::csr, SocConfig};
+use crate::{isa::csr, SocConfig, SocVariant, PROTECTED_BASE, PROTECTED_TOP, TRAP_VECTOR};
 use rtl::{BitVec, Netlist, RegisterId, SignalId};
 
 /// Signal handles and register classification for one SoC instance.
@@ -141,7 +141,7 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
     let mode = n.register_init("mode", 1, BitVec::zero(1));
     let mepc = n.register_init("mepc", 32, BitVec::zero(32));
     let mcause = n.register_init("mcause", 32, BitVec::zero(32));
-    let mtvec = n.register_init("mtvec", 32, BitVec::new(u64::from(config.trap_vector), 32));
+    let mtvec = n.register_init("mtvec", 32, BitVec::new(u64::from(TRAP_VECTOR), 32));
     let pmpaddr0 = n.register_init("pmpaddr0", 32, BitVec::zero(32));
     let pmpaddr1 = n.register_init("pmpaddr1", 32, BitVec::zero(32));
     let pmpcfg0 = n.register_init("pmpcfg0", 8, BitVec::zero(8));
@@ -553,7 +553,7 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
     // the Orc variant bypasses).
     let is_mem_op = n.and(ex_valid, is_mem_op_bit);
     let not_replayed_yet = n.not(replay_done.value());
-    let replay_stall = if config.replay_buffer_bypass {
+    let replay_stall = if config.variant() == SocVariant::Orc {
         zero1
     } else {
         let fwd_load = n.and(rs1_from_mem, ex_mem_is_load.value());
@@ -561,8 +561,9 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
     };
     let no_replay_stall = n.not(replay_stall);
 
-    // Cache request issue.
-    let issue_kill = if config.issue_killed_requests {
+    // Cache request issue. The Meltdown-style variant also issues the
+    // requests of instructions a trap flush kills this cycle.
+    let issue_kill = if config.variant() == SocVariant::MeltdownStyle {
         zero1
     } else {
         wb_flush
@@ -661,7 +662,7 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
     let write_cfg = commit_csr(n, csr::PMPCFG0, true_bit);
     // pmpaddr0: per the privileged spec a locked TOR entry 1 also locks
     // pmpaddr0; the buggy variant omits that term.
-    let addr0_lock_ok = if config.pmp_tor_lock_bug {
+    let addr0_lock_ok = if config.variant() == SocVariant::PmpLockBug {
         cfg0_unlocked
     } else {
         n.and(cfg0_unlocked, cfg1_unlocked)
@@ -856,8 +857,8 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
         let touches_secret = {
             let word = n.slice(mem_addr, 31, 2);
             let word32 = n.zext(word, 32);
-            let base = n.lit(u64::from(config.protected_base >> 2), 32);
-            let top = n.lit(u64::from(config.protected_top >> 2), 32);
+            let base = n.lit(u64::from(PROTECTED_BASE >> 2), 32);
+            let top = n.lit(u64::from(PROTECTED_TOP >> 2), 32);
             let ge_base = n.ule(base, word32);
             let lt_top = n.ult(word32, top);
             n.and(ge_base, lt_top)
@@ -866,8 +867,8 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
         n.not(bad)
     };
     let secret_protected = {
-        let a0_ok = n.eq_lit(pmpaddr0.value(), u64::from(config.protected_base >> 2));
-        let a1_ok = n.eq_lit(pmpaddr1.value(), u64::from(config.protected_top >> 2));
+        let a0_ok = n.eq_lit(pmpaddr0.value(), u64::from(PROTECTED_BASE >> 2));
+        let a1_ok = n.eq_lit(pmpaddr1.value(), u64::from(PROTECTED_TOP >> 2));
         let cfg0_ok = n.eq_lit(pmpcfg0.value(), 0x07);
         let cfg1_ok = n.eq_lit(pmpcfg1.value(), 0x80);
         n.and_all([a0_ok, a1_ok, cfg0_ok, cfg1_ok])
@@ -1010,7 +1011,7 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
 
     let instance = SocInstance {
         prefix: prefix.to_string(),
-        config: config.clone(),
+        config: *config,
         imem_instr,
         mem_rdata,
         imem_addr: pc.value(),

@@ -33,12 +33,12 @@
 //! // The paper's transient sequence is a divergence witness on the
 //! // Meltdown-style variant, and unique execution on the secure design.
 //! let opts = FuzzOptions::default();
-//! let program = upec_transient_demo(&config);
+//! let program = upec_transient_demo();
 //! assert!(soc::fuzz::divergence(&config, &program, &opts).is_none());
 //! # use soc::{Instruction, Program};
-//! # fn upec_transient_demo(config: &SocConfig) -> Program {
+//! # fn upec_transient_demo() -> Program {
 //! #     let mut p = Program::new(0);
-//! #     p.push(Instruction::Addi { rd: 1, rs1: 0, imm: config.secret_addr as i32 });
+//! #     p.push(Instruction::Addi { rd: 1, rs1: 0, imm: soc::SECRET_ADDR as i32 });
 //! #     p.push(Instruction::Lw { rd: 4, rs1: 1, offset: 0 });
 //! #     p.push(Instruction::Lw { rd: 5, rs1: 4, offset: 0 });
 //! #     p.push_nops(2);
@@ -46,12 +46,19 @@
 //! # }
 //! ```
 
-use crate::{Instruction, Program, SocConfig, SocSim, SocVariant};
+use crate::{Instruction, Program, SocConfig, SocSim, SocVariant, PROTECTED_BASE, SECRET_ADDR};
 use rtl::SplitMix64;
 
 /// Word-aligned base of the scratch array every generated program may freely
 /// load from and store to.
 pub const SCRATCH_BASE: u32 = 0x40;
+
+/// The oracle's first secret value. Secrets double as transiently
+/// dereferenced addresses (the paper's Fig. 1 experiment), so both are
+/// word-aligned and map to *different* cache lines and tags.
+pub const SECRET_A: u32 = 0x184;
+/// The oracle's second secret value.
+pub const SECRET_B: u32 = 0x190;
 
 /// Options of one fuzz-mining run. All fields are plain data so a run is
 /// fully described by its options — equal options (and seeds) reproduce
@@ -66,12 +73,6 @@ pub struct FuzzOptions {
     pub min_len: usize,
     /// Maximum instruction count of a generated program body.
     pub max_len: usize,
-    /// First secret value. Secrets double as transiently-dereferenced
-    /// addresses (the paper's Fig. 1 experiment), so both defaults are
-    /// word-aligned and map to *different* cache lines and tags.
-    pub secret_a: u32,
-    /// Second secret value.
-    pub secret_b: u32,
     /// Design variants to sweep. The secure design is included by default as
     /// a soundness control: it must never diverge.
     pub variants: Vec<SocVariant>,
@@ -84,8 +85,6 @@ impl Default for FuzzOptions {
             programs: 200,
             min_len: 6,
             max_len: 16,
-            secret_a: 0x184,
-            secret_b: 0x190,
             variants: vec![
                 SocVariant::Secure,
                 SocVariant::MeltdownStyle,
@@ -137,7 +136,7 @@ impl ProgramGen {
                 SCRATCH_BASE as i32,
                 (SCRATCH_BASE + 16) as i32,
                 0x80,
-                config.secret_addr as i32,
+                SECRET_ADDR as i32,
             ],
             pending: Vec::new(),
         }
@@ -353,7 +352,7 @@ pub struct Observation {
 /// (both in memory and preloaded in the cache, the paper's "D in cache"
 /// starting point) and captures the full observation.
 pub fn observe(config: &SocConfig, program: &Program, secret: u32) -> Observation {
-    let mut sim = SocSim::new(config.clone(), program.clone());
+    let mut sim = SocSim::new(*config, program.clone());
     sim.protect_secret_region();
     sim.preload_secret_in_cache(secret);
     let end = program.base() + 4 * program.len() as u32;
@@ -370,7 +369,7 @@ pub fn observe(config: &SocConfig, program: &Program, secret: u32) -> Observatio
         sim.step();
     }
     let regs = (0..config.num_registers).map(|r| sim.reg(r)).collect();
-    let memory = (0..config.protected_base / 4)
+    let memory = (0..PROTECTED_BASE / 4)
         .map(|w| sim.load_word(4 * w))
         .collect();
     let cache = (0..config.cache_lines)
@@ -396,12 +395,13 @@ pub fn observe(config: &SocConfig, program: &Program, secret: u32) -> Observatio
     }
 }
 
-/// The unique-execution oracle: runs `program` under both secrets of `opts`
-/// and reports the most severe channel through which the two executions
-/// differ, or `None` if the program executes uniquely.
-pub fn divergence(config: &SocConfig, program: &Program, opts: &FuzzOptions) -> Option<Channel> {
-    let a = observe(config, program, opts.secret_a);
-    let b = observe(config, program, opts.secret_b);
+/// The unique-execution oracle: runs `program` under [`SECRET_A`] and
+/// [`SECRET_B`] and reports the most severe channel through which the two
+/// executions differ, or `None` if the program executes uniquely. No field
+/// of the options changes the oracle.
+pub fn divergence(config: &SocConfig, program: &Program, _opts: &FuzzOptions) -> Option<Channel> {
+    let a = observe(config, program, SECRET_A);
+    let b = observe(config, program, SECRET_B);
     if a.regs != b.regs || a.memory != b.memory || a.trap_state != b.trap_state {
         return Some(Channel::Architectural);
     }
@@ -423,7 +423,7 @@ pub fn divergence(config: &SocConfig, program: &Program, opts: &FuzzOptions) -> 
 /// two-secret oracle, and the same routine the `cosim_random` integration
 /// test drives: one shared generator, one shared comparison.
 pub fn cosim_check(config: &SocConfig, program: &Program) -> Result<(), String> {
-    let mut sim = SocSim::new(config.clone(), program.clone());
+    let mut sim = SocSim::new(*config, program.clone());
     // Deterministic nonzero scratch data so loads observe real values.
     for w in 0..8u32 {
         sim.store_word(SCRATCH_BASE + 4 * w, 0x1010 + w);
@@ -438,7 +438,7 @@ pub fn cosim_check(config: &SocConfig, program: &Program) -> Result<(), String> 
             return Err(format!("x{r}: rtl={rtl:#x} golden={isa:#x}"));
         }
     }
-    for base in [SCRATCH_BASE, SCRATCH_BASE + 16, 0x80, config.secret_addr] {
+    for base in [SCRATCH_BASE, SCRATCH_BASE + 16, 0x80, SECRET_ADDR] {
         for w in 0..4u32 {
             let addr = base + 4 * w;
             let rtl = sim.load_word(addr);

@@ -1,7 +1,7 @@
 //! ISA-level golden model used for co-simulation against the RTL.
 
 use crate::isa::{cause, csr, Instruction, Program};
-use crate::SocConfig;
+use crate::{SocConfig, SocVariant, TRAP_VECTOR};
 use std::collections::BTreeMap;
 
 /// Privilege mode of the hart.
@@ -58,7 +58,7 @@ impl GoldenModel {
             mode: Mode::User,
             mepc: 0,
             mcause: 0,
-            mtvec: config.trap_vector,
+            mtvec: TRAP_VECTOR,
             pmpaddr: [0; 2],
             pmpcfg: [0; 2],
             cycles: 0,
@@ -160,7 +160,8 @@ impl GoldenModel {
                 // preceding address register (pmpaddr0) is locked too. The
                 // buggy variant omits exactly this rule.
                 let locked_by_self = self.pmpcfg[0] & 0x80 != 0;
-                let locked_by_tor_rule = !config.pmp_tor_lock_bug && (self.pmpcfg[1] & 0x80 != 0);
+                let locked_by_tor_rule =
+                    config.variant() != SocVariant::PmpLockBug && (self.pmpcfg[1] & 0x80 != 0);
                 if !locked_by_self && !locked_by_tor_rule {
                     self.pmpaddr[0] = value;
                 }
@@ -289,7 +290,7 @@ impl GoldenModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SocVariant;
+    use crate::{PROTECTED_BASE, PROTECTED_TOP, SECRET_ADDR};
 
     fn config() -> SocConfig {
         SocConfig::new(SocVariant::Secure)
@@ -373,7 +374,7 @@ mod tests {
         p.push(Instruction::Addi {
             rd: 1,
             rs1: 0,
-            imm: config.secret_addr as i32,
+            imm: SECRET_ADDR as i32,
         });
         p.push(Instruction::Lw {
             rd: 4,
@@ -387,18 +388,18 @@ mod tests {
         });
         // Trap handler at the trap vector: mret back.
         let mut m = GoldenModel::new(&config);
-        m.protect_region(config.protected_base, config.protected_top);
-        m.store_word(config.secret_addr, 0xdead_beef);
+        m.protect_region(PROTECTED_BASE, PROTECTED_TOP);
+        m.store_word(SECRET_ADDR, 0xdead_beef);
         // Step 1: pointer setup; step 2: faulting load.
         m.step(&p, &config);
         m.step(&p, &config);
         assert_eq!(m.mode, Mode::Machine);
         assert_eq!(m.mcause, cause::LOAD_ACCESS_FAULT);
         assert_eq!(m.mepc, 4);
-        assert_eq!(m.pc, config.trap_vector);
+        assert_eq!(m.pc, TRAP_VECTOR);
         assert_eq!(m.regs[4], 0, "secret must not land in x4");
         // mret at the trap vector returns to user mode at mepc.
-        let mut handler = Program::new(config.trap_vector);
+        let mut handler = Program::new(TRAP_VECTOR);
         handler.push(Instruction::Mret);
         m.step(&handler, &config);
         assert_eq!(m.mode, Mode::User);
@@ -411,7 +412,7 @@ mod tests {
         let buggy = SocConfig::new(SocVariant::PmpLockBug);
         for (config, expect_moved) in [(&correct, false), (&buggy, true)] {
             let mut m = GoldenModel::new(config);
-            m.protect_region(config.protected_base, config.protected_top);
+            m.protect_region(PROTECTED_BASE, PROTECTED_TOP);
             m.mode = Mode::Machine;
             // Machine software tries to move the base of the locked region
             // upward so that the secret falls outside the protected range.
@@ -419,7 +420,7 @@ mod tests {
             p.push(Instruction::Addi {
                 rd: 1,
                 rs1: 0,
-                imm: (config.protected_top >> 2) as i32,
+                imm: (PROTECTED_TOP >> 2) as i32,
             });
             p.push(Instruction::Csrrw {
                 rd: 0,
@@ -427,11 +428,11 @@ mod tests {
                 rs1: 1,
             });
             m.run(&p, config, 10);
-            let moved = m.pmpaddr[0] == config.protected_top >> 2;
+            let moved = m.pmpaddr[0] == PROTECTED_TOP >> 2;
             assert_eq!(moved, expect_moved, "variant {:?}", config.variant());
             // With the bug, the "protected" secret is now user accessible.
             m.mode = Mode::User;
-            assert_eq!(m.pmp_allows(config.secret_addr), expect_moved);
+            assert_eq!(m.pmp_allows(SECRET_ADDR), expect_moved);
         }
     }
 
@@ -456,7 +457,7 @@ mod tests {
     fn user_mode_cannot_write_pmp() {
         let config = config();
         let mut m = GoldenModel::new(&config);
-        m.protect_region(config.protected_base, config.protected_top);
+        m.protect_region(PROTECTED_BASE, PROTECTED_TOP);
         let mut p = Program::new(0);
         p.push(Instruction::Addi {
             rd: 1,
@@ -469,6 +470,6 @@ mod tests {
             rs1: 1,
         });
         m.run(&p, &config, 10);
-        assert_eq!(m.pmpaddr[1], config.protected_top >> 2);
+        assert_eq!(m.pmpaddr[1], PROTECTED_TOP >> 2);
     }
 }

@@ -1,6 +1,9 @@
 //! Simulation harness: the SoC RTL plus behavioural instruction/data memory.
 
-use crate::{build_soc, GoldenModel, Program, SocConfig, SocInstance};
+use crate::{
+    build_soc, GoldenModel, Program, SocConfig, SocInstance, PROTECTED_BASE, PROTECTED_TOP,
+    SECRET_ADDR,
+};
 use rtl::Netlist;
 use sim::Simulator;
 use std::collections::BTreeMap;
@@ -74,12 +77,12 @@ impl SocSim {
         format!("{}.{name}", self.instance.prefix)
     }
 
-    /// Configures the PMP registers so the protected region of the
-    /// configuration is locked and inaccessible to user mode (the
-    /// `secret_data_protected` premise of the UPEC property).
+    /// Configures the PMP registers so the protected region
+    /// ([`PROTECTED_BASE`]..[`PROTECTED_TOP`]) is locked and inaccessible to
+    /// user mode (the `secret_data_protected` premise of the UPEC property).
     pub fn protect_secret_region(&mut self) {
-        let base = u64::from(self.config.protected_base >> 2);
-        let top = u64::from(self.config.protected_top >> 2);
+        let base = u64::from(PROTECTED_BASE >> 2);
+        let top = u64::from(PROTECTED_TOP >> 2);
         self.set_register("pmpaddr0", base);
         self.set_register("pmpaddr1", top);
         self.set_register("pmpcfg0", 0x07);
@@ -94,7 +97,7 @@ impl SocSim {
         self.set_register(&format!("dcache.valid{idx}"), 1);
         self.set_register(&format!("dcache.tag{idx}"), tag);
         self.set_register(&format!("dcache.data{idx}"), u64::from(value));
-        self.store_word(self.config.secret_addr, value);
+        self.store_word(SECRET_ADDR, value);
     }
 
     /// Overrides a register of the SoC by its name relative to the instance
@@ -132,19 +135,15 @@ impl SocSim {
         }
     }
 
-    /// Current program counter.
-    pub fn pc(&self) -> u32 {
-        self.register("pc") as u32
+    /// Current program counter. Reads the register through the instance's
+    /// handle: a register peek never settles the logic.
+    pub fn pc(&mut self) -> u32 {
+        self.simulator.peek(self.instance.pc).as_u64() as u32
     }
 
     /// Current privilege mode (0 = user, 1 = machine).
-    pub fn mode(&self) -> u32 {
-        self.register("mode") as u32
-    }
-
-    /// Current cycle-counter value.
-    pub fn cycles(&self) -> u32 {
-        self.register("cycle") as u32
+    pub fn mode(&mut self) -> u32 {
+        self.simulator.peek(self.instance.mode).as_u64() as u32
     }
 
     /// Advances the SoC by one clock cycle, feeding instruction fetches and
@@ -217,7 +216,7 @@ impl SocSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Instruction, SocVariant};
+    use crate::{Instruction, SocVariant, TRAP_VECTOR};
 
     fn secure() -> SocConfig {
         SocConfig::new(SocVariant::Secure)
@@ -382,7 +381,7 @@ mod tests {
         p.push(Instruction::Addi {
             rd: 1,
             rs1: 0,
-            imm: config.secret_addr as i32,
+            imm: SECRET_ADDR as i32,
         });
         p.push(Instruction::Lw {
             rd: 4,
@@ -395,7 +394,7 @@ mod tests {
             imm: 1,
         });
 
-        let mut sim = SocSim::new(config.clone(), p);
+        let mut sim = SocSim::new(config, p);
         sim.protect_secret_region();
         sim.preload_secret_in_cache(0xdead_beef);
         let trapped = sim.run_until_trap(100);
@@ -407,7 +406,7 @@ mod tests {
             crate::isa::cause::LOAD_ACCESS_FAULT
         );
         assert_eq!(sim.register("mepc") as u32, 4);
-        assert_eq!(sim.pc() & !0x3f, config.trap_vector & !0x3f);
+        assert_eq!(sim.pc() & !0x3f, TRAP_VECTOR & !0x3f);
     }
 
     #[test]
@@ -444,7 +443,7 @@ mod tests {
         p.push(Instruction::Addi {
             rd: 1,
             rs1: 0,
-            imm: config.secret_addr as i32,
+            imm: SECRET_ADDR as i32,
         });
         p.push(Instruction::Lw {
             rd: 4,
@@ -456,7 +455,7 @@ mod tests {
             rs1: 0,
             imm: 11,
         }); // resumed here? (mepc=4 -> re-faults) so handler sets x6 instead
-        let mut sim = SocSim::new(config.clone(), p);
+        let mut sim = SocSim::new(config, p);
         sim.protect_secret_region();
         // Put an `mret` at the trap vector by extending the program image:
         // the harness fetches NOPs outside the program, so instead place the

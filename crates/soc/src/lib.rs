@@ -14,8 +14,10 @@
 //!
 //! Main entry points:
 //!
-//! * [`SocConfig`] / [`SocVariant`] — generator parameters and security
-//!   knobs,
+//! * [`SocConfig`] / [`SocVariant`] — the design under test: the variant
+//!   (which weakened mechanism, if any, the generator builds) and four
+//!   geometry knobs; the memory map is the fixed [`SECRET_ADDR`],
+//!   [`PROTECTED_BASE`], [`PROTECTED_TOP`] and [`TRAP_VECTOR`],
 //! * [`build_soc`] — elaborate one SoC instance into a netlist,
 //! * [`SocSim`] — run programs on the RTL with behavioural memories,
 //! * [`Program`] / [`Instruction`] — assembler for attacker/victim programs,
@@ -32,7 +34,7 @@ mod harness;
 pub mod isa;
 
 pub use cache::{build_cache, CacheRequest, CacheSignals};
-pub use config::{SocConfig, SocVariant};
+pub use config::{SocConfig, SocVariant, PROTECTED_BASE, PROTECTED_TOP, SECRET_ADDR, TRAP_VECTOR};
 pub use core::{build_soc, SocInstance};
 pub use golden::{GoldenModel, Mode};
 pub use harness::SocSim;

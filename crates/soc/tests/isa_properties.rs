@@ -3,7 +3,9 @@
 
 use rtl::SplitMix64;
 use soc::isa::{csr, Instruction};
-use soc::{GoldenModel, Program, SocConfig, SocVariant};
+use soc::{
+    GoldenModel, Program, SocConfig, SocVariant, PROTECTED_BASE, PROTECTED_TOP, SECRET_ADDR,
+};
 
 fn random_instruction(rng: &mut SplitMix64) -> Instruction {
     let rd = rng.gen_range(0..32) as u32;
@@ -104,8 +106,8 @@ fn golden_model_invariants() {
             program.push(random_instruction(&mut rng));
         }
         let mut model = GoldenModel::new(&config);
-        model.protect_region(config.protected_base, config.protected_top);
-        model.store_word(config.secret_addr, 0x5ec2e7);
+        model.protect_region(PROTECTED_BASE, PROTECTED_TOP);
+        model.store_word(SECRET_ADDR, 0x5ec2e7);
         for _ in 0..len * 2 {
             model.step(&program, &config);
             assert_eq!(model.regs[0], 0, "case {case}: x0 must stay zero");

@@ -16,7 +16,7 @@ fn main() {
 
     println!(
         "UPEC methodology on the {} design, {}",
-        scenario.variant.name(),
+        scenario.config.variant().name(),
         model.scenario().label()
     );
     println!(

@@ -5,7 +5,6 @@
 //! ```
 
 use soc::{Instruction, Program, SocConfig, SocSim, SocVariant};
-use upec::scenarios::Geometry;
 use upec::{full_commitment, IncrementalSession, SecretScenario, UpecModel};
 
 fn main() {
@@ -42,7 +41,7 @@ fn main() {
     program.push_nops(4);
     println!("Program:\n{}", program.listing());
 
-    let mut sim = SocSim::new(config.clone(), program);
+    let mut sim = SocSim::new(config, program);
     sim.run(60);
     println!(
         "x2 = {}, x3 = {}, mem[0x40] = {}",
@@ -56,7 +55,7 @@ fn main() {
     // 2. Prove unique program execution for the "secret not in cache" case
     //    on a small configuration (fast enough for a quickstart).
     // ------------------------------------------------------------------
-    let small = Geometry::formal_default().apply(SocVariant::Secure);
+    let small = SocConfig::formal(SocVariant::Secure);
     let model = UpecModel::new(&small, SecretScenario::NotInCache);
     let outcome = IncrementalSession::new(&model).check_bound(2, &full_commitment(&model));
     println!(

@@ -36,10 +36,11 @@
 # about two minutes; the ablations, about 85 s) and the release-mode
 # `--ignored` acceptance sweeps (the umbrella end-to-end methodology run,
 # full-registry simplification differential (default sessions against
-# plain solves), full instance-registry scan, full per-miter walk
-# differential (each instance scanned with its miter's other instances
-# versus alone), full certified-verdict sweep, fault-injection differential
-# sweep) — several minutes of SAT solving.
+# plain solves), full per-miter walk differential (the one full-registry
+# scan: every instance's verdict against its pin, and each instance
+# scanned with its miter's other instances versus alone), full
+# certified-verdict sweep, fault-injection differential sweep) — several
+# minutes of SAT solving.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -102,10 +103,7 @@ if [ "$full" -eq 1 ]; then
   echo "==> full: simplification differential over the whole registry (--ignored, release)"
   cargo test --release -q -p upec --test simplify_differential -- --ignored
 
-  echo "==> full: full instance-registry sweep (--ignored, release)"
-  cargo test --release -q -p upec --test scenario_instances -- --ignored
-
-  echo "==> full: per-miter walk differential over the whole instance registry (--ignored, release)"
+  echo "==> full: full instance-registry sweep and per-miter walk differential (--ignored, release)"
   cargo test --release -q -p upec --test miter_walk_differential -- --ignored
 
   echo "==> full: certified registry sweep (--ignored, release)"

@@ -15,7 +15,7 @@ use sim::Simulator;
 use soc::{SocConfig, SocVariant};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use upec::scenarios::{self, Geometry};
+use upec::scenarios;
 use upec::{
     full_commitment, CertificateCheck, IncrementalSession, SecretScenario, UpecModel, UpecOutcome,
 };
@@ -29,7 +29,7 @@ struct Case {
 }
 
 fn tiny(variant: SocVariant, secret: SecretScenario, expected: &'static str) -> Case {
-    let model = UpecModel::new(&Geometry::formal_default().apply(variant), secret);
+    let model = UpecModel::new(&SocConfig::formal(variant), secret);
     Case {
         name: variant.name(),
         commitment: full_commitment(&model),
@@ -217,7 +217,7 @@ fn check_random_run(
 fn distinct_miters() -> Vec<(String, SocConfig, SecretScenario, usize)> {
     let mut miters: Vec<(String, SocConfig, SecretScenario, usize)> = Vec::new();
     for instance in scenarios::instances() {
-        let (config, secret) = (instance.config(), instance.secret);
+        let (config, secret) = (instance.config, instance.secret);
         match miters
             .iter_mut()
             .find(|(_, c, s, _)| *c == config && *s == secret)

@@ -4,7 +4,7 @@
 use bmc::UnrollOptions;
 use soc::fuzz::{cosim_check, FuzzOptions, ProgramGen};
 use soc::{SocConfig, SocSim, SocVariant};
-use upec::scenarios::{self, Geometry};
+use upec::scenarios;
 use upec::{
     prove_alert_closure, run_methodology, AlertKind, IncrementalSession, SecretScenario, UpecModel,
     Verdict,
@@ -17,9 +17,8 @@ use upec::{
 fn orc_attack_timing_channel_exists_only_in_the_vulnerable_design() {
     let secret = 0x184u32; // maps to cache index 1 (4 lines, word lines)
     let measure = |variant: SocVariant, guess: u32| -> u64 {
-        let config = SocConfig::new(variant);
-        let program = scenarios::orc_attack_program(&config, guess);
-        let mut sim = SocSim::new(config, program);
+        let program = scenarios::orc_attack_program(guess);
+        let mut sim = SocSim::new(SocConfig::new(variant), program);
         sim.protect_secret_region();
         sim.preload_secret_in_cache(secret);
         let cycles = sim.run_until_trap(300).expect("illegal access must trap");
@@ -32,7 +31,7 @@ fn orc_attack_timing_channel_exists_only_in_the_vulnerable_design() {
     // The guess that collides with the protected address itself always
     // stalls (the attacker's own probe); a real attacker calibrates it away,
     // so it is excluded from the comparison.
-    let known_conflict = (config.secret_addr >> 2) % lines;
+    let known_conflict = (soc::SECRET_ADDR >> 2) % lines;
     let usable: Vec<u32> = (0..lines).filter(|&g| g != known_conflict).collect();
     let orc: Vec<(u32, u64)> = usable
         .iter()
@@ -70,8 +69,8 @@ fn orc_attack_timing_channel_exists_only_in_the_vulnerable_design() {
 fn meltdown_style_cache_footprint_depends_on_the_secret() {
     let footprint = |variant: SocVariant, secret: u32| -> Vec<u64> {
         let config = SocConfig::new(variant);
-        let program = scenarios::transient_program(&config);
-        let mut sim = SocSim::new(config.clone(), program);
+        let program = scenarios::transient_program();
+        let mut sim = SocSim::new(config, program);
         sim.protect_secret_region();
         sim.preload_secret_in_cache(secret);
         sim.store_word(secret, 0xaaaa_bbbb);
@@ -100,7 +99,7 @@ fn meltdown_style_cache_footprint_depends_on_the_secret() {
 fn upec_methodology_classifies_all_design_variants() {
     // Secure design, secret not cached: proven with no alerts.
     let model = UpecModel::new(
-        &Geometry::formal_default().apply(SocVariant::Secure),
+        &SocConfig::formal(SocVariant::Secure),
         SecretScenario::NotInCache,
     );
     let report = run_methodology(&model, 2, UnrollOptions::default());
@@ -111,7 +110,7 @@ fn upec_methodology_classifies_all_design_variants() {
     // P-alert registers only seed the closure; the fixpoint may pull in
     // neighbouring blockable pipeline registers before it closes.
     let model = UpecModel::new(
-        &Geometry::formal_default().apply(SocVariant::Secure),
+        &SocConfig::formal(SocVariant::Secure),
         SecretScenario::InCache,
     );
     let report = run_methodology(&model, 2, UnrollOptions::default());
@@ -121,10 +120,7 @@ fn upec_methodology_classifies_all_design_variants() {
     assert!(closure.is_closed(), "closure: {closure:?}");
 
     // Orc variant: insecure.
-    let model = UpecModel::new(
-        &Geometry::formal_default().apply(SocVariant::Orc),
-        SecretScenario::InCache,
-    );
+    let model = UpecModel::new(&SocConfig::formal(SocVariant::Orc), SecretScenario::InCache);
     let report = run_methodology(&model, 4, UnrollOptions::default());
     assert_eq!(report.verdict, Verdict::Insecure);
     assert_eq!(report.alerts.last().unwrap().kind, AlertKind::LAlert);
@@ -142,7 +138,7 @@ fn upec_methodology_classifies_all_design_variants() {
         "meltdown-style refill must mark the cache"
     );
     let model = UpecModel::new(
-        &Geometry::formal_default().apply(SocVariant::Secure),
+        &SocConfig::formal(SocVariant::Secure),
         SecretScenario::InCache,
     );
     let outcome = IncrementalSession::new(&model).check_bound(4, &footprint.commitment_set(&model));
