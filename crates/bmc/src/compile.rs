@@ -13,12 +13,16 @@
 //!      signals closed under operands and under every in-cone register's
 //!      next-state expression, so nothing outside it can reach a root in
 //!      any number of cycles,
-//!    * **hash-conses** structurally identical nodes (same operator, same
-//!      operand slots) onto one slot, so duplicated subterms — ubiquitous in
-//!      a two-instance UPEC miter — are encoded once per frame, and
 //!    * **constant-folds** nodes whose operands are known at compile time,
 //!      together with cheap word-level identities (`x ^ x = 0`,
-//!      `mux(c, a, a) = a`, `eq(x, x) = 1`, …).
+//!      `mux(c, a, a) = a`, `eq(x, x) = 1`, …), and
+//!    * **hash-conses** structurally identical nodes (same operator, same
+//!      operand slots) onto one slot, so duplicated subterms — ubiquitous in
+//!      a two-instance UPEC miter — are encoded once per frame.
+//!
+//!    Each in-cone node becomes a `CompiledOp` over its operand slots, which
+//!    is also its hash key: one fold step reduces it to a constant or an
+//!    existing slot, and one intern step looks up or appends what is left.
 //! 2. **Clone per frame**: each time frame of an unrolling instantiates the
 //!    schedule with fresh literals. The per-frame work is a tight loop over
 //!    integer-indexed ops — no netlist traversal, no hashing, no strings.
@@ -35,7 +39,8 @@ use std::collections::HashMap;
 
 /// A scheduled operation. Operands are dense *slot* indices into the
 /// schedule, not netlist signal ids; every operand slot precedes its user.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An op is also its own structural-hashing key (see `Builder::intern`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum CompiledOp {
     /// Free primary input: fresh literals in every frame.
     Input {
@@ -96,18 +101,6 @@ pub(crate) enum CompiledOp {
     },
 }
 
-/// Key for structural hashing: one entry per *defining* operation shape.
-/// Inputs and registers are state-carrying and never merge.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum OpKey {
-    Const(BitVec),
-    Unary(UnaryOp, u32),
-    Binary(BinaryOp, u32, u32),
-    Mux(u32, u32, u32),
-    Slice(u32, u32, u32),
-    Concat(u32, u32),
-}
-
 /// A netlist compiled into a dense transition-relation schedule.
 ///
 /// The compiled form is immutable and self-contained (it holds no borrow of
@@ -127,8 +120,6 @@ enum OpKey {
 /// n.set_next(c, next);
 /// // The same expression built twice: structural hashing folds it away.
 /// let dup = n.add(c.value(), one);
-/// n.output("c", c.value());
-/// n.output("dup", dup);
 ///
 /// let ct = CompiledTransition::compile(&n, &[c.value(), dup]);
 /// assert_eq!(ct.slot_of(next), ct.slot_of(dup));
@@ -160,257 +151,67 @@ impl CompiledTransition {
             .expect("netlist must be valid before compilation");
         let in_cone = cone_of_influence(netlist, roots);
 
-        let mut ops: Vec<CompiledOp> = Vec::new();
-        let mut widths: Vec<u32> = Vec::new();
+        let mut schedule = Builder::default();
         let mut slot_of: Vec<Option<u32>> = vec![None; netlist.len()];
-        let mut structural: HashMap<OpKey, u32> = HashMap::new();
         let mut hashed_signals = 0usize;
         let mut folded_signals = 0usize;
         let mut pruned_signals = 0usize;
-
-        let push = |ops: &mut Vec<CompiledOp>, widths: &mut Vec<u32>, op: CompiledOp, w: u32| {
-            let slot = u32::try_from(ops.len()).expect("schedule exceeds u32 slots");
-            ops.push(op);
-            widths.push(w);
-            slot
-        };
-
         for id in netlist.signals() {
             if !in_cone[id.index()] {
                 pruned_signals += 1;
                 continue;
             }
-            let node = netlist.node(id);
-            let width = node.width();
             // Operand slots exist: the cone is closed under operands and the
             // netlist is topologically ordered.
-            let slot = |sig: SignalId, slot_of: &[Option<u32>]| -> u32 {
-                slot_of[sig.index()].expect("operand slot scheduled before use")
-            };
-            let new_slot = match node {
-                Node::Input { width, .. } => Some(push(
-                    &mut ops,
-                    &mut widths,
-                    CompiledOp::Input { width: *width },
-                    *width,
-                )),
-                Node::Const(v) => {
-                    let key = OpKey::Const(*v);
-                    if let Some(&existing) = structural.get(&key) {
-                        hashed_signals += 1;
-                        slot_of[id.index()] = Some(existing);
-                        None
-                    } else {
-                        let s = push(&mut ops, &mut widths, CompiledOp::Const(*v), v.width());
-                        structural.insert(key, s);
-                        Some(s)
-                    }
-                }
+            let slot =
+                |sig: SignalId| slot_of[sig.index()].expect("operand slot scheduled before use");
+            let node = netlist.node(id);
+            let op = match *node {
+                Node::Input { width, .. } => CompiledOp::Input { width },
+                Node::Const(v) => CompiledOp::Const(v),
                 Node::Register {
                     register, width, ..
-                } => Some(push(
-                    &mut ops,
-                    &mut widths,
-                    CompiledOp::Register {
-                        register: *register,
-                        width: *width,
-                    },
-                    *width,
-                )),
-                Node::Unary { op, a, .. } => {
-                    let a = slot(*a, &slot_of);
-                    if let CompiledOp::Const(av) = &ops[a as usize] {
-                        folded_signals += 1;
-                        let folded = eval_unary(*op, av);
-                        slot_of[id.index()] =
-                            Some(intern_const(&mut ops, &mut widths, &mut structural, folded));
-                        None
-                    } else {
-                        let key = OpKey::Unary(*op, a);
-                        match structural.get(&key) {
-                            Some(&existing) => {
-                                hashed_signals += 1;
-                                slot_of[id.index()] = Some(existing);
-                                None
-                            }
-                            None => {
-                                let s = push(
-                                    &mut ops,
-                                    &mut widths,
-                                    CompiledOp::Unary { op: *op, a },
-                                    width,
-                                );
-                                structural.insert(key, s);
-                                Some(s)
-                            }
-                        }
-                    }
-                }
+                } => CompiledOp::Register { register, width },
+                Node::Unary { op, a, .. } => CompiledOp::Unary { op, a: slot(a) },
                 Node::Binary { op, a, b, .. } => {
-                    let (mut sa, mut sb) = (slot(*a, &slot_of), slot(*b, &slot_of));
-                    if op.is_commutative() && sa > sb {
-                        std::mem::swap(&mut sa, &mut sb);
-                    }
-                    let folded = match (&ops[sa as usize], &ops[sb as usize]) {
-                        (CompiledOp::Const(av), CompiledOp::Const(bv)) => {
-                            Some(FoldResult::Value(eval_binary(*op, av, bv)))
-                        }
-                        _ if sa == sb => fold_same_operand(*op, sa, width),
-                        _ => None,
+                    let (a, b) = (slot(a), slot(b));
+                    let (a, b) = if op.is_commutative() && a > b {
+                        (b, a)
+                    } else {
+                        (a, b)
                     };
-                    match folded {
-                        Some(FoldResult::Value(v)) => {
-                            folded_signals += 1;
-                            slot_of[id.index()] =
-                                Some(intern_const(&mut ops, &mut widths, &mut structural, v));
-                            None
-                        }
-                        Some(FoldResult::Alias(s)) => {
-                            folded_signals += 1;
-                            slot_of[id.index()] = Some(s);
-                            None
-                        }
-                        None => {
-                            let key = OpKey::Binary(*op, sa, sb);
-                            match structural.get(&key) {
-                                Some(&existing) => {
-                                    hashed_signals += 1;
-                                    slot_of[id.index()] = Some(existing);
-                                    None
-                                }
-                                None => {
-                                    let s = push(
-                                        &mut ops,
-                                        &mut widths,
-                                        CompiledOp::Binary {
-                                            op: *op,
-                                            a: sa,
-                                            b: sb,
-                                        },
-                                        width,
-                                    );
-                                    structural.insert(key, s);
-                                    Some(s)
-                                }
-                            }
-                        }
-                    }
+                    CompiledOp::Binary { op, a, b }
                 }
                 Node::Mux {
                     cond, then_, else_, ..
-                } => {
-                    let (c, t, e) = (
-                        slot(*cond, &slot_of),
-                        slot(*then_, &slot_of),
-                        slot(*else_, &slot_of),
-                    );
-                    let alias = match &ops[c as usize] {
-                        CompiledOp::Const(cv) => Some(if cv.is_true() { t } else { e }),
-                        _ if t == e => Some(t),
-                        _ => None,
-                    };
-                    if let Some(s) = alias {
-                        folded_signals += 1;
-                        slot_of[id.index()] = Some(s);
-                        None
-                    } else {
-                        let key = OpKey::Mux(c, t, e);
-                        match structural.get(&key) {
-                            Some(&existing) => {
-                                hashed_signals += 1;
-                                slot_of[id.index()] = Some(existing);
-                                None
-                            }
-                            None => {
-                                let s = push(
-                                    &mut ops,
-                                    &mut widths,
-                                    CompiledOp::Mux {
-                                        cond: c,
-                                        then_: t,
-                                        else_: e,
-                                    },
-                                    width,
-                                );
-                                structural.insert(key, s);
-                                Some(s)
-                            }
-                        }
-                    }
-                }
-                Node::Slice { a, hi, lo } => {
-                    let sa = slot(*a, &slot_of);
-                    if let CompiledOp::Const(av) = &ops[sa as usize] {
-                        folded_signals += 1;
-                        let folded = av.slice(*hi, *lo);
-                        slot_of[id.index()] =
-                            Some(intern_const(&mut ops, &mut widths, &mut structural, folded));
-                        None
-                    } else if *lo == 0 && *hi + 1 == widths[sa as usize] {
-                        // Full-width slice: the operand itself.
-                        folded_signals += 1;
-                        slot_of[id.index()] = Some(sa);
-                        None
-                    } else {
-                        let key = OpKey::Slice(sa, *hi, *lo);
-                        match structural.get(&key) {
-                            Some(&existing) => {
-                                hashed_signals += 1;
-                                slot_of[id.index()] = Some(existing);
-                                None
-                            }
-                            None => {
-                                let s = push(
-                                    &mut ops,
-                                    &mut widths,
-                                    CompiledOp::Slice {
-                                        a: sa,
-                                        hi: *hi,
-                                        lo: *lo,
-                                    },
-                                    width,
-                                );
-                                structural.insert(key, s);
-                                Some(s)
-                            }
-                        }
-                    }
-                }
-                Node::Concat { hi, lo, .. } => {
-                    let (sh, sl) = (slot(*hi, &slot_of), slot(*lo, &slot_of));
-                    if let (CompiledOp::Const(hv), CompiledOp::Const(lv)) =
-                        (&ops[sh as usize], &ops[sl as usize])
-                    {
-                        folded_signals += 1;
-                        let folded = hv.concat(lv);
-                        slot_of[id.index()] =
-                            Some(intern_const(&mut ops, &mut widths, &mut structural, folded));
-                        None
-                    } else {
-                        let key = OpKey::Concat(sh, sl);
-                        match structural.get(&key) {
-                            Some(&existing) => {
-                                hashed_signals += 1;
-                                slot_of[id.index()] = Some(existing);
-                                None
-                            }
-                            None => {
-                                let s = push(
-                                    &mut ops,
-                                    &mut widths,
-                                    CompiledOp::Concat { hi: sh, lo: sl },
-                                    width,
-                                );
-                                structural.insert(key, s);
-                                Some(s)
-                            }
-                        }
-                    }
-                }
+                } => CompiledOp::Mux {
+                    cond: slot(cond),
+                    then_: slot(then_),
+                    else_: slot(else_),
+                },
+                Node::Slice { a, hi, lo } => CompiledOp::Slice { a: slot(a), hi, lo },
+                Node::Concat { hi, lo, .. } => CompiledOp::Concat {
+                    hi: slot(hi),
+                    lo: slot(lo),
+                },
             };
-            if let Some(s) = new_slot {
-                slot_of[id.index()] = Some(s);
-            }
+            let width = node.width();
+            slot_of[id.index()] = Some(match schedule.fold(op, width) {
+                Some(folded) => {
+                    // A folded constant that lands on an existing slot
+                    // counts as folded, not hashed.
+                    folded_signals += 1;
+                    match folded {
+                        FoldResult::Value(v) => schedule.intern(CompiledOp::Const(v), v.width()).0,
+                        FoldResult::Alias(s) => s,
+                    }
+                }
+                None => {
+                    let (s, hit) = schedule.intern(op, width);
+                    hashed_signals += usize::from(hit);
+                    s
+                }
+            });
         }
 
         let mut reg_next_slot = vec![None; netlist.register_count()];
@@ -425,12 +226,12 @@ impl CompiledTransition {
         }
 
         span.attr_u64("netlist_signals", netlist.len() as u64);
-        span.attr_u64("scheduled_slots", ops.len() as u64);
+        span.attr_u64("scheduled_slots", schedule.ops.len() as u64);
         span.attr_u64("pruned_signals", pruned_signals as u64);
         span.attr_u64("hashed_signals", hashed_signals as u64);
         span.attr_u64("folded_signals", folded_signals as u64);
         Self {
-            ops,
+            ops: schedule.ops,
             slot_of,
             reg_next_slot,
         }
@@ -493,11 +294,79 @@ fn cone_of_influence(netlist: &Netlist, roots: &[SignalId]) -> Vec<bool> {
     in_cone
 }
 
+/// The schedule under construction. Every slot enters through
+/// `Builder::intern`, the one structural-hashing step.
+#[derive(Default)]
+struct Builder {
+    ops: Vec<CompiledOp>,
+    /// Bit width of each slot.
+    widths: Vec<u32>,
+    /// Defining op → its slot.
+    structural: HashMap<CompiledOp, u32>,
+}
+
+/// What `Builder::fold` reduces an op to.
 enum FoldResult {
     /// The node is a compile-time constant.
     Value(BitVec),
     /// The node is identical to an existing slot.
     Alias(u32),
+}
+
+impl Builder {
+    /// The slot of `op`, `width` bits wide, and whether an equal op already
+    /// had it. Inputs and registers carry state: they never merge.
+    fn intern(&mut self, op: CompiledOp, width: u32) -> (u32, bool) {
+        let merges = !matches!(op, CompiledOp::Input { .. } | CompiledOp::Register { .. });
+        if merges {
+            if let Some(&slot) = self.structural.get(&op) {
+                return (slot, true);
+            }
+        }
+        let slot = u32::try_from(self.ops.len()).expect("schedule exceeds u32 slots");
+        self.ops.push(op);
+        self.widths.push(width);
+        if merges {
+            self.structural.insert(op, slot);
+        }
+        (slot, false)
+    }
+
+    /// Reduces an op over scheduled slots, `width` bits wide, to a constant
+    /// or an existing slot when its operands decide it at compile time:
+    /// closed terms, `op(x, x)` identities, a constant mux select or equal
+    /// mux arms, and the full-width slice.
+    fn fold(&self, op: CompiledOp, width: u32) -> Option<FoldResult> {
+        let constant = |slot: u32| match self.ops[slot as usize] {
+            CompiledOp::Const(v) => Some(v),
+            _ => None,
+        };
+        match op {
+            CompiledOp::Input { .. } | CompiledOp::Const(_) | CompiledOp::Register { .. } => None,
+            CompiledOp::Unary { op, a } => {
+                constant(a).map(|a| FoldResult::Value(eval_unary(op, &a)))
+            }
+            CompiledOp::Binary { op, a, b } => match (constant(a), constant(b)) {
+                (Some(av), Some(bv)) => Some(FoldResult::Value(eval_binary(op, &av, &bv))),
+                _ if a == b => fold_same_operand(op, a, width),
+                _ => None,
+            },
+            CompiledOp::Mux { cond, then_, else_ } => match constant(cond) {
+                Some(c) => Some(FoldResult::Alias(if c.is_true() { then_ } else { else_ })),
+                None => (then_ == else_).then_some(FoldResult::Alias(then_)),
+            },
+            CompiledOp::Slice { a, hi, lo } => match constant(a) {
+                Some(av) => Some(FoldResult::Value(av.slice(hi, lo))),
+                None => {
+                    (lo == 0 && hi + 1 == self.widths[a as usize]).then_some(FoldResult::Alias(a))
+                }
+            },
+            CompiledOp::Concat { hi, lo } => match (constant(hi), constant(lo)) {
+                (Some(hv), Some(lv)) => Some(FoldResult::Value(hv.concat(&lv))),
+                _ => None,
+            },
+        }
+    }
 }
 
 /// Identities for `op(x, x)`.
@@ -509,24 +378,6 @@ fn fold_same_operand(op: BinaryOp, a: u32, width: u32) -> Option<FoldResult> {
         BinaryOp::Ne | BinaryOp::Ult | BinaryOp::Slt => Some(FoldResult::Value(BitVec::bit(false))),
         BinaryOp::Add | BinaryOp::Shl | BinaryOp::Shr => None,
     }
-}
-
-/// Adds a constant to the schedule, reusing an existing equal constant slot.
-fn intern_const(
-    ops: &mut Vec<CompiledOp>,
-    widths: &mut Vec<u32>,
-    structural: &mut HashMap<OpKey, u32>,
-    value: BitVec,
-) -> u32 {
-    let key = OpKey::Const(value);
-    if let Some(&slot) = structural.get(&key) {
-        return slot;
-    }
-    let slot = u32::try_from(ops.len()).expect("schedule exceeds u32 slots");
-    ops.push(CompiledOp::Const(value));
-    widths.push(value.width());
-    structural.insert(key, slot);
-    slot
 }
 
 /// Word-level evaluation of a unary operator (the simulator's semantics).
@@ -570,7 +421,6 @@ mod tests {
         let live = n.add(a, b);
         let dead = n.sub(a, b); // never reaches the root
         let dead2 = n.xor(dead, b);
-        n.output("live", live);
 
         let full = CompiledTransition::compile(&n, &[live, dead2]);
         let pruned = CompiledTransition::compile(&n, &[live]);
@@ -594,7 +444,6 @@ mod tests {
         n.set_next(live, live_next);
         n.set_next(dead, dead_next);
         n.set_next(seed, seed_next);
-        n.output("live", live.value());
         (n, live.value(), dead.value(), seed.value())
     }
 
@@ -626,9 +475,6 @@ mod tests {
         let x = n.add(a, b);
         let y = n.add(a, b);
         let z = n.add(b, a); // commutative: same slot as x
-        n.output("x", x);
-        n.output("y", y);
-        n.output("z", z);
         let ct = CompiledTransition::compile(&n, &[x, y, z]);
         assert_eq!(ct.slot_of(x), ct.slot_of(y));
         assert_eq!(ct.slot_of(x), ct.slot_of(z));
@@ -644,8 +490,6 @@ mod tests {
         let a = n.input("a", 8);
         let cond = n.eq(a, a); // folds to the constant 1
         let same = n.mux(cond, seven, a); // constant select folds to 7
-        n.output("seven", seven);
-        n.output("same", same);
         let ct = CompiledTransition::compile(&n, &[seven, same, cond]);
         let slot = ct.slot_of(seven).unwrap();
         assert_eq!(
@@ -668,12 +512,68 @@ mod tests {
         let one = n.lit(1, 4);
         let next = n.add(c.value(), one);
         n.set_next(c, next);
-        n.output("c", c.value());
         let ct = CompiledTransition::compile(&n, &[c.value()]);
         let reg = match n.node(c.value()) {
             Node::Register { register, .. } => *register,
             _ => unreachable!(),
         };
         assert_eq!(ct.next_slot(reg), ct.slot_of(next));
+    }
+
+    /// Every fold rule the registry miters leave unexercised, on one
+    /// netlist: closed unary, slice and concat terms, the full-width slice,
+    /// `mux(c, t, t)`, each same-operand identity, and folded constants
+    /// landing on the slot of an equal constant.
+    #[test]
+    fn every_fold_rule_applies() {
+        let mut n = Netlist::new("folds");
+        let a = n.input("a", 4);
+        let b = n.input("b", 4);
+        let ten = n.lit(10, 4);
+        let five = n.lit(5, 4);
+        let not_five = n.not(five); // 10: the existing constant's slot
+        let mid = n.slice(five, 2, 1); // 0b10
+        let joined = n.concat(five, mid); // 0b0101_10
+        let whole = n.slice(a, 3, 0);
+        let select = n.bit(b, 0);
+        let either = n.mux(select, a, a);
+        let same = [n.and(a, a), n.or(a, a)];
+        let zero = [n.xor(a, a), n.sub(a, a)];
+        let one = n.ule(a, a);
+        let no = [n.ne(a, a), n.ult(a, a), n.slt(a, a)];
+        let kept = [
+            (BinaryOp::Add, n.add(a, a)),
+            (BinaryOp::Shl, n.shl(a, a)),
+            (BinaryOp::Shr, n.shr(a, a)),
+        ];
+        let roots: Vec<SignalId> = n.signals().collect();
+        let ct = CompiledTransition::compile(&n, &roots);
+        let op = |s: SignalId| &ct.ops()[ct.slot_of(s).unwrap() as usize];
+
+        assert_eq!(ct.slot_of(not_five), ct.slot_of(ten));
+        assert_eq!(*op(mid), CompiledOp::Const(BitVec::new(0b10, 2)));
+        assert_eq!(*op(joined), CompiledOp::Const(BitVec::new(0b010110, 6)));
+        for alias in [whole, either].into_iter().chain(same) {
+            assert_eq!(ct.slot_of(alias), ct.slot_of(a));
+        }
+        for s in zero {
+            assert_eq!(*op(s), CompiledOp::Const(BitVec::zero(4)));
+        }
+        assert_eq!(*op(one), CompiledOp::Const(BitVec::bit(true)));
+        for s in no {
+            assert_eq!(*op(s), CompiledOp::Const(BitVec::bit(false)));
+        }
+        let sa = ct.slot_of(a).unwrap();
+        for (binary, s) in kept {
+            let unfolded = CompiledOp::Binary {
+                op: binary,
+                a: sa,
+                b: sa,
+            };
+            assert_eq!(*op(s), unfolded);
+        }
+        // a, b, 10, 5, 0b10, 0b0101_10, b[0], 0, 1, 0 (one bit) and the
+        // three kept operators.
+        assert_eq!(ct.len(), 13);
     }
 }

@@ -11,9 +11,11 @@
 //! "any-state proof" of interval property checking), which is how the UPEC
 //! miter proofs in the `upec` crate drive it; a caller that wants a concrete
 //! start pins frame-0 registers with
-//! [`Unrolling::assume_signal_equals_const`]. [`CompiledTransition`] prunes
-//! the netlist to the cone of influence of its roots, hashes and folds it
-//! once, so every frame instantiates the same dense schedule lazily.
+//! [`Unrolling::assume_signal_equals_const`]. [`CompiledTransition`]
+//! validates the netlist, prunes it to the cone of influence of its roots,
+//! and folds and hashes it once, so every frame instantiates the same dense
+//! schedule lazily; an unrolling is built from that schedule alone and
+//! holds no netlist.
 //! [`UnrollOptions`] holds all of a query's settings: a per-call
 //! [`sat::Budget`], the trial cap that gates CNF simplification, and proof
 //! logging; the solver underneath has no feature switches, and
@@ -42,11 +44,9 @@
 //! let nine = n.lit(9, 4);
 //! let in_is_9 = n.eq(data_in, nine);
 //! let out_is_9 = n.eq(s2.value(), nine);
-//! n.output("in_is_9", in_is_9);
-//! n.output("out_is_9", out_is_9);
 //!
 //! let compiled = Arc::new(CompiledTransition::compile(&n, &[in_is_9, out_is_9]));
-//! let mut unrolling = Unrolling::with_compiled(&n, compiled, UnrollOptions::default(), &[]);
+//! let mut unrolling = Unrolling::with_compiled(compiled, UnrollOptions::default(), &[]);
 //! unrolling.extend_to(2);
 //! // Assume the input is 9 at cycle 0 and ask for an output other than 9
 //! // at cycle 2: no assignment exists, so the property holds.

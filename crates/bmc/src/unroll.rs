@@ -15,7 +15,7 @@
 
 use crate::compile::{CompiledOp, CompiledTransition};
 use crate::gates::GateBuilder;
-use rtl::{BinaryOp, BitVec, Netlist, SignalId, UnaryOp};
+use rtl::{BinaryOp, BitVec, SignalId, UnaryOp};
 use sat::{Lit, Model, SatResult};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -108,10 +108,9 @@ impl UnrollOptions {
 /// let one = n.lit(1, 4);
 /// let next = n.add(c.value(), one);
 /// n.set_next(c, next);
-/// n.output("c", c.value());
 ///
 /// let compiled = Arc::new(CompiledTransition::compile(&n, &[c.value()]));
-/// let mut unrolling = Unrolling::with_compiled(&n, compiled, UnrollOptions::default(), &[]);
+/// let mut unrolling = Unrolling::with_compiled(compiled, UnrollOptions::default(), &[]);
 /// unrolling.extend_to(3);
 /// // Pin the start to 0: three cycles later the counter must hold 3.
 /// unrolling.assume_signal_equals_const(0, c.value(), 0).unwrap();
@@ -120,8 +119,7 @@ impl UnrollOptions {
 /// assert!(unrolling.solve(&[!c3[0]]).is_unsat());
 /// ```
 #[derive(Debug)]
-pub struct Unrolling<'n> {
-    netlist: &'n Netlist,
+pub struct Unrolling {
     gates: GateBuilder,
     options: UnrollOptions,
     /// The compiled schedule every frame instantiates.
@@ -129,10 +127,11 @@ pub struct Unrolling<'n> {
     /// Slot literals per frame, `frames[t][slot]`; `None` until a query
     /// reaches the slot in that frame.
     frames: Vec<Vec<Option<Vec<Lit>>>>,
-    /// Registers whose frame-0 value shares the literals of another register
-    /// (used by miter-style proofs to state "these start equal" structurally
-    /// instead of through equality clauses). Keyed by signal index.
-    frame0_aliases: HashMap<usize, SignalId>,
+    /// Register slots whose frame-0 value shares the literals of another
+    /// register slot (used by miter-style proofs to state "these start
+    /// equal" structurally instead of through equality clauses): register
+    /// slot → source slot.
+    frame0_aliases: HashMap<u32, u32>,
     /// Total slot instances encoded across all frames.
     encoded_slots: usize,
     /// Problem-clause count at the end of the last simplification run, used
@@ -211,12 +210,14 @@ impl std::fmt::Display for UnrollError {
 
 impl std::error::Error for UnrollError {}
 
-impl<'n> Unrolling<'n> {
+impl Unrolling {
     /// Creates an unrolling with frame 0 built over a pre-compiled
     /// transition relation (compile once, clone per frame — and per
     /// session) in which, for every `(register, source)` pair in `aliases`,
     /// the frame-0 value of `register` reuses the literals of `source` (both
-    /// must be register-value signals of equal width).
+    /// must be register-value signals of equal width, `source` declared
+    /// first). A pair whose register lies outside the compiled cone is
+    /// ignored.
     ///
     /// An alias expresses "these two registers start out equal"
     /// *structurally*, which — combined with the gate-level structural
@@ -227,33 +228,36 @@ impl<'n> Unrolling<'n> {
     ///
     /// # Panics
     ///
-    /// Panics if the netlist is invalid or an alias pair has mismatched
-    /// widths or refers to non-register signals.
+    /// Panics if an in-cone alias pair has a source outside the cone,
+    /// refers to non-register signals, has mismatched widths, or names a
+    /// source declared after its register.
     pub fn with_compiled(
-        netlist: &'n Netlist,
         transition: Arc<CompiledTransition>,
         options: UnrollOptions,
         aliases: &[(SignalId, SignalId)],
     ) -> Self {
-        netlist
-            .validate()
-            .expect("netlist must be valid before unrolling");
+        let register_width = |slot: u32| match transition.ops()[slot as usize] {
+            CompiledOp::Register { width, .. } => width,
+            _ => panic!("frame-0 aliases must pair register signals"),
+        };
         let mut frame0_aliases = HashMap::new();
         for &(register, source) in aliases {
-            assert!(
-                netlist.node(register).is_register() && netlist.node(source).is_register(),
-                "frame-0 aliases must pair register signals"
-            );
+            let Some(register_slot) = transition.slot_of(register) else {
+                continue;
+            };
+            let source_slot = transition
+                .slot_of(source)
+                .expect("the alias source of an in-cone register is scheduled");
             assert_eq!(
-                netlist.width(register),
-                netlist.width(source),
+                register_width(register_slot),
+                register_width(source_slot),
                 "frame-0 alias width mismatch"
             );
             assert!(
-                source.index() < register.index(),
+                source_slot < register_slot,
                 "the alias source must be created before the aliased register"
             );
-            frame0_aliases.insert(register.index(), source);
+            frame0_aliases.insert(register_slot, source_slot);
         }
         let mut gates = GateBuilder::new();
         if options.proof_log {
@@ -263,7 +267,6 @@ impl<'n> Unrolling<'n> {
             gates.solver_mut().start_proof_log();
         }
         let mut unrolling = Self {
-            netlist,
             gates,
             options,
             transition,
@@ -274,11 +277,6 @@ impl<'n> Unrolling<'n> {
         };
         unrolling.extend_to(0);
         unrolling
-    }
-
-    /// Number of frames built so far (at least 1).
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
     }
 
     /// Slot instances Tseitin-encoded so far, summed over all frames (at
@@ -324,10 +322,9 @@ impl<'n> Unrolling<'n> {
     /// let one = n.lit(1, 8);
     /// let next = n.add(c.value(), one);
     /// n.set_next(c, next);
-    /// n.output("c", c.value());
     ///
     /// let compiled = Arc::new(CompiledTransition::compile(&n, &[c.value()]));
-    /// let mut u = Unrolling::with_compiled(&n, compiled, UnrollOptions::default(), &[]);
+    /// let mut u = Unrolling::with_compiled(compiled, UnrollOptions::default(), &[]);
     /// u.assume_signal_equals_const(0, c.value(), 0).unwrap();
     /// for k in 1..=4 {
     ///     u.extend_to(k); // appends only the new frame each iteration
@@ -396,16 +393,9 @@ impl<'n> Unrolling<'n> {
             CompiledOp::Input { .. } | CompiledOp::Const(_) => Vec::new(),
             CompiledOp::Register { register, .. } => {
                 if frame == 0 {
-                    let info = &self.netlist.registers()[register.index()];
-                    match self.frame0_aliases.get(&info.signal.index()) {
-                        Some(&source) => {
-                            let source_slot = transition
-                                .slot_of(source)
-                                .expect("alias sources are register values inside the schedule");
-                            vec![(0, source_slot)]
-                        }
-                        None => Vec::new(),
-                    }
+                    self.frame0_aliases
+                        .get(&slot)
+                        .map_or_else(Vec::new, |&source| vec![(0, source)])
                 } else {
                     let next = transition
                         .next_slot(*register)
@@ -435,13 +425,8 @@ impl<'n> Unrolling<'n> {
             CompiledOp::Const(v) => self.const_word(*v),
             CompiledOp::Register { register, width } => {
                 if frame == 0 {
-                    let info = &self.netlist.registers()[register.index()];
-                    match self.frame0_aliases.get(&info.signal.index()) {
-                        Some(&source) => {
-                            let source_slot =
-                                transition.slot_of(source).expect("alias source scheduled");
-                            word(self, 0, source_slot)
-                        }
+                    match self.frame0_aliases.get(&slot) {
+                        Some(&source) => word(self, 0, source),
                         None => self.fresh_word(*width),
                     }
                 } else {
@@ -644,10 +629,10 @@ impl<'n> Unrolling<'n> {
     // ------------------------------------------------------------------
 
     fn check_frame(&self, frame: usize) -> Result<(), UnrollError> {
-        if frame >= self.frame_count() {
+        if frame >= self.frames.len() {
             Err(UnrollError::FrameOutOfRange {
                 frame,
-                built: self.frame_count(),
+                built: self.frames.len(),
             })
         } else {
             Ok(())
@@ -765,38 +750,6 @@ impl<'n> Unrolling<'n> {
             }
         }
         Ok(())
-    }
-
-    /// Builds (without asserting) a literal that is true iff two signals are
-    /// equal in a frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on width mismatch or unbuilt frame.
-    pub fn equality_lit(
-        &mut self,
-        frame: usize,
-        a: SignalId,
-        b: SignalId,
-    ) -> Result<Lit, UnrollError> {
-        let a_lits = self.lits(frame, a)?;
-        let b_lits = self.lits(frame, b)?;
-        if a_lits.len() != b_lits.len() {
-            return Err(UnrollError::WidthMismatch {
-                left: a_lits.len() as u32,
-                right: b_lits.len() as u32,
-            });
-        }
-        let bits: Vec<Lit> = a_lits
-            .into_iter()
-            .zip(b_lits)
-            .map(|(x, y)| self.gates.xnor(x, y))
-            .collect();
-        let out = self.gates.and_many(&bits);
-        // The caller holds on to this literal across solves and possibly
-        // across simplification runs.
-        self.gates.freeze(out);
-        Ok(out)
     }
 
     /// Adds an arbitrary clause over previously obtained literals.
@@ -975,14 +928,14 @@ impl<'n> Unrolling<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtl::SplitMix64;
+    use rtl::{Netlist, SplitMix64};
 
     /// An unrolling that schedules every signal of `n`, so what stays
     /// unencoded is left out by the lazy encoding alone.
-    fn unroll(n: &Netlist, options: UnrollOptions) -> Unrolling<'_> {
+    fn unroll(n: &Netlist, options: UnrollOptions) -> Unrolling {
         let roots: Vec<SignalId> = n.signals().collect();
         let compiled = Arc::new(CompiledTransition::compile(n, &roots));
-        Unrolling::with_compiled(n, compiled, options, &[])
+        Unrolling::with_compiled(compiled, options, &[])
     }
 
     /// Builds a small combinational netlist exercising every operator, then
@@ -1102,7 +1055,7 @@ mod tests {
         let (n, c) = counter_netlist();
         let mut u = unroll(&n, UnrollOptions::default());
         u.extend_to(5);
-        assert_eq!(u.frame_count(), 6);
+        assert_eq!(u.frames.len(), 6);
         u.assume_signal_equals_const(0, c.value(), 0).unwrap();
         // The counter value at frame 5 must be 5; asserting anything else is
         // unsatisfiable.
@@ -1127,13 +1080,13 @@ mod tests {
     }
 
     #[test]
-    fn equality_lit_and_assumptions() {
+    fn equality_signal_and_assumptions() {
         let mut n = Netlist::new("eq");
         let a = n.input("a", 4);
         let b = n.input("b", 4);
-        n.output("a", a);
+        let equal = n.eq(a, b);
         let mut u = unroll(&n, UnrollOptions::default());
-        let eq = u.equality_lit(0, a, b).unwrap();
+        let eq = u.bit_lit(0, equal).unwrap();
         // Force inequality and equality through assumptions.
         assert!(u.solve(&[eq]).is_sat());
         assert!(u.solve(&[!eq]).is_sat());
@@ -1146,7 +1099,6 @@ mod tests {
         let mut n = Netlist::new("err");
         let a = n.input("a", 4);
         let b = n.input("b", 2);
-        n.output("a", a);
         let mut u = unroll(&n, UnrollOptions::default());
         assert!(matches!(u.bit_lit(0, a), Err(UnrollError::NotABit { .. })));
         assert!(matches!(
@@ -1159,10 +1111,11 @@ mod tests {
         ));
     }
 
-    /// `p = a*b` and `q = b*a` built from shift-and-add multipliers: proving
-    /// `p == q` takes real search, and the two multipliers encode to well
-    /// over the 512 clauses that make a simplification pass due.
-    fn multiplier_miter(width: u32) -> (Netlist, SignalId, SignalId) {
+    /// `p = a*b` and `q = b*a` built from shift-and-add multipliers, and the
+    /// signal `p == q`: proving it takes real search, and the two
+    /// multipliers encode to well over the 512 clauses that make a
+    /// simplification pass due.
+    fn multiplier_miter(width: u32) -> (Netlist, SignalId) {
         let mut n = Netlist::new("mul_commutes");
         let a = n.input("a", width);
         let b = n.input("b", width);
@@ -1180,9 +1133,8 @@ mod tests {
         };
         let p = mul(&mut n, a, b);
         let q = mul(&mut n, b, a);
-        n.output("p", p);
-        n.output("q", q);
-        (n, p, q)
+        let equal = n.eq(p, q);
+        (n, equal)
     }
 
     /// A caller budget below the trial cap stops the trial itself: the call
@@ -1190,12 +1142,12 @@ mod tests {
     /// simplification pipeline, and the query resumes to its verdict.
     #[test]
     fn caller_budget_below_the_trial_cap_skips_simplification() {
-        let (n, p, q) = multiplier_miter(6);
+        let (n, equal) = multiplier_miter(6);
         let mut u = unroll(
             &n,
             UnrollOptions::default().with_budget(sat::Budget::conflicts(5)),
         );
-        let equal = u.equality_lit(0, p, q).unwrap();
+        let equal = u.bit_lit(0, equal).unwrap();
         assert!(
             u.simplification_due(),
             "the miter must be big enough to trigger a trial"
@@ -1215,9 +1167,9 @@ mod tests {
     /// goes on to decide the query: it is never reported as `Unknown`.
     #[test]
     fn trial_cap_stop_simplifies_and_decides() {
-        let (n, p, q) = multiplier_miter(6);
+        let (n, equal) = multiplier_miter(6);
         let mut u = unroll(&n, UnrollOptions::default().with_simplify_trial(0));
-        let equal = u.equality_lit(0, p, q).unwrap();
+        let equal = u.bit_lit(0, equal).unwrap();
         assert!(u.solve(&[!equal]).is_unsat());
         assert_eq!(u.solver().last_stop(), None);
         assert_eq!(u.solver().simplify_stats().rounds, 1);
@@ -1249,8 +1201,6 @@ mod tests {
         n.set_next(dead, dead_next);
         let cmp1 = n.ult(live.value(), b);
         let cmp2 = n.ult(live.value(), b);
-        n.output("cmp1", cmp1);
-        n.output("cmp2", cmp2);
 
         let mut u = unroll(&n, UnrollOptions::default());
         u.extend_to(2);
@@ -1308,10 +1258,8 @@ mod tests {
         n.set_next(r1, n1);
         n.set_next(r2, n2);
         let differ = n.ne(r1.value(), r2.value());
-        n.output("differ", differ);
 
         let mut u = Unrolling::with_compiled(
-            &n,
             Arc::new(CompiledTransition::compile(&n, &[differ])),
             UnrollOptions::default(),
             &[(r2.value(), r1.value())],
@@ -1321,5 +1269,32 @@ mod tests {
         // can never differ at frame 1.
         u.assume_signal_true(1, differ).unwrap();
         assert!(u.solve(&[]).is_unsat());
+    }
+
+    /// Two registers fed by one input: only `r1` is in the cone of its root.
+    fn input_fed_pair() -> (Arc<CompiledTransition>, SignalId, SignalId, SignalId) {
+        let mut n = Netlist::new("aliased");
+        let a = n.input("a", 4);
+        let r1 = n.register("r1", 4);
+        let r2 = n.register("r2", 4);
+        n.set_next(r1, a);
+        n.set_next(r2, a);
+        let compiled = Arc::new(CompiledTransition::compile(&n, &[r1.value()]));
+        (compiled, a, r1.value(), r2.value())
+    }
+
+    /// An alias whose register lies outside the cone is dropped.
+    #[test]
+    fn frame0_aliases_outside_the_cone_are_ignored() {
+        let (compiled, _, r1, r2) = input_fed_pair();
+        let u = Unrolling::with_compiled(compiled, UnrollOptions::default(), &[(r2, r1)]);
+        assert!(u.frame0_aliases.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "frame-0 aliases must pair register signals")]
+    fn frame0_aliases_must_pair_registers() {
+        let (compiled, a, r1, _) = input_fed_pair();
+        Unrolling::with_compiled(compiled, UnrollOptions::default(), &[(r1, a)]);
     }
 }

@@ -35,7 +35,6 @@ fn mixer_pair() -> (Netlist, SignalId, SignalId, SignalId) {
     n.set_next(r1, n1);
     n.set_next(r2, n2);
     let differ = n.ne(r1.value(), r2.value());
-    n.output("differ", differ);
     (n, r1.value(), r2.value(), differ)
 }
 
@@ -44,7 +43,7 @@ fn incremental_walk_keeps_waste_ratio_bounded() {
     let (netlist, r1, r2, differ) = mixer_pair();
 
     let compiled = Arc::new(CompiledTransition::compile(&netlist, &[differ]));
-    let mut u = Unrolling::with_compiled(&netlist, compiled, UnrollOptions::default(), &[]);
+    let mut u = Unrolling::with_compiled(compiled, UnrollOptions::default(), &[]);
     u.set_learnt_budget(16);
     u.assume_signals_equal(0, r1, r2).expect("equal widths");
 

@@ -31,9 +31,6 @@ fn build_design(width: u32) -> (Netlist, Vec<SignalId>, Vec<SignalId>, Vec<Signa
     };
     n.set_next(shift, shifted);
     let equal = n.eq(acc.value(), shift.value());
-    n.output("acc", acc.value());
-    n.output("shift", shift.value());
-    n.output("equal", equal);
     let observed = vec![acc.value(), shift.value(), equal];
     (n, vec![a, b], vec![acc.value(), shift.value()], observed)
 }
@@ -64,8 +61,7 @@ fn unrolling_matches_simulator() {
         // the accumulator, so the observed signals' cone holds every signal
         // the test constrains.
         let compiled = Arc::new(CompiledTransition::compile(&netlist, &observed));
-        let mut unrolling =
-            Unrolling::with_compiled(&netlist, compiled, UnrollOptions::default(), &[]);
+        let mut unrolling = Unrolling::with_compiled(compiled, UnrollOptions::default(), &[]);
         unrolling.extend_to(stimulus.len());
         for &register in &registers {
             unrolling

@@ -161,7 +161,7 @@ impl UpecEngine {
     /// submission order, every member whose range contains `k` and that has
     /// no L-alert yet. `k` never decreases, as
     /// [`IncrementalSession::check_bound`] requires. Each member's counters
-    /// are charged with its own queries' solver deltas. When `options` turn
+    /// sum its own queries' [`crate::UpecStats`]. When `options` turn
     /// the proof log on, every bound also carries its certificate.
     fn scan_miter(
         &self,
@@ -186,7 +186,6 @@ impl UpecEngine {
                     bounds: Vec::new(),
                     conflicts: 0,
                     propagations: 0,
-                    budget_exhaustions: 0,
                 },
             })
             .collect();
@@ -202,19 +201,15 @@ impl UpecEngine {
                 if alerted || !(result.instance.start_window..=scan.last_window).contains(&k) {
                     continue;
                 }
-                let before = session.solver_stats();
                 let (outcome, certificate) = session
                     .try_check_bound(k, &scan.commitment)
                     .unwrap_or_else(|e| panic!("{}: {e}", result.instance.id()));
-                let spent = session.solver_stats().delta_since(&before);
-                result.conflicts += spent.conflicts;
-                result.propagations += spent.propagations;
-                result.budget_exhaustions += spent.budget_exhaustions;
-                result.bounds.push(BoundSummary::new(
-                    k,
-                    bound_status(&outcome),
-                    &outcome.stats(),
-                ));
+                let stats = outcome.stats();
+                result.conflicts += stats.conflicts;
+                result.propagations += stats.propagations;
+                result
+                    .bounds
+                    .push(BoundSummary::new(k, bound_status(&outcome), &stats));
                 scan.certificates.push(certificate);
                 if let UpecOutcome::Violated(alert, _) = outcome {
                     result.first_alert.get_or_insert(alert);
@@ -297,13 +292,8 @@ pub struct InstanceResult {
     pub bounds: Vec<BoundSummary>,
     /// Total SAT conflicts of the scan.
     pub conflicts: u64,
-    /// Total unit propagations of the scan.
+    /// Total unit propagations of the scan's queries.
     pub propagations: u64,
-    /// Solver episodes stopped by an exhausted [`sat::Budget`] during the
-    /// scan: the conflict-capped trial solves that decide whether a query
-    /// is worth simplifying (see [`bmc::Unrolling::solve`]), since the
-    /// engine's queries themselves run unbudgeted.
-    pub budget_exhaustions: u64,
 }
 
 impl InstanceResult {

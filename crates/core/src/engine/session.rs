@@ -56,7 +56,7 @@ const SINGLE_BIT_ROOT: &str =
 /// ```
 pub struct IncrementalSession<'m> {
     model: &'m UpecModel,
-    unrolling: Unrolling<'m>,
+    unrolling: Unrolling,
     /// Highest frame whose window constraints have been asserted.
     constrained_through: usize,
 }
@@ -79,7 +79,6 @@ impl<'m> IncrementalSession<'m> {
         // Compile once per miter, clone per frame: every session shares the
         // model's pruned-and-hashed schedule.
         let mut unrolling = Unrolling::with_compiled(
-            model.netlist(),
             Arc::clone(model.compiled_transition()),
             options,
             &model.frame0_aliases(),
@@ -274,7 +273,7 @@ impl<'m> IncrementalSession<'m> {
                 let certificate = self.unrolling.solver().proof_log().map(|log| {
                     let mut trim_span = obs::span("cert.trim");
                     trim_span.attr_u64("events", log.num_events() as u64);
-                    let (proof, _) = sat::drat::trim(log, &[activation])
+                    let proof = sat::drat::trim(log, &[activation])
                         .expect("an unsat verdict must replay through the DRAT checker");
                     trim_span.attr_u64("kept_events", proof.num_events() as u64);
                     VerdictCertificate::Proof(UnsatCertificate {

@@ -230,7 +230,6 @@ fn closure_step(model: &UpecModel, alert_registers: &BTreeSet<String>) -> Option
         .map(|p| (p.signal2, p.signal1))
         .collect();
     let mut unrolling = Unrolling::with_compiled(
-        model.netlist(),
         std::sync::Arc::clone(model.compiled_transition()),
         UnrollOptions::default(),
         &aliases,

@@ -298,12 +298,10 @@ impl UpecModel {
             },
         ];
 
-        n.validate().expect("miter netlist is well formed");
-
-        // Compile the transition relation once per miter: cone-of-influence
-        // roots are every signal a UPEC query can constrain, commit to or
-        // extract. All sessions and checkers share this schedule through the
-        // `Arc`.
+        // Compile the transition relation once per miter (which also
+        // validates the miter netlist): cone-of-influence roots are every
+        // signal a UPEC query can constrain, commit to or extract. All
+        // sessions and checkers share this schedule through the `Arc`.
         let mut roots: Vec<SignalId> = Vec::new();
         roots.extend(initial_constraints.iter().map(|c| c.signal));
         roots.extend(window_constraints.iter().map(|c| c.signal));

@@ -45,11 +45,10 @@ fn decisions_and_effort(result: &InstanceResult) -> String {
         })
         .collect();
     format!(
-        "{} conflicts={} propagations={} exhaustions={} per-bound=[{}]",
+        "{} conflicts={} propagations={} per-bound=[{}]",
         decisions(result),
         result.conflicts,
         result.propagations,
-        result.budget_exhaustions,
         bounds.join(", ")
     )
 }

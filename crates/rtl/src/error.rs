@@ -22,12 +22,7 @@ pub enum RtlError {
         /// Width of the assigned next-state expression.
         next_width: u32,
     },
-    /// An output refers to a signal that does not exist in the netlist.
-    DanglingOutput {
-        /// Name of the output port.
-        output: String,
-    },
-    /// Two ports (inputs or outputs) share the same name.
+    /// Two primary inputs share the same name.
     DuplicatePortName {
         /// The duplicated name.
         name: String,
@@ -48,11 +43,8 @@ impl fmt::Display for RtlError {
                 f,
                 "register `{register}` is {register_width} bits wide but its next-state expression is {next_width} bits wide"
             ),
-            RtlError::DanglingOutput { output } => {
-                write!(f, "output `{output}` refers to a signal outside the netlist")
-            }
             RtlError::DuplicatePortName { name } => {
-                write!(f, "port name `{name}` is used more than once")
+                write!(f, "input name `{name}` is used more than once")
             }
         }
     }

@@ -3,7 +3,7 @@
 //! This crate provides the hardware representation shared by the whole UPEC
 //! reproduction workspace. Designs are *constructed* (rather than parsed from
 //! Verilog, which has no mature Rust ecosystem) as word-level netlists: DAGs
-//! of bit-vector expressions plus registers, primary inputs and outputs.
+//! of bit-vector expressions plus registers and primary inputs.
 //!
 //! The representation is deliberately close to what a synthesizable RTL
 //! description elaborates into:
@@ -13,8 +13,8 @@
 //! * [`Node`] — word-level operators (bitwise logic, add/sub, comparisons,
 //!   shifts, mux, slice, concat),
 //! * [`Netlist`] — the design container: expression DAG, registers with
-//!   next-state functions and optional reset values, ports and hierarchical
-//!   names.
+//!   next-state functions and optional reset values, primary inputs and
+//!   hierarchical names.
 //!
 //! Two engines consume the representation:
 //!
@@ -43,7 +43,6 @@
 //! let held = n.mux(at_max, count.value(), incremented);
 //! let next = n.mux(step, held, count.value());
 //! n.set_next(count, next);
-//! n.output("count", count.value());
 //!
 //! n.validate()?;
 //! assert_eq!(n.register_count(), 1);
@@ -60,7 +59,7 @@ mod rng;
 mod value;
 
 pub use error::RtlError;
-pub use netlist::{Netlist, OutputPort, RegisterHandle, RegisterInfo};
+pub use netlist::{Netlist, RegisterHandle, RegisterInfo};
 pub use node::{BinaryOp, Node, RegisterId, SignalId, UnaryOp};
 pub use rng::SplitMix64;
 pub use value::{BitVec, MAX_WIDTH};

@@ -1,4 +1,5 @@
-//! The word-level netlist: an expression DAG plus registers and ports.
+//! The word-level netlist: an expression DAG plus registers and primary
+//! inputs.
 
 use crate::{BinaryOp, BitVec, Node, RegisterId, RtlError, SignalId, UnaryOp};
 use std::collections::BTreeSet;
@@ -20,15 +21,6 @@ pub struct RegisterInfo {
     pub init: Option<BitVec>,
 }
 
-/// A named output port.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutputPort {
-    /// Port name.
-    pub name: String,
-    /// Driven signal.
-    pub signal: SignalId,
-}
-
 /// A word-level synchronous netlist.
 ///
 /// A netlist is a DAG of [`Node`]s. Expression nodes may only refer to
@@ -48,10 +40,9 @@ pub struct OutputPort {
 /// let enable = n.input("enable", 1);
 /// let count = n.register_init("count", 4, BitVec::zero(4));
 /// let one = n.lit(1, 4);
-/// let incremented = n.add(count.signal(&n), one);
-/// let next = n.mux(enable, incremented, count.signal(&n));
+/// let incremented = n.add(count.value(), one);
+/// let next = n.mux(enable, incremented, count.value());
 /// n.set_next(count, next);
-/// n.output("value", count.signal(&n));
 /// n.validate().expect("counter netlist is well formed");
 /// ```
 #[derive(Debug, Clone)]
@@ -60,7 +51,6 @@ pub struct Netlist {
     nodes: Vec<Node>,
     registers: Vec<RegisterInfo>,
     inputs: Vec<SignalId>,
-    outputs: Vec<OutputPort>,
     scope: Vec<String>,
 }
 
@@ -72,7 +62,6 @@ impl Netlist {
             nodes: Vec::new(),
             registers: Vec::new(),
             inputs: Vec::new(),
-            outputs: Vec::new(),
             scope: Vec::new(),
         }
     }
@@ -116,11 +105,6 @@ impl Netlist {
         &self.inputs
     }
 
-    /// All output ports in declaration order.
-    pub fn outputs(&self) -> &[OutputPort] {
-        &self.outputs
-    }
-
     /// All registers in declaration order.
     pub fn registers(&self) -> &[RegisterInfo] {
         &self.registers
@@ -157,14 +141,6 @@ impl Netlist {
         })
     }
 
-    /// Looks up an output port by name.
-    pub fn find_output(&self, name: &str) -> Option<SignalId> {
-        self.outputs
-            .iter()
-            .find(|o| o.name == name)
-            .map(|o| o.signal)
-    }
-
     // ------------------------------------------------------------------
     // Scoping and naming
     // ------------------------------------------------------------------
@@ -188,7 +164,7 @@ impl Netlist {
         }
     }
 
-    /// Best-known name of a signal: port/register name, or a generated
+    /// Best-known name of a signal: input/register name, or a generated
     /// `s<N>` fallback.
     pub fn signal_name(&self, id: SignalId) -> String {
         match self.node(id) {
@@ -247,7 +223,7 @@ impl Netlist {
     /// Declares a register with a *symbolic* (unconstrained) initial state.
     ///
     /// The register's current value can be read through
-    /// [`RegisterHandle::signal`]; its next-state function must be attached
+    /// [`RegisterHandle::value`]; its next-state function must be attached
     /// with [`Netlist::set_next`] before the netlist validates.
     pub fn register(&mut self, name: impl Into<String>, width: u32) -> RegisterHandle {
         self.register_impl(name.into(), width, None)
@@ -309,12 +285,6 @@ impl Netlist {
             info.name
         );
         info.next = Some(next);
-    }
-
-    /// Declares a named output port driven by `signal`.
-    pub fn output(&mut self, name: impl Into<String>, signal: SignalId) {
-        let name = self.scoped(&name.into());
-        self.outputs.push(OutputPort { name, signal });
     }
 
     fn unary(&mut self, op: UnaryOp, a: SignalId) -> SignalId {
@@ -566,7 +536,7 @@ impl Netlist {
     /// # Errors
     ///
     /// Returns an error if a register lacks a next-state expression, a
-    /// next-state expression has the wrong width, or port names collide.
+    /// next-state expression has the wrong width, or input names collide.
     pub fn validate(&self) -> Result<(), RtlError> {
         for reg in &self.registers {
             match reg.next {
@@ -585,19 +555,6 @@ impl Netlist {
                         });
                     }
                 }
-            }
-        }
-        let mut seen = BTreeSet::new();
-        for out in &self.outputs {
-            if out.signal.index() >= self.nodes.len() {
-                return Err(RtlError::DanglingOutput {
-                    output: out.name.clone(),
-                });
-            }
-            if !seen.insert(out.name.clone()) {
-                return Err(RtlError::DuplicatePortName {
-                    name: out.name.clone(),
-                });
             }
         }
         let mut seen = BTreeSet::new();
@@ -627,14 +584,6 @@ impl RegisterHandle {
     }
 
     /// The signal carrying the register's current value.
-    ///
-    /// The netlist argument is accepted only to make call sites read
-    /// naturally (`reg.signal(&n)`); the handle already knows its signal.
-    pub fn signal(&self, _netlist: &Netlist) -> SignalId {
-        self.signal
-    }
-
-    /// The signal carrying the register's current value.
     pub fn value(&self) -> SignalId {
         self.signal
     }
@@ -652,7 +601,6 @@ mod tests {
         let inc = n.add(count.value(), one);
         let next = n.mux(enable, inc, count.value());
         n.set_next(count, next);
-        n.output("value", count.value());
         (n, count)
     }
 
@@ -662,7 +610,6 @@ mod tests {
         n.validate().expect("valid netlist");
         assert_eq!(n.register_count(), 1);
         assert_eq!(n.inputs().len(), 1);
-        assert_eq!(n.outputs().len(), 1);
     }
 
     #[test]
@@ -674,11 +621,10 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_output_name_fails_validation() {
+    fn duplicate_input_name_fails_validation() {
         let mut n = Netlist::new("bad");
-        let a = n.lit(0, 1);
-        n.output("x", a);
-        n.output("x", a);
+        n.input("x", 1);
+        n.input("x", 1);
         let err = n.validate().unwrap_err();
         assert!(matches!(err, RtlError::DuplicatePortName { .. }));
     }
@@ -742,9 +688,7 @@ mod tests {
     fn lookup_by_name() {
         let (n, _) = counter();
         assert!(n.find_input("enable").is_some());
-        assert!(n.find_output("value").is_some());
         assert!(n.find_input("nonexistent").is_none());
-        assert!(n.find_output("nonexistent").is_none());
     }
 
     #[test]

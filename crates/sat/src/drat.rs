@@ -691,54 +691,6 @@ fn load_clause(log: &ProofLog, i: usize, buf: &mut Vec<Lit>) -> bool {
     !dedup_clause(buf)
 }
 
-fn run_check(log: &ProofLog, assumptions: &[Lit]) -> Result<CheckReport, CheckError> {
-    let num_vars = max_var_index(log, assumptions);
-    let mut checker = Checker::new(num_vars, false);
-    let mut report = CheckReport::default();
-    let mut refuted: Option<Option<usize>> = None;
-    let mut lits = Vec::new();
-
-    'outer: {
-        if checker.assume(assumptions) == Insert::Refuted {
-            refuted = Some(None);
-            break 'outer;
-        }
-        for i in 0..log.num_events() {
-            let step = log.events[i].step;
-            match step {
-                ProofStep::Axiom => report.axioms += 1,
-                ProofStep::Add => report.lemmas_checked += 1,
-                ProofStep::Delete => {
-                    report.deletions += 1;
-                    checker.delete(log.event_lits(i));
-                    continue;
-                }
-            }
-            if !load_clause(log, i, &mut lits) {
-                continue;
-            }
-            if step == ProofStep::Add && !checker.check_rup(&lits) {
-                return Err(CheckError::NotRup { event: i });
-            }
-            let event = u32::try_from(i).expect("proof log event index overflow");
-            if checker.insert(&lits, event) == Insert::Refuted {
-                refuted = Some(Some(i));
-                report.skipped_events = log.num_events() - i - 1;
-                break 'outer;
-            }
-        }
-    }
-
-    report.propagations = checker.propagations;
-    match refuted {
-        Some(event) => {
-            report.refutation_event = event;
-            Ok(report)
-        }
-        None => Err(CheckError::NoRefutation),
-    }
-}
-
 /// Marks the events the refutation transitively depends on (backward
 /// checking): a forward pass *inserts* every clause without RUP-checking it,
 /// applies every deletion as [`check`] does, and finds the refutation; then a
@@ -850,12 +802,55 @@ fn mark_dependencies(
 /// assert_eq!(report.lemmas_checked, 1);
 /// ```
 pub fn check(log: &ProofLog, assumptions: &[Lit]) -> Result<CheckReport, CheckError> {
-    run_check(log, assumptions)
+    let num_vars = max_var_index(log, assumptions);
+    let mut checker = Checker::new(num_vars, false);
+    let mut report = CheckReport::default();
+    let mut refuted: Option<Option<usize>> = None;
+    let mut lits = Vec::new();
+
+    'outer: {
+        if checker.assume(assumptions) == Insert::Refuted {
+            refuted = Some(None);
+            break 'outer;
+        }
+        for i in 0..log.num_events() {
+            let step = log.events[i].step;
+            match step {
+                ProofStep::Axiom => report.axioms += 1,
+                ProofStep::Add => report.lemmas_checked += 1,
+                ProofStep::Delete => {
+                    report.deletions += 1;
+                    checker.delete(log.event_lits(i));
+                    continue;
+                }
+            }
+            if !load_clause(log, i, &mut lits) {
+                continue;
+            }
+            if step == ProofStep::Add && !checker.check_rup(&lits) {
+                return Err(CheckError::NotRup { event: i });
+            }
+            let event = u32::try_from(i).expect("proof log event index overflow");
+            if checker.insert(&lits, event) == Insert::Refuted {
+                refuted = Some(Some(i));
+                report.skipped_events = log.num_events() - i - 1;
+                break 'outer;
+            }
+        }
+    }
+
+    report.propagations = checker.propagations;
+    match refuted {
+        Some(event) => {
+            report.refutation_event = event;
+            Ok(report)
+        }
+        None => Err(CheckError::NoRefutation),
+    }
 }
 
 /// Returns a trimmed copy of the log that keeps only the events the
-/// refutation transitively depends on, together with the [`CheckReport`] of
-/// checking the trimmed log.
+/// refutation transitively depends on.
 ///
 /// Trimming uses *backward checking*: a forward pass inserts every clause
 /// without RUP-checking it, follows the deletions as [`check`] does, and
@@ -869,12 +864,12 @@ pub fn check(log: &ProofLog, assumptions: &[Lit]) -> Result<CheckReport, CheckEr
 /// refutation touches a small fraction of the events, and it shrinks proof
 /// certificates by orders of magnitude.
 ///
-/// The trimmed log is re-verified with [`check`] under the same assumptions
-/// before being returned, so a successful `trim` *is* a successful check:
-/// the returned report is the trimmed log's. Note that an unused corrupt
-/// lemma is dropped rather than rejected; run [`check`] on the full log when
-/// the goal is to validate every event.
-pub fn trim(log: &ProofLog, assumptions: &[Lit]) -> Result<(ProofLog, CheckReport), CheckError> {
+/// Every kept lemma has been RUP-checked, against the database it was added
+/// to, on the way; the trimmed log is not checked again here, so a consumer
+/// that must trust it runs [`check`] on it (as a certificate's verifier
+/// does). Note that an unused corrupt lemma is dropped rather than rejected;
+/// run [`check`] on the full log when the goal is to validate every event.
+pub fn trim(log: &ProofLog, assumptions: &[Lit]) -> Result<ProofLog, CheckError> {
     let (marked, refutation_event) = mark_dependencies(log, assumptions)?;
     let mut trimmed = ProofLog::new();
     let last = refutation_event.unwrap_or(0);
@@ -891,8 +886,7 @@ pub fn trim(log: &ProofLog, assumptions: &[Lit]) -> Result<(ProofLog, CheckRepor
             }
         }
     }
-    let report = run_check(&trimmed, assumptions)?;
-    Ok((trimmed, report))
+    Ok(trimmed)
 }
 
 #[cfg(test)]
@@ -930,7 +924,7 @@ mod tests {
         assert_eq!(report.lemmas_checked, 2);
         assert_eq!(report.refutation_event, Some(5));
 
-        let (trimmed, _) = trim(&log, &[]).unwrap();
+        let trimmed = trim(&log, &[]).unwrap();
         assert_eq!(trimmed.num_axioms(), 4);
         // The [x, z] lemma is unused and must be dropped.
         assert_eq!(trimmed.num_lemmas(), 1);
@@ -1007,7 +1001,7 @@ mod tests {
         log.push(ProofStep::Add, &[x]);
         assert_eq!(check(&log, &[]), Err(CheckError::NotRup { event: 5 }));
         assert_eq!(
-            trim(&log, &[]).map(|(t, _)| t.num_events()),
+            trim(&log, &[]).map(|t| t.num_events()),
             Err(CheckError::NotRup { event: 5 })
         );
     }
@@ -1029,7 +1023,7 @@ mod tests {
         log.push(ProofStep::Add, &[a]);
         assert_eq!(check(&log, &[]).unwrap().refutation_event, Some(8));
 
-        let (trimmed, report) = trim(&log, &[]).unwrap();
+        let trimmed = trim(&log, &[]).unwrap();
         let kept: Vec<(ProofStep, Vec<Lit>)> =
             trimmed.events().map(|(s, l)| (s, l.to_vec())).collect();
         assert!(
@@ -1038,7 +1032,7 @@ mod tests {
         );
         assert_eq!(trimmed.num_lemmas(), 2);
         assert_eq!(trimmed.num_deletions(), 0);
-        assert_eq!(report, check(&trimmed, &[]).unwrap());
+        check(&trimmed, &[]).unwrap();
     }
 
     #[test]
@@ -1064,7 +1058,7 @@ mod tests {
         }
         let report = check(&log, &[]).unwrap();
         assert_eq!((report.deletions, report.refutation_event), (1, Some(4)));
-        let (trimmed, _) = trim(&log, &[]).unwrap();
+        let trimmed = trim(&log, &[]).unwrap();
         assert!(trimmed
             .events()
             .any(|(s, l)| s == ProofStep::Axiom && l == [x, y]));
@@ -1089,7 +1083,7 @@ mod tests {
         let log = solver.take_proof_log().unwrap();
         let report = check(&log, &[]).unwrap();
         assert_eq!(report.axioms, 8);
-        let (trimmed, _) = trim(&log, &[]).unwrap();
+        let trimmed = trim(&log, &[]).unwrap();
         let report2 = check(&trimmed, &[]).unwrap();
         assert!(report2.lemmas_checked <= report.lemmas_checked);
     }

@@ -81,7 +81,7 @@ fn unsat_logs_check_and_trim() {
             let report =
                 check(&log, &[]).unwrap_or_else(|e| panic!("case {case} simplify={simplify}: {e}"));
             assert_eq!(report.axioms, clauses.len(), "case {case}");
-            let (trimmed, _) = trim(&log, &[])
+            let trimmed = trim(&log, &[])
                 .unwrap_or_else(|e| panic!("case {case} simplify={simplify} trim: {e}"));
             let report2 = check(&trimmed, &[])
                 .unwrap_or_else(|e| panic!("case {case} simplify={simplify} recheck: {e}"));
@@ -123,7 +123,7 @@ fn corrupted_logs_are_rejected() {
         // unit over a fresh variable; the lemma is unconstrained, so it can
         // never be a RUP consequence, and because the trimmed proof has no
         // unused lemmas the corruption cannot be skipped over.
-        let (trimmed, _) = trim(&log, &[]).expect("valid log trims");
+        let trimmed = trim(&log, &[]).expect("valid log trims");
         let events: Vec<(ProofStep, Vec<Lit>)> =
             trimmed.events().map(|(s, l)| (s, l.to_vec())).collect();
         let lemma_positions: Vec<usize> = events
@@ -263,7 +263,7 @@ fn vivification_logs_lemma_delete_pairs() {
             assert!(matches!(solver.solve(), SatResult::Unsat), "case {case}");
             let log = solver.take_proof_log().expect("logging was on");
             check(&log, &[]).unwrap_or_else(|e| panic!("case {case}: vivified log rejected: {e}"));
-            let (trimmed, _) = trim(&log, &[]).expect("vivified log trims");
+            let trimmed = trim(&log, &[]).expect("vivified log trims");
             check(&trimmed, &[]).unwrap_or_else(|e| panic!("case {case}: trimmed recheck: {e}"));
         }
     }
@@ -356,7 +356,7 @@ fn assumption_certificates_check() {
             tested += 1;
             let log = solver.take_proof_log().expect("logging was on");
             check(&log, &[act]).expect("assumption certificate checks");
-            let (trimmed, _) = trim(&log, &[act]).expect("trims");
+            let trimmed = trim(&log, &[act]).expect("trims");
             check(&trimmed, &[act]).expect("trimmed assumption certificate checks");
         }
     }
@@ -464,7 +464,7 @@ fn checker_follows_deletions_like_a_naive_reference() {
             }
             let ctx = format!("case {case} simplify={simplify}");
             let report = check(&log, &[]).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            let (trimmed, _) = trim(&log, &[]).unwrap_or_else(|e| panic!("{ctx} trim: {e}"));
+            let trimmed = trim(&log, &[]).unwrap_or_else(|e| panic!("{ctx} trim: {e}"));
             check(&trimmed, &[]).unwrap_or_else(|e| panic!("{ctx} recheck: {e}"));
             assert!(
                 matches!(reference_verdict(&log, num_vars), Reference::Refuted(r) if r <= report.refutation_event.unwrap()),

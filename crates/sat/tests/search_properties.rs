@@ -121,7 +121,7 @@ fn search_logs_check_and_trim() {
         let log = solver.take_proof_log().expect("logging was on");
         let report = check(&log, &[]).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(report.axioms, clauses.len(), "case {case}");
-        let (trimmed, _) = trim(&log, &[]).unwrap_or_else(|e| panic!("case {case} trim: {e}"));
+        let trimmed = trim(&log, &[]).unwrap_or_else(|e| panic!("case {case} trim: {e}"));
         check(&trimmed, &[]).unwrap_or_else(|e| panic!("case {case} recheck: {e}"));
     }
     assert!(unsat_seen >= 8, "generator produced too few unsat cases");

@@ -36,14 +36,12 @@
 //! let t = n.register_init("t", 1, BitVec::zero(1));
 //! let inverted = n.not(t.value());
 //! n.set_next(t, inverted);
-//! n.output("t", t.value());
 //!
 //! let mut sim = Simulator::new(n);
 //! sim.step();
-//! assert_eq!(sim.peek_output("t")?.as_u64(), 1);
+//! assert_eq!(sim.peek(t.value()).as_u64(), 1);
 //! sim.step();
-//! assert_eq!(sim.peek_output("t")?.as_u64(), 0);
-//! # Ok::<(), sim::SimError>(())
+//! assert_eq!(sim.peek(t.value()).as_u64(), 0);
 //! ```
 
 #![warn(missing_docs)]

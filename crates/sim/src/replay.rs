@@ -34,7 +34,6 @@ use rtl::{BitVec, Netlist};
 /// let inc = n.add(count.value(), one);
 /// let next = n.mux(enable, inc, count.value());
 /// n.set_next(count, next);
-/// n.output("count", count.value());
 ///
 /// let trace = WitnessTrace {
 ///     initial_registers: vec![("count".into(), BitVec::new(3, 8))],
@@ -48,7 +47,7 @@ use rtl::{BitVec, Netlist};
 /// let mut sim = trace.replay(n, |_, sim| seen.push(sim.peek(count.value()).as_u64()))?;
 /// assert_eq!(seen, [3, 4, 5]); // the count at cycles 0, 1 and 2
 /// assert_eq!(sim.cycle(), 2);
-/// assert_eq!(sim.peek_output("count")?.as_u64(), 5);
+/// assert_eq!(sim.peek(count.value()).as_u64(), 5);
 /// # Ok::<(), sim::SimError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -91,7 +90,7 @@ impl WitnessTrace {
     /// cycle `c` — and finally settles the last frame without a clock edge.
     /// The returned simulator sits at cycle [`WitnessTrace::cycles`] ready
     /// for inspection with [`Simulator::register_by_name`] /
-    /// [`Simulator::peek_output`].
+    /// [`Simulator::peek`].
     ///
     /// # Errors
     ///
@@ -123,8 +122,10 @@ impl WitnessTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtl::SignalId;
 
-    fn counter_netlist() -> Netlist {
+    /// An enabled 8-bit counter and its register's value signal.
+    fn counter_netlist() -> (Netlist, SignalId) {
         let mut n = Netlist::new("counter");
         let enable = n.input("enable", 1);
         let count = n.register_init("count", 8, BitVec::zero(8));
@@ -132,8 +133,7 @@ mod tests {
         let inc = n.add(count.value(), one);
         let next = n.mux(enable, inc, count.value());
         n.set_next(count, next);
-        n.output("count", count.value());
-        n
+        (n, count.value())
     }
 
     #[test]
@@ -147,21 +147,23 @@ mod tests {
                 vec![],
             ],
         };
-        let mut sim = trace.replay(counter_netlist(), |_, _| {}).unwrap();
+        let (netlist, count) = counter_netlist();
+        let mut sim = trace.replay(netlist, |_, _| {}).unwrap();
         assert_eq!(trace.cycles(), 3);
         assert_eq!(sim.cycle(), 3);
         // 10, +1 (enabled), hold (disabled), +1 (enabled) = 12.
-        assert_eq!(sim.peek_output("count").unwrap().as_u64(), 12);
+        assert_eq!(sim.peek(count).as_u64(), 12);
     }
 
     #[test]
     fn empty_trace_only_settles() {
         let trace = WitnessTrace::default();
         let mut frames = 0;
-        let mut sim = trace.replay(counter_netlist(), |_, _| frames += 1).unwrap();
+        let (netlist, count) = counter_netlist();
+        let mut sim = trace.replay(netlist, |_, _| frames += 1).unwrap();
         assert_eq!(frames, 0);
         assert_eq!(sim.cycle(), 0);
-        assert_eq!(sim.peek_output("count").unwrap().as_u64(), 0);
+        assert_eq!(sim.peek(count).as_u64(), 0);
         assert_eq!(trace.cycles(), 0);
     }
 
@@ -172,7 +174,7 @@ mod tests {
             inputs: Vec::new(),
         };
         assert!(matches!(
-            trace.replay(counter_netlist(), |_, _| {}),
+            trace.replay(counter_netlist().0, |_, _| {}),
             Err(SimError::UnknownRegister(_))
         ));
     }

@@ -32,13 +32,12 @@ use rtl::{BinaryOp, BitVec, Netlist, Node, RegisterId, SignalId, UnaryOp};
 /// let inc = n.add(count.value(), one);
 /// let next = n.mux(enable, inc, count.value());
 /// n.set_next(count, next);
-/// n.output("count", count.value());
 ///
 /// let mut sim = Simulator::new(n);
 /// sim.poke_by_name("enable", 1)?;
 /// sim.step();
 /// sim.step();
-/// assert_eq!(sim.peek_output("count")?.as_u64(), 2);
+/// assert_eq!(sim.peek(count.value()).as_u64(), 2);
 /// # Ok::<(), sim::SimError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -172,8 +171,6 @@ impl Op {
 pub enum SimError {
     /// No input port with the requested name exists.
     UnknownInput(String),
-    /// No output port with the requested name exists.
-    UnknownOutput(String),
     /// No register with the requested name exists.
     UnknownRegister(String),
 }
@@ -182,7 +179,6 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::UnknownInput(n) => write!(f, "unknown input port `{n}`"),
-            SimError::UnknownOutput(n) => write!(f, "unknown output port `{n}`"),
             SimError::UnknownRegister(n) => write!(f, "unknown register `{n}`"),
         }
     }
@@ -374,19 +370,6 @@ impl Simulator {
         BitVec::new(self.values[signal.index()], width)
     }
 
-    /// Value of a named output port after the latest evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownOutput`] if no output port has that name.
-    pub fn peek_output(&mut self, name: &str) -> Result<BitVec, SimError> {
-        let signal = self
-            .netlist
-            .find_output(name)
-            .ok_or_else(|| SimError::UnknownOutput(name.to_string()))?;
-        Ok(self.peek(signal))
-    }
-
     /// Advances the simulation by one clock cycle: settles the
     /// combinational logic if it is stale and clocks every register's
     /// next-state value. The logic is left stale until something reads it.
@@ -450,7 +433,8 @@ impl Simulator {
 mod tests {
     use super::*;
 
-    fn counter_netlist() -> Netlist {
+    /// An enabled 8-bit counter and its register's value signal.
+    fn counter_netlist() -> (Netlist, SignalId) {
         let mut n = Netlist::new("counter");
         let enable = n.input("enable", 1);
         let count = n.register_init("count", 8, BitVec::zero(8));
@@ -458,52 +442,50 @@ mod tests {
         let inc = n.add(count.value(), one);
         let next = n.mux(enable, inc, count.value());
         n.set_next(count, next);
-        n.output("count", count.value());
-        n
+        (n, count.value())
     }
 
     #[test]
     fn counter_counts_when_enabled() {
-        let mut sim = Simulator::new(counter_netlist());
+        let (netlist, count) = counter_netlist();
+        let mut sim = Simulator::new(netlist);
         sim.poke_by_name("enable", 1).unwrap();
         sim.run(5);
-        assert_eq!(sim.peek_output("count").unwrap().as_u64(), 5);
+        assert_eq!(sim.peek(count).as_u64(), 5);
         sim.poke_by_name("enable", 0).unwrap();
         sim.run(3);
-        assert_eq!(sim.peek_output("count").unwrap().as_u64(), 5);
+        assert_eq!(sim.peek(count).as_u64(), 5);
         assert_eq!(sim.cycle(), 8);
     }
 
     #[test]
     fn reset_restores_initial_state() {
-        let mut sim = Simulator::new(counter_netlist());
+        let (netlist, count) = counter_netlist();
+        let mut sim = Simulator::new(netlist);
         sim.poke_by_name("enable", 1).unwrap();
         sim.run(4);
         sim.reset();
         assert_eq!(sim.cycle(), 0);
-        assert_eq!(sim.peek_output("count").unwrap().as_u64(), 0);
+        assert_eq!(sim.peek(count).as_u64(), 0);
     }
 
     #[test]
     fn set_register_overrides_state() {
-        let mut sim = Simulator::new(counter_netlist());
+        let (netlist, count) = counter_netlist();
+        let mut sim = Simulator::new(netlist);
         sim.set_register_by_name("count", 250).unwrap();
         sim.poke_by_name("enable", 1).unwrap();
         sim.run(10);
         // 250 + 10 wraps modulo 256.
-        assert_eq!(sim.peek_output("count").unwrap().as_u64(), 4);
+        assert_eq!(sim.peek(count).as_u64(), 4);
     }
 
     #[test]
     fn unknown_names_error() {
-        let mut sim = Simulator::new(counter_netlist());
+        let mut sim = Simulator::new(counter_netlist().0);
         assert!(matches!(
             sim.poke_by_name("nope", 1),
             Err(SimError::UnknownInput(_))
-        ));
-        assert!(matches!(
-            sim.peek_output("nope"),
-            Err(SimError::UnknownOutput(_))
         ));
         assert!(matches!(
             sim.register_by_name("nope"),
@@ -513,19 +495,21 @@ mod tests {
 
     #[test]
     fn step_until_reports_latency() {
-        let mut sim = Simulator::new(counter_netlist());
+        let (netlist, count) = counter_netlist();
+        let mut sim = Simulator::new(netlist);
         sim.poke_by_name("enable", 1).unwrap();
-        let cycles = sim.step_until(100, |s| s.peek_output("count").unwrap().as_u64() == 7);
+        let cycles = sim.step_until(100, |s| s.peek(count).as_u64() == 7);
         assert_eq!(cycles, Some(7));
-        let timeout = sim.step_until(3, |s| s.peek_output("count").unwrap().as_u64() == 200);
+        let timeout = sim.step_until(3, |s| s.peek(count).as_u64() == 200);
         assert_eq!(timeout, None);
     }
 
     #[test]
     fn poke_truncates_to_width() {
-        let mut sim = Simulator::new(counter_netlist());
+        let (netlist, count) = counter_netlist();
+        let mut sim = Simulator::new(netlist);
         sim.poke_by_name("enable", 0xfe).unwrap(); // LSB is 0
         sim.run(2);
-        assert_eq!(sim.peek_output("count").unwrap().as_u64(), 0);
+        assert_eq!(sim.peek(count).as_u64(), 0);
     }
 }

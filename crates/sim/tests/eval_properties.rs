@@ -322,8 +322,6 @@ fn evaluates_arithmetic_dag() {
     let b = n.input("b", 8);
     let sum = n.add(a, b);
     let is_big = n.ult(b, sum);
-    n.output("sum", sum);
-    n.output("is_big", is_big);
 
     let mut sim = Simulator::new(n);
     sim.poke(a, 10);

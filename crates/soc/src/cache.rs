@@ -375,9 +375,6 @@ mod tests {
             flush,
         };
         let out = build_cache(&mut n, &config, req, mem_rdata);
-        n.output("busy", out.busy);
-        n.output("hit", out.hit);
-        n.output("resp_data", out.resp_data);
         n.validate().expect("cache netlist is well formed");
         CacheHarness {
             sim: Simulator::new(n),

@@ -926,20 +926,6 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
     let mem_wb_fault_blocked = n.not(mem_wb_valid.value());
 
     // ------------------------------------------------------------------
-    // Outputs
-    // ------------------------------------------------------------------
-    n.output("imem_addr", pc.value());
-    n.output("mem_req_valid", cache.mem_req_valid);
-    n.output("mem_req_write", cache.mem_req_write);
-    n.output("mem_req_addr", cache.mem_req_addr);
-    n.output("mem_req_wdata", cache.mem_req_wdata);
-    n.output("trap_taken", trap_taken);
-    n.output("pc", pc.value());
-    n.output("mode", mode.value());
-    n.output("cycle", cycle.value());
-    n.output("global_stall", global_stall);
-
-    // ------------------------------------------------------------------
     // State classification
     // ------------------------------------------------------------------
     let mut arch_registers: Vec<RegisterId> = vec![

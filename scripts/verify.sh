@@ -13,7 +13,10 @@
 # Keep this script in sync with the README's "Tests and verification"
 # section. The tier-1 gate is the same command CI runs:
 #   cargo build --release && cargo test -q
-# Its umbrella tests include the encoding oracle: the compiled unrolling of
+# Its umbrella tests include the schedule pin (for every distinct registry
+# miter: the netlist's signal count, the scheduled-signal count and the
+# compiled schedule's length, so any schedule change fails the gate), the
+# encoding oracle: the compiled unrolling of
 # every distinct registry miter checked against the word-level simulator,
 # fresh and after CNF simplification, the non-vacuity gate (every distinct
 # registry miter's premises are satisfiable), and the default session

@@ -1,6 +1,7 @@
 //! Cross-layer checks of the UPEC query path — `IncrementalSession` over
 //! `bmc::Unrolling` over `sat::Solver` — cheap enough for the default test
-//! run: the compiled encoding of every distinct registry miter agrees with
+//! run: every distinct registry miter's netlist, cone and compiled schedule
+//! keep their pinned sizes, the compiled encoding of every one agrees with
 //! the word-level simulator (at k=1 in debug builds, k=3 in release), every
 //! distinct registry miter's premises are satisfiable (at k=1 in debug
 //! builds, its deepest registered window in release), and at k=1 the solve
@@ -154,7 +155,7 @@ fn a_stopped_query_resumes_to_the_clean_verdict() {
 fn check_random_run(
     name: &str,
     model: &UpecModel,
-    unrolling: &mut Unrolling<'_>,
+    unrolling: &mut Unrolling,
     k: usize,
     scheduled: &[SignalId],
     rng: &mut SplitMix64,
@@ -230,6 +231,47 @@ fn distinct_miters() -> Vec<(String, SocConfig, SecretScenario, usize)> {
     miters
 }
 
+/// The schedule pin: for every distinct registry miter, the netlist's
+/// signal count, how many of those signals the compiled cone schedules,
+/// and the schedule's slot count. A change to the SoC generator, the
+/// miter, the cone or the compiler's hashing and folding moves one of
+/// these numbers, and with it every CNF the miter's queries solve.
+#[test]
+fn registry_schedules_keep_their_sizes() {
+    let pins = [
+        ("secure-uncached", [1728, 1704, 1417]),
+        ("secure-cached", [1727, 1703, 1417]),
+        ("meltdown", [1727, 1703, 1417]),
+        ("orc", [1721, 1693, 1351]),
+        ("pmp-lock", [1725, 1701, 1415]),
+        ("cache-footprint@r4c4m1s1", [1823, 1799, 1493]),
+        ("cache-footprint@r4c2m2s1", [1727, 1703, 1417]),
+        ("cache-footprint@r4c2m1s2", [1727, 1703, 1417]),
+        ("orc@r4c4m1s1", [1817, 1789, 1427]),
+        ("orc@r4c2m2s1", [1721, 1693, 1351]),
+        ("orc@r4c2m1s2", [1721, 1693, 1351]),
+        ("secure-arch-only@r4c4m1s1", [1823, 1799, 1493]),
+        ("secure-arch-only@r4c2m2s1", [1727, 1703, 1417]),
+    ];
+    let sizes: Vec<(String, [usize; 3])> = distinct_miters()
+        .into_iter()
+        .map(|(name, config, secret, _)| {
+            let model = UpecModel::new(&config, secret);
+            let (netlist, transition) = (model.netlist(), model.compiled_transition());
+            let scheduled = netlist
+                .signals()
+                .filter(|&s| transition.slot_of(s).is_some())
+                .count();
+            (name, [netlist.len(), scheduled, transition.len()])
+        })
+        .collect();
+    let pinned: Vec<(String, [usize; 3])> = pins
+        .iter()
+        .map(|&(name, sizes)| (name.to_string(), sizes))
+        .collect();
+    assert_eq!(sizes, pinned);
+}
+
 /// The non-vacuity gate. A refutation of a query whose premises are already
 /// unsatisfiable checks like any other, so no certificate can see vacuity.
 /// For every distinct registry miter, the premises each of its queries is
@@ -247,7 +289,6 @@ fn registry_premises_are_satisfiable() {
         };
         let model = UpecModel::new(&config, secret);
         let mut unrolling = Unrolling::with_compiled(
-            model.netlist(),
             Arc::clone(model.compiled_transition()),
             UnrollOptions::default(),
             &model.frame0_aliases(),
@@ -293,7 +334,6 @@ fn compiled_unrolling_matches_the_simulator_on_every_registry_miter() {
             .filter(|&s| transition.slot_of(s).is_some())
             .collect();
         let mut unrolling = Unrolling::with_compiled(
-            model.netlist(),
             Arc::clone(transition),
             UnrollOptions::default().with_simplify_trial(0),
             &model.frame0_aliases(),
