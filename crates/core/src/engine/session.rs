@@ -125,12 +125,6 @@ impl<'m> IncrementalSession<'m> {
         self.unrolling.inject_fault(plan);
     }
 
-    /// Lifetime solver statistics of the session (counters accumulate over
-    /// every query; see [`sat::SolverStats::delta_since`]).
-    pub fn solver_stats(&self) -> sat::SolverStats {
-        self.unrolling.solver().stats()
-    }
-
     /// Counters of the CNF simplification pipeline (variables eliminated,
     /// clauses subsumed, …; all zero until a query exhausted its
     /// [`UnrollOptions::simplify_trial_conflicts`] trial). See
@@ -428,26 +422,24 @@ mod tests {
             let mut session = IncrementalSession::with_options(&model, options);
             let outcome = session.check_bound(k, &commitment);
             assert!(outcome.alert().is_some(), "k={k}: {outcome:?}");
-            let stats = session.solver_stats();
-            scratch_conflicts += stats.conflicts;
-            scratch_propagations += stats.propagations;
+            scratch_conflicts += outcome.stats().conflicts;
+            scratch_propagations += outcome.stats().propagations;
         }
 
         // One incremental session over the same bounds.
         let mut session = IncrementalSession::with_options(&model, options);
+        let (mut conflicts, mut propagations) = (0u64, 0u64);
         for k in 1..=max_k {
-            assert!(session.check_bound(k, &commitment).alert().is_some());
+            let outcome = session.check_bound(k, &commitment);
+            assert!(outcome.alert().is_some(), "k={k}: {outcome:?}");
+            conflicts += outcome.stats().conflicts;
+            propagations += outcome.stats().propagations;
         }
-        let incremental = session.solver_stats();
 
         assert!(
-            incremental.conflicts < scratch_conflicts
-                && incremental.propagations < scratch_propagations,
-            "incremental session must be cheaper: {} vs {} conflicts, {} vs {} propagations",
-            incremental.conflicts,
-            scratch_conflicts,
-            incremental.propagations,
-            scratch_propagations,
+            conflicts < scratch_conflicts && propagations < scratch_propagations,
+            "incremental session must be cheaper: {conflicts} vs {scratch_conflicts} conflicts, \
+             {propagations} vs {scratch_propagations} propagations",
         );
     }
 

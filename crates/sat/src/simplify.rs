@@ -331,12 +331,12 @@ impl Solver {
             if self.stats.propagations.saturating_sub(budget_start) > max_propagations {
                 break;
             }
-            if self.assigns[vi] != LBool::Undef || self.eliminated[vi] {
+            let var = Var::from_index(vi);
+            if self.value_lit(var.positive()) != LBool::Undef || self.eliminated[vi] {
                 continue;
             }
-            let var = Var::from_index(vi);
             for positive in [true, false] {
-                if self.assigns[vi] != LBool::Undef {
+                if self.value_lit(var.positive()) != LBool::Undef {
                     break;
                 }
                 let probe = Lit::new(var, positive);
@@ -380,15 +380,21 @@ impl Solver {
     /// and letting them join subsumption/elimination only strengthens both.
     fn extract_clauses(&self) -> Vec<SimpClause> {
         let mut clauses: Vec<SimpClause> = self
-            .headers
-            .iter()
-            .filter(|h| !h.deleted)
-            .map(|h| SimpClause {
-                lits: self.clause_lits[h.start as usize..(h.start + h.len) as usize].to_vec(),
-                learnt: h.learnt,
-                activity: h.activity,
-                lbd: h.lbd,
-                deleted: false,
+            .clause_refs()
+            .filter(|&cref| !self.is_deleted(cref))
+            .map(|cref| {
+                let learnt = self.is_learnt(cref);
+                SimpClause {
+                    lits: self.clause_lits(cref).collect(),
+                    learnt,
+                    activity: if learnt {
+                        self.clause_activity(cref)
+                    } else {
+                        0.0
+                    },
+                    lbd: if learnt { self.clause_lbd(cref) } else { 0 },
+                    deleted: false,
+                }
             })
             .collect();
         for code in 0..self.bin_watches.len() {
@@ -590,7 +596,9 @@ impl Solver {
         // Cheapest candidates first: fewest occurrences total.
         let mut candidates: Vec<(usize, Var)> = (0..self.num_vars())
             .filter(|&vi| {
-                !self.frozen[vi] && !self.eliminated[vi] && self.assigns[vi] == LBool::Undef
+                !self.frozen[vi]
+                    && !self.eliminated[vi]
+                    && self.value_lit(Var::from_index(vi).positive()) == LBool::Undef
             })
             .map(|vi| {
                 let v = Var::from_index(vi);
@@ -602,7 +610,7 @@ impl Solver {
         candidates.sort_unstable_by_key(|&(total, v)| (total, v));
 
         for (_, v) in candidates {
-            if self.assigns[v.index()] != LBool::Undef {
+            if self.value_lit(v.positive()) != LBool::Undef {
                 continue; // assigned meanwhile by a unit resolvent
             }
             let live = |occ: &[u32], clauses: &[SimpClause]| -> Vec<u32> {
@@ -710,9 +718,7 @@ impl Solver {
     /// set, rebuilding every watch list and binary implication list (this
     /// also compacts the arena holes left by deleted clauses).
     fn rebuild(&mut self, clauses: Vec<SimpClause>) {
-        self.headers.clear();
-        self.clause_lits.clear();
-        self.reset_waste();
+        self.clear_arena();
         for w in &mut self.watches {
             w.clear();
         }
@@ -720,21 +726,20 @@ impl Solver {
             w.clear();
         }
         self.num_bin_clauses = 0;
-        self.num_learnts = 0;
         // All trail entries are top-level facts now; their reasons pointed
         // into the old database. Unassigned variables already carry no
         // clause reference (`backtrack_to` scrubs on unassignment), so this
-        // trail walk leaves the whole solver free of old-arena indices.
+        // trail walk leaves the whole solver free of old-arena references.
         for i in 0..self.trail.len() {
             let vi = self.trail[i].var().index();
             self.var_data[vi].reason = Reason::Decision;
         }
         #[cfg(debug_assertions)]
         for (vi, d) in self.var_data.iter().enumerate() {
-            if self.assigns[vi] == LBool::Undef {
+            if self.value_lit(Var::from_index(vi).positive()) == LBool::Undef {
                 debug_assert!(
                     !matches!(d.reason, Reason::Long(_)),
-                    "unassigned v{vi} carries a clause-index reason into rebuild"
+                    "unassigned v{vi} carries a clause reference into rebuild"
                 );
             }
         }
@@ -761,12 +766,11 @@ impl Solver {
                 self.attach_binary(c.lits[0], c.lits[1]);
                 continue;
             }
-            let activity = c.activity;
-            let lbd = c.lbd;
-            let learnt = c.learnt;
-            let cref = self.attach_clause(c.lits, learnt);
-            self.headers[cref as usize].activity = activity;
-            self.headers[cref as usize].lbd = lbd;
+            let cref = self.attach_clause(&c.lits, c.learnt);
+            if c.learnt {
+                self.set_clause_activity(cref, c.activity);
+                self.set_clause_lbd(cref, c.lbd);
+            }
         }
         self.stats.learnt_clauses = self.num_learnts as u64;
         // Every remaining clause was cleaned against the final trail, so

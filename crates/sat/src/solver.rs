@@ -3,21 +3,24 @@
 //! The solver follows the classic MiniSat architecture: two watched literals
 //! per clause, first-UIP conflict analysis, VSIDS variable activities with an
 //! index-tracked mutable heap, phase saving, Luby restarts and periodic
-//! deletion of inactive learned clauses. Two storage-level specializations
-//! keep the propagation inner loop off cold memory:
+//! deletion of inactive learned clauses. Three storage choices keep the
+//! propagation inner loop off cold memory:
 //!
-//! * **Binary implication graph.** Two-literal clauses — the dominant clause
-//!   length in Tseitin-encoded hardware miters — are not stored in the clause
-//!   arena at all. Each literal carries a flat list of the literals it
+//! * **Binary implication graph.** Two-literal clauses never enter the
+//!   clause arena. Each literal carries a flat list of the literals it
 //!   directly implies, so propagating a binary clause reads one inline `Lit`
-//!   and never touches a `ClauseHeader` or the literal arena. Binary
-//!   implications are propagated to fixpoint before any long clause is
-//!   visited.
-//! * **Clause-arena garbage collection.** Database reduction tombstones
-//!   headers and leaves literal holes in the arena; when the wasted-literal
-//!   ratio reaches 25% a compacting collection rebuilds the arena and remaps
-//!   every watcher and reason index, keeping memory (and cache locality)
-//!   bounded across long incremental sessions.
+//!   and never touches the arena. Binary implications are propagated to
+//!   fixpoint before any long clause is visited.
+//! * **One clause arena.** A clause of three or more literals is a header
+//!   word (length and flags) followed by its literals, and a learned clause
+//!   adds its LBD and activity after them, all in one `u32` vector. A clause
+//!   is named by the arena offset of its header, so a watcher visit that
+//!   passes the blocker reads one cache line. Database reduction tombstones
+//!   clauses in place; when the tombstoned literals reach 25% of the arena's
+//!   literals a compacting collection copies the live clauses into a fresh
+//!   arena and forwards every watcher and reason through the old copy.
+//! * **Literal-indexed values.** The assignment is one table indexed by
+//!   literal code, so looking up a literal's value is a single load.
 
 use crate::drat::{ProofLog, ProofStep};
 use crate::simplify::{ExtensionEntry, SimplifyStats};
@@ -59,12 +62,6 @@ pub struct SolverStats {
     pub deleted_clauses: u64,
     /// Number of compacting clause-arena garbage collections performed.
     pub arena_collections: u64,
-    /// Number of solving episodes stopped by an exhausted [`Budget`] cap,
-    /// including the conflict-capped trial episodes the `bmc` unroller runs
-    /// before deciding whether to simplify.
-    pub budget_exhaustions: u64,
-    /// Number of solving episodes stopped by a raised [`CancelToken`].
-    pub cancellations: u64,
 }
 
 impl SolverStats {
@@ -105,10 +102,6 @@ impl SolverStats {
             arena_collections: self
                 .arena_collections
                 .saturating_sub(earlier.arena_collections),
-            budget_exhaustions: self
-                .budget_exhaustions
-                .saturating_sub(earlier.budget_exhaustions),
-            cancellations: self.cancellations.saturating_sub(earlier.cancellations),
         }
     }
 }
@@ -237,28 +230,47 @@ impl CancelToken {
     }
 }
 
-/// Clause metadata for clauses of three or more literals. The literals
-/// themselves live in one flat arena (`Solver::clause_lits`) indexed by
-/// `start..start + len`: propagation is memory-latency-bound, and keeping all
-/// clause literals contiguous removes one pointer dereference (and most cache
-/// misses) per visited clause compared to a `Vec<Lit>` per clause. Binary
-/// clauses never reach the arena — they live in the implication lists
-/// (`Solver::bin_watches`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ClauseHeader {
-    pub(crate) start: u32,
-    pub(crate) len: u32,
-    pub(crate) learnt: bool,
-    pub(crate) deleted: bool,
-    pub(crate) activity: f64,
-    /// Literal block distance: number of distinct decision levels in the
-    /// clause at learning time. Problem clauses carry 0; learned clauses with
-    /// `lbd <= 2` ("glue" clauses) are never deleted by database reduction.
-    pub(crate) lbd: u32,
+// An arena clause is a header word followed by its literal codes; a learned
+// clause carries `TRAILER` more words after its literals: its LBD and the
+// low and high halves of its `f64` activity. A clause is named by the arena
+// offset of its header word, its *clause reference*. Binary clauses never
+// reach the arena: they live in the implication lists
+// (`Solver::bin_watches`).
+/// Header bit: a learned clause (it carries the trailer).
+const LEARNT: u32 = 1;
+/// Header bit: a tombstoned clause, left in place until the next collection.
+const DELETED: u32 = 2;
+/// The literal count sits above the flag bits of the header word.
+const LEN_SHIFT: u32 = 2;
+/// Words after a learned clause's literals: LBD, activity low, activity high.
+const TRAILER: usize = 3;
+
+/// The literal count in a header word.
+fn header_len(header: u32) -> usize {
+    (header >> LEN_SHIFT) as usize
+}
+
+/// Arena words of the clause with this header: header, literals and, for a
+/// learned clause, the trailer.
+fn clause_words(header: u32) -> usize {
+    1 + header_len(header) + if header & LEARNT != 0 { TRAILER } else { 0 }
+}
+
+/// References of every clause in `arena`, in order, tombstones included.
+fn clause_refs(arena: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    let mut cref = 0;
+    std::iter::from_fn(move || {
+        (cref < arena.len()).then(|| {
+            let this = cref;
+            cref += clause_words(arena[cref]);
+            this as u32
+        })
+    })
 }
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Watcher {
+    /// Reference of the watched clause.
     clause: u32,
     blocker: Lit,
 }
@@ -268,7 +280,7 @@ pub(crate) struct Watcher {
 pub(crate) enum Reason {
     /// A decision (or assumption, or top-level fact): no antecedent clause.
     Decision,
-    /// Propagated by the arena clause with this index; the propagated
+    /// Propagated by the arena clause with this reference; the propagated
     /// literal is the clause's first literal.
     Long(u32),
     /// Propagated by a binary clause; the payload is the *other* literal of
@@ -279,7 +291,7 @@ pub(crate) enum Reason {
 /// A falsified clause discovered by propagation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Conflict {
-    /// An arena clause.
+    /// An arena clause, by reference.
     Long(u32),
     /// A binary clause, given by its two (falsified) literals.
     Binary(Lit, Lit),
@@ -418,8 +430,17 @@ impl VarHeap {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Solver {
-    pub(crate) headers: Vec<ClauseHeader>,
-    pub(crate) clause_lits: Vec<Lit>,
+    /// The clause arena: every clause of three or more literals, in attach
+    /// order, tombstones included (layout at `LEARNT`).
+    pub(crate) arena: Vec<u32>,
+    /// Literals of the arena's clauses, tombstones included: the base of the
+    /// collection trigger and of [`Solver::arena_wasted_ratio`].
+    arena_lits: usize,
+    /// Clauses in the arena, tombstones included. The vivifier's cursor
+    /// counts clauses in arena order and wraps at this count.
+    arena_clauses: usize,
+    /// Live problem clauses in the arena.
+    num_problem_clauses: usize,
     pub(crate) watches: Vec<Vec<Watcher>>,
     /// Binary implication lists: `bin_watches[p.code()]` holds every literal
     /// `q` for which a binary clause `(!p ∨ q)` exists — i.e. the literals
@@ -428,7 +449,9 @@ pub struct Solver {
     pub(crate) bin_watches: Vec<Vec<Lit>>,
     /// Number of binary clauses stored in the implication lists.
     pub(crate) num_bin_clauses: usize,
-    pub(crate) assigns: Vec<LBool>,
+    /// The assignment, indexed by literal code: both literals of a variable
+    /// are written on assignment and cleared on backtracking.
+    values: Vec<LBool>,
     pub(crate) var_data: Vec<VarData>,
     pub(crate) trail: Vec<Lit>,
     trail_lim: Vec<usize>,
@@ -443,17 +466,14 @@ pub struct Solver {
     order: VarHeap,
     pub(crate) phase: Vec<bool>,
     seen: Vec<bool>,
-    /// Scratch buffer for conflict analysis (avoids a per-resolution
-    /// allocation when copying antecedent literals out of the arena).
+    /// Scratch buffer for copying clause literals out of the arena (conflict
+    /// analysis, logged deletions), so neither allocates per clause.
     analyze_scratch: Vec<Lit>,
-    /// Reusable mark vector of clauses currently locked as a propagation
-    /// reason (indexed by clause); re-zeroed at the start of every database
-    /// reduction.
-    locked_marks: Vec<bool>,
-    /// Reusable candidate-ranking buffer for database reduction.
-    reduce_scratch: Vec<u32>,
-    /// Literals sitting in arena holes left by tombstoned clauses; when the
-    /// wasted ratio reaches [`Solver::GC_WASTE_DENOMINATOR`] a compacting
+    /// Reusable candidate-ranking buffer for database reduction: the LBD,
+    /// activity and reference of each candidate.
+    reduce_scratch: Vec<(u32, f64, u32)>,
+    /// Literals of tombstoned clauses; when they reach
+    /// `1/`[`Solver::GC_WASTE_DENOMINATOR`] of `arena_lits` a compacting
     /// collection runs.
     wasted_lits: usize,
     pub(crate) ok: bool,
@@ -540,12 +560,14 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Self {
-            headers: Vec::new(),
-            clause_lits: Vec::new(),
+            arena: Vec::new(),
+            arena_lits: 0,
+            arena_clauses: 0,
+            num_problem_clauses: 0,
             watches: Vec::new(),
             bin_watches: Vec::new(),
             num_bin_clauses: 0,
-            assigns: Vec::new(),
+            values: Vec::new(),
             var_data: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -558,7 +580,6 @@ impl Solver {
             phase: Vec::new(),
             seen: Vec::new(),
             analyze_scratch: Vec::new(),
-            locked_marks: Vec::new(),
             reduce_scratch: Vec::new(),
             wasted_lits: 0,
             ok: true,
@@ -627,11 +648,12 @@ impl Solver {
                 }
             }
         }
-        for i in 0..self.headers.len() {
-            if !self.headers[i].deleted {
-                let h = self.headers[i];
-                let lits = &self.clause_lits[h.start as usize..(h.start + h.len) as usize];
-                log.push(ProofStep::Axiom, lits);
+        let mut lits = Vec::new();
+        for cref in self.clause_refs() {
+            if !self.is_deleted(cref) {
+                lits.clear();
+                lits.extend(self.clause_lits(cref));
+                log.push(ProofStep::Axiom, &lits);
             }
         }
         self.proof = Some(log);
@@ -671,19 +693,13 @@ impl Solver {
     /// Logs the deletion of an arena clause (the literals are still in the
     /// arena when the header is tombstoned).
     #[inline]
-    pub(crate) fn log_delete_clause(&mut self, clause: u32) {
-        let Solver {
-            headers,
-            clause_lits,
-            proof,
-            ..
-        } = self;
-        if let Some(p) = proof.as_mut() {
-            let h = headers[clause as usize];
-            p.push(
-                ProofStep::Delete,
-                &clause_lits[h.start as usize..(h.start + h.len) as usize],
-            );
+    pub(crate) fn log_delete_clause(&mut self, cref: u32) {
+        if self.proof.is_some() {
+            let mut lits = std::mem::take(&mut self.analyze_scratch);
+            lits.clear();
+            lits.extend(self.clause_lits(cref));
+            self.log_delete_slice(&lits);
+            self.analyze_scratch = lits;
         }
     }
 
@@ -812,33 +828,83 @@ impl Solver {
     /// solver is quiescent (i.e. outside `reduce_db` itself); the bound is
     /// asserted by the arena-GC test suites in `sat` and `bmc`.
     pub fn arena_wasted_ratio(&self) -> f64 {
-        if self.clause_lits.is_empty() {
+        if self.arena_lits == 0 {
             0.0
         } else {
-            self.wasted_lits as f64 / self.clause_lits.len() as f64
+            self.wasted_lits as f64 / self.arena_lits as f64
         }
     }
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.var_data.len()
     }
 
     /// Number of problem clauses (excluding long learned clauses; binary
     /// clauses — including learned binaries, which are retained permanently —
     /// are counted).
     pub fn num_clauses(&self) -> usize {
-        self.headers
-            .iter()
-            .filter(|c| !c.learnt && !c.deleted)
-            .count()
-            + self.num_bin_clauses
+        self.num_problem_clauses + self.num_bin_clauses
+    }
+
+    /// References of every arena clause in attach order, tombstones
+    /// included.
+    pub(crate) fn clause_refs(&self) -> impl Iterator<Item = u32> + '_ {
+        clause_refs(&self.arena)
     }
 
     /// The literals of a clause.
-    pub(crate) fn lits_of(&self, clause: u32) -> &[Lit] {
-        let h = &self.headers[clause as usize];
-        &self.clause_lits[h.start as usize..(h.start + h.len) as usize]
+    pub(crate) fn clause_lits(&self, cref: u32) -> impl Iterator<Item = Lit> + '_ {
+        let start = cref as usize + 1;
+        let len = header_len(self.arena[cref as usize]);
+        self.arena[start..start + len].iter().map(|&code| Lit(code))
+    }
+
+    pub(crate) fn is_learnt(&self, cref: u32) -> bool {
+        self.arena[cref as usize] & LEARNT != 0
+    }
+
+    pub(crate) fn is_deleted(&self, cref: u32) -> bool {
+        self.arena[cref as usize] & DELETED != 0
+    }
+
+    /// Arena index of a learned clause's trailer.
+    fn trailer(&self, cref: u32) -> usize {
+        let header = self.arena[cref as usize];
+        debug_assert!(header & LEARNT != 0, "only learned clauses carry a trailer");
+        cref as usize + 1 + header_len(header)
+    }
+
+    /// The LBD of a learned clause.
+    pub(crate) fn clause_lbd(&self, cref: u32) -> u32 {
+        self.arena[self.trailer(cref)]
+    }
+
+    pub(crate) fn set_clause_lbd(&mut self, cref: u32, lbd: u32) {
+        let at = self.trailer(cref);
+        self.arena[at] = lbd;
+    }
+
+    /// The activity of a learned clause.
+    pub(crate) fn clause_activity(&self, cref: u32) -> f64 {
+        let at = self.trailer(cref) + 1;
+        f64::from_bits(u64::from(self.arena[at]) | u64::from(self.arena[at + 1]) << 32)
+    }
+
+    pub(crate) fn set_clause_activity(&mut self, cref: u32, activity: f64) {
+        let at = self.trailer(cref) + 1;
+        let bits = activity.to_bits();
+        self.arena[at] = bits as u32;
+        self.arena[at + 1] = (bits >> 32) as u32;
+    }
+
+    /// Whether the clause is the reason of an assigned literal. A reason
+    /// clause keeps the literal it propagated first, so that literal is the
+    /// only one to look at.
+    fn locked(&self, cref: u32) -> bool {
+        let first = Lit(self.arena[cref as usize + 1]);
+        self.values[first.code()] == LBool::True
+            && self.var_data[first.var().index()].reason == Reason::Long(cref)
     }
 
     /// Solving statistics accumulated so far.
@@ -848,8 +914,9 @@ impl Solver {
 
     /// Allocates a fresh Boolean variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        let v = Var::from_index(self.var_data.len());
+        self.values.push(LBool::Undef);
+        self.values.push(LBool::Undef);
         self.var_data.push(VarData {
             reason: Reason::Decision,
             level: 0,
@@ -876,17 +943,9 @@ impl Solver {
         }
     }
 
-    fn value_var(&self, var: Var) -> LBool {
-        self.assigns[var.index()]
-    }
-
+    #[inline]
     pub(crate) fn value_lit(&self, lit: Lit) -> LBool {
-        let v = self.assigns[lit.var().index()];
-        if lit.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        self.values[lit.code()]
     }
 
     pub(crate) fn decision_level(&self) -> u32 {
@@ -974,7 +1033,7 @@ impl Solver {
                 self.attach_binary(simplified[0], simplified[1]);
             }
             _ => {
-                self.attach_clause(simplified, false);
+                self.attach_clause(&simplified, false);
             }
         }
     }
@@ -988,40 +1047,57 @@ impl Solver {
         self.num_bin_clauses += 1;
     }
 
-    pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    /// Appends a clause to the arena and watches its first two literals. A
+    /// learned clause starts with LBD 0 and activity 0.
+    pub(crate) fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> u32 {
         debug_assert!(lits.len() >= 3, "binary clauses use the implication lists");
-        let idx = self.headers.len() as u32;
-        let w0 = Watcher {
-            clause: idx,
+        let cref = u32::try_from(self.arena.len()).expect("clause arena exceeds u32 range");
+        self.watches[(!lits[0]).code()].push(Watcher {
+            clause: cref,
             blocker: lits[1],
-        };
-        let w1 = Watcher {
-            clause: idx,
+        });
+        self.watches[(!lits[1]).code()].push(Watcher {
+            clause: cref,
             blocker: lits[0],
-        };
-        self.watches[(!lits[0]).code()].push(w0);
-        self.watches[(!lits[1]).code()].push(w1);
+        });
+        let len = u32::try_from(lits.len())
+            .ok()
+            .filter(|&n| n <= u32::MAX >> LEN_SHIFT)
+            .expect("clause too long for its header word");
+        self.arena
+            .push(len << LEN_SHIFT | if learnt { LEARNT } else { 0 });
+        self.arena.extend(lits.iter().map(|l| l.0));
         if learnt {
+            self.arena.extend([0; TRAILER]);
             self.num_learnts += 1;
             self.stats.learnt_clauses = self.num_learnts as u64;
+        } else {
+            self.num_problem_clauses += 1;
         }
-        let start = self.clause_lits.len() as u32;
-        let len = lits.len() as u32;
-        self.clause_lits.extend_from_slice(&lits);
-        self.headers.push(ClauseHeader {
-            start,
-            len,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd: 0,
-        });
-        idx
+        self.arena_lits += lits.len();
+        self.arena_clauses += 1;
+        cref
+    }
+
+    /// Tombstones an arena clause. Its words stay in place until the next
+    /// collection; its watchers are dropped lazily.
+    fn delete_clause(&mut self, cref: u32) {
+        let header = self.arena[cref as usize];
+        debug_assert_eq!(header & DELETED, 0, "clause {cref} deleted twice");
+        self.arena[cref as usize] = header | DELETED;
+        self.wasted_lits += header_len(header);
+        if header & LEARNT != 0 {
+            self.num_learnts -= 1;
+            self.stats.learnt_clauses = self.num_learnts as u64;
+        } else {
+            self.num_problem_clauses -= 1;
+        }
     }
 
     pub(crate) fn enqueue(&mut self, lit: Lit, reason: Reason) {
         debug_assert_eq!(self.value_lit(lit), LBool::Undef);
-        self.assigns[lit.var().index()] = LBool::from_bool(lit.is_positive());
+        self.values[lit.code()] = LBool::True;
+        self.values[(!lit).code()] = LBool::False;
         self.var_data[lit.var().index()] = VarData {
             reason,
             level: self.decision_level(),
@@ -1031,9 +1107,9 @@ impl Solver {
 
     pub(crate) fn propagate(&mut self) -> Option<Conflict> {
         loop {
-            // Phase 1: exhaust the binary implication graph. Binary clauses
-            // are the bulk of a Tseitin encoding and each one costs a single
-            // inline `Lit` read here — no header, no arena, no watcher moves.
+            // Phase 1: exhaust the binary implication graph. Each binary
+            // clause costs a single inline `Lit` read here — no arena, no
+            // watcher moves.
             while self.qhead_bin < self.trail.len() {
                 let p = self.trail[self.qhead_bin];
                 self.qhead_bin += 1;
@@ -1044,7 +1120,7 @@ impl Solver {
                 let implications = std::mem::take(&mut self.bin_watches[p.code()]);
                 let mut conflict = None;
                 for &q in &implications {
-                    match self.value_lit(q) {
+                    match self.values[q.code()] {
                         LBool::True => {}
                         LBool::Undef => self.enqueue(q, Reason::Binary(!p)),
                         LBool::False => {
@@ -1067,6 +1143,7 @@ impl Solver {
             }
             let p = self.trail[self.qhead];
             self.qhead += 1;
+            let false_lit = !p;
 
             // Move the list out for the scan; during the scan no watcher can
             // be pushed onto `p`'s own list (a new watch `!lk` equals `p`
@@ -1078,34 +1155,33 @@ impl Solver {
             'watchers: while i < watchers.len() {
                 let w = watchers[i];
                 // Fast path: the blocker literal is already true.
-                if self.value_lit(w.blocker) == LBool::True {
+                if self.values[w.blocker.code()] == LBool::True {
                     i += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
-                let header = self.headers[ci];
-                if header.deleted {
+                let cref = w.clause as usize;
+                let header = self.arena[cref];
+                if header & DELETED != 0 {
                     watchers.swap_remove(i);
                     continue;
                 }
-                let s = header.start as usize;
+                let lits = &mut self.arena[cref + 1..cref + 1 + header_len(header)];
                 // Make sure the false literal (!p) is at position 1.
-                if self.clause_lits[s] == !p {
-                    self.clause_lits.swap(s, s + 1);
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.clause_lits[s + 1], !p);
-                let first = self.clause_lits[s];
-                if first != w.blocker && self.value_lit(first) == LBool::True {
+                debug_assert_eq!(lits[1], false_lit.0);
+                let first = Lit(lits[0]);
+                if first != w.blocker && self.values[first.code()] == LBool::True {
                     watchers[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = header.len as usize;
-                for k in 2..len {
-                    let lk = self.clause_lits[s + k];
-                    if self.value_lit(lk) != LBool::False {
-                        self.clause_lits.swap(s + 1, s + k);
+                for k in 2..lits.len() {
+                    let lk = Lit(lits[k]);
+                    if self.values[lk.code()] != LBool::False {
+                        lits.swap(1, k);
                         self.watches[(!lk).code()].push(Watcher {
                             clause: w.clause,
                             blocker: first,
@@ -1116,7 +1192,7 @@ impl Solver {
                 }
                 // No new watch found: the clause is unit or conflicting.
                 watchers[i].blocker = first;
-                if self.value_lit(first) == LBool::False {
+                if self.values[first.code()] == LBool::False {
                     conflict = Some(Conflict::Long(w.clause));
                     self.qhead = self.trail.len();
                     self.qhead_bin = self.trail.len();
@@ -1148,12 +1224,18 @@ impl Solver {
         self.order.update(var, &self.activity);
     }
 
-    fn bump_clause(&mut self, clause: u32) {
-        let c = &mut self.headers[clause as usize];
-        c.activity += self.clause_inc;
-        if c.activity > 1e20 {
-            for cl in &mut self.headers {
-                cl.activity *= 1e-20;
+    fn bump_clause(&mut self, cref: u32) {
+        let activity = self.clause_activity(cref) + self.clause_inc;
+        self.set_clause_activity(cref, activity);
+        if activity > 1e20 {
+            let mut c = 0;
+            while c < self.arena.len() {
+                let header = self.arena[c];
+                if header & LEARNT != 0 {
+                    let scaled = self.clause_activity(c as u32) * 1e-20;
+                    self.set_clause_activity(c as u32, scaled);
+                }
+                c += clause_words(header);
             }
             self.clause_inc *= 1e-20;
         }
@@ -1171,11 +1253,11 @@ impl Solver {
         loop {
             lits.clear();
             match confl {
-                Conflict::Long(ci) => {
-                    if self.headers[ci as usize].learnt {
-                        self.bump_clause(ci);
+                Conflict::Long(cref) => {
+                    if self.is_learnt(cref) {
+                        self.bump_clause(cref);
                     }
-                    lits.extend_from_slice(self.lits_of(ci));
+                    lits.extend(self.clause_lits(cref));
                 }
                 Conflict::Binary(a, b) => {
                     lits.push(a);
@@ -1210,7 +1292,7 @@ impl Solver {
                 break;
             }
             confl = match self.var_data[lit.var().index()].reason {
-                Reason::Long(ci) => Conflict::Long(ci),
+                Reason::Long(cref) => Conflict::Long(cref),
                 // The antecedent is the binary clause (lit ∨ other); putting
                 // the resolved literal first lets the `start` skip above
                 // treat it exactly like a long reason clause.
@@ -1252,9 +1334,10 @@ impl Solver {
         for i in (target..self.trail.len()).rev() {
             let lit = self.trail[i];
             let v = lit.var();
-            self.assigns[v.index()] = LBool::Undef;
-            // Scrub the reason on unassignment: a clause-index reason on an
-            // unassigned variable would dangle across database reduction,
+            self.values[lit.code()] = LBool::Undef;
+            self.values[(!lit).code()] = LBool::Undef;
+            // Scrub the reason on unassignment: a clause-reference reason on
+            // an unassigned variable would dangle across database reduction,
             // arena collection and simplifier rebuilds. This store makes
             // "unassigned ⇒ no clause reference" a global invariant that
             // `debug_validate` checks unconditionally.
@@ -1270,7 +1353,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(var) = self.order.pop(&self.activity) {
-            if self.value_var(var) == LBool::Undef && !self.eliminated[var.index()] {
+            if self.value_lit(var.positive()) == LBool::Undef && !self.eliminated[var.index()] {
                 return Some(var);
             }
         }
@@ -1292,199 +1375,254 @@ impl Solver {
     }
 
     fn reduce_db(&mut self) {
-        // Mark the clauses currently locked as a propagation reason. Only
-        // trail (i.e. assigned) variables can carry clause reasons:
-        // `backtrack_to` scrubs the reason on every unassignment, so the
-        // trail walk sees every live lock. The marks live in a reusable
-        // vector (re-zeroed by the clear + resize here), so the whole
-        // reduction allocates nothing once the buffers are warm.
-        self.locked_marks.clear();
-        self.locked_marks.resize(self.headers.len(), false);
-        for i in 0..self.trail.len() {
-            if let Reason::Long(c) = self.var_data[self.trail[i].var().index()].reason {
-                self.locked_marks[c as usize] = true;
-            }
-        }
         // Retention policy: glue clauses (LBD <= 2) are kept unconditionally;
-        // the rest are ranked worst-first by (high LBD, low activity) and the
-        // worst half deleted.
+        // the rest are ranked worst-first by (high LBD, low activity, arena
+        // order) and the worst half deleted, skipping clauses locked as a
+        // propagation reason. The ranking buffer is reused, so the whole
+        // reduction allocates nothing once it is warm.
         let mut order = std::mem::take(&mut self.reduce_scratch);
         order.clear();
-        order.extend(
-            self.headers
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.learnt && !c.deleted && c.lbd > 2)
-                .map(|(i, _)| i as u32),
-        );
-        order.sort_unstable_by(|&a, &b| {
-            let (ca, cb) = (&self.headers[a as usize], &self.headers[b as usize]);
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then_with(|| {
-                    ca.activity
-                        .partial_cmp(&cb.activity)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .then_with(|| a.cmp(&b))
+        for cref in self.clause_refs() {
+            if self.arena[cref as usize] & (LEARNT | DELETED) == LEARNT {
+                let lbd = self.clause_lbd(cref);
+                if lbd > 2 {
+                    order.push((lbd, self.clause_activity(cref), cref));
+                }
+            }
+        }
+        order.sort_unstable_by(|a, b| {
+            b.0.cmp(&a.0)
+                .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .then_with(|| a.2.cmp(&b.2))
         });
         let to_remove = order.len() / 2;
         let mut removed = 0;
-        for &idx in order.iter() {
+        for &(_, _, cref) in order.iter() {
             if removed >= to_remove {
                 break;
             }
-            let idx = idx as usize;
-            if self.locked_marks[idx] {
+            if self.locked(cref) {
                 continue;
             }
-            self.log_delete_clause(idx as u32);
-            // The header is tombstoned; its literals stay in the arena as a
-            // hole (propagation never visits them again because the watcher
+            self.log_delete_clause(cref);
+            // The clause is tombstoned; its words stay in the arena
+            // (propagation never visits them again because the watcher
             // entries are dropped lazily) until the compacting collection
             // below reclaims them.
-            self.headers[idx].deleted = true;
-            self.wasted_lits += self.headers[idx].len as usize;
+            self.delete_clause(cref);
             removed += 1;
-            self.num_learnts -= 1;
             self.stats.deleted_clauses += 1;
         }
         self.reduce_scratch = order;
-        self.stats.learnt_clauses = self.num_learnts as u64;
-        if self.wasted_lits * Self::GC_WASTE_DENOMINATOR >= self.clause_lits.len()
-            && self.wasted_lits > 0
+        self.collect_if_wasteful();
+    }
+
+    /// Runs a compacting collection once tombstoned literals make up
+    /// `1/GC_WASTE_DENOMINATOR` of the arena's literals.
+    fn collect_if_wasteful(&mut self) {
+        if self.wasted_lits * Self::GC_WASTE_DENOMINATOR >= self.arena_lits && self.wasted_lits > 0
         {
             self.collect_arena();
         }
     }
 
-    /// Compacting garbage collection of the clause arena: rebuilds
-    /// `clause_lits`/`headers` without the tombstoned holes and remaps every
-    /// watcher and reason index to the surviving clauses. Dead watchers
-    /// (lazily-deleted clauses) are dropped in the same sweep.
+    /// Compacting garbage collection of the clause arena: copies the live
+    /// clauses, in order, into a fresh arena and forwards every watcher and
+    /// reason to the new references. Each copied clause's new reference is
+    /// written over the first literal of its old copy, which is then read
+    /// back to forward. Dead watchers (lazily-deleted clauses) are dropped
+    /// in the same sweep, keeping the order of the others.
     fn collect_arena(&mut self) {
-        let mut remap: Vec<u32> = vec![u32::MAX; self.headers.len()];
-        let live = self.headers.iter().filter(|h| !h.deleted).count();
-        let mut new_headers: Vec<ClauseHeader> = Vec::with_capacity(live);
-        let mut new_lits: Vec<Lit> =
-            Vec::with_capacity(self.clause_lits.len().saturating_sub(self.wasted_lits));
-        for (i, h) in self.headers.iter().enumerate() {
-            if h.deleted {
-                continue;
+        let mut old = std::mem::take(&mut self.arena);
+        let live_words: usize = clause_refs(&old)
+            .map(|c| old[c as usize])
+            .filter(|&header| header & DELETED == 0)
+            .map(clause_words)
+            .sum();
+        let mut arena: Vec<u32> = Vec::with_capacity(live_words);
+        let mut live = 0;
+        let mut cref = 0;
+        while cref < old.len() {
+            let header = old[cref];
+            let words = clause_words(header);
+            if header & DELETED == 0 {
+                let moved = arena.len() as u32;
+                arena.extend_from_slice(&old[cref..cref + words]);
+                old[cref + 1] = moved;
+                live += 1;
             }
-            remap[i] = new_headers.len() as u32;
-            let start = new_lits.len() as u32;
-            new_lits
-                .extend_from_slice(&self.clause_lits[h.start as usize..(h.start + h.len) as usize]);
-            new_headers.push(ClauseHeader { start, ..*h });
+            cref += words;
         }
         for list in &mut self.watches {
             list.retain_mut(|w| {
-                let mapped = remap[w.clause as usize];
-                if mapped == u32::MAX {
+                let c = w.clause as usize;
+                if old[c] & DELETED != 0 {
                     false
                 } else {
-                    w.clause = mapped;
+                    w.clause = old[c + 1];
                     true
                 }
             });
         }
-        // Remap the reasons of assigned (trail) variables. Unassigned
+        // Forward the reasons of assigned (trail) variables. Unassigned
         // variables hold no clause reference — `backtrack_to` scrubs the
-        // reason on unassignment — so the trail walk covers every index
+        // reason on unassignment — so the trail walk covers every reference
         // into the old arena; the debug sweep below pins that invariant.
         for i in 0..self.trail.len() {
             let vi = self.trail[i].var().index();
             if let Reason::Long(c) = self.var_data[vi].reason {
-                debug_assert_ne!(remap[c as usize], u32::MAX, "reason clause must survive GC");
-                self.var_data[vi].reason = Reason::Long(remap[c as usize]);
+                debug_assert_eq!(
+                    old[c as usize] & DELETED,
+                    0,
+                    "reason clause must survive GC"
+                );
+                self.var_data[vi].reason = Reason::Long(old[c as usize + 1]);
             }
         }
         #[cfg(debug_assertions)]
         for (vi, d) in self.var_data.iter().enumerate() {
-            if self.assigns[vi] == LBool::Undef {
+            if self.values[Var::from_index(vi).positive().code()] == LBool::Undef {
                 debug_assert!(
                     !matches!(d.reason, Reason::Long(_)),
-                    "unassigned v{vi} carries a clause-index reason into arena GC"
+                    "unassigned v{vi} carries a clause reference into arena GC"
                 );
             }
         }
-        self.headers = new_headers;
-        self.clause_lits = new_lits;
+        self.arena = arena;
+        self.arena_lits -= self.wasted_lits;
+        self.arena_clauses = live;
         self.wasted_lits = 0;
         self.stats.arena_collections += 1;
     }
 
-    /// Resets the arena-hole accounting (the simplifier's rebuild starts
-    /// from an empty, hole-free arena).
-    pub(crate) fn reset_waste(&mut self) {
+    /// Empties the arena and its accounting (the simplifier's rebuild
+    /// re-attaches every clause).
+    pub(crate) fn clear_arena(&mut self) {
+        self.arena.clear();
+        self.arena_lits = 0;
+        self.arena_clauses = 0;
+        self.num_problem_clauses = 0;
+        self.num_learnts = 0;
         self.wasted_lits = 0;
     }
 
-    /// Exhaustive internal-invariant check used by the test suites: every
-    /// live arena clause is at least ternary and watched on exactly its
-    /// first two literals, every watcher points at a live clause through the
-    /// correct literal, and every propagation reason refers to a live clause
-    /// whose first literal is the propagated one. Dead watchers are only
-    /// tolerated for tombstoned (not yet collected) clauses.
+    /// Exhaustive internal-invariant check used by the test suites. The
+    /// arena walk must parse every header (at least three literals, each
+    /// over an allocated variable, inside the arena) and end exactly at the
+    /// arena's end, and its clause, literal and hole counts must match the
+    /// tracked ones. Every live clause is watched on exactly its first two
+    /// literals, every watcher and every propagation reason points at a
+    /// clause start, a reason at a live clause whose first literal is the
+    /// propagated one, and the two values of each variable agree. Dead
+    /// watchers are only tolerated for tombstoned (not yet collected)
+    /// clauses.
     ///
     /// Returns a description of the first violation found.
     pub fn debug_validate(&self) -> Result<(), String> {
-        let mut watch_count = vec![0usize; self.headers.len()];
+        let mut starts: Vec<u32> = Vec::new();
+        let (mut lits, mut wasted, mut problem, mut learnt) = (0, 0, 0, 0);
+        let mut cref = 0;
+        while cref < self.arena.len() {
+            let header = self.arena[cref];
+            let len = header_len(header);
+            if len < 3 {
+                return Err(format!(
+                    "clause {cref}: header {header:#x} gives {len} literals"
+                ));
+            }
+            let end = cref + clause_words(header);
+            if end > self.arena.len() {
+                return Err(format!(
+                    "clause {cref}: header {header:#x} runs to word {end}, past the arena's {}",
+                    self.arena.len()
+                ));
+            }
+            if let Some(&code) = self.arena[cref + 1..cref + 1 + len]
+                .iter()
+                .find(|&&code| Lit(code).var().index() >= self.num_vars())
+            {
+                return Err(format!(
+                    "clause {cref} holds literal code {code} over no variable"
+                ));
+            }
+            starts.push(cref as u32);
+            lits += len;
+            if header & DELETED != 0 {
+                wasted += len;
+            } else if header & LEARNT != 0 {
+                learnt += 1;
+            } else {
+                problem += 1;
+            }
+            cref = end;
+        }
+        let walked = [starts.len(), lits, wasted, problem, learnt];
+        let tracked = [
+            self.arena_clauses,
+            self.arena_lits,
+            self.wasted_lits,
+            self.num_problem_clauses,
+            self.num_learnts,
+        ];
+        if walked != tracked {
+            return Err(format!(
+                "arena walk counts [clauses, literals, wasted, problem, learnt] {walked:?}, \
+                 tracked {tracked:?}"
+            ));
+        }
+        let mut watch_count = vec![0usize; starts.len()];
         for (code, list) in self.watches.iter().enumerate() {
             let watched = !Lit::from_code(code);
             for w in list {
-                let Some(h) = self.headers.get(w.clause as usize) else {
-                    return Err(format!("watcher points at missing clause {}", w.clause));
+                let Ok(k) = starts.binary_search(&w.clause) else {
+                    return Err(format!("watcher points at {}, no clause start", w.clause));
                 };
-                if h.deleted {
+                if self.is_deleted(w.clause) {
                     continue; // lazily-deleted watcher, dropped on next visit or GC
                 }
-                let lits = self.lits_of(w.clause);
-                if lits[0] != watched && lits[1] != watched {
+                let at = w.clause as usize + 1;
+                let first_two = [Lit(self.arena[at]), Lit(self.arena[at + 1])];
+                if !first_two.contains(&watched) {
                     return Err(format!(
                         "clause {} watched through {watched} which is not in its first two \
-                         literals {lits:?}",
+                         literals {first_two:?}",
                         w.clause
                     ));
                 }
-                watch_count[w.clause as usize] += 1;
+                watch_count[k] += 1;
             }
         }
-        for (i, h) in self.headers.iter().enumerate() {
-            if h.deleted {
-                continue;
-            }
-            if h.len < 3 {
-                return Err(format!("arena clause {i} has {} literals", h.len));
-            }
-            if watch_count[i] != 2 {
+        for (k, &cref) in starts.iter().enumerate() {
+            if !self.is_deleted(cref) && watch_count[k] != 2 {
                 return Err(format!(
-                    "clause {i} has {} watchers, expected 2",
-                    watch_count[i]
+                    "clause {cref} has {} watchers, expected 2",
+                    watch_count[k]
                 ));
             }
         }
         for (vi, d) in self.var_data.iter().enumerate() {
-            if self.assigns[vi] == LBool::Undef {
+            let p = Var::from_index(vi).positive();
+            let value = self.values[p.code()];
+            if self.values[(!p).code()] != value.negate() {
+                return Err(format!("the two literals of v{vi} disagree"));
+            }
+            if value == LBool::Undef {
                 // `backtrack_to` scrubs reasons on unassignment; a clause
-                // index surviving here would dangle across the next
+                // reference surviving here would dangle across the next
                 // reduction, collection or rebuild.
                 if let Reason::Long(c) = d.reason {
-                    return Err(format!(
-                        "unassigned v{vi} carries stale clause-index reason {c}"
-                    ));
+                    return Err(format!("unassigned v{vi} carries stale clause reason {c}"));
                 }
                 continue;
             }
             if let Reason::Long(c) = d.reason {
-                let Some(h) = self.headers.get(c as usize) else {
-                    return Err(format!("reason of v{vi} points at missing clause {c}"));
-                };
-                if h.deleted {
+                if starts.binary_search(&c).is_err() {
+                    return Err(format!("reason of v{vi} points at {c}, no clause start"));
+                }
+                if self.is_deleted(c) {
                     return Err(format!("reason of v{vi} points at deleted clause {c}"));
                 }
-                if self.lits_of(c)[0].var().index() != vi {
+                if Lit(self.arena[c as usize + 1]).var().index() != vi {
                     return Err(format!(
                         "reason clause {c} of v{vi} does not start with its literal"
                     ));
@@ -1557,36 +1695,41 @@ impl Solver {
         // Probing pollutes the saved phases (backtracking records the probe
         // polarity); snapshot and restore so search heuristics are unaffected.
         let saved_phase = self.phase.clone();
-        // Clauses locked as a root-level propagation reason must survive.
-        self.locked_marks.clear();
-        self.locked_marks.resize(self.headers.len(), false);
-        for i in 0..self.trail.len() {
-            if let Reason::Long(c) = self.var_data[self.trail[i].var().index()].reason {
-                self.locked_marks[c as usize] = true;
-            }
-        }
         let start_props = self.stats.propagations;
-        let num = self.headers.len();
+        // The cursor is an ordinal over the arena's clauses, tombstones
+        // included; clauses this pass appends lie beyond `num` and wait for
+        // the next pass.
+        let num = self.arena_clauses;
+        let mut next = self.vivify_head % num.max(1);
+        let mut cref = self.clause_refs().nth(next).unwrap_or(0) as usize;
         let mut strengthened = 0u64;
         let mut scanned = 0usize;
         while scanned < num && self.ok {
             if self.stats.propagations - start_props >= max_propagations {
                 break;
             }
-            let ci = self.vivify_head % num.max(1);
-            self.vivify_head = (self.vivify_head + 1) % num.max(1);
+            let ci = cref as u32;
+            let header = self.arena[cref];
+            next = (next + 1) % num;
+            cref = if next == 0 {
+                0
+            } else {
+                cref + clause_words(header)
+            };
+            self.vivify_head = next;
             scanned += 1;
-            let h = self.headers[ci];
-            let len = h.len as usize;
-            if h.deleted || self.locked_marks[ci] || !(3..=24).contains(&len) {
+            let len = header_len(header);
+            // A clause locked as a root-level propagation reason must
+            // survive.
+            if header & DELETED != 0 || self.locked(ci) || !(3..=24).contains(&len) {
                 continue;
             }
-            let lits: Vec<Lit> = self.lits_of(ci as u32).to_vec();
+            let lits: Vec<Lit> = self.clause_lits(ci).collect();
             if lits.iter().any(|&l| self.value_lit(l) == LBool::True) {
                 continue; // root-satisfied; the simplifier's business
             }
             // Detach so the probe cannot propagate through the clause itself.
-            self.detach_watchers(ci as u32, lits[0], lits[1]);
+            self.detach_watchers(ci, lits[0], lits[1]);
             let mut kept: Vec<Lit> = Vec::with_capacity(len);
             for &l in &lits {
                 match self.value_lit(l) {
@@ -1613,11 +1756,11 @@ impl Solver {
             if kept.len() == lits.len() {
                 // No strengthening: restore the original watchers.
                 self.watches[(!lits[0]).code()].push(Watcher {
-                    clause: ci as u32,
+                    clause: ci,
                     blocker: lits[1],
                 });
                 self.watches[(!lits[1]).code()].push(Watcher {
-                    clause: ci as u32,
+                    clause: ci,
                     blocker: lits[0],
                 });
                 continue;
@@ -1627,13 +1770,10 @@ impl Solver {
             // Lemma before deletion: the checker must still hold the original
             // clause while verifying the strengthened one.
             self.log_lemma(&kept);
-            self.log_delete_clause(ci as u32);
-            self.headers[ci].deleted = true;
-            self.wasted_lits += len;
-            if h.learnt {
-                self.num_learnts -= 1;
-                self.stats.learnt_clauses = self.num_learnts as u64;
-            }
+            self.log_delete_clause(ci);
+            let learnt = header & LEARNT != 0;
+            let lbd = if learnt { self.clause_lbd(ci) } else { 0 };
+            self.delete_clause(ci);
             match kept.len() {
                 0 => self.ok = false,
                 1 => match self.value_lit(kept[0]) {
@@ -1648,23 +1788,15 @@ impl Solver {
                 },
                 2 => self.attach_binary(kept[0], kept[1]),
                 _ => {
-                    let lbd = if h.learnt {
-                        h.lbd.clamp(1, kept.len() as u32)
-                    } else {
-                        0
-                    };
-                    let learnt = h.learnt;
-                    let cref = self.attach_clause(kept, learnt);
-                    self.headers[cref as usize].lbd = lbd;
+                    let shorter = self.attach_clause(&kept, learnt);
+                    if learnt {
+                        self.set_clause_lbd(shorter, lbd.clamp(1, kept.len() as u32));
+                    }
                 }
             }
         }
         self.phase = saved_phase;
-        if self.wasted_lits * Self::GC_WASTE_DENOMINATOR >= self.clause_lits.len()
-            && self.wasted_lits > 0
-        {
-            self.collect_arena();
-        }
+        self.collect_if_wasteful();
         if let Some(span) = &mut span {
             span.attr_u64("checked", scanned as u64);
             span.attr_u64("strengthened", strengthened);
@@ -1677,10 +1809,10 @@ impl Solver {
     }
 
     /// Removes the two watcher entries of a clause (watched on `a` and `b`).
-    fn detach_watchers(&mut self, clause: u32, a: Lit, b: Lit) {
+    fn detach_watchers(&mut self, cref: u32, a: Lit, b: Lit) {
         for l in [a, b] {
             let list = &mut self.watches[(!l).code()];
-            if let Some(pos) = list.iter().position(|w| w.clause == clause) {
+            if let Some(pos) = list.iter().position(|w| w.clause == cref) {
                 list.swap_remove(pos);
             }
         }
@@ -1795,7 +1927,6 @@ impl Solver {
             return SatResult::Unsat;
         }
         if self.cancel_requested() {
-            self.stats.cancellations += 1;
             self.last_stop = Some(StopCause::Cancelled);
             return SatResult::Unknown;
         }
@@ -1810,11 +1941,8 @@ impl Solver {
             let budget = Self::RESTART_BASE * Self::luby(restart_count);
             match self.search(budget, assumptions) {
                 SearchOutcome::Sat => {
-                    let mut values: Vec<bool> = self
-                        .assigns
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| match v {
+                    let mut values: Vec<bool> = (0..self.num_vars())
+                        .map(|i| match self.value_lit(Var::from_index(i).positive()) {
                             LBool::True => true,
                             LBool::False => false,
                             LBool::Undef => self.phase[i],
@@ -1835,7 +1963,6 @@ impl Solver {
                     // Restart boundary: the documented poll point of the
                     // external cancellation token (one relaxed load).
                     if self.cancel_requested() || self.fault_at_restart() {
-                        self.stats.cancellations += 1;
                         self.last_stop = Some(StopCause::Cancelled);
                         return SatResult::Unknown;
                     }
@@ -1907,10 +2034,9 @@ impl Solver {
                         self.enqueue(learnt[0], Reason::Binary(learnt[1]));
                     }
                     _ => {
-                        let first = learnt[0];
-                        let cref = self.attach_clause(learnt, true);
-                        self.headers[cref as usize].lbd = lbd;
-                        self.enqueue(first, Reason::Long(cref));
+                        let cref = self.attach_clause(&learnt, true);
+                        self.set_clause_lbd(cref, lbd);
+                        self.enqueue(learnt[0], Reason::Long(cref));
                     }
                 }
                 self.var_inc /= 0.95;
@@ -1937,15 +2063,10 @@ impl Solver {
                     self.lbd_ema_fast = self.lbd_ema_slow;
                 }
                 if self.budget_conflict_cap_hit() {
-                    self.stats.budget_exhaustions += 1;
                     self.last_stop = Some(StopCause::BudgetExhausted);
                     return SearchOutcome::LimitReached;
                 }
                 if let Some(cause) = self.fault_at_conflict() {
-                    match cause {
-                        StopCause::BudgetExhausted => self.stats.budget_exhaustions += 1,
-                        _ => self.stats.cancellations += 1,
-                    }
                     self.last_stop = Some(cause);
                     return SearchOutcome::LimitReached;
                 }
@@ -2252,7 +2373,6 @@ mod tests {
         budgeted.set_budget(Budget::conflicts(10));
         assert_eq!(budgeted.solve(), SatResult::Unknown);
         assert_eq!(budgeted.last_stop(), Some(StopCause::BudgetExhausted));
-        assert_eq!(budgeted.stats().budget_exhaustions, 1);
         // Each further episode gets a fresh allotment; the search resumes
         // on the retained state and eventually closes the proof.
         let mut episodes = 1;
@@ -2305,7 +2425,6 @@ mod tests {
         s.set_budget(Budget::unlimited());
         assert_eq!(s.solve(), SatResult::Unknown);
         assert_eq!(s.last_stop(), Some(StopCause::Cancelled));
-        assert!(s.stats().cancellations >= 1);
         // Reset: the same solver finishes the proof.
         token.reset();
         assert!(s.solve().is_unsat());
@@ -2428,6 +2547,22 @@ mod tests {
     }
 
     #[test]
+    fn debug_validate_rejects_a_corrupted_header() {
+        let mut s = pigeonhole(5, 4);
+        s.set_learnt_budget(8);
+        assert!(s.solve().is_unsat());
+        s.debug_validate().expect("a solved arena validates");
+        assert!(s.arena_clauses >= 2, "the pigeon clauses live in the arena");
+        // Lengthen, then shorten, the first clause by one literal: either
+        // way the walk leaves the clause grid.
+        for delta in [1u32 << LEN_SHIFT, (1u32 << LEN_SHIFT).wrapping_neg()] {
+            let mut corrupted = s.clone();
+            corrupted.arena[0] = corrupted.arena[0].wrapping_add(delta);
+            assert!(corrupted.debug_validate().is_err(), "delta {delta:#x}");
+        }
+    }
+
+    #[test]
     fn binary_clauses_bypass_the_arena() {
         let mut s = Solver::new();
         let v = lits(&mut s, 3);
@@ -2435,8 +2570,7 @@ mod tests {
         s.add_clause([!v[1], v[2]]);
         assert_eq!(s.num_clauses(), 2);
         // Nothing reached the arena: both clauses are pure implications.
-        assert!(s.headers.is_empty());
-        assert!(s.clause_lits.is_empty());
+        assert!(s.arena.is_empty());
         assert!(s.solve().is_sat());
     }
 }

@@ -1,10 +1,10 @@
 //! Invariant tests for the clause-arena garbage collector.
 //!
-//! Database reduction tombstones learned clauses and leaves literal holes in
-//! the flat clause arena; the compacting collector must (a) keep the
-//! wasted-hole ratio below the documented 25% bound whenever the solver is
-//! quiescent, (b) remap every watcher and propagation reason to the
-//! compacted indices, and (c) never perturb verdicts or models — including
+//! Database reduction tombstones learned clauses and leaves holes in the
+//! clause arena; the compacting collector must (a) keep the wasted-literal
+//! ratio below the documented 25% bound whenever the solver is quiescent,
+//! (b) forward every watcher and propagation reason to the compacted clause
+//! references, and (c) never perturb verdicts or models — including
 //! when it fires in the middle of an incremental session with frozen
 //! variables and simplifier rebuilds in between.
 
@@ -82,12 +82,12 @@ fn collection_survives_a_paused_search() {
 }
 
 /// Regression for the stale-reason caveat: searching assigns variables with
-/// clause-index reasons, and backtracking (restarts, conflict analysis,
-/// final model cleanup) unassigns them again. Those indices must not
+/// clause-reference reasons, and backtracking (restarts, conflict analysis,
+/// final model cleanup) unassigns them again. Those references must not
 /// survive unassignment — a later reduction, collection or simplifier
 /// rebuild would leave them dangling. `debug_validate` now rejects any
-/// clause-index reason on an unassigned variable, so validating after
-/// search, after a rebuild, and after GC pins the scrub-on-backtrack
+/// clause reference as the reason of an unassigned variable, so validating
+/// after search, after a rebuild, and after GC pins the scrub-on-backtrack
 /// behaviour.
 #[test]
 fn unassigned_vars_never_carry_clause_reasons() {

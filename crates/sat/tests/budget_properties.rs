@@ -189,9 +189,6 @@ fn cancellation_never_corrupts_a_later_unbudgeted_solve() {
         solver
             .debug_validate()
             .unwrap_or_else(|e| panic!("case {case}: invariants violated after cancel: {e}"));
-        if raised {
-            assert!(solver.stats().cancellations >= 1, "case {case}");
-        }
     }
     assert_eq!(cancelled_cases, 30);
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository verification: formatting, lints, the tier-1 build/test gate,
-# the release-mode workspace test suites, the fast paper-artifact drivers,
-# the fast fault-injection differential and the benchmark's contract tests.
+# the `sat` suites in debug, the release-mode workspace test suites, the fast
+# paper-artifact drivers, the fast fault-injection differential and the
+# benchmark's contract tests.
 #
 # Clippy and rustdoc run twice: with default features, which lints the
 # `cfg(not(feature = "faults"))` paths, and with `--all-features`, which
@@ -22,8 +23,16 @@
 # registry miter's premises are satisfiable), and the default session
 # agreeing with a plain solve (UnrollOptions::with_simplify_trial(u64::MAX),
 # a trial cap no query reaches) on pinned k=1 verdicts (tests/cross_layer.rs).
+# The same test pins the conflicts, propagations and restarts of each of
+# those k=1 queries, so a solver change that moves the search fails tier-1.
 # The release workspace stage runs the same encoding oracle at k=3 and the
 # non-vacuity gate at each miter's deepest registered window.
+#
+# The `sat` suites also run in debug, so the solver's `debug_assert!`s (the
+# clause arena's among them) check database reduction, arena collection,
+# vivification and simplifier rebuilds, which the tier-1 queries never
+# reach; `search_trajectory.rs` pins the counters of a session that reaches
+# all of them.
 #
 # The driver stage runs every paper-artifact driver that finishes within
 # seconds, so none can rot unnoticed: the quickstart example, Fig. 1 and
@@ -69,6 +78,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --all-features --quie
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> sat suites in debug: cargo test -q -p sat"
+cargo test -q -p sat
 
 echo "==> workspace tests: cargo test -q --workspace --release"
 cargo test -q --workspace --release

@@ -21,29 +21,50 @@ use upec::{
     full_commitment, CertificateCheck, IncrementalSession, SecretScenario, UpecModel, UpecOutcome,
 };
 
-/// One k=1 query: a miter, the state it must keep equal, and its verdict.
+/// `(conflicts, propagations, restarts)` of one solve.
+type Search = (u64, u64, u64);
+
+/// One k=1 query: a miter, the state it must keep equal, its verdict, and
+/// the search its solve takes.
 struct Case {
     name: &'static str,
     model: UpecModel,
     commitment: BTreeSet<String>,
     expected: &'static str,
+    search: Search,
 }
 
-fn tiny(variant: SocVariant, secret: SecretScenario, expected: &'static str) -> Case {
+fn tiny(
+    variant: SocVariant,
+    secret: SecretScenario,
+    expected: &'static str,
+    search: Search,
+) -> Case {
     let model = UpecModel::new(&SocConfig::formal(variant), secret);
     Case {
         name: variant.name(),
         commitment: full_commitment(&model),
         model,
         expected,
+        search,
     }
 }
 
 /// One alerting and one proven miter cover both verdict paths.
 fn tiny_cases() -> [Case; 2] {
     [
-        tiny(SocVariant::Orc, SecretScenario::InCache, "p-alert"),
-        tiny(SocVariant::Secure, SecretScenario::NotInCache, "proven"),
+        tiny(
+            SocVariant::Orc,
+            SecretScenario::InCache,
+            "p-alert",
+            (654, 32_098, 4),
+        ),
+        tiny(
+            SocVariant::Secure,
+            SecretScenario::NotInCache,
+            "proven",
+            (1_829, 158_935, 18),
+        ),
     ]
 }
 
@@ -52,11 +73,11 @@ fn tiny_cases() -> [Case; 2] {
 /// commitments (the UNSAT path).
 fn registry_cases() -> [Case; 3] {
     [
-        ("meltdown", "p-alert"),
-        ("orc", "proven"),
-        ("secure-arch-only", "proven"),
+        ("meltdown", "p-alert", (631, 34_788, 3)),
+        ("orc", "proven", (0, 150, 0)),
+        ("secure-arch-only", "proven", (0, 150, 0)),
     ]
-    .map(|(id, expected)| {
+    .map(|(id, expected, search)| {
         let scenario = scenarios::by_id(id).expect("registered scenario");
         let model = scenario.build_model();
         Case {
@@ -64,6 +85,7 @@ fn registry_cases() -> [Case; 3] {
             commitment: scenario.commitment_set(&model),
             model,
             expected,
+            search,
         }
     })
 }
@@ -74,7 +96,9 @@ fn all_cases() -> impl Iterator<Item = Case> {
 
 /// The default session and a plain solve — a trial cap (`u64::MAX`) no
 /// query reaches, so the CNF simplifier never runs — both reach the pinned
-/// verdict. Neither session logs a proof, so neither returns a certificate.
+/// verdict through the pinned search: the solver is deterministic, so a
+/// kernel change that moves a single decision shows here. Neither session
+/// logs a proof, so neither returns a certificate.
 #[test]
 fn default_and_plain_solves_agree() {
     for case in all_cases() {
@@ -90,6 +114,12 @@ fn default_and_plain_solves_agree() {
                 .expect("a well-formed query");
             let query = format!("{} via {path}", case.name);
             assert_eq!(outcome.verdict_name(), case.expected, "{query}");
+            let stats = outcome.stats();
+            assert_eq!(
+                (stats.conflicts, stats.propagations, stats.restarts),
+                case.search,
+                "{query}"
+            );
             assert!(certificate.is_none(), "{query}");
         }
     }
