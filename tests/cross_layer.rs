@@ -261,29 +261,90 @@ fn distinct_miters() -> Vec<(String, SocConfig, SecretScenario, usize)> {
     miters
 }
 
+/// FNV-1a over a miter's structure: every netlist node, every register
+/// (name, width, initial value, next-state signal), the primary inputs, every
+/// register pair (label, class, both instances' signals and both miter
+/// signals) and every constraint and the memory-equivalence signal. Two
+/// miters with the same fingerprint build the same CNF.
+fn miter_fingerprint(model: &UpecModel) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |text: String| {
+        for byte in text.bytes().chain([b'\n']) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let netlist = model.netlist();
+    for signal in netlist.signals() {
+        feed(format!("{:?}", netlist.node(signal)));
+    }
+    for r in netlist.registers() {
+        feed(format!(
+            "{} {} {:?} {:?} {:?}",
+            r.name, r.width, r.init, r.next, r.signal
+        ));
+    }
+    feed(format!("{:?}", netlist.inputs()));
+    for p in model.pairs() {
+        feed(format!(
+            "{} {:?} {:?} {:?} {:?} {:?}",
+            p.name, p.class, p.signal1, p.signal2, p.equal, p.equal_or_blocked
+        ));
+    }
+    for c in model
+        .initial_constraints()
+        .iter()
+        .chain(model.window_constraints())
+    {
+        feed(format!("{} {:?}", c.label, c.signal));
+    }
+    feed(format!("{:?}", model.memory_equivalence()));
+    hash
+}
+
 /// The schedule pin: for every distinct registry miter, the netlist's
 /// signal count, how many of those signals the compiled cone schedules,
-/// and the schedule's slot count. A change to the SoC generator, the
-/// miter, the cone or the compiler's hashing and folding moves one of
-/// these numbers, and with it every CNF the miter's queries solve.
+/// and the schedule's slot count, plus the miter's structural fingerprint
+/// ([`miter_fingerprint`]). A change to the SoC generator, the miter, the
+/// cone or the compiler's hashing and folding moves one of these numbers,
+/// and with it every CNF the miter's queries solve.
 #[test]
 fn registry_schedules_keep_their_sizes() {
     let pins = [
-        ("secure-uncached", [1728, 1704, 1417]),
-        ("secure-cached", [1727, 1703, 1417]),
-        ("meltdown", [1727, 1703, 1417]),
-        ("orc", [1721, 1693, 1351]),
-        ("pmp-lock", [1725, 1701, 1415]),
-        ("cache-footprint@r4c4m1s1", [1823, 1799, 1493]),
-        ("cache-footprint@r4c2m2s1", [1727, 1703, 1417]),
-        ("cache-footprint@r4c2m1s2", [1727, 1703, 1417]),
-        ("orc@r4c4m1s1", [1817, 1789, 1427]),
-        ("orc@r4c2m2s1", [1721, 1693, 1351]),
-        ("orc@r4c2m1s2", [1721, 1693, 1351]),
-        ("secure-arch-only@r4c4m1s1", [1823, 1799, 1493]),
-        ("secure-arch-only@r4c2m2s1", [1727, 1703, 1417]),
+        ("secure-uncached", [1728, 1704, 1417], 0x5aa6_e40a_bd81_5263),
+        ("secure-cached", [1727, 1703, 1417], 0xa714_4aac_b25b_8b17),
+        ("meltdown", [1727, 1703, 1417], 0xec37_cd90_10b4_7c74),
+        ("orc", [1721, 1693, 1351], 0x696d_5426_daac_e98e),
+        ("pmp-lock", [1725, 1701, 1415], 0x8710_b849_30a2_ff7a),
+        (
+            "cache-footprint@r4c4m1s1",
+            [1823, 1799, 1493],
+            0xa803_173d_adf3_cf04,
+        ),
+        (
+            "cache-footprint@r4c2m2s1",
+            [1727, 1703, 1417],
+            0x4087_bc64_7b2a_5526,
+        ),
+        (
+            "cache-footprint@r4c2m1s2",
+            [1727, 1703, 1417],
+            0x76f1_3d58_2b0a_3b6a,
+        ),
+        ("orc@r4c4m1s1", [1817, 1789, 1427], 0x4599_4ac5_2920_a890),
+        ("orc@r4c2m2s1", [1721, 1693, 1351], 0x72b6_bf33_c4b7_23b2),
+        ("orc@r4c2m1s2", [1721, 1693, 1351], 0x44f8_a17d_ec5f_6aee),
+        (
+            "secure-arch-only@r4c4m1s1",
+            [1823, 1799, 1493],
+            0x9c00_d7d5_b2e6_5088,
+        ),
+        (
+            "secure-arch-only@r4c2m2s1",
+            [1727, 1703, 1417],
+            0x08ac_4bc4_2e53_e177,
+        ),
     ];
-    let sizes: Vec<(String, [usize; 3])> = distinct_miters()
+    let sizes: Vec<(String, [usize; 3], u64)> = distinct_miters()
         .into_iter()
         .map(|(name, config, secret, _)| {
             let model = UpecModel::new(&config, secret);
@@ -292,12 +353,17 @@ fn registry_schedules_keep_their_sizes() {
                 .signals()
                 .filter(|&s| transition.slot_of(s).is_some())
                 .count();
-            (name, [netlist.len(), scheduled, transition.len()])
+            let fingerprint = miter_fingerprint(&model);
+            (
+                name,
+                [netlist.len(), scheduled, transition.len()],
+                fingerprint,
+            )
         })
         .collect();
-    let pinned: Vec<(String, [usize; 3])> = pins
+    let pinned: Vec<(String, [usize; 3], u64)> = pins
         .iter()
-        .map(|&(name, sizes)| (name.to_string(), sizes))
+        .map(|&(name, sizes, fingerprint)| (name.to_string(), sizes, fingerprint))
         .collect();
     assert_eq!(sizes, pinned);
 }
