@@ -27,7 +27,7 @@ fn main() {
     if args.len() > 2 {
         usage_error(USAGE, &format!("unexpected argument `{}`", args[2]));
     }
-    // Accept either a registry scenario id or the legacy variant shorthand.
+    // Accept either a registry instance id or the legacy variant shorthand.
     let id = match args.first().map(String::as_str) {
         Some("orc") | None => "orc",
         Some("meltdown") => "meltdown",

@@ -5,8 +5,9 @@
 //! cargo run --release -p bench --bin engine [-- --threads N] [id ...]
 //! ```
 //!
-//! Without arguments every registered scenario is scanned. Scenario ids
-//! (e.g. `orc pmp-lock`) restrict the sweep; `pmp-lock` (the PMP leak of
+//! Without arguments the 11 base scenarios are scanned. Ids of any registry
+//! instance (e.g. `orc pmp-lock`, or a geometry family member such as
+//! `orc@r4c4m1s1`) restrict the sweep; `pmp-lock` (the PMP leak of
 //! Sec. VII-C) and `cache-footprint` (Fig. 1 as a UPEC check) have this
 //! binary as their driver. The exit code is 1 when a verdict misses its
 //! registered expectation, and 2 on a malformed command line (a thread
@@ -51,13 +52,17 @@ fn main() {
         options.threads
     );
     println!(
-        "{:<18} {:<34} {:<30} {:>9}",
+        "{:<26} {:<34} {:<30} {:>9}",
         "id", "title", "paper ref", "windows"
     );
     for s in &instances {
         println!(
-            "{:<18} {:<34} {:<30} {:>4}..={}",
-            s.name, s.title, s.paper_ref, s.start_window, s.max_window
+            "{:<26} {:<34} {:<30} {:>4}..={}",
+            s.id(),
+            s.title,
+            s.paper_ref,
+            s.start_window,
+            s.max_window
         );
     }
     println!();
@@ -83,7 +88,7 @@ fn main() {
         println!("\nWARNING: some scenarios deviate from their registered expectations:");
         for r in mismatches {
             println!(
-                "  {:<18} expected {:?}, got {:?}",
+                "  {:<26} expected {:?}, got {:?}",
                 r.instance.id(),
                 r.instance.expected,
                 r.verdict

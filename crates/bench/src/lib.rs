@@ -28,13 +28,14 @@ pub fn usage_error(usage: &str, problem: &str) -> ! {
     std::process::exit(2)
 }
 
-/// The base registry scenario named `id`; an unknown id lists the registered
-/// ones and exits through [`usage_error`].
+/// The registry instance named `id`: a base scenario (`orc`) or a geometry
+/// family member (`orc@r4c4m1s1`). An unknown id lists the registered ones
+/// and exits through [`usage_error`].
 pub fn scenario_or_exit(id: &str, usage: &str) -> upec::scenarios::ScenarioInstance {
-    upec::scenarios::by_id(id).unwrap_or_else(|| {
-        let known: Vec<String> = upec::scenarios::registry()
+    upec::scenarios::instance_by_id(id).unwrap_or_else(|| {
+        let known: Vec<String> = upec::scenarios::instances()
             .iter()
-            .map(|s| format!("  {:<18} {}", s.name, s.title))
+            .map(|s| format!("  {:<26} {}", s.id(), s.title))
             .collect();
         usage_error(
             usage,
@@ -44,4 +45,17 @@ pub fn scenario_or_exit(id: &str, usage: &str) -> upec::scenarios::ScenarioInsta
             ),
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::scenario_or_exit;
+
+    #[test]
+    fn scenario_ids_resolve_to_base_scenarios_and_family_members() {
+        assert_eq!(scenario_or_exit("orc", "usage").config.cache_lines, 2);
+        let member = scenario_or_exit("orc@r4c4m1s1", "usage");
+        assert_eq!(member.id(), "orc@r4c4m1s1");
+        assert_eq!(member.config.cache_lines, 4);
+    }
 }

@@ -35,6 +35,7 @@ fn engine_rejects_malformed_arguments() {
     assert_usage_error(engine, &["--threads", "x", "secure-arch-only"], usage);
     assert_usage_error(engine, &["secure-arch-only", "--threads"], usage);
     assert_usage_error(engine, &["no-such-scenario"], usage);
+    assert_usage_error(engine, &["orc@r4c9m1s1"], usage);
 }
 
 #[test]
@@ -44,4 +45,5 @@ fn debug_alert_rejects_malformed_arguments() {
     assert_usage_error(debug_alert, &["orc", "3x"], usage);
     assert_usage_error(debug_alert, &["orc", "2", "extra"], usage);
     assert_usage_error(debug_alert, &["no-such-scenario"], usage);
+    assert_usage_error(debug_alert, &["orc@r4c9m1s1"], usage);
 }

@@ -216,7 +216,7 @@ fn check_witness(
         return Err(CertificateError::EmptyWitness);
     }
     let mut broken = None;
-    let sim = cert
+    let mut sim = cert
         .trace
         .replay(model.netlist().clone(), |cycle, sim| {
             if broken.is_none() {
@@ -229,17 +229,10 @@ fn check_witness(
         return Err(error);
     }
     for (name, value1, value2) in &cert.expected_divergences {
-        if model.pair(name).is_none() {
-            return Err(CertificateError::UnknownPair(name.clone()));
-        }
-        let full1 = format!("{}.{name}", model.soc1().prefix);
-        let full2 = format!("{}.{name}", model.soc2().prefix);
-        let replayed1 = sim
-            .register_by_name(&full1)
-            .map_err(CertificateError::Replay)?;
-        let replayed2 = sim
-            .register_by_name(&full2)
-            .map_err(CertificateError::Replay)?;
+        let pair = model
+            .pair(name)
+            .ok_or_else(|| CertificateError::UnknownPair(name.clone()))?;
+        let (replayed1, replayed2) = (sim.peek(pair.signal1), sim.peek(pair.signal2));
         if replayed1 != *value1 || replayed2 != *value2 || value1 == value2 {
             return Err(CertificateError::DivergenceMismatch {
                 name: name.clone(),

@@ -86,4 +86,5 @@ pub use engine::{
 pub use methodology::{
     prove_alert_closure, run_methodology, ClosureOutcome, MethodologyReport, Verdict,
 };
-pub use model::{NamedConstraint, RegisterPair, SecretScenario, StateClass, UpecModel};
+pub use model::{NamedConstraint, RegisterPair, SecretScenario, UpecModel};
+pub use soc::StateClass;

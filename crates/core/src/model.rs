@@ -3,7 +3,7 @@
 
 use bmc::CompiledTransition;
 use rtl::{Netlist, SignalId};
-use soc::{build_soc, SocConfig, SocInstance};
+use soc::{build_soc, SocConfig, SocInstance, StateClass};
 use std::sync::Arc;
 
 /// Whether the secret initially resides in the data cache (the two columns of
@@ -24,18 +24,6 @@ impl SecretScenario {
             SecretScenario::NotInCache => "D not in cache",
         }
     }
-}
-
-/// Classification of a state-holding element (paper Defs. 1 and 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StateClass {
-    /// ISA-visible architectural state.
-    Architectural,
-    /// Program-invisible logic state.
-    Microarchitectural,
-    /// Cache-line data, treated as part of the memory (excluded from the
-    /// logic state like the black-boxed data arrays in the paper).
-    Memory,
 }
 
 /// A register present in both SoC instances of the miter.
@@ -105,74 +93,38 @@ impl UpecModel {
         // ------------------------------------------------------------------
         // Register pairing and per-pair miter signals
         // ------------------------------------------------------------------
-        let strip = |full: &str, prefix: &str| -> String {
+        // Both instances declare the same registers in the same order, so the
+        // i-th register of one pairs with the i-th of the other. The miter
+        // signals are created in that order, which fixes the miter's CNF
+        // variable numbering.
+        let label = |full: &str, prefix: &str| -> String {
             full.strip_prefix(&format!("{prefix}."))
                 .unwrap_or(full)
                 .to_string()
         };
-        let mut pairs = Vec::new();
-        let classified = |inst: &SocInstance| {
-            let mut map = std::collections::HashMap::new();
-            for &r in &inst.arch_registers {
-                map.insert(r, StateClass::Architectural);
-            }
-            for &r in &inst.micro_registers {
-                map.insert(r, StateClass::Microarchitectural);
-            }
-            for &r in &inst.memory_registers {
-                map.insert(r, StateClass::Memory);
-            }
-            map
-        };
-        let class1 = classified(&soc1);
-        // Registers were created in the same order for both instances, so the
-        // i-th register of instance 1 corresponds to the i-th of instance 2
-        // within each instance's own register range. Match by stripped name
-        // to stay robust.
-        // Iterate in register-creation order (not HashMap order) so the
-        // miter's CNF variable numbering — and with it solver behavior and
-        // statistics — is identical on every run.
-        let mut regs1: Vec<_> = class1.keys().copied().collect();
-        regs1.sort_by_key(|r| r.index());
-        for reg1 in regs1 {
-            let info1 = n.register_info(reg1).clone();
-            let name = strip(&info1.name, &soc1.prefix);
-            let full2 = format!("{}.{name}", soc2.prefix);
-            let reg2 = n
-                .find_register(&full2)
-                .unwrap_or_else(|| panic!("instance 2 misses register {full2}"));
-            let info2 = n.register_info(reg2).clone();
-            let class = class1[&reg1];
-            let equal = n.eq(info1.signal, info2.signal);
-            let blocking = |inst: &SocInstance, name: &str| -> Option<SignalId> {
-                // Fault flags get their stricter blocking conditions: a
-                // differing fault bit selects which trap is taken (it feeds
-                // `mcause` and the flush logic), so the stage's own fault
-                // must not excuse it — see the `SocInstance` field docs.
-                if name == "ex_mem_fault" {
-                    Some(inst.ex_mem_fault_blocked)
-                } else if name == "mem_wb_fault" {
-                    Some(inst.mem_wb_fault_blocked)
-                } else if name.starts_with("ex_mem_") {
-                    Some(inst.ex_mem_blocked)
-                } else if name.starts_with("mem_wb_") {
-                    Some(inst.mem_wb_blocked)
-                } else {
-                    None
-                }
-            };
-            let equal_or_blocked = match (blocking(&soc1, &name), blocking(&soc2, &name)) {
-                (Some(b1), Some(b2)) => {
-                    let both = n.and(b1, b2);
+        let mut pairs = Vec::with_capacity(soc1.registers.len());
+        assert_eq!(soc1.registers.len(), soc2.registers.len());
+        for (reg1, reg2) in soc1.registers.iter().zip(&soc2.registers) {
+            let name = label(&n.register_info(reg1.handle.id()).name, &soc1.prefix);
+            let name2 = label(&n.register_info(reg2.handle.id()).name, &soc2.prefix);
+            assert_eq!(name, name2, "the instances declare the same registers");
+            let (signal1, signal2) = (reg1.handle.value(), reg2.handle.value());
+            let equal = n.eq(signal1, signal2);
+            let equal_or_blocked = match reg1.blocking {
+                Some(blocking) => {
+                    let both = n.and(
+                        soc1.blocking_signal(blocking),
+                        soc2.blocking_signal(blocking),
+                    );
                     n.or(equal, both)
                 }
-                _ => equal,
+                None => equal,
             };
             pairs.push(RegisterPair {
                 name,
-                class,
-                signal1: info1.signal,
-                signal2: info2.signal,
+                class: reg1.class,
+                signal1,
+                signal2,
                 equal,
                 equal_or_blocked,
             });
@@ -185,10 +137,10 @@ impl UpecModel {
         // cache-side counterpart).
         // ------------------------------------------------------------------
         let memory_equivalence = {
+            let secret_line = soc1.secret_line_data_register.value();
             let mut terms = Vec::new();
             for pair in pairs.iter().filter(|p| p.class == StateClass::Memory) {
-                let secret_line = format!("dcache.data{}", config.secret_index());
-                if pair.name == secret_line {
+                if pair.signal1 == secret_line {
                     // May differ only when the line actually holds the secret.
                     let not_present = n.not(soc1.secret_line_present);
                     let ok = n.implies(not_present, pair.equal);
@@ -417,20 +369,63 @@ mod tests {
     use super::*;
     use soc::SocVariant;
 
+    /// Every geometry the registry and the simulator use, for each design
+    /// variant, with its miter's pair count and its architectural,
+    /// microarchitectural and memory pair counts.
+    fn geometries() -> Vec<(SocConfig, [usize; 4])> {
+        let r4c2 = [76, 13, 61, 2];
+        [
+            SocVariant::Secure,
+            SocVariant::MeltdownStyle,
+            SocVariant::Orc,
+            SocVariant::PmpLockBug,
+        ]
+        .into_iter()
+        .flat_map(|variant| {
+            let formal = SocConfig::formal(variant);
+            [
+                (formal, r4c2),
+                (formal.with_miss_latency(2), r4c2),
+                (formal.with_store_latency(2), r4c2),
+                (formal.with_cache_lines(4), [82, 13, 65, 4]),
+                (SocConfig::new(variant), [86, 17, 65, 4]),
+            ]
+        })
+        .collect()
+    }
+
     #[test]
     fn miter_pairs_every_register_once() {
+        for (config, [pairs, ..]) in geometries() {
+            let model = UpecModel::new(&config, SecretScenario::InCache);
+            let netlist = model.netlist();
+            assert_eq!(model.pairs().len(), pairs, "{config:?}");
+            // Every register of instance 1 is paired exactly once, with the
+            // register of the same name in instance 2.
+            let mut paired: Vec<SignalId> = model.pairs().iter().map(|p| p.signal1).collect();
+            paired.sort_unstable();
+            let soc1: Vec<SignalId> = netlist
+                .registers()
+                .iter()
+                .filter(|r| r.name.starts_with("soc1."))
+                .map(|r| r.signal)
+                .collect();
+            assert_eq!(paired, soc1, "{config:?}");
+            for pair in model.pairs() {
+                assert_eq!(
+                    netlist.signal_name(pair.signal1),
+                    format!("soc1.{}", pair.name)
+                );
+                assert_eq!(
+                    netlist.signal_name(pair.signal2),
+                    format!("soc2.{}", pair.name)
+                );
+            }
+        }
         let model = UpecModel::new(
             &SocConfig::formal(SocVariant::Secure),
             SecretScenario::InCache,
         );
-        let total_regs_one_instance = model.soc1().arch_registers.len()
-            + model.soc1().micro_registers.len()
-            + model.soc1().memory_registers.len();
-        assert_eq!(model.pairs().len(), total_regs_one_instance);
-        // Names are unique.
-        let mut names: Vec<_> = model.pairs().iter().map(|p| p.name.clone()).collect();
-        names.dedup();
-        assert_eq!(names.len(), model.pairs().len());
         assert!(model.pair("pc").is_some());
         assert!(model.pair("dcache.pw_valid").is_some());
         assert!(model.pair("nonexistent").is_none());
@@ -438,21 +433,47 @@ mod tests {
 
     #[test]
     fn classification_covers_arch_micro_and_memory() {
-        let model = UpecModel::new(
-            &SocConfig::formal(SocVariant::Secure),
-            SecretScenario::InCache,
-        );
-        assert!(model.pairs_of_class(StateClass::Architectural).count() >= 10);
-        assert!(model.pairs_of_class(StateClass::Microarchitectural).count() >= 40);
-        assert_eq!(
-            model.pairs_of_class(StateClass::Memory).count(),
-            model.config().cache_lines as usize
-        );
-        assert_eq!(model.pair("pc").unwrap().class, StateClass::Architectural);
-        assert_eq!(
-            model.pair("ex_mem_result").unwrap().class,
-            StateClass::Microarchitectural
-        );
+        for (config, [_, arch, micro, memory]) in geometries() {
+            let model = UpecModel::new(&config, SecretScenario::InCache);
+            let count = |class| model.pairs_of_class(class).count();
+            assert_eq!(
+                [
+                    count(StateClass::Architectural),
+                    count(StateClass::Microarchitectural),
+                    count(StateClass::Memory),
+                ],
+                [arch, micro, memory],
+                "{config:?}"
+            );
+            assert_eq!(memory, config.cache_lines as usize);
+            assert_eq!(model.pair("pc").unwrap().class, StateClass::Architectural);
+            assert_eq!(
+                model.pair("ex_mem_result").unwrap().class,
+                StateClass::Microarchitectural
+            );
+        }
+    }
+
+    /// Exactly the 12 EX/MEM and the 11 MEM/WB pipeline registers carry a
+    /// blocking condition, on every registry miter.
+    #[test]
+    fn exactly_the_ex_mem_and_mem_wb_pairs_are_blockable() {
+        for instance in crate::scenarios::instances() {
+            let model = instance.build_model();
+            let blockable: Vec<&str> = model
+                .pairs()
+                .iter()
+                .filter(|p| p.equal_or_blocked != p.equal)
+                .map(|p| p.name.as_str())
+                .collect();
+            let stage = |prefix: &str| blockable.iter().filter(|n| n.starts_with(prefix)).count();
+            assert_eq!(
+                [blockable.len(), stage("ex_mem_"), stage("mem_wb_")],
+                [23, 12, 11],
+                "{}",
+                instance.id()
+            );
+        }
     }
 
     #[test]

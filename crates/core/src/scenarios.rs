@@ -126,12 +126,15 @@ impl ScenarioInstance {
         match self.commitment {
             CommitmentKind::Full => crate::full_commitment(model),
             CommitmentKind::Architectural => crate::architectural_commitment(model),
-            CommitmentKind::CacheState => model
-                .pairs()
-                .iter()
-                .map(|p| p.name.clone())
-                .filter(|n| n.starts_with("dcache.tag") || n.starts_with("dcache.valid"))
-                .collect(),
+            CommitmentKind::CacheState => {
+                let footprint: Vec<_> = model.soc1().cache_footprint().map(|r| r.value()).collect();
+                model
+                    .pairs()
+                    .iter()
+                    .filter(|p| footprint.contains(&p.signal1))
+                    .map(|p| p.name.clone())
+                    .collect()
+            }
         }
     }
 
@@ -546,7 +549,7 @@ mod tests {
 
     #[test]
     fn every_scenario_builds_a_model_with_a_nonempty_commitment() {
-        for scenario in registry() {
+        for scenario in instances() {
             let model = scenario.build_model();
             let commitment = scenario.commitment_set(&model);
             assert!(
@@ -554,6 +557,14 @@ mod tests {
                 "{}: empty commitment",
                 scenario.name
             );
+            if scenario.commitment == CommitmentKind::CacheState {
+                // Each line's valid bit and tag.
+                let lines = scenario.config.cache_lines as usize;
+                assert_eq!(commitment.len(), 2 * lines, "{}", scenario.id());
+                assert!(commitment
+                    .iter()
+                    .all(|n| n.starts_with("dcache.valid") || n.starts_with("dcache.tag")));
+            }
             assert!(
                 scenario.start_window >= 1 && scenario.start_window <= scenario.max_window,
                 "{}",

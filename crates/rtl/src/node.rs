@@ -240,11 +240,6 @@ impl Node {
         }
     }
 
-    /// Whether the node is a state-holding element (a register read).
-    pub fn is_register(&self) -> bool {
-        matches!(self, Node::Register { .. })
-    }
-
     /// Signals this node depends on combinationally.
     pub fn operands(&self) -> Vec<SignalId> {
         match self {

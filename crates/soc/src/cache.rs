@@ -10,8 +10,9 @@
 //!   whether an in-flight refill is cancelled when the pipeline is flushed is
 //!   the Meltdown-style design decision of paper Fig. 1.
 
+use crate::core::{declare, SocRegister, StateClass};
 use crate::{SocConfig, SocVariant};
-use rtl::{BitVec, Netlist, RegisterId, SignalId};
+use rtl::{BitVec, Netlist, RegisterHandle, SignalId};
 
 /// Request-side signals the core presents to the cache (all computed in the
 /// core's EX stage).
@@ -29,6 +30,18 @@ pub struct CacheRequest {
     pub allow_refill: SignalId,
     /// The pipeline is being flushed by a trap this cycle.
     pub flush: SignalId,
+}
+
+/// The registers of one cache line. Its valid bit and tag are its part of
+/// the cache footprint; its data word is memory.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheLine {
+    /// The line holds a valid copy.
+    pub valid: RegisterHandle,
+    /// Tag of the cached address.
+    pub tag: RegisterHandle,
+    /// The cached data word.
+    pub data: RegisterHandle,
 }
 
 /// Signals produced by the cache.
@@ -68,32 +81,27 @@ pub struct CacheSignals {
     /// The line the secret address maps to currently holds a valid copy of
     /// the secret (tag match).
     pub secret_line_present: SignalId,
-    /// Registers holding cache line data (the "memory" part of the cache
-    /// which the UPEC model excludes from the logic state).
-    pub data_registers: Vec<RegisterId>,
-    /// Register holding the data of the line the secret maps to.
-    pub secret_line_data_register: RegisterId,
-    /// All other (logic) registers of the cache: valid bits, tags, pending
-    /// write buffer, refill state.
-    pub logic_registers: Vec<RegisterId>,
+    /// The cache's lines, by index.
+    pub lines: Vec<CacheLine>,
 }
 
 fn counter_width(max: u32) -> u32 {
     32 - max.max(1).leading_zeros()
 }
 
-/// Builds the data cache inside `n` and returns its signals.
+/// Builds the data cache inside `n`, declaring its registers into
+/// `registers`, and returns its signals.
 ///
 /// `mem_rdata` is the memory-side read-data input (owned by the caller so the
 /// UPEC miter can couple it between instances).
 pub fn build_cache(
     n: &mut Netlist,
+    registers: &mut Vec<SocRegister>,
     config: &SocConfig,
     req: CacheRequest,
     mem_rdata: SignalId,
 ) -> CacheSignals {
     n.push_scope("dcache");
-    let lines = config.cache_lines;
     let idx_bits = config.index_bits();
     let tag_bits = 30 - idx_bits;
     let cnt_bits = counter_width(config.miss_latency.max(config.store_latency));
@@ -101,21 +109,22 @@ pub fn build_cache(
     // ------------------------------------------------------------------
     // State
     // ------------------------------------------------------------------
-    let mut valid_regs = Vec::new();
-    let mut tag_regs = Vec::new();
-    let mut data_regs = Vec::new();
-    for i in 0..lines {
-        valid_regs.push(n.register_init(format!("valid{i}"), 1, BitVec::zero(1)));
-        tag_regs.push(n.register_init(format!("tag{i}"), tag_bits, BitVec::zero(tag_bits)));
-        data_regs.push(n.register_init(format!("data{i}"), 32, BitVec::zero(32)));
-    }
-    let pw_valid = n.register_init("pw_valid", 1, BitVec::zero(1));
-    let pw_addr = n.register_init("pw_addr", 32, BitVec::zero(32));
-    let pw_data = n.register_init("pw_data", 32, BitVec::zero(32));
-    let pw_counter = n.register_init("pw_counter", cnt_bits, BitVec::zero(cnt_bits));
-    let refill_valid = n.register_init("refill_valid", 1, BitVec::zero(1));
-    let refill_addr = n.register_init("refill_addr", 32, BitVec::zero(32));
-    let refill_counter = n.register_init("refill_counter", cnt_bits, BitVec::zero(cnt_bits));
+    use StateClass::{Memory, Microarchitectural as Micro};
+    let z = BitVec::zero;
+    let lines: Vec<CacheLine> = (0..config.cache_lines)
+        .map(|i| CacheLine {
+            valid: declare(registers, n, format!("valid{i}"), z(1), Micro, None),
+            tag: declare(registers, n, format!("tag{i}"), z(tag_bits), Micro, None),
+            data: declare(registers, n, format!("data{i}"), z(32), Memory, None),
+        })
+        .collect();
+    let pw_valid = declare(registers, n, "pw_valid", z(1), Micro, None);
+    let pw_addr = declare(registers, n, "pw_addr", z(32), Micro, None);
+    let pw_data = declare(registers, n, "pw_data", z(32), Micro, None);
+    let pw_counter = declare(registers, n, "pw_counter", z(cnt_bits), Micro, None);
+    let refill_valid = declare(registers, n, "refill_valid", z(1), Micro, None);
+    let refill_addr = declare(registers, n, "refill_addr", z(32), Micro, None);
+    let refill_counter = declare(registers, n, "refill_counter", z(cnt_bits), Micro, None);
 
     // ------------------------------------------------------------------
     // Address decomposition helpers
@@ -140,14 +149,14 @@ pub fn build_cache(
     let mut sel_data = n.lit(0, 32);
     let mut pw_line_valid = n.zero();
     let mut pw_line_tag = n.lit(0, tag_bits);
-    for i in 0..lines {
-        let is_i = n.eq_lit(req_index, u64::from(i));
-        sel_valid = n.mux(is_i, valid_regs[i as usize].value(), sel_valid);
-        sel_tag = n.mux(is_i, tag_regs[i as usize].value(), sel_tag);
-        sel_data = n.mux(is_i, data_regs[i as usize].value(), sel_data);
-        let pw_is_i = n.eq_lit(pw_index, u64::from(i));
-        pw_line_valid = n.mux(pw_is_i, valid_regs[i as usize].value(), pw_line_valid);
-        pw_line_tag = n.mux(pw_is_i, tag_regs[i as usize].value(), pw_line_tag);
+    for (i, line) in (0u64..).zip(&lines) {
+        let is_i = n.eq_lit(req_index, i);
+        sel_valid = n.mux(is_i, line.valid.value(), sel_valid);
+        sel_tag = n.mux(is_i, line.tag.value(), sel_tag);
+        sel_data = n.mux(is_i, line.data.value(), sel_data);
+        let pw_is_i = n.eq_lit(pw_index, i);
+        pw_line_valid = n.mux(pw_is_i, line.valid.value(), pw_line_valid);
+        pw_line_tag = n.mux(pw_is_i, line.tag.value(), pw_line_tag);
     }
 
     let tags_match = n.eq(sel_tag, req_tag);
@@ -244,23 +253,22 @@ pub fn build_cache(
     // ------------------------------------------------------------------
     // Line array updates
     // ------------------------------------------------------------------
-    for i in 0..lines {
-        let iu = u64::from(i);
+    for (i, line) in (0u64..).zip(&lines) {
         let refill_this = {
-            let idx_match = n.eq_lit(refill_index, iu);
+            let idx_match = n.eq_lit(refill_index, i);
             n.and(refill_done, idx_match)
         };
         let pw_this = {
-            let idx_match = n.eq_lit(pw_index, iu);
+            let idx_match = n.eq_lit(pw_index, i);
             n.and(pw_writes_line, idx_match)
         };
-        let valid_next = n.mux(refill_this, one_bit, valid_regs[i as usize].value());
-        n.set_next(valid_regs[i as usize], valid_next);
-        let tag_next = n.mux(refill_this, refill_tag, tag_regs[i as usize].value());
-        n.set_next(tag_regs[i as usize], tag_next);
-        let after_pw = n.mux(pw_this, pw_data.value(), data_regs[i as usize].value());
+        let valid_next = n.mux(refill_this, one_bit, line.valid.value());
+        n.set_next(line.valid, valid_next);
+        let tag_next = n.mux(refill_this, refill_tag, line.tag.value());
+        n.set_next(line.tag, tag_next);
+        let after_pw = n.mux(pw_this, pw_data.value(), line.data.value());
         let data_next = n.mux(refill_this, mem_rdata, after_pw);
-        n.set_next(data_regs[i as usize], data_next);
+        n.set_next(line.data, data_next);
     }
 
     // ------------------------------------------------------------------
@@ -295,8 +303,8 @@ pub fn build_cache(
     // tagged with the secret's tag.
     let sidx = config.secret_index() as usize;
     let secret_tag_lit = n.lit(u64::from(config.secret_tag()), tag_bits);
-    let secret_tag_match = n.eq(tag_regs[sidx].value(), secret_tag_lit);
-    let secret_line_present = n.and(valid_regs[sidx].value(), secret_tag_match);
+    let secret_tag_match = n.eq(lines[sidx].tag.value(), secret_tag_lit);
+    let secret_line_present = n.and(lines[sidx].valid.value(), secret_tag_match);
 
     let signals = CacheSignals {
         hit,
@@ -314,26 +322,7 @@ pub fn build_cache(
         pending_write_addr: pw_addr.value(),
         monitor_valid,
         secret_line_present,
-        data_registers: data_regs.iter().map(|r| r.id()).collect(),
-        secret_line_data_register: data_regs[sidx].id(),
-        logic_registers: valid_regs
-            .iter()
-            .chain(tag_regs.iter())
-            .map(|r| r.id())
-            .chain(
-                [
-                    &pw_valid,
-                    &pw_addr,
-                    &pw_data,
-                    &pw_counter,
-                    &refill_valid,
-                    &refill_addr,
-                    &refill_counter,
-                ]
-                .into_iter()
-                .map(|r| r.id()),
-            )
-            .collect(),
+        lines,
     };
     n.pop_scope();
     signals
@@ -374,7 +363,7 @@ mod tests {
             allow_refill,
             flush,
         };
-        let out = build_cache(&mut n, &config, req, mem_rdata);
+        let out = build_cache(&mut n, &mut Vec::new(), &config, req, mem_rdata);
         n.validate().expect("cache netlist is well formed");
         CacheHarness {
             sim: Simulator::new(n),

@@ -7,15 +7,76 @@
 //! of paper Fig. 1), physical memory protection checked in EX, and precise
 //! exceptions taken when the faulting instruction reaches WB.
 
-use crate::cache::{build_cache, CacheRequest};
+use crate::cache::{build_cache, CacheLine, CacheRequest};
 use crate::{isa::csr, SocConfig, SocVariant, PROTECTED_BASE, PROTECTED_TOP, TRAP_VECTOR};
-use rtl::{BitVec, Netlist, RegisterId, SignalId};
+use rtl::{BitVec, Netlist, RegisterHandle, SignalId};
 
-/// Signal handles and register classification for one SoC instance.
+/// Classification of a state-holding element (paper Defs. 1 and 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StateClass {
+    /// ISA-visible architectural state.
+    Architectural,
+    /// Program-invisible logic state.
+    Microarchitectural,
+    /// Cache-line data, treated as part of the memory (excluded from the
+    /// logic state like the black-boxed data arrays in the paper).
+    Memory,
+}
+
+/// The generator's four blocking conditions. While one holds in both
+/// instances, a difference in the pipeline registers it covers cannot
+/// architecturally commit (the inductive closure proofs of paper Sec. VI).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Blocking {
+    /// [`SocInstance::ex_mem_blocked`]: the EX/MEM registers but the fault
+    /// flag.
+    ExMem,
+    /// [`SocInstance::ex_mem_fault_blocked`]: the EX/MEM fault flag.
+    ExMemFault,
+    /// [`SocInstance::mem_wb_blocked`]: the MEM/WB registers but the fault
+    /// flag.
+    MemWb,
+    /// [`SocInstance::mem_wb_fault_blocked`]: the MEM/WB fault flag.
+    MemWbFault,
+}
+
+/// A register of a SoC instance, with the role the generator declared for
+/// it where it created the register.
+#[derive(Debug, Clone, Copy)]
+pub struct SocRegister {
+    /// The register: its id and the signal of its current value.
+    pub handle: RegisterHandle,
+    /// State classification.
+    pub class: StateClass,
+    /// For an EX/MEM or MEM/WB pipeline register, the blocking condition
+    /// that excuses a difference in it.
+    pub blocking: Option<Blocking>,
+}
+
+/// Creates a register with reset value `init` and records it in
+/// `registers` with its role: the one way the generator creates a register.
+pub(crate) fn declare(
+    registers: &mut Vec<SocRegister>,
+    n: &mut Netlist,
+    name: impl Into<String>,
+    init: BitVec,
+    class: StateClass,
+    blocking: Option<Blocking>,
+) -> RegisterHandle {
+    let handle = n.register_init(name, init.width(), init);
+    registers.push(SocRegister {
+        handle,
+        class,
+        blocking,
+    });
+    handle
+}
+
+/// Signal handles and declared registers of one SoC instance.
 ///
 /// Everything the simulator harness, the examples and the UPEC miter need to
-/// observe or constrain is exposed here by name; the underlying netlist keeps
-/// the full hierarchy under the instance prefix.
+/// observe or constrain is exposed here as a handle; the underlying netlist
+/// keeps the full hierarchy under the instance prefix.
 #[derive(Debug, Clone)]
 pub struct SocInstance {
     /// Instance prefix used for all hierarchical names.
@@ -38,8 +99,6 @@ pub struct SocInstance {
     pub mem_req_addr: SignalId,
     /// Memory-side write data.
     pub mem_req_wdata: SignalId,
-    /// A refill read is in flight.
-    pub mem_read_pending: SignalId,
     /// The refill consumes `mem_rdata` this cycle.
     pub mem_read_resp_now: SignalId,
     /// Address of the in-flight refill read.
@@ -97,15 +156,34 @@ pub struct SocInstance {
     /// Values of `x1..x{n-1}`.
     pub regfile: Vec<SignalId>,
 
-    // ----- state classification (Defs. 1 and 2 of the paper) -----
-    /// Architectural registers (ISA-visible state).
-    pub arch_registers: Vec<RegisterId>,
-    /// Microarchitectural (program-invisible logic) registers.
-    pub micro_registers: Vec<RegisterId>,
-    /// Cache-line data registers (treated as memory, not logic).
-    pub memory_registers: Vec<RegisterId>,
+    // ----- declared state -----
+    /// Every register of the instance in creation order, with its state
+    /// class (paper Defs. 1 and 2) and blocking condition.
+    pub registers: Vec<SocRegister>,
+    /// The data cache's lines.
+    pub cache_lines: Vec<CacheLine>,
     /// The cache data register that may legitimately hold the secret.
-    pub secret_line_data_register: RegisterId,
+    pub secret_line_data_register: RegisterHandle,
+}
+
+impl SocInstance {
+    /// The signal of one of the generator's blocking conditions.
+    pub fn blocking_signal(&self, blocking: Blocking) -> SignalId {
+        match blocking {
+            Blocking::ExMem => self.ex_mem_blocked,
+            Blocking::ExMemFault => self.ex_mem_fault_blocked,
+            Blocking::MemWb => self.mem_wb_blocked,
+            Blocking::MemWbFault => self.mem_wb_fault_blocked,
+        }
+    }
+
+    /// The cache footprint: every line's valid bit and tag, the state the
+    /// cache-footprint commitment compares.
+    pub fn cache_footprint(&self) -> impl Iterator<Item = RegisterHandle> + '_ {
+        self.cache_lines
+            .iter()
+            .flat_map(|line| [line.valid, line.tag])
+    }
 }
 
 /// Builds one SoC instance inside `netlist` under the hierarchical `prefix`.
@@ -115,6 +193,10 @@ pub struct SocInstance {
 /// Panics if the resulting netlist fragment is malformed (which would be a
 /// bug in the generator, not a user error).
 pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstance {
+    use Blocking::{ExMem, ExMemFault, MemWb, MemWbFault};
+    use StateClass::{Architectural as Arch, Microarchitectural as Micro};
+    let z = BitVec::zero;
+    let mut regs = Vec::new();
     n.push_scope(prefix);
     let reg_bits = config.reg_bits();
     let num_regs = config.num_registers;
@@ -133,77 +215,78 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
     // ------------------------------------------------------------------
     // Architectural state
     // ------------------------------------------------------------------
-    let pc = n.register_init("pc", 32, BitVec::zero(32));
+    let pc = declare(&mut regs, n, "pc", z(32), Arch, None);
     let mut xregs = Vec::new();
     for i in 1..num_regs {
-        xregs.push(n.register_init(format!("x{i}"), 32, BitVec::zero(32)));
+        xregs.push(declare(&mut regs, n, format!("x{i}"), z(32), Arch, None));
     }
-    let mode = n.register_init("mode", 1, BitVec::zero(1));
-    let mepc = n.register_init("mepc", 32, BitVec::zero(32));
-    let mcause = n.register_init("mcause", 32, BitVec::zero(32));
-    let mtvec = n.register_init("mtvec", 32, BitVec::new(u64::from(TRAP_VECTOR), 32));
-    let pmpaddr0 = n.register_init("pmpaddr0", 32, BitVec::zero(32));
-    let pmpaddr1 = n.register_init("pmpaddr1", 32, BitVec::zero(32));
-    let pmpcfg0 = n.register_init("pmpcfg0", 8, BitVec::zero(8));
-    let pmpcfg1 = n.register_init("pmpcfg1", 8, BitVec::zero(8));
-    let cycle = n.register_init("cycle", 32, BitVec::zero(32));
+    let mode = declare(&mut regs, n, "mode", z(1), Arch, None);
+    let mepc = declare(&mut regs, n, "mepc", z(32), Arch, None);
+    let mcause = declare(&mut regs, n, "mcause", z(32), Arch, None);
+    let trap_vector = BitVec::new(u64::from(TRAP_VECTOR), 32);
+    let mtvec = declare(&mut regs, n, "mtvec", trap_vector, Arch, None);
+    let pmpaddr0 = declare(&mut regs, n, "pmpaddr0", z(32), Arch, None);
+    let pmpaddr1 = declare(&mut regs, n, "pmpaddr1", z(32), Arch, None);
+    let pmpcfg0 = declare(&mut regs, n, "pmpcfg0", z(8), Arch, None);
+    let pmpcfg1 = declare(&mut regs, n, "pmpcfg1", z(8), Arch, None);
+    let cycle = declare(&mut regs, n, "cycle", z(32), Arch, None);
 
     // ------------------------------------------------------------------
     // Microarchitectural state: pipeline registers
     // ------------------------------------------------------------------
-    let if_id_valid = n.register_init("if_id_valid", 1, BitVec::zero(1));
-    let if_id_pc = n.register_init("if_id_pc", 32, BitVec::zero(32));
-    let if_id_instr = n.register_init("if_id_instr", 32, BitVec::zero(32));
+    let if_id_valid = declare(&mut regs, n, "if_id_valid", z(1), Micro, None);
+    let if_id_pc = declare(&mut regs, n, "if_id_pc", z(32), Micro, None);
+    let if_id_instr = declare(&mut regs, n, "if_id_instr", z(32), Micro, None);
 
-    let id_ex_valid = n.register_init("id_ex_valid", 1, BitVec::zero(1));
-    let id_ex_pc = n.register_init("id_ex_pc", 32, BitVec::zero(32));
-    let id_ex_rd = n.register_init("id_ex_rd", 5, BitVec::zero(5));
-    let id_ex_rs1 = n.register_init("id_ex_rs1", 5, BitVec::zero(5));
-    let id_ex_rs1_data = n.register_init("id_ex_rs1_data", 32, BitVec::zero(32));
-    let id_ex_rs2_data = n.register_init("id_ex_rs2_data", 32, BitVec::zero(32));
-    let id_ex_imm = n.register_init("id_ex_imm", 32, BitVec::zero(32));
-    let id_ex_alu_op = n.register_init("id_ex_alu_op", 3, BitVec::zero(3));
-    let id_ex_is_load = n.register_init("id_ex_is_load", 1, BitVec::zero(1));
-    let id_ex_is_store = n.register_init("id_ex_is_store", 1, BitVec::zero(1));
-    let id_ex_is_branch = n.register_init("id_ex_is_branch", 1, BitVec::zero(1));
-    let id_ex_branch_is_bne = n.register_init("id_ex_branch_is_bne", 1, BitVec::zero(1));
-    let id_ex_is_jal = n.register_init("id_ex_is_jal", 1, BitVec::zero(1));
-    let id_ex_is_lui = n.register_init("id_ex_is_lui", 1, BitVec::zero(1));
-    let id_ex_uses_imm = n.register_init("id_ex_uses_imm", 1, BitVec::zero(1));
-    let id_ex_writes_rd = n.register_init("id_ex_writes_rd", 1, BitVec::zero(1));
-    let id_ex_is_csr = n.register_init("id_ex_is_csr", 1, BitVec::zero(1));
-    let id_ex_csr_write = n.register_init("id_ex_csr_write", 1, BitVec::zero(1));
-    let id_ex_csr_set = n.register_init("id_ex_csr_set", 1, BitVec::zero(1));
-    let id_ex_csr_addr = n.register_init("id_ex_csr_addr", 12, BitVec::zero(12));
-    let id_ex_is_mret = n.register_init("id_ex_is_mret", 1, BitVec::zero(1));
-    let id_ex_is_illegal = n.register_init("id_ex_is_illegal", 1, BitVec::zero(1));
+    let id_ex_valid = declare(&mut regs, n, "id_ex_valid", z(1), Micro, None);
+    let id_ex_pc = declare(&mut regs, n, "id_ex_pc", z(32), Micro, None);
+    let id_ex_rd = declare(&mut regs, n, "id_ex_rd", z(5), Micro, None);
+    let id_ex_rs1 = declare(&mut regs, n, "id_ex_rs1", z(5), Micro, None);
+    let id_ex_rs1_data = declare(&mut regs, n, "id_ex_rs1_data", z(32), Micro, None);
+    let id_ex_rs2_data = declare(&mut regs, n, "id_ex_rs2_data", z(32), Micro, None);
+    let id_ex_imm = declare(&mut regs, n, "id_ex_imm", z(32), Micro, None);
+    let id_ex_alu_op = declare(&mut regs, n, "id_ex_alu_op", z(3), Micro, None);
+    let id_ex_is_load = declare(&mut regs, n, "id_ex_is_load", z(1), Micro, None);
+    let id_ex_is_store = declare(&mut regs, n, "id_ex_is_store", z(1), Micro, None);
+    let id_ex_is_branch = declare(&mut regs, n, "id_ex_is_branch", z(1), Micro, None);
+    let id_ex_branch_is_bne = declare(&mut regs, n, "id_ex_branch_is_bne", z(1), Micro, None);
+    let id_ex_is_jal = declare(&mut regs, n, "id_ex_is_jal", z(1), Micro, None);
+    let id_ex_is_lui = declare(&mut regs, n, "id_ex_is_lui", z(1), Micro, None);
+    let id_ex_uses_imm = declare(&mut regs, n, "id_ex_uses_imm", z(1), Micro, None);
+    let id_ex_writes_rd = declare(&mut regs, n, "id_ex_writes_rd", z(1), Micro, None);
+    let id_ex_is_csr = declare(&mut regs, n, "id_ex_is_csr", z(1), Micro, None);
+    let id_ex_csr_write = declare(&mut regs, n, "id_ex_csr_write", z(1), Micro, None);
+    let id_ex_csr_set = declare(&mut regs, n, "id_ex_csr_set", z(1), Micro, None);
+    let id_ex_csr_addr = declare(&mut regs, n, "id_ex_csr_addr", z(12), Micro, None);
+    let id_ex_is_mret = declare(&mut regs, n, "id_ex_is_mret", z(1), Micro, None);
+    let id_ex_is_illegal = declare(&mut regs, n, "id_ex_is_illegal", z(1), Micro, None);
 
-    let ex_mem_valid = n.register_init("ex_mem_valid", 1, BitVec::zero(1));
-    let ex_mem_pc = n.register_init("ex_mem_pc", 32, BitVec::zero(32));
-    let ex_mem_rd = n.register_init("ex_mem_rd", 5, BitVec::zero(5));
-    let ex_mem_writes_rd = n.register_init("ex_mem_writes_rd", 1, BitVec::zero(1));
-    let ex_mem_result = n.register_init("ex_mem_result", 32, BitVec::zero(32));
-    let ex_mem_is_load = n.register_init("ex_mem_is_load", 1, BitVec::zero(1));
-    let ex_mem_fault = n.register_init("ex_mem_fault", 1, BitVec::zero(1));
-    let ex_mem_cause = n.register_init("ex_mem_cause", 32, BitVec::zero(32));
-    let ex_mem_is_mret = n.register_init("ex_mem_is_mret", 1, BitVec::zero(1));
-    let ex_mem_csr_write = n.register_init("ex_mem_csr_write", 1, BitVec::zero(1));
-    let ex_mem_csr_addr = n.register_init("ex_mem_csr_addr", 12, BitVec::zero(12));
-    let ex_mem_csr_wdata = n.register_init("ex_mem_csr_wdata", 32, BitVec::zero(32));
+    let ex_mem_valid = declare(&mut regs, n, "ex_mem_valid", z(1), Micro, Some(ExMem));
+    let ex_mem_pc = declare(&mut regs, n, "ex_mem_pc", z(32), Micro, Some(ExMem));
+    let ex_mem_rd = declare(&mut regs, n, "ex_mem_rd", z(5), Micro, Some(ExMem));
+    let ex_mem_writes_rd = declare(&mut regs, n, "ex_mem_writes_rd", z(1), Micro, Some(ExMem));
+    let ex_mem_result = declare(&mut regs, n, "ex_mem_result", z(32), Micro, Some(ExMem));
+    let ex_mem_is_load = declare(&mut regs, n, "ex_mem_is_load", z(1), Micro, Some(ExMem));
+    let ex_mem_fault = declare(&mut regs, n, "ex_mem_fault", z(1), Micro, Some(ExMemFault));
+    let ex_mem_cause = declare(&mut regs, n, "ex_mem_cause", z(32), Micro, Some(ExMem));
+    let ex_mem_is_mret = declare(&mut regs, n, "ex_mem_is_mret", z(1), Micro, Some(ExMem));
+    let ex_mem_csr_write = declare(&mut regs, n, "ex_mem_csr_write", z(1), Micro, Some(ExMem));
+    let ex_mem_csr_addr = declare(&mut regs, n, "ex_mem_csr_addr", z(12), Micro, Some(ExMem));
+    let ex_mem_csr_wdata = declare(&mut regs, n, "ex_mem_csr_wdata", z(32), Micro, Some(ExMem));
 
-    let mem_wb_valid = n.register_init("mem_wb_valid", 1, BitVec::zero(1));
-    let mem_wb_pc = n.register_init("mem_wb_pc", 32, BitVec::zero(32));
-    let mem_wb_rd = n.register_init("mem_wb_rd", 5, BitVec::zero(5));
-    let mem_wb_writes_rd = n.register_init("mem_wb_writes_rd", 1, BitVec::zero(1));
-    let mem_wb_result = n.register_init("mem_wb_result", 32, BitVec::zero(32));
-    let mem_wb_fault = n.register_init("mem_wb_fault", 1, BitVec::zero(1));
-    let mem_wb_cause = n.register_init("mem_wb_cause", 32, BitVec::zero(32));
-    let mem_wb_is_mret = n.register_init("mem_wb_is_mret", 1, BitVec::zero(1));
-    let mem_wb_csr_write = n.register_init("mem_wb_csr_write", 1, BitVec::zero(1));
-    let mem_wb_csr_addr = n.register_init("mem_wb_csr_addr", 12, BitVec::zero(12));
-    let mem_wb_csr_wdata = n.register_init("mem_wb_csr_wdata", 32, BitVec::zero(32));
+    let mem_wb_valid = declare(&mut regs, n, "mem_wb_valid", z(1), Micro, Some(MemWb));
+    let mem_wb_pc = declare(&mut regs, n, "mem_wb_pc", z(32), Micro, Some(MemWb));
+    let mem_wb_rd = declare(&mut regs, n, "mem_wb_rd", z(5), Micro, Some(MemWb));
+    let mem_wb_writes_rd = declare(&mut regs, n, "mem_wb_writes_rd", z(1), Micro, Some(MemWb));
+    let mem_wb_result = declare(&mut regs, n, "mem_wb_result", z(32), Micro, Some(MemWb));
+    let mem_wb_fault = declare(&mut regs, n, "mem_wb_fault", z(1), Micro, Some(MemWbFault));
+    let mem_wb_cause = declare(&mut regs, n, "mem_wb_cause", z(32), Micro, Some(MemWb));
+    let mem_wb_is_mret = declare(&mut regs, n, "mem_wb_is_mret", z(1), Micro, Some(MemWb));
+    let mem_wb_csr_write = declare(&mut regs, n, "mem_wb_csr_write", z(1), Micro, Some(MemWb));
+    let mem_wb_csr_addr = declare(&mut regs, n, "mem_wb_csr_addr", z(12), Micro, Some(MemWb));
+    let mem_wb_csr_wdata = declare(&mut regs, n, "mem_wb_csr_wdata", z(32), Micro, Some(MemWb));
 
-    let replay_done = n.register_init("replay_done", 1, BitVec::zero(1));
+    let replay_done = declare(&mut regs, n, "replay_done", z(1), Micro, None);
 
     // ------------------------------------------------------------------
     // WB-stage commit/flush flags (needed by earlier stages)
@@ -431,7 +514,7 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
     // The ID/EX stage stores rs2 in the low bits of id_ex_rd? No: rs2 index is
     // needed for store-data forwarding; reuse the rs1 register for rs1 and
     // decode rs2 forwarding against the store-data value captured in ID.
-    let id_ex_rs2 = n.register_init("id_ex_rs2", 5, BitVec::zero(5));
+    let id_ex_rs2 = declare(&mut regs, n, "id_ex_rs2", z(5), Micro, None);
     let (rs1_val, rs1_from_mem) = forward(n, id_ex_rs1.value(), id_ex_rs1_data.value());
     let (rs2_val, _) = forward(n, id_ex_rs2.value(), id_ex_rs2_data.value());
 
@@ -592,6 +675,7 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
     // ------------------------------------------------------------------
     let cache = build_cache(
         n,
+        &mut regs,
         config,
         CacheRequest {
             valid: req_valid,
@@ -925,76 +1009,6 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
     };
     let mem_wb_fault_blocked = n.not(mem_wb_valid.value());
 
-    // ------------------------------------------------------------------
-    // State classification
-    // ------------------------------------------------------------------
-    let mut arch_registers: Vec<RegisterId> = vec![
-        pc.id(),
-        mode.id(),
-        mepc.id(),
-        mcause.id(),
-        mtvec.id(),
-        pmpaddr0.id(),
-        pmpaddr1.id(),
-        pmpcfg0.id(),
-        pmpcfg1.id(),
-        cycle.id(),
-    ];
-    arch_registers.extend(xregs.iter().map(|r| r.id()));
-    let mut micro_registers: Vec<RegisterId> = vec![
-        if_id_valid.id(),
-        if_id_pc.id(),
-        if_id_instr.id(),
-        id_ex_valid.id(),
-        id_ex_pc.id(),
-        id_ex_rd.id(),
-        id_ex_rs1.id(),
-        id_ex_rs2.id(),
-        id_ex_rs1_data.id(),
-        id_ex_rs2_data.id(),
-        id_ex_imm.id(),
-        id_ex_alu_op.id(),
-        id_ex_is_load.id(),
-        id_ex_is_store.id(),
-        id_ex_is_branch.id(),
-        id_ex_branch_is_bne.id(),
-        id_ex_is_jal.id(),
-        id_ex_is_lui.id(),
-        id_ex_uses_imm.id(),
-        id_ex_writes_rd.id(),
-        id_ex_is_csr.id(),
-        id_ex_csr_write.id(),
-        id_ex_csr_set.id(),
-        id_ex_csr_addr.id(),
-        id_ex_is_mret.id(),
-        id_ex_is_illegal.id(),
-        ex_mem_valid.id(),
-        ex_mem_pc.id(),
-        ex_mem_rd.id(),
-        ex_mem_writes_rd.id(),
-        ex_mem_result.id(),
-        ex_mem_is_load.id(),
-        ex_mem_fault.id(),
-        ex_mem_cause.id(),
-        ex_mem_is_mret.id(),
-        ex_mem_csr_write.id(),
-        ex_mem_csr_addr.id(),
-        ex_mem_csr_wdata.id(),
-        mem_wb_valid.id(),
-        mem_wb_pc.id(),
-        mem_wb_rd.id(),
-        mem_wb_writes_rd.id(),
-        mem_wb_result.id(),
-        mem_wb_fault.id(),
-        mem_wb_cause.id(),
-        mem_wb_is_mret.id(),
-        mem_wb_csr_write.id(),
-        mem_wb_csr_addr.id(),
-        mem_wb_csr_wdata.id(),
-        replay_done.id(),
-    ];
-    micro_registers.extend(cache.logic_registers.iter().copied());
-
     let instance = SocInstance {
         prefix: prefix.to_string(),
         config: *config,
@@ -1005,7 +1019,6 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
         mem_req_write: cache.mem_req_write,
         mem_req_addr: cache.mem_req_addr,
         mem_req_wdata: cache.mem_req_wdata,
-        mem_read_pending: cache.refill_active,
         mem_read_resp_now: cache.refill_done,
         mem_read_addr: cache.refill_addr,
         no_ongoing_protected_access,
@@ -1025,10 +1038,9 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
         mode: mode.value(),
         cycle: cycle.value(),
         regfile: xregs.iter().map(|r| r.value()).collect(),
-        arch_registers,
-        micro_registers,
-        memory_registers: cache.data_registers.clone(),
-        secret_line_data_register: cache.secret_line_data_register,
+        registers: regs,
+        secret_line_data_register: cache.lines[config.secret_index() as usize].data,
+        cache_lines: cache.lines,
     };
     n.pop_scope();
     instance

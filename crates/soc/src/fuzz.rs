@@ -372,13 +372,10 @@ pub fn observe(config: &SocConfig, program: &Program, secret: u32) -> Observatio
     let memory = (0..PROTECTED_BASE / 4)
         .map(|w| sim.load_word(4 * w))
         .collect();
-    let cache = (0..config.cache_lines)
-        .map(|i| {
-            (
-                sim.register(&format!("dcache.valid{i}")),
-                sim.register(&format!("dcache.tag{i}")),
-            )
-        })
+    let lines = sim.instance().cache_lines.clone();
+    let cache = lines
+        .iter()
+        .map(|line| (sim.peek(line.valid.value()), sim.peek(line.tag.value())))
         .collect();
     Observation {
         regs,

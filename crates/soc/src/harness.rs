@@ -4,7 +4,7 @@ use crate::{
     build_soc, GoldenModel, Program, SocConfig, SocInstance, PROTECTED_BASE, PROTECTED_TOP,
     SECRET_ADDR,
 };
-use rtl::Netlist;
+use rtl::{Netlist, SignalId};
 use sim::Simulator;
 use std::collections::BTreeMap;
 
@@ -92,11 +92,12 @@ impl SocSim {
     /// Preloads the cache line the secret maps to with `value`, marking it
     /// valid and tagged with the secret's address ("D in cache").
     pub fn preload_secret_in_cache(&mut self, value: u32) {
-        let idx = self.config.secret_index();
+        let line = self.instance.cache_lines[self.config.secret_index() as usize];
         let tag = u64::from(self.config.secret_tag());
-        self.set_register(&format!("dcache.valid{idx}"), 1);
-        self.set_register(&format!("dcache.tag{idx}"), tag);
-        self.set_register(&format!("dcache.data{idx}"), u64::from(value));
+        self.simulator.set_register(line.valid.id(), 1);
+        self.simulator.set_register(line.tag.id(), tag);
+        self.simulator
+            .set_register(line.data.id(), u64::from(value));
         self.store_word(SECRET_ADDR, value);
     }
 
@@ -126,24 +127,34 @@ impl SocSim {
             .as_u64()
     }
 
+    /// Current value of a signal of the instance, such as one of
+    /// [`SocSim::instance`]'s handles. A register peek never settles the
+    /// logic.
+    pub(crate) fn peek(&mut self, signal: SignalId) -> u64 {
+        self.simulator.peek(signal).as_u64()
+    }
+
     /// Value of architectural register `x{index}`.
-    pub fn reg(&self, index: u32) -> u32 {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register file has no register `x{index}`.
+    pub fn reg(&mut self, index: u32) -> u32 {
         if index == 0 {
             0
         } else {
-            self.register(&format!("x{index}")) as u32
+            self.peek(self.instance.regfile[index as usize - 1]) as u32
         }
     }
 
-    /// Current program counter. Reads the register through the instance's
-    /// handle: a register peek never settles the logic.
+    /// Current program counter.
     pub fn pc(&mut self) -> u32 {
-        self.simulator.peek(self.instance.pc).as_u64() as u32
+        self.peek(self.instance.pc) as u32
     }
 
     /// Current privilege mode (0 = user, 1 = machine).
     pub fn mode(&mut self) -> u32 {
-        self.simulator.peek(self.instance.mode).as_u64() as u32
+        self.peek(self.instance.mode) as u32
     }
 
     /// Advances the SoC by one clock cycle, feeding instruction fetches and

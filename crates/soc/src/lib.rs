@@ -18,7 +18,12 @@
 //!   (which weakened mechanism, if any, the generator builds) and four
 //!   geometry knobs; the memory map is the fixed [`SECRET_ADDR`],
 //!   [`PROTECTED_BASE`], [`PROTECTED_TOP`] and [`TRAP_VECTOR`],
-//! * [`build_soc`] — elaborate one SoC instance into a netlist,
+//! * [`build_soc`] — elaborate one SoC instance into a netlist; the
+//!   returned [`SocInstance`] lists every register the generator declared,
+//!   each with its [`StateClass`] and, for an EX/MEM or MEM/WB pipeline
+//!   register, its [`Blocking`] condition, plus each cache line's
+//!   registers ([`CacheLine`]), which the UPEC miter and the simulator
+//!   harness read instead of parsing register names,
 //! * [`SocSim`] — run programs on the RTL with behavioural memories,
 //! * [`Program`] / [`Instruction`] — assembler for attacker/victim programs,
 //! * [`GoldenModel`] — ISA-level reference model for co-simulation.
@@ -33,9 +38,9 @@ mod golden;
 mod harness;
 pub mod isa;
 
-pub use cache::{build_cache, CacheRequest, CacheSignals};
+pub use cache::{build_cache, CacheLine, CacheRequest, CacheSignals};
 pub use config::{SocConfig, SocVariant, PROTECTED_BASE, PROTECTED_TOP, SECRET_ADDR, TRAP_VECTOR};
-pub use core::{build_soc, SocInstance};
+pub use core::{build_soc, Blocking, SocInstance, SocRegister, StateClass};
 pub use golden::{GoldenModel, Mode};
 pub use harness::SocSim;
 pub use isa::{Instruction, Program};

@@ -15,8 +15,9 @@
 # section. The tier-1 gate is the same command CI runs:
 #   cargo build --release && cargo test -q
 # Its umbrella tests include the schedule pin (for every distinct registry
-# miter: the netlist's signal count, the scheduled-signal count and the
-# compiled schedule's length, so any schedule change fails the gate), the
+# miter: the netlist's signal count, the scheduled-signal count, the
+# compiled schedule's length and a structural fingerprint of the netlist,
+# register pairs and constraints, so any change to a miter fails the gate), the
 # encoding oracle: the compiled unrolling of
 # every distinct registry miter checked against the word-level simulator,
 # fresh and after CNF simplification, the non-vacuity gate (every distinct
@@ -36,8 +37,10 @@
 #
 # The driver stage runs every paper-artifact driver that finishes within
 # seconds, so none can rot unnoticed: the quickstart example, Fig. 1 and
-# Fig. 2 (simulation), Table II, the engine on `pmp-lock` (Sec. VII-C) and
-# `cache-footprint` (Fig. 1 as a UPEC check), and the alert debugger
+# Fig. 2 (simulation), Table II, the engine on `pmp-lock` (Sec. VII-C),
+# `cache-footprint` (Fig. 1 as a UPEC check) and the geometry-family id
+# `secure-arch-only@r4c2m2s1` (so a family id must resolve on the command
+# line), and the alert debugger
 # (`debug_alert`, which poses the `orc` query at window 2 on a
 # proof-logging session and dumps the L-alert from its checked witness
 # certificate). The engine exits 1 when a verdict misses its registered
@@ -90,7 +93,7 @@ cargo run --release -q --example quickstart
 cargo run --release -q -p bench --bin fig1_cache_footprint
 cargo run --release -q -p bench --bin fig2_orc_attack
 cargo run --release -q -p bench --bin table2
-cargo run --release -q -p bench --bin engine -- --threads 1 pmp-lock cache-footprint
+cargo run --release -q -p bench --bin engine -- --threads 1 pmp-lock cache-footprint secure-arch-only@r4c2m2s1
 cargo run --release -q -p bench --bin debug_alert
 
 echo "==> fault-injection differential (--features faults, release)"
