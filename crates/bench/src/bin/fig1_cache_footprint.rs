@@ -20,8 +20,10 @@ fn footprint(variant: SocVariant, secret: u32) -> Vec<u64> {
     sim.preload_secret_in_cache(secret);
     sim.store_word(secret, 0x1234_5678);
     sim.run(80);
-    (0..config.cache_lines)
-        .map(|i| sim.register(&format!("dcache.valid{i}")))
+    let lines = sim.instance().cache_lines.clone();
+    lines
+        .iter()
+        .map(|line| sim.peek(line.valid.value()))
         .collect()
 }
 

@@ -137,7 +137,9 @@ impl UpecModel {
         // cache-side counterpart).
         // ------------------------------------------------------------------
         let memory_equivalence = {
-            let secret_line = soc1.secret_line_data_register.value();
+            let secret_line = soc1.cache_lines[config.secret_index() as usize]
+                .data
+                .value();
             let mut terms = Vec::new();
             for pair in pairs.iter().filter(|p| p.class == StateClass::Memory) {
                 if pair.signal1 == secret_line {
@@ -400,6 +402,12 @@ mod tests {
             let model = UpecModel::new(&config, SecretScenario::InCache);
             let netlist = model.netlist();
             assert_eq!(model.pairs().len(), pairs, "{config:?}");
+            // Labels are unique (the pairs are sorted by label), so
+            // `UpecModel::pair` and the name-set commitments are unambiguous.
+            assert!(
+                model.pairs().windows(2).all(|w| w[0].name != w[1].name),
+                "{config:?}"
+            );
             // Every register of instance 1 is paired exactly once, with the
             // register of the same name in instance 2.
             let mut paired: Vec<SignalId> = model.pairs().iter().map(|p| p.signal1).collect();

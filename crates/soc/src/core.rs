@@ -160,10 +160,9 @@ pub struct SocInstance {
     /// Every register of the instance in creation order, with its state
     /// class (paper Defs. 1 and 2) and blocking condition.
     pub registers: Vec<SocRegister>,
-    /// The data cache's lines.
+    /// The data cache's lines. Line [`SocConfig::secret_index`]'s data
+    /// register is the one that may legitimately hold the secret.
     pub cache_lines: Vec<CacheLine>,
-    /// The cache data register that may legitimately hold the secret.
-    pub secret_line_data_register: RegisterHandle,
 }
 
 impl SocInstance {
@@ -1039,7 +1038,6 @@ pub fn build_soc(n: &mut Netlist, config: &SocConfig, prefix: &str) -> SocInstan
         cycle: cycle.value(),
         regfile: xregs.iter().map(|r| r.value()).collect(),
         registers: regs,
-        secret_line_data_register: cache.lines[config.secret_index() as usize].data,
         cache_lines: cache.lines,
     };
     n.pop_scope();

@@ -128,9 +128,9 @@ impl SocSim {
     }
 
     /// Current value of a signal of the instance, such as one of
-    /// [`SocSim::instance`]'s handles. A register peek never settles the
-    /// logic.
-    pub(crate) fn peek(&mut self, signal: SignalId) -> u64 {
+    /// [`SocSim::instance`]'s handles (a cache line's valid bit, say). A
+    /// register peek never settles the logic.
+    pub fn peek(&mut self, signal: SignalId) -> u64 {
         self.simulator.peek(signal).as_u64()
     }
 

@@ -75,8 +75,10 @@ fn meltdown_style_cache_footprint_depends_on_the_secret() {
         sim.preload_secret_in_cache(secret);
         sim.store_word(secret, 0xaaaa_bbbb);
         sim.run(60);
-        (0..config.cache_lines)
-            .map(|i| sim.register(&format!("dcache.valid{i}")))
+        let lines = sim.instance().cache_lines.clone();
+        lines
+            .iter()
+            .map(|line| sim.peek(line.valid.value()))
             .collect()
     };
     let a = footprint(SocVariant::MeltdownStyle, 0x184);
